@@ -66,18 +66,25 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     return np.ascontiguousarray(cols), ho, wo
 
 
-def _col2im(grad_cols: np.ndarray, x_shape, k: int, stride: int, pad: int,
-            ho: int, wo: int) -> np.ndarray:
-    """Transpose of _im2col: scatter-add patch gradients back to the input."""
+def _col2im(g2: np.ndarray, w2d: np.ndarray, x_shape, k: int, stride: int,
+            pad: int, ho: int, wo: int) -> np.ndarray:
+    """Input gradient of the conv: the transpose of _im2col applied to
+    g2 @ w2d, without building that (n*ho*wo, c*k*k) matrix.
+
+    g2 is the (n*ho*wo, out) output gradient and w2d the (out, c*k*k)
+    effective weight. Each kernel tap (ki, kj) is one GEMM,
+    g2 @ w[:, :, ki, kj], whose (n, ho, wo, c) result is added into a
+    zero-padded NHWC buffer at the strided window that tap read; the buffer
+    is cropped and transposed to NCHW once at the end.
+    """
     n, c, h, w = x_shape
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_cols.dtype)
-    g = grad_cols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    taps = w2d.reshape(-1, c, k * k).transpose(2, 0, 1).copy()   # (k*k, out, c)
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.result_type(g2, w2d))
     for ki in range(k):
         for kj in range(k):
-            gx[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += g[:, :, :, :, ki, kj]
-    if pad:
-        gx = gx[:, :, pad:h + pad, pad:w + pad]
-    return gx
+            gx[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
+                (g2 @ taps[ki * k + kj]).reshape(n, ho, wo, c)
+    return np.ascontiguousarray(gx[:, pad:h + pad, pad:w + pad].transpose(0, 3, 1, 2))
 
 
 class Conv2d:
@@ -140,8 +147,7 @@ class Conv2d:
         n = upstream.shape[0]
         g2 = upstream.transpose(0, 2, 3, 1).reshape(n * ho * wo, self.out_ch)
         grad_w2d = np.ascontiguousarray(g2.T) @ cols
-        grad_cols = g2 @ w2d
-        grad_x = _col2im(grad_cols, x_shape, self.kernel, self.stride, self.padding, ho, wo)
+        grad_x = _col2im(g2, w2d, x_shape, self.kernel, self.stride, self.padding, ho, wo)
         if q_saved is not None:
             grad_w2d = quantize_tensor_backward(q_saved, grad_w2d, QuantKind.WEIGHT, self.quant)
         if ws_cache is not None:

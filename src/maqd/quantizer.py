@@ -98,10 +98,16 @@ def quantize_activation(a_hat, m_a: int):
     return scaled_round_clip(a_hat, float(m_a - 1), 0.0, 1.0)
 
 
+def _float_dtype(z: np.ndarray):
+    """The float dtype a surrogate is computed in: z's own, else float64."""
+    return z.dtype if np.issubdtype(z.dtype, np.floating) else np.dtype(np.float64)
+
+
 def weight_surrogate_grad(w_hat, cfg: QuantConfig):
-    """Straight-through band: 1 where |s * w_hat| < 1 (strict), else 0."""
+    """Straight-through band: 1 where |s * w_hat| < 1 (strict), else 0; in
+    w_hat's float dtype (float64 for non-float input)."""
     w_hat = np.asarray(w_hat)
-    return (np.abs(cfg.s * w_hat) < 1.0).astype(np.float64)
+    return (np.abs(cfg.s * w_hat) < 1.0).astype(_float_dtype(w_hat))
 
 
 def thresholds(m_a: int) -> np.ndarray:
@@ -119,13 +125,50 @@ def scaled_sigmoid(z, alpha: float):
 
 
 def activation_surrogate_grad(a_hat, m_a: int, alpha: float):
-    """Sum over thresholds of d/dz sigma_alpha(z - b_m); strictly positive."""
+    """Sum over thresholds of d/dz sigma_alpha(z - b_m); strictly positive.
+
+    Each bump is sigma'_alpha(x) = 1 / (alpha * (2 + E + 1/E)) with
+    E = exp((z - b_m) / alpha). The thresholds are 1/(m_a-1) apart, so E is
+    geometric in m: one exp per element gives E for the first threshold and
+    each further one is a multiply by exp(-1/((m_a-1) alpha)). Everything is
+    computed in place in a_hat's float dtype (float64 for non-float input),
+    with no per-threshold array. Against an extended-precision reference the
+    relative error is ~1e-15 at float64 and ~2e-6 at float32 on z in [-3, 4],
+    alpha = 0.25, tails included.
+
+    The anchor exponent is clamped to +-log(max)/2 of the dtype and a chain of
+    multiplies spans at most log(max)/4, so E and 1/E stay finite, and a
+    clamp only acts where every bump of its chain is below ~exp(-log(max)/4)
+    of the peak. A small alpha whose thresholds span more than log(max)/4
+    takes one exp per chain.
+    """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    a_hat = np.asarray(a_hat, dtype=np.float64)
+    z = np.asarray(a_hat)
+    dtype = _float_dtype(z)
     b = thresholds(m_a)
-    p = scaled_sigmoid(a_hat[..., None] - b, alpha)
-    return np.sum(p * (1.0 - p) / alpha, axis=-1)
+    step = 1.0 / ((m_a - 1) * alpha)  # (z - b_m)/alpha - (z - b_{m+1})/alpha
+    half_range = np.log(np.finfo(dtype).max) / 2
+    chain = int(half_range / 2 // step) + 1
+    ratio = dtype.type(np.exp(-step))
+    total = np.zeros(z.shape, dtype)
+    e = np.empty_like(total)
+    bump = np.empty_like(total)
+    for first in range(0, m_a - 1, chain):
+        np.subtract(z, b[first], out=e, casting="unsafe")
+        e /= dtype.type(alpha)
+        np.clip(e, -half_range, half_range, out=e)
+        np.exp(e, out=e)
+        for m in range(first, min(first + chain, m_a - 1)):
+            if m > first:
+                e *= ratio
+            np.reciprocal(e, out=bump)
+            bump += e
+            bump += 2.0
+            np.reciprocal(bump, out=bump)
+            total += bump
+    total /= dtype.type(alpha)
+    return total
 
 
 def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig):
@@ -135,16 +178,19 @@ def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig):
         q = quantize_weight(t, cfg)
     else:
         q = quantize_activation(t, cfg.m_a)
-    return q.astype(t.dtype), t.copy()
+    # t is saved, not copied: no layer writes into its input between forward and backward.
+    return q.astype(t.dtype), t
 
 
 def quantize_tensor_backward(saved: np.ndarray, upstream: np.ndarray,
                              kind: QuantKind, cfg: QuantConfig) -> np.ndarray:
-    """upstream * surrogate(saved), elementwise."""
+    """upstream * surrogate(saved), elementwise, in upstream's dtype."""
     if saved.shape != upstream.shape:
         raise ValueError(f"shape mismatch: saved {saved.shape} vs upstream {upstream.shape}")
     if kind is QuantKind.WEIGHT:
         g = weight_surrogate_grad(saved, cfg)
     else:
         g = activation_surrogate_grad(saved, cfg.m_a, cfg.alpha)
-    return (upstream * g).astype(upstream.dtype)
+    g = g.astype(upstream.dtype, copy=False)
+    g *= upstream
+    return g

@@ -54,11 +54,12 @@ class TestConv2d:
         assert rel_err(numeric_grad(loss_x, x), gx) < 1e-5
         assert rel_err(numeric_grad(loss_w, conv.weight.data), conv.weight.grad) < 1e-5
 
-    def test_backward_is_exact_transpose(self):
-        # <y, A x> == <A^T y, x> for the linear map
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_backward_is_exact_transpose(self, kernel, stride):
+        # <y, A x> == <A^T y, x> for the linear map; odd height, even width
         rng = RNG(3)
-        conv = Conv2d(2, 3, kernel=3, rng=rng, weight_standardized=False)
-        x = rng.normal(size=(2, 2, 5, 5))
+        conv = Conv2d(2, 3, kernel=kernel, stride=stride, rng=rng, weight_standardized=False)
+        x = rng.normal(size=(2, 2, 5, 6))
         y = conv.forward(x, Mode.TRAIN)
         u = rng.normal(size=y.shape)
         conv.weight.zero_grad()

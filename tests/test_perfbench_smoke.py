@@ -1,0 +1,24 @@
+"""Smoke run of the benchmark harness against the engine in this checkout.
+
+The tracer in perfbench/spans.py patches engine functions by name; a renamed
+or removed function shows up as an absent span. This run fails the suite
+when that happens, instead of silently dropping per-layer numbers.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_tiny_traced_run_is_correct_with_no_absent_spans():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "qat-vgg-mini-b100",
+         "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"],
+        cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["trace.absent_spans"]["value"] == 0

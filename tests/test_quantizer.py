@@ -201,6 +201,42 @@ class TestActivationSurrogate:
         got = activation_surrogate_grad(grid, m_a, alpha)
         assert np.max(np.abs(got - fd) / np.abs(fd)) < 1e-6
 
+    @pytest.mark.parametrize("m_a", [2, 4, 8])
+    def test_closed_form_accuracy_and_dtype(self, m_a):
+        alpha = 0.25
+        z = np.concatenate([np.linspace(-3, 4, 7001),
+                            np.random.default_rng(m_a).normal(size=5000)])
+        zl, al = z.astype(np.longdouble), np.longdouble(alpha)
+        ref = sum(1 / (al * (2 + 2 * np.cosh((zl - np.longdouble(b)) / al)))
+                  for b in thresholds(m_a))
+        # float32: rounding z to float32 alone moves a bump by up to
+        # |z| * 2**-24 / alpha relative (~1e-6 at |z| = 4), before any
+        # float32 arithmetic.
+        cfg = QuantConfig(m_a=m_a, alpha=alpha)
+        for dtype, bound in ((np.float64, 1e-13), (np.float32, 4e-6)):
+            zd = z.astype(dtype)
+            got = activation_surrogate_grad(zd, m_a, alpha)
+            assert got.dtype == dtype
+            assert np.max(np.abs(got.astype(np.longdouble) - ref) / ref) <= bound
+            for kind in QuantKind:
+                _, saved = quantize_tensor_forward(zd, kind, cfg)
+                g = quantize_tensor_backward(saved, np.ones_like(zd), kind, cfg)
+                assert g.dtype == dtype
+
+    def test_closed_form_small_alpha(self):
+        # 1/((m_a-1) alpha) = 33 per threshold: a float64 chain of multiplies
+        # covers 6 thresholds and a float32 one covers 1, so several anchors run.
+        m_a, alpha = 16, 0.002
+        z = (thresholds(m_a)[:, None] + alpha * np.linspace(-4, 4, 41)).ravel()
+        for dtype in (np.float64, np.float32):
+            zd = z.astype(dtype)
+            zl, al = zd.astype(np.longdouble), np.longdouble(alpha)
+            ref = sum(1 / (al * (2 + 2 * np.cosh((zl - np.longdouble(b)) / al)))
+                      for b in thresholds(m_a))
+            got = activation_surrogate_grad(zd, m_a, alpha)
+            bound = 1e-13 if dtype is np.float64 else 4e-6
+            assert np.max(np.abs(got.astype(np.longdouble) - ref) / ref) <= bound
+
     def test_four_state_value(self):
         # sum of three bumps at offsets from the thresholds {1/6, 1/2, 5/6}
         alpha = 0.25
