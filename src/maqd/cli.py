@@ -30,31 +30,6 @@ class UsageError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    "architecture": "vgg",
-    "dataset": "cifar10",
-    "data_dir": None,
-    "m_w": 15,
-    "m_a": 8,
-    "qscale_mode": "half_mw",
-    "gamma": 0.05,
-    "alpha": 0.25,
-    "s": 1.0 / 3.0,
-    "lr": 1e-2,
-    "epochs": 300,
-    "batch_size": 100,
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "seed": 42,
-    "augment": True,
-    "quantize": True,
-    "quantize_head": True,
-    "norm": "lbn",
-    "pad_to": 0,
-    "out_dir": "runs/run",
-    "metrics_max_samples": 0,
-}
-
 _ARCHS = ("vgg", "vgg-mini", "preact_resnet", "preact-mini", "cnn9", "cnn9-mini")
 _DATASETS = ("cifar10", "cifar100", "mnist", "blobs")
 
@@ -102,6 +77,7 @@ class RunConfig:
             ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
             ("weight-decay", self.weight_decay >= 0, ">= 0"),
             ("norm", self.norm in ("bn", "ln", "lbn"), "bn, ln, or lbn"),
+            ("metrics-max-samples", self.metrics_max_samples >= 0, ">= 0"),
         ]
         for key, ok, expect in checks:
             if not ok:
@@ -114,6 +90,9 @@ class RunConfig:
             else QScaleMode.HALF_MW_MINUS_ONE
         return QuantConfig(m_w=self.m_w, m_a=self.m_a, qscale_mode=mode,
                            s=self.s, alpha=self.alpha)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
 def _read_config_file(path) -> dict:
@@ -275,12 +254,12 @@ def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
     with open(out_dir / "config.json", "w") as f:
         json.dump(_config_dict(cfg), f, indent=2)
     training.write_training_log(out_dir / "training_log.csv", log)
-    training.write_sparsity_csv(out_dir / "sparsity.csv", graph, test_set,
-                                max_samples=cfg.metrics_max_samples or None)
-    training.write_summary_json(out_dir / "summary.json", _config_dict(cfg), log)
+    training.write_sparsity_csv(out_dir / "sparsity.csv", log[-1])
     with open(out_dir / "checkpoint.pkl", "wb") as f:
         pickle.dump(graph, f)
     export_mod.export(graph, out_dir / "model.maqd")
+    # Last: a sweep takes the summary as the sign that the cell is complete.
+    training.write_summary_json(out_dir / "summary.json", _config_dict(cfg), log)
     return out_dir
 
 
@@ -298,8 +277,8 @@ def _cmd_train(cfg):
 def _cmd_eval(cfg):
     graph = _load_checkpoint(cfg._args.checkpoint)
     _, test_set = _load_dataset(cfg)
-    loss, acc = training.evaluate(graph, test_set, training.LossConfig(gamma=cfg.gamma))
-    print(json.dumps({"test_loss": loss, "test_acc": acc}))
+    res = training.evaluate(graph, test_set, training.LossConfig(gamma=cfg.gamma))
+    print(json.dumps({"test_loss": res.loss, "test_acc": res.acc, "r_a": res.r_a}))
     return 0
 
 
@@ -376,7 +355,6 @@ def _cmd_sweep(cfg):
             else:
                 cell_cfg.m_w, cell_cfg.m_a = mw, ma
             cell_cfg.validate()
-            cell_cfg._args = cfg._args
             _run_train(cell_cfg, cell_dir)
         with open(summary_path) as f:
             final = json.load(f)["final"]

@@ -510,10 +510,3 @@ def build_model(arch: str, num_classes: int, **kwargs) -> ModelGraph:
         raise ValueError(f"unknown architecture {arch!r}; expected one of {sorted(_BUILDERS)}")
     return _BUILDERS[arch](num_classes=num_classes, **kwargs)
 
-
-def model_forward(graph: ModelGraph, x: np.ndarray, mode: Mode = Mode.TRAIN) -> np.ndarray:
-    return graph.forward(x, mode)
-
-
-def model_backward(graph: ModelGraph, grad_logits: np.ndarray):
-    return graph.backward(grad_logits)

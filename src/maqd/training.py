@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import os
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import log_softmax, softmax
 
 from .datasets import BatchPlan, LabeledImageSet, batches
-from .network import ActQuant, Conv2d, ModelGraph, Param, ReLU
+from .network import ModelGraph, Param
 from .normalization import Mode, NormKind
 
 
@@ -130,14 +131,6 @@ def scaled_lr_for_batch(base_lr_at_128: float, batch_size: int) -> float:
     return base_lr_at_128 * batch_size / 128.0
 
 
-@dataclass
-class SparsityReport:
-    r_w_total: float
-    r_a_total: float
-    r_w_per_layer: list[float]
-    r_a_per_layer: list[float]
-
-
 def compute_r_w(graph: ModelGraph):
     """Fraction of non-zero quantized weight states, per quantized conv layer
     and pooled over all of them. A non-quantized model reports 1.0."""
@@ -156,42 +149,62 @@ def compute_r_w(graph: ModelGraph):
     return nonzero / total, per_layer
 
 
-def compute_r_a(graph: ModelGraph, test_set: LabeledImageSet, batch_size: int = 100,
-                max_samples: int | None = None):
-    """Per activation layer: mean over test samples of that sample's non-zero
-    output fraction. Pooled value is the element-count weighted mean over
-    layers."""
-    if len(test_set.labels) == 0:
+def compute_r_a(act_layers: list) -> np.ndarray:
+    """R_a count of one forwarded batch: per activation layer, the sum over
+    the batch's samples of each sample's non-zero output fraction, read from
+    the output the layer recorded."""
+    sums = np.zeros(len(act_layers))
+    for i, l in enumerate(act_layers):
+        out = l.last_output.reshape(l.last_output.shape[0], -1)
+        sums[i] = (np.count_nonzero(out, axis=1) / out.shape[1]).sum()
+    return sums
+
+
+@dataclass
+class EvalResult:
+    loss: float
+    acc: float
+    r_a: float
+    r_a_per_layer: list[float]
+
+
+def evaluate(graph: ModelGraph, data: LabeledImageSet, loss_cfg: LossConfig,
+             batch_size: int = 100, max_samples: int | None = None) -> EvalResult:
+    """One EVAL-mode pass: mean loss, accuracy and R_a. R_a per activation
+    layer is the mean over samples of that sample's non-zero output fraction;
+    the pooled value is the element-count weighted mean over layers."""
+    images, labels = data.images, data.labels
+    if max_samples is not None:
+        images, labels = images[:max_samples], labels[:max_samples]
+    n = images.shape[0]
+    if n == 0:
         raise ValueError("empty test set")
     act_layers = graph.activation_layers()
     if not act_layers:
         raise ValueError("model has no activation layers")
+    loss_sum = 0.0
+    correct = 0
+    ratio_sums = np.zeros(len(act_layers))
     for l in act_layers:
         l.record = True
     try:
-        ratio_sums = np.zeros(len(act_layers))
-        elem_counts = np.zeros(len(act_layers))
-        n_seen = 0
-        images, labels = test_set.images, test_set.labels
-        if max_samples is not None:
-            images, labels = images[:max_samples], labels[:max_samples]
-        for start in range(0, images.shape[0], batch_size):
+        for start in range(0, n, batch_size):
             xb = images[start:start + batch_size]
-            graph.forward(xb, Mode.EVAL)
-            for i, l in enumerate(act_layers):
-                out = l.last_output
-                per_sample = np.count_nonzero(out.reshape(out.shape[0], -1), axis=1) \
-                    / np.prod(out.shape[1:])
-                ratio_sums[i] += per_sample.sum()
-                elem_counts[i] = np.prod(out.shape[1:])
-            n_seen += xb.shape[0]
+            yb = labels[start:start + batch_size]
+            logits = graph.forward(xb, Mode.EVAL)
+            loss, _ = combined_loss(logits, yb, loss_cfg)
+            loss_sum += loss * xb.shape[0]
+            correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+            ratio_sums += compute_r_a(act_layers)
+        elem_counts = [l.last_output[0].size for l in act_layers]
     finally:
         for l in act_layers:
             l.record = False
             l.last_output = None
-    per_layer = (ratio_sums / n_seen).tolist()
-    total = float(np.average(per_layer, weights=elem_counts))
-    return total, per_layer
+    per_layer = (ratio_sums / n).tolist()
+    return EvalResult(loss=loss_sum / n, acc=correct / n,
+                      r_a=float(np.average(per_layer, weights=elem_counts)),
+                      r_a_per_layer=per_layer)
 
 
 @dataclass
@@ -204,25 +217,8 @@ class EpochRecord:
     r_w: float
     r_a: float
     seconds: float
-
-
-def evaluate(graph: ModelGraph, data: LabeledImageSet, loss_cfg: LossConfig,
-             batch_size: int = 100, max_samples: int | None = None):
-    """Mean loss and accuracy in EVAL mode."""
-    images, labels = data.images, data.labels
-    if max_samples is not None:
-        images, labels = images[:max_samples], labels[:max_samples]
-    losses = []
-    correct = 0
-    for start in range(0, images.shape[0], batch_size):
-        xb = images[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        logits = graph.forward(xb, Mode.EVAL)
-        loss, _ = combined_loss(logits, yb, loss_cfg)
-        losses.append(loss * xb.shape[0])
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-    n = images.shape[0]
-    return sum(losses) / n, correct / n
+    r_w_per_layer: list[float]
+    r_a_per_layer: list[float]
 
 
 def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageSet,
@@ -238,13 +234,13 @@ def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageS
     log: list[EpochRecord] = []
 
     def _metrics(epoch, lr, train_loss, t0):
-        test_loss, test_acc = evaluate(graph, test_set, loss_cfg, batch_size,
-                                       max_samples=metrics_max_samples)
-        r_w, _ = compute_r_w(graph)
-        r_a, _ = compute_r_a(graph, test_set, batch_size, max_samples=metrics_max_samples)
+        res = evaluate(graph, test_set, loss_cfg, batch_size,
+                       max_samples=metrics_max_samples)
+        r_w, r_w_layers = compute_r_w(graph)
         return EpochRecord(epoch=epoch, lr=lr, train_loss=train_loss,
-                           test_loss=test_loss, test_acc=test_acc,
-                           r_w=r_w, r_a=r_a, seconds=time.perf_counter() - t0)
+                           test_loss=res.loss, test_acc=res.acc,
+                           r_w=r_w, r_a=res.r_a, seconds=time.perf_counter() - t0,
+                           r_w_per_layer=r_w_layers, r_a_per_layer=res.r_a_per_layer)
 
     if epochs == 0:
         log.append(_metrics(0, base_lr, float("nan"), time.perf_counter()))
@@ -280,12 +276,11 @@ def write_training_log(path, log: list[EpochRecord]):
                              rec.test_acc, rec.r_w, rec.r_a, rec.seconds])
 
 
-def write_sparsity_csv(path, graph: ModelGraph, test_set: LabeledImageSet,
-                       max_samples: int | None = None):
-    """Per-layer sparsity table (layer_index, r_w, r_a); r_a has one fewer
-    entry than the conv count because the head activation is not quantized."""
-    _, r_w_layers = compute_r_w(graph)
-    _, r_a_layers = compute_r_a(graph, test_set, max_samples=max_samples)
+def write_sparsity_csv(path, record: EpochRecord):
+    """Per-layer sparsity table (layer_index, r_w, r_a) of one epoch's EVAL
+    pass; r_a has one fewer entry than the conv count because the head
+    activation is not quantized."""
+    r_w_layers, r_a_layers = record.r_w_per_layer, record.r_a_per_layer
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["layer_index", "r_w", "r_a"])
@@ -376,10 +371,14 @@ def write_norm_bench_csv(path, rows: list[NormBenchRow]):
 
 
 def write_summary_json(path, config: dict, log: list[EpochRecord]):
+    """Written to a temporary file and renamed into place, so the summary
+    exists only complete; a sweep takes it as the sign that a cell is done."""
     summary = {
         "config": config,
         "epochs": len(log),
         "final": asdict(log[-1]) if log else None,
     }
-    with open(path, "w") as f:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
         json.dump(summary, f, indent=2)
+    os.replace(tmp, path)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -69,6 +70,7 @@ class TestParseConfig:
         ("--lr", "0", "lr"),
         ("--momentum", "1.0", "momentum"),
         ("--epochs", "-1", "epochs"),
+        ("--metrics-max-samples", "-5", "metrics-max-samples"),
     ])
     def test_range_errors_name_the_flag(self, flag, value, fragment):
         with pytest.raises(UsageError, match=fragment):
@@ -132,6 +134,13 @@ class TestTrainRun:
         assert 0.0 <= final["r_w"] <= 1.0
         assert 0.0 <= final["r_a"] <= 1.0
 
+    def test_sparsity_csv_is_the_final_eval_pass(self, run_dir):
+        final = json.loads((run_dir / "summary.json").read_text())["final"]
+        with open(run_dir / "sparsity.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["r_a"]) for r in rows if r["r_a"]] == final["r_a_per_layer"]
+        assert [float(r["r_w"]) for r in rows] == final["r_w_per_layer"]
+
     def test_training_log_rows(self, run_dir):
         lines = (run_dir / "training_log.csv").read_text().strip().splitlines()
         assert lines[0].startswith("epoch,")
@@ -184,6 +193,30 @@ class TestSweep:
         assert main(args) == 0
         text = capsys.readouterr().out
         assert text.count("skipping completed cell") == 3
+
+    def test_resume_reruns_a_cell_interrupted_before_its_summary(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--dataset", "blobs", "--architecture", "vgg-mini",
+                "--epochs", "0", "--batch-size", "60", "--no-augment",
+                "--metrics-max-samples", "40", "--out-dir", str(out),
+                "--m-w-grid", "3", "--m-a-grid", "2"]
+        cell = out / "mw3_ma2"
+
+        def interrupted_export(graph, path):
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as m:
+            m.setattr("maqd.cli.export_mod.export", interrupted_export)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                main(args)
+        assert not (cell / "summary.json").exists()
+
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "skipping completed cell" not in capsys.readouterr().out
+        assert (cell / "model.maqd").exists()
+        assert (cell / "summary.json").exists()
 
 
 @pytest.mark.slow

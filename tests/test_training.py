@@ -6,7 +6,7 @@ from maqd.network import ActQuant, Conv2d, GlobalAvgPool, ModelGraph, Param, bui
 from maqd.normalization import Mode, NormKind
 from maqd.quantizer import QuantConfig
 from maqd.training import (LossConfig, MseTarget, OptimState, ScheduleState,
-                           combined_loss, compute_r_a, compute_r_w, cosine_lr,
+                           combined_loss, compute_r_w, cosine_lr,
                            evaluate, measure_step_bytes,
                            norm_comparison_experiment, scaled_lr_for_batch,
                            sgd_momentum_step, train)
@@ -164,9 +164,9 @@ class TestSparsityMetrics:
         g = ModelGraph([conv, act, GlobalAvgPool()], "tiny", 1, cfg, NormKind.LBN)
         images = np.array([0.0, 1 / 3, 0.0, 1.0]).reshape(1, 1, 2, 2)
         data = LabeledImageSet(images, np.zeros(1, dtype=np.int64), class_count=1)
-        total, per_layer = compute_r_a(g, data)
-        assert total == pytest.approx(0.5)
-        assert per_layer == [pytest.approx(0.5)]
+        res = evaluate(g, data, LossConfig())
+        assert res.r_a == pytest.approx(0.5)
+        assert res.r_a_per_layer == [pytest.approx(0.5)]
 
     def test_r_a_averages_per_sample_ratios(self):
         cfg = QuantConfig(m_w=3, m_a=4)
@@ -181,14 +181,14 @@ class TestSparsityMetrics:
             np.array([1.0, 1.0, 1.0, 0.0]).reshape(1, 2, 2),
         ])
         data = LabeledImageSet(images, np.zeros(2, dtype=np.int64), class_count=1)
-        total, _ = compute_r_a(g, data, batch_size=1)
-        assert total == pytest.approx((0.25 + 0.75) / 2)
+        res = evaluate(g, data, LossConfig(), batch_size=1)
+        assert res.r_a == pytest.approx((0.25 + 0.75) / 2)
 
     def test_r_a_empty_set_rejected(self):
         g = build_model("vgg-mini", 10, quant=QuantConfig(), seed=0)
         data = LabeledImageSet(np.zeros((1, 3, 8, 8)), np.zeros(1, dtype=np.int64), 10)
-        with pytest.raises(ValueError):
-            compute_r_a(g, LabeledImageSet(data.images[:0], data.labels[:0], 10))
+        with pytest.raises(ValueError, match="empty test set"):
+            evaluate(g, LabeledImageSet(data.images[:0], data.labels[:0], 10), LossConfig())
 
     def test_r_a_all_below_threshold(self):
         cfg = QuantConfig(m_w=3, m_a=4)
@@ -199,7 +199,7 @@ class TestSparsityMetrics:
         g = ModelGraph([conv, act, GlobalAvgPool()], "tiny", 1, cfg, NormKind.LBN)
         images = np.full((3, 1, 2, 2), -2.0)
         data = LabeledImageSet(images, np.zeros(3, dtype=np.int64), class_count=1)
-        assert compute_r_a(g, data)[0] == 0.0
+        assert evaluate(g, data, LossConfig()).r_a == 0.0
 
 
 def _blob_split(classes=2, per_class=120, seed=5):
@@ -225,14 +225,27 @@ class TestTrainLoop:
         assert len(log) == 1 and log[0].epoch == 0
         assert 0.0 <= log[0].test_acc <= 1.0
 
+    def test_one_test_pass_per_epoch(self):
+        train_set, test_set = _blob_split()
+        g = _mini_graph(train_set)
+        modes = []
+        forward = g.forward
+
+        def counting_forward(x, mode=Mode.TRAIN):
+            modes.append(mode)
+            return forward(x, mode)
+
+        g.forward = counting_forward
+        train(g, train_set, test_set, epochs=1, batch_size=32)
+        n_test = test_set.images.shape[0]
+        assert modes.count(Mode.EVAL) == -(-n_test // 32)
+
     @pytest.mark.slow
     def test_fits_separable_blobs(self):
         train_set, test_set = _blob_split()
         g = _mini_graph(train_set)
         log = train(g, train_set, test_set, epochs=20, batch_size=32, base_lr=0.02)
-        final_train_loss, _ = evaluate(g, train_set, LossConfig())
-        _, train_acc = evaluate(g, train_set, LossConfig())
-        assert train_acc >= 0.95
+        assert evaluate(g, train_set, LossConfig()).acc >= 0.95
 
     @pytest.mark.slow
     def test_loss_decreases_early(self):
