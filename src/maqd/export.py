@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
-                      NormLayer, ReLU, ResidualBlock, _im2col)
+                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _im2col,
+                      _tap_major)
 from .normalization import Mode, NormKind, NormLayerState, WSState, weight_standardize
 from .quantizer import (QScaleMode, QuantConfig, quantize_activation,
                         quantize_weight, round_half_away)
@@ -54,6 +55,8 @@ OP_RES_END = 10
 
 _QSCALE_MODE_CODE = {QScaleMode.HALF_MW: 0, QScaleMode.HALF_MW_MINUS_ONE: 1}
 _QSCALE_MODE_FROM_CODE = {v: k for k, v in _QSCALE_MODE_CODE.items()}
+# Byte offset of each field within the "<BHHBdd" quant block (after "present").
+_QUANT_FIELD_AT = {"m_w": 1, "m_a": 3, "qscale_mode": 5, "s": 6, "alpha": 14}
 
 
 class ModelFormatError(ValueError):
@@ -249,13 +252,28 @@ def import_model(path) -> RuntimeModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported format version {version}")
     (arch_len,) = r.unpack("<B")
-    arch = r.take(arch_len).decode("ascii")
+    arch_at = r.offset
+    try:
+        arch = r.take(arch_len).decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{path}: non-ASCII arch name at byte "
+                               f"{arch_at + e.start}") from None
     (class_count,) = r.unpack("<H")
+    quant_at = r.offset
     present, m_w, m_a, mode_code, s, alpha = r.unpack("<BHHBdd")
     if mode_code not in _QSCALE_MODE_FROM_CODE:
-        raise ModelFormatError(f"{path}: unknown qscale mode code {mode_code}")
-    quant = QuantConfig(m_w=m_w, m_a=m_a, qscale_mode=_QSCALE_MODE_FROM_CODE[mode_code],
-                        s=s, alpha=alpha) if present else None
+        raise ModelFormatError(f"{path}: unknown qscale mode code {mode_code} at "
+                               f"byte {quant_at + _QUANT_FIELD_AT['qscale_mode']}")
+    quant = None
+    if present:
+        try:
+            quant = QuantConfig(m_w=m_w, m_a=m_a, s=s, alpha=alpha,
+                                qscale_mode=_QSCALE_MODE_FROM_CODE[mode_code])
+        except ValueError as e:
+            # QuantConfig's messages start with the name of the bad field
+            at = quant_at + _QUANT_FIELD_AT.get(str(e).split()[0], 0)
+            raise ModelFormatError(f"{path}: invalid quant block at byte {at}: "
+                                   f"{e}") from None
     (record_count,) = r.unpack("<I")
     ops = []
     for _ in range(record_count):
@@ -272,7 +290,7 @@ def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != op.fields["in_ch"]:
         raise ValueError(f"expected {op.fields['in_ch']} channels, got {x.shape[1]}")
     cols, ho, wo = _im2col(x, k, stride, pad)
-    y = cols @ op.fields["weights"].T
+    y = cols @ _tap_major(op.fields["weights"], op.fields["in_ch"], k).T
     return np.ascontiguousarray(
         y.reshape(x.shape[0], ho, wo, op.fields["out_ch"]).transpose(0, 3, 1, 2))
 
@@ -297,18 +315,15 @@ def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
             elif code == OP_RELU:
                 x = np.maximum(x, 0.0)
             elif code == OP_AP2:
-                n, c, h, w = x.shape
-                if h % 2 or w % 2:
-                    raise ValueError(f"average pooling needs even extents, got {h}x{w}")
-                x = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+                x = _avg_pool2(x)
             elif code == OP_GAP:
                 x = np.mean(x, axis=(2, 3))
             elif code == OP_RES_BEGIN:
                 ys, i = run_span(x, ops, i + 1)
-                if ops[i].opcode != OP_RES_SEP:
+                if i == len(ops) or ops[i].opcode != OP_RES_SEP:
                     raise ModelFormatError("malformed residual block")
                 yf, i = run_span(x, ops, i + 1)
-                if ops[i].opcode != OP_RES_END:
+                if i == len(ops) or ops[i].opcode != OP_RES_END:
                     raise ModelFormatError("malformed residual block")
                 x = ys + yf
             elif code in (OP_RES_SEP, OP_RES_END):
@@ -318,7 +333,9 @@ def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
             i += 1
         return x, i
 
-    logits, _ = run_span(x, model.ops, 0)
+    logits, i = run_span(x, model.ops, 0)
+    if i != len(model.ops):  # a RES_SEP/RES_END outside any block
+        raise ModelFormatError("malformed residual block")
     return logits
 
 

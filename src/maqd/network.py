@@ -3,8 +3,14 @@ architectures (VGG string, pre-activation ResNet block grammar, 9-layer CNN).
 
 Layers record their forward caches on themselves (the tape); backward walks
 the layer list in reverse, composing each layer's exact or surrogate
-backward. Convolutions are cross-correlations computed via im2col, so their
-backwards are exact transposes.
+backward. Convolutions are cross-correlations computed as one GEMM over a
+tap-major patch matrix: `_im2col` copies the input once into a zero-padded
+NHWC buffer and gathers each output pixel's window in (ki, kj, c) order, so
+every kernel tap copies a contiguous run of channels. `_tap_major` puts the
+(out, c*k*k) weight rows in the same order; the weight itself, WS, the
+quantizer and the export format keep the canonical (out, c, k, k) layout.
+The backwards are exact transposes. The export runtime calls the same conv
+and 2x2 pooling kernels.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -51,25 +57,37 @@ def _nbytes(obj) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(n, c, h, w) -> (n*ho*wo, c*k*k) patch matrix plus output extents."""
+    """(n, c, h, w) -> (n*ho*wo, k*k*c) patch matrix plus output extents.
+
+    Columns are tap-major: column (ki*k + kj)*c + ci holds input channel ci
+    at kernel tap (ki, kj), so the matrix multiplies `_tap_major` weights.
+    The input is copied once into a zero-padded NHWC buffer; a 1x1, stride-1
+    patch matrix is that buffer itself.
+    """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hp, wp = x.shape[2], x.shape[3]
+    hp, wp = h + 2 * pad, w + 2 * pad
     if hp < k or wp < k:
         raise ValueError(f"spatial extent {h}x{w} too small for kernel {k}")
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # (n, c, ho, wo, k, k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
+    xp = (np.zeros if pad else np.empty)((n, hp, wp, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]             # (n, ho, wo, c, k, k)
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
     return np.ascontiguousarray(cols), ho, wo
+
+
+def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
+    """(out, c*k*k) weight rows reordered to the (ki, kj, c) column order of
+    `_im2col`."""
+    return w2d.reshape(-1, c, k * k).transpose(0, 2, 1).reshape(w2d.shape[0], -1)
 
 
 def _col2im(g2: np.ndarray, w2d: np.ndarray, x_shape, k: int, stride: int,
             pad: int, ho: int, wo: int) -> np.ndarray:
     """Input gradient of the conv: the transpose of _im2col applied to
-    g2 @ w2d, without building that (n*ho*wo, c*k*k) matrix.
+    g2 @ _tap_major(w2d), without building that (n*ho*wo, k*k*c) matrix.
 
     g2 is the (n*ho*wo, out) output gradient and w2d the (out, c*k*k)
     effective weight. Each kernel tap (ki, kj) is one GEMM,
@@ -133,7 +151,7 @@ class Conv2d:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
         cols, ho, wo = _im2col(x, self.kernel, self.stride, self.padding)
-        y = cols @ w2d.T
+        y = cols @ _tap_major(w2d, self.in_ch, self.kernel).T
         n = x.shape[0]
         y = y.reshape(n, ho, wo, self.out_ch).transpose(0, 3, 1, 2)
         if mode is Mode.TRAIN:
@@ -146,7 +164,9 @@ class Conv2d:
         x_shape, cols, w2d, ws_cache, q_saved, ho, wo = self.cache
         n = upstream.shape[0]
         g2 = upstream.transpose(0, 2, 3, 1).reshape(n * ho * wo, self.out_ch)
-        grad_w2d = np.ascontiguousarray(g2.T) @ cols
+        # g2.T @ cols is tap-major (out, k*k*c); back to canonical (out, c*k*k)
+        grad_w2d = (np.ascontiguousarray(g2.T) @ cols).reshape(
+            self.out_ch, -1, self.in_ch).transpose(0, 2, 1).reshape(self.out_ch, -1)
         grad_x = _col2im(g2, w2d, x_shape, self.kernel, self.stride, self.padding, ho, wo)
         if q_saved is not None:
             grad_w2d = quantize_tensor_backward(q_saved, grad_w2d, QuantKind.WEIGHT, self.quant)
@@ -240,6 +260,16 @@ class ReLU:
         return _nbytes(self.cache)
 
 
+def _avg_pool2(x: np.ndarray) -> np.ndarray:
+    """Non-overlapping 2x2 mean of (n, c, h, w) as four strided adds, in
+    x's dtype."""
+    h, w = x.shape[2:]
+    if h % 2 or w % 2:
+        raise ValueError(f"average pooling needs even spatial extents, got {h}x{w}")
+    return (x[..., 0::2, 0::2] + x[..., 0::2, 1::2] + x[..., 1::2, 0::2]
+            + x[..., 1::2, 1::2]) * x.dtype.type(0.25)
+
+
 class AvgPool2:
     """Non-overlapping 2x2 mean pooling; requires even spatial extents."""
 
@@ -250,13 +280,10 @@ class AvgPool2:
         return []
 
     def forward(self, x, mode):
-        n, c, h, w = x.shape
-        if h % 2 or w % 2:
-            raise ValueError(f"average pooling needs even spatial extents, got {h}x{w}")
-        y = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        y = _avg_pool2(x)
         if mode is Mode.TRAIN:
             self.cache = x.shape
-        return y.astype(x.dtype)
+        return y
 
     def backward(self, upstream):
         n, c, h, w = self.cache

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
-                         OP_CONV_Q, OP_GAP, ModelFormatError, OpCount,
+                         OP_CONV_Q, OP_GAP, OP_RELU, OP_RES_BEGIN, OP_RES_END,
+                         OP_RES_SEP, ModelFormatError, OpCount,
                          RuntimeModel, RuntimeOp, export, fold_normalization,
                          import_model, opcount_report, parity_check,
                          runtime_infer, weight_states)
@@ -193,6 +194,24 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="unknown opcode 99"):
             import_model(path)
 
+    def test_non_ascii_arch_name_names_its_byte(self, tmp_path):
+        path = self._valid_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[7 + 2] = 0xE9  # third byte of the arch name "tiny"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="non-ASCII arch name at byte 9"):
+            import_model(path)
+
+    def test_invalid_quant_field_names_its_byte(self, tmp_path):
+        path = self._valid_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        quant_at = 7 + len("tiny") + 2
+        struct.pack_into("<H", data, quant_at + 1, 4)  # even m_w
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError,
+                           match=rf"quant block at byte {quant_at + 1}: m_w must be an odd"):
+            import_model(path)
+
     def test_record_length_mismatch(self, tmp_path):
         blob = MAGIC + struct.pack("<H", FORMAT_VERSION)
         blob += struct.pack("<B", 1) + b"x"
@@ -241,6 +260,15 @@ class TestRuntimeParity:
         images = np.random.default_rng(11).normal(size=(6, 1, 8, 8))
         report = parity_check(graph, model, images)
         assert report.max_abs_logit_diff < 1e-9
+
+    @pytest.mark.parametrize("codes", [
+        [OP_RES_BEGIN], [OP_RES_BEGIN, OP_RES_SEP], [OP_RES_BEGIN, OP_RES_END],
+        [OP_RES_SEP], [OP_RELU, OP_RES_END]],
+        ids=["begin-only", "no-end", "no-sep", "stray-sep", "stray-end"])
+    def test_unbalanced_residual_markers_raise(self, codes):
+        model = RuntimeModel("res", 1, None, [RuntimeOp(c) for c in codes])
+        with pytest.raises(ModelFormatError, match="malformed residual block"):
+            runtime_infer(model, np.zeros((1, 1, 2, 2)))
 
     def test_channel_mismatch_raises(self, tmp_path):
         graph = tiny_graph()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from maqd.export import (OP_AP2, OP_CONV_F, RuntimeModel, RuntimeOp, _run_conv,
+                         runtime_infer)
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_cnn9,
                           build_model, build_preact_resnet, build_vgg)
@@ -12,14 +14,36 @@ RNG = lambda s=0: np.random.default_rng(s)
 
 
 class TestConv2d:
-    def test_pointwise_conv_is_per_pixel_matmul(self):
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_matches_padded_window_einsum(self, dtype, kernel, stride):
+        # Oracle for the column order of the patch matrix against the weight
+        # order: both the trainer and the runtime conv against an einsum over
+        # explicitly padded windows, odd height, even width, 3 channels.
         rng = RNG(0)
-        conv = Conv2d(3, 2, kernel=1, rng=rng, weight_standardized=False)
-        x = rng.normal(size=(2, 3, 4, 4))
+        conv = Conv2d(3, 4, kernel=kernel, stride=stride, rng=rng,
+                      weight_standardized=False, dtype=dtype)
+        x = rng.normal(size=(2, 3, 5, 6)).astype(dtype)
+        w = conv.weight.data.astype(np.float64)
+        pad = conv.padding
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ho = (5 + 2 * pad - kernel) // stride + 1
+        wo = (6 + 2 * pad - kernel) // stride + 1
+        win = np.array([[xp[:, :, stride * i:stride * i + kernel,
+                            stride * j:stride * j + kernel] for j in range(wo)]
+                        for i in range(ho)])              # (ho, wo, n, c, k, k)
+        expected = np.einsum("ocab,hwncab->nohw", w, win)
+        op = RuntimeOp(OP_CONV_F, dict(out_ch=4, in_ch=3, kernel=kernel, stride=stride,
+                                       weights=w.reshape(4, -1)))
         y = conv.forward(x, Mode.EVAL)
-        w = conv.weight.data.reshape(2, 3)
-        expected = np.einsum("oc,nchw->nohw", w, x)
-        np.testing.assert_allclose(y, expected, atol=1e-12)
+        assert y.dtype == dtype
+        for out in (y, _run_conv(op, x)):
+            if dtype == np.float64:
+                np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+            else:
+                # float32 sums of 27 products: relative to the output scale
+                np.testing.assert_allclose(out, expected, rtol=1e-5,
+                                           atol=1e-5 * np.max(np.abs(expected)))
 
     def test_zero_weights(self):
         rng = RNG(1)
@@ -97,6 +121,19 @@ class TestPooling:
         p = AvgPool2()
         x = np.full((1, 2, 4, 4), 3.5)
         np.testing.assert_array_equal(p.forward(x, Mode.EVAL), 3.5)
+
+    @pytest.mark.parametrize("dtype,rel", [(np.float32, 1e-6), (np.float64, 1e-15)])
+    def test_avgpool_forward_matches_reshape_mean(self, dtype, rel):
+        x = RNG(16).normal(size=(2, 3, 6, 4)).astype(dtype)
+        y = AvgPool2().forward(x, Mode.EVAL)
+        assert y.dtype == dtype
+        expected = x.reshape(2, 3, 3, 2, 2, 2).mean(axis=(3, 5))
+        assert np.max(np.abs(y - expected)) <= rel * np.max(np.abs(expected))
+        # the runtime's AP2 op (float64) is the same kernel, bitwise
+        x64 = x.astype(np.float64)
+        model = RuntimeModel("pool", 3, None, [RuntimeOp(OP_AP2)])
+        np.testing.assert_array_equal(runtime_infer(model, x64),
+                                      AvgPool2().forward(x64, Mode.EVAL))
 
     def test_avgpool_rejects_odd(self):
         with pytest.raises(ValueError):

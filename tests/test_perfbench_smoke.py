@@ -10,12 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in
+             json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def test_tiny_traced_run_is_correct_with_no_absent_spans():
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_traced_run_is_correct_with_no_absent_spans(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "qat-vgg-mini-b100",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1", "--tiny"],
         cwd=REPO, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
