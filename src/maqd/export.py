@@ -22,6 +22,17 @@ Each record is  u8 opcode | u32 payload length | payload.  Opcodes:
 Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics; its
 EVAL forward is numerically equivalent to the trainer's.
+
+The runtime computes quantized convs on integers. After an ACT_Q the
+activation is its codes k in 0..m_a-1 (value k/(m_a-1)), and a CONV_Q
+weight is the lattice integer clip(2*state, -2q, 2q) with 2q = 2*qscale
+(value lattice/2q), so each conv sum is an integer, or after p 2x2 pools an
+integer multiple of 4**-p. Its magnitude is at most
+fan_in * 2q * (m_a-1), so while fan_in * 2q * (m_a-1) * 4**p < 2**24 a
+float32 GEMM computes it exactly, in any order of accumulation; past that
+bound the same codes go through a float64 GEMM. The scale
+1/((m_a-1) * 2q) is folded into the next AFFINE, so the logits differ from
+the trainer's float64 EVAL forward by float64 rounding alone.
 """
 
 from __future__ import annotations
@@ -210,13 +221,20 @@ def _parse_op(r: _Reader) -> RuntimeOp:
     start = r.offset
     if opcode == OP_CONV_Q:
         out_ch, in_ch, k, stride = r.unpack("<HHBB")
+        qscale_at = r.offset
         (qscale,) = r.unpack("<d")
+        two_q = 2.0 * qscale
+        if not (np.isfinite(two_q) and two_q >= 1 and two_q == int(two_q)):
+            raise ModelFormatError(f"{r.path}: CONV_Q qscale {qscale} at byte {qscale_at}: "
+                                   f"2*qscale must be a positive integer")
         n = out_ch * in_ch * k * k
         states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(out_ch, in_ch * k * k)
         weights = np.clip(states.astype(np.float64) / qscale, -1.0, 1.0)
+        lattice = np.clip(2.0 * states, -two_q, two_q)  # weights * 2q, integers
         op = RuntimeOp(opcode, dict(out_ch=out_ch, in_ch=in_ch, kernel=k,
                                     stride=stride, qscale=qscale, states=states,
-                                    weights=weights))
+                                    weights=weights, lattice=_tap_major(
+                                        lattice, in_ch, k).astype(np.float32)))
     elif opcode == OP_CONV_F:
         out_ch, in_ch, k, stride = r.unpack("<HHBB")
         n = out_ch * in_ch * k * k
@@ -285,57 +303,104 @@ def import_model(path) -> RuntimeModel:
 
 
 def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
+    """Cross-correlation of x in x's dtype: with a CONV_Q's integer lattice
+    (so the result is in units of 1/(2*qscale)) or with a CONV_F's weights."""
     k, stride = op.fields["kernel"], op.fields["stride"]
     pad = 1 if k == 3 else 0
     if x.shape[1] != op.fields["in_ch"]:
         raise ValueError(f"expected {op.fields['in_ch']} channels, got {x.shape[1]}")
     cols, ho, wo = _im2col(x, k, stride, pad)
-    y = cols @ _tap_major(op.fields["weights"], op.fields["in_ch"], k).T
+    if op.opcode == OP_CONV_Q:
+        w = op.fields["lattice"].astype(x.dtype, copy=False)
+    else:
+        w = _tap_major(op.fields["weights"], op.fields["in_ch"], k)
+    y = cols @ w.T
     return np.ascontiguousarray(
         y.reshape(x.shape[0], ho, wo, op.fields["out_ch"]).transpose(0, 3, 1, 2))
 
 
-def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
-    """Forward pass over the opcode stream; returns (n, class_count) logits."""
-    x = images.astype(np.float64)
+_F32_EXACT = 2 ** 24  # float32 holds every integer up to this magnitude
 
-    def run_span(x, ops, i):
-        """Execute ops from i until RES_SEP/RES_END/end; returns (y, next i)."""
+
+def _value(x: np.ndarray, div) -> np.ndarray:
+    """The float64 value x / div of a runtime activation."""
+    if div == 1:
+        return x.astype(np.float64, copy=False)
+    return np.divide(x, div, dtype=np.float64)
+
+
+def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
+    """Forward pass over the opcode stream; returns (n, class_count) logits.
+
+    The activation is carried as x with a scalar divisor: its value is
+    x / div. ACT_Q sets x to its integer codes 0..m_a-1 in float32 and div
+    to m_a-1; CONV_Q multiplies x by the op's integer lattice and div by
+    2*qscale, in float32 on codes within the bound of the module docstring
+    and in float64 otherwise; AP2 keeps div; AFFINE folds it in as
+    scale/div; any other op first takes the float64 value x / div.
+    """
+
+    def run_span(x, div, codes, i):
+        """Execute ops from i until RES_SEP/RES_END/end; returns (x, div, next
+        i). `codes` is (m_a-1) * 4**p while x holds codes pooled p times, and
+        None otherwise."""
+        ops = model.ops
         while i < len(ops):
             op = ops[i]
             code = op.opcode
-            if code in (OP_CONV_Q, OP_CONV_F):
-                x = _run_conv(op, x)
+            if code == OP_CONV_Q:
+                two_q = 2.0 * op.fields["qscale"]
+                fan_in = op.fields["in_ch"] * op.fields["kernel"] ** 2
+                exact32 = codes is not None and fan_in * two_q * codes < _F32_EXACT
+                x = _run_conv(op, x.astype(np.float32 if exact32 else np.float64, copy=False))
+                div, codes = div * two_q, None
+            elif code == OP_CONV_F:
+                x, div, codes = _run_conv(op, _value(x, div)), 1, None
             elif code == OP_AFFINE:
-                sc = op.fields["scale"].reshape(1, -1, 1, 1)
-                bi = op.fields["bias"].reshape(1, -1, 1, 1)
-                x = x * sc + bi
+                c = op.fields["channels"]
+                if x.ndim != 4 or x.shape[1] != c:
+                    raise ModelFormatError(f"AFFINE record {i} has {c} channels, its "
+                                           f"input has shape {x.shape}")
+                x = x * (op.fields["scale"] / div).reshape(1, -1, 1, 1)
+                x += op.fields["bias"].reshape(1, -1, 1, 1)
+                div, codes = 1, None
             elif code == OP_ACT_Q:
-                x = quantize_activation(x, op.fields["m_a"])
+                top = op.fields["m_a"] - 1
+                q = quantize_activation(_value(x, div), op.fields["m_a"])
+                q *= top  # float64, so the float32 codes come out exact
+                x, div, codes = q.astype(np.float32), top, top
             elif code == OP_RELU:
-                x = np.maximum(x, 0.0)
+                x, div, codes = np.maximum(_value(x, div), 0.0), 1, None
             elif code == OP_AP2:
+                if codes is not None and 4 * codes < _F32_EXACT:
+                    codes *= 4  # a 2x2 mean of codes is exact in float32
+                else:
+                    x, div, codes = _value(x, div), 1, None
                 x = _avg_pool2(x)
             elif code == OP_GAP:
-                x = np.mean(x, axis=(2, 3))
+                x, div, codes = np.mean(_value(x, div), axis=(2, 3)), 1, None
             elif code == OP_RES_BEGIN:
-                ys, i = run_span(x, ops, i + 1)
+                ys, ds, i = run_span(x, div, codes, i + 1)
                 if i == len(ops) or ops[i].opcode != OP_RES_SEP:
                     raise ModelFormatError("malformed residual block")
-                yf, i = run_span(x, ops, i + 1)
+                yf, df, i = run_span(x, div, codes, i + 1)
                 if i == len(ops) or ops[i].opcode != OP_RES_END:
                     raise ModelFormatError("malformed residual block")
-                x = ys + yf
+                x, div, codes = _value(ys, ds) + _value(yf, df), 1, None
             elif code in (OP_RES_SEP, OP_RES_END):
-                return x, i
+                return x, div, i
             else:
                 raise ModelFormatError(f"unexpected opcode {code}")
             i += 1
-        return x, i
+        return x, div, i
 
-    logits, i = run_span(x, model.ops, 0)
+    x, div, i = run_span(images.astype(np.float64), 1, None, 0)
     if i != len(model.ops):  # a RES_SEP/RES_END outside any block
         raise ModelFormatError("malformed residual block")
+    logits = _value(x, div)
+    if logits.shape != (images.shape[0], model.class_count):
+        raise ModelFormatError(f"the stream ends in shape {logits.shape}, not "
+                               f"({images.shape[0]}, {model.class_count}) logits")
     return logits
 
 

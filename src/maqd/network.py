@@ -158,7 +158,9 @@ class Conv2d:
             self.cache = (x.shape, cols, w2d, ws_cache, q_saved, ho, wo)
         return np.ascontiguousarray(y)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the weight gradient; return the input gradient, or
+        None without computing it when `input_grad` is false."""
         if self.cache is None:
             raise RuntimeError("backward before forward")
         x_shape, cols, w2d, ws_cache, q_saved, ho, wo = self.cache
@@ -167,7 +169,8 @@ class Conv2d:
         # g2.T @ cols is tap-major (out, k*k*c); back to canonical (out, c*k*k)
         grad_w2d = (np.ascontiguousarray(g2.T) @ cols).reshape(
             self.out_ch, -1, self.in_ch).transpose(0, 2, 1).reshape(self.out_ch, -1)
-        grad_x = _col2im(g2, w2d, x_shape, self.kernel, self.stride, self.padding, ho, wo)
+        grad_x = _col2im(g2, w2d, x_shape, self.kernel, self.stride, self.padding,
+                         ho, wo) if input_grad else None
         if q_saved is not None:
             grad_w2d = quantize_tensor_backward(q_saved, grad_w2d, QuantKind.WEIGHT, self.quant)
         if ws_cache is not None:
@@ -388,14 +391,21 @@ class ModelGraph:
         self._forward_done = mode is Mode.TRAIN
         return x  # (n, num_classes) after the trailing global pool
 
-    def backward(self, grad_logits: np.ndarray):
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Accumulate every parameter's gradient. The gradient of the graph
+        input is not formed: no caller uses it, so a leading conv skips its
+        col2im."""
         if not self._forward_done:
             raise RuntimeError("backward requires a preceding TRAIN-mode forward")
+        first, *rest = self.layers
         g = grad_logits
-        for layer in reversed(self.layers):
+        for layer in reversed(rest):
             g = layer.backward(g)
+        if isinstance(first, Conv2d):
+            first.backward(g, input_grad=False)
+        else:
+            first.backward(g)
         self._forward_done = False
-        return g
 
     def zero_grad(self):
         for p in self.parameters():

@@ -92,10 +92,24 @@ def quantize_weight(w_hat, cfg: QuantConfig):
 
 
 def quantize_activation(a_hat, m_a: int):
-    """Quantize an activation onto the m_a-state lattice {0, ..., 1}."""
+    """Quantize an activation onto the m_a-state lattice {0, ..., 1}.
+
+    Equal to scaled_round_clip(a_hat, m_a - 1, 0, 1), computed in one buffer
+    as floor(clip(a_hat * (m_a-1), 0, m_a-1) + 0.5) / (m_a-1): on the clipped,
+    non-negative range, rounding half away from zero is floor(v + 0.5).
+    Inputs in (-0.5/(m_a-1), 0] give +0.0, where scaled_round_clip gives -0.0.
+    """
     if m_a < 2:
         raise ValueError(f"m_a must be >= 2, got {m_a}")
-    return scaled_round_clip(a_hat, float(m_a - 1), 0.0, 1.0)
+    if not np.isfinite(np.add.reduce(a_hat, axis=None)):
+        _check_finite(a_hat, "quantizer input")  # the sum may overflow on finite input
+    top = float(m_a - 1)
+    v = np.asarray(np.multiply(a_hat, top))
+    np.clip(v, 0.0, top, out=v)
+    v += 0.5
+    np.floor(v, out=v)
+    v /= top
+    return v if v.ndim else v[()]
 
 
 def _float_dtype(z: np.ndarray):
@@ -179,7 +193,7 @@ def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig):
     else:
         q = quantize_activation(t, cfg.m_a)
     # t is saved, not copied: no layer writes into its input between forward and backward.
-    return q.astype(t.dtype), t
+    return q.astype(t.dtype, copy=False), t
 
 
 def quantize_tensor_backward(saved: np.ndarray, upstream: np.ndarray,

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import maqd.export as export_mod
 from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
                          OP_CONV_Q, OP_GAP, OP_RELU, OP_RES_BEGIN, OP_RES_END,
                          OP_RES_SEP, ModelFormatError, OpCount,
@@ -212,6 +213,18 @@ class TestValidation:
                            match=rf"quant block at byte {quant_at + 1}: m_w must be an odd"):
             import_model(path)
 
+    @pytest.mark.parametrize("qscale", [7.3, 0.0, -7.5, np.nan, np.inf])
+    def test_unusable_conv_qscale_names_its_byte(self, tmp_path, qscale):
+        path = self._valid_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        first_record = 7 + len("tiny") + 2 + struct.calcsize("<BHHBdd") + 4
+        qscale_at = first_record + 5 + struct.calcsize("<HHBB")
+        assert struct.unpack_from("<d", data, qscale_at) == (CFG.weight_qscale,)
+        struct.pack_into("<d", data, qscale_at, qscale)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=rf"qscale {qscale} at byte {qscale_at}"):
+            import_model(path)
+
     def test_record_length_mismatch(self, tmp_path):
         blob = MAGIC + struct.pack("<H", FORMAT_VERSION)
         blob += struct.pack("<B", 1) + b"x"
@@ -277,6 +290,109 @@ class TestRuntimeParity:
         model = import_model(tmp_path / "m.maqd")
         with pytest.raises(ValueError, match="channels"):
             runtime_infer(model, np.zeros((1, 3, 8, 8)))
+
+
+class TestRuntimeShapeErrors:
+    def _affine(self, c):
+        return RuntimeOp(OP_AFFINE, dict(channels=c, scale=np.ones(c), bias=np.zeros(c)))
+
+    @pytest.mark.parametrize("c", [1, 3], ids=["broadcasting", "mismatched"])
+    def test_affine_channel_count_must_match_its_input(self, c):
+        model = RuntimeModel("x", 2, None, [self._affine(c), RuntimeOp(OP_GAP)])
+        with pytest.raises(ModelFormatError, match=f"AFFINE record 0 has {c} channels"):
+            runtime_infer(model, np.zeros((1, 2, 4, 4)))
+
+    @pytest.mark.parametrize("ops", [[RuntimeOp(OP_GAP)], [RuntimeOp(OP_RELU)]],
+                             ids=["wrong-width", "not-pooled"])
+    def test_logits_must_have_class_count_width(self, ops):
+        model = RuntimeModel("x", 3, None, ops)
+        with pytest.raises(ModelFormatError, match=r"not \(1, 3\) logits"):
+            runtime_infer(model, np.zeros((1, 2, 4, 4)))
+
+
+def _quantized_stack(cfg, in_ch, out_ch, kernel, stride, pooled, seed):
+    """ActQuant, optionally AvgPool2, one quantized conv and the global pool,
+    with weights spread over the whole state range (clipped ones included)."""
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(in_ch, out_ch, kernel, stride, rng=rng, weight_standardized=False,
+                  quant=cfg)
+    conv.weight.data[...] = rng.normal(0.0, 4.0, size=conv.weight.data.shape)
+    layers = [ActQuant(cfg)] + ([AvgPool2()] if pooled else []) + [conv, GlobalAvgPool()]
+    return ModelGraph(layers, "codes", out_ch, cfg, NormKind.LBN)
+
+
+def _sum_pool(codes):
+    """4x the 2x2 mean of integer codes: an integer array."""
+    return (codes[..., 0::2, 0::2] + codes[..., 0::2, 1::2]
+            + codes[..., 1::2, 0::2] + codes[..., 1::2, 1::2])
+
+
+def _int_conv(codes, states, qscale, kernel, stride):
+    """int64 cross-correlation of integer inputs with the lattice
+    clip(2*states, -2q, 2q), over explicitly padded windows."""
+    two_q = int(2 * qscale)
+    out_ch = states.shape[0]
+    lattice = np.clip(2 * states.astype(np.int64), -two_q, two_q)
+    lattice = lattice.reshape(out_ch, codes.shape[1], kernel, kernel)
+    pad = 1 if kernel == 3 else 0
+    xp = np.pad(codes, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    return np.einsum("nchwij,ocij->nohw", win[:, :, ::stride, ::stride], lattice)
+
+
+class TestIntegerCodeRuntime:
+    def _run(self, tmp_path, monkeypatch, graph, codes, m_a):
+        """The imported CONV_Q op and the (input, output) of its _run_conv
+        call inside runtime_infer, after checking parity on `codes`."""
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        seen = []
+        real = export_mod._run_conv
+
+        def spy(op, x):
+            y = real(op, x)
+            seen.append((x, y))
+            return y
+
+        monkeypatch.setattr(export_mod, "_run_conv", spy)
+        images = codes / (m_a - 1)
+        runtime_infer(model, images)
+        report = parity_check(graph, model, images)
+        assert report.max_abs_logit_diff < 1e-9
+        assert report.argmax_agreement == 1.0
+        (op,) = [op for op in model.ops if op.opcode == OP_CONV_Q]
+        return op, seen[0]
+
+    @pytest.mark.parametrize("kernel,stride,pooled", [
+        (1, 1, False), (1, 2, False), (3, 1, False), (3, 2, False), (3, 1, True)])
+    def test_codes_conv_is_the_int64_lattice_conv(self, tmp_path, monkeypatch,
+                                                   kernel, stride, pooled):
+        codes = np.random.default_rng(30).integers(0, CFG.m_a, size=(2, 5, 8, 8))
+        graph = _quantized_stack(CFG, 5, 4, kernel, stride, pooled, seed=31)
+        op, (x, y) = self._run(tmp_path, monkeypatch, graph, codes, CFG.m_a)
+        assert np.any(np.abs(op.fields["states"]) > CFG.weight_qscale)  # clipped states
+        ref = _int_conv(_sum_pool(codes) if pooled else codes, op.fields["states"],
+                        op.fields["qscale"], kernel, stride)
+        assert x.dtype == y.dtype == np.float32
+        np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(np.float32))
+
+    @pytest.mark.parametrize("in_ch,kernel,pooled,dtype", [
+        (32, 3, False, np.float64), (32, 1, False, np.float32),
+        (16, 3, True, np.float64), (16, 3, False, np.float32)])
+    def test_float64_fallback_past_the_float32_bound(self, tmp_path, monkeypatch,
+                                                     in_ch, kernel, pooled, dtype):
+        # 2q * (m_a-1) = 255 * 255, so fan_in * 2q * (m_a-1) * 4**p is
+        # >= 2**24 for fan_in 288, and for fan_in 144 only after a pool
+        cfg = QuantConfig(m_w=255, m_a=256)
+        codes = np.random.default_rng(32).integers(0, cfg.m_a, size=(2, in_ch, 6, 6))
+        codes[0] = cfg.m_a - 1  # one sample at the largest codes
+        graph = _quantized_stack(cfg, in_ch, 3, kernel, 1, pooled, seed=33)
+        op, (x, y) = self._run(tmp_path, monkeypatch, graph, codes, cfg.m_a)
+        ref = _int_conv(_sum_pool(codes) if pooled else codes, op.fields["states"],
+                        op.fields["qscale"], kernel, 1)
+        assert x.dtype == y.dtype == dtype
+        np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(dtype))
 
 
 def conv_q_op(out_ch, in_ch, kernel, stride, weights):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from maqd.export import (OP_AP2, OP_CONV_F, RuntimeModel, RuntimeOp, _run_conv,
-                         runtime_infer)
+from maqd import network
+from maqd.export import (OP_AP2, OP_CONV_F, OP_GAP, RuntimeModel, RuntimeOp,
+                         _run_conv, runtime_infer)
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_cnn9,
                           build_model, build_preact_resnet, build_vgg)
@@ -129,11 +130,12 @@ class TestPooling:
         assert y.dtype == dtype
         expected = x.reshape(2, 3, 3, 2, 2, 2).mean(axis=(3, 5))
         assert np.max(np.abs(y - expected)) <= rel * np.max(np.abs(expected))
-        # the runtime's AP2 op (float64) is the same kernel, bitwise
+        # the runtime's AP2 op (float64) is the same kernel, bitwise; the
+        # runtime returns only logits, so both sides end in a global mean
         x64 = x.astype(np.float64)
-        model = RuntimeModel("pool", 3, None, [RuntimeOp(OP_AP2)])
+        model = RuntimeModel("pool", 3, None, [RuntimeOp(OP_AP2), RuntimeOp(OP_GAP)])
         np.testing.assert_array_equal(runtime_infer(model, x64),
-                                      AvgPool2().forward(x64, Mode.EVAL))
+                                      np.mean(AvgPool2().forward(x64, Mode.EVAL), axis=(2, 3)))
 
     def test_avgpool_rejects_odd(self):
         with pytest.raises(ValueError):
@@ -266,6 +268,34 @@ class TestModelGradients:
 
             assert rel_err(numeric_grad(loss, p.data), p.grad) < 1e-4, p.name
 
+    def test_backward_skips_only_the_graph_input_gradient(self, monkeypatch):
+        # the same parameter gradients as the full layer-by-layer chain, with
+        # no col2im for the leading conv
+        g = build_model("vgg-mini", 10, seed=0)
+        x = RNG(16).normal(size=(2, 3, 8, 8))
+        up = RNG(17).normal(size=(2, 10))
+        shapes = []
+        col2im = network._col2im
+        monkeypatch.setattr(network, "_col2im",
+                            lambda *a: shapes.append(a[2]) or col2im(*a))
+
+        def grads(backward):
+            g.forward(x, Mode.TRAIN)
+            g.zero_grad()
+            shapes.clear()
+            backward()
+            return [p.grad.copy() for p in g.parameters()], list(shapes)
+
+        def chain():
+            gr = up
+            for layer in reversed(g.layers):
+                gr = layer.backward(gr)
+
+        full, full_shapes = grads(chain)
+        got, got_shapes = grads(lambda: g.backward(up))
+        assert all(np.array_equal(a, b) for a, b in zip(full, got))
+        assert full_shapes[:-1] == got_shapes and full_shapes[-1] == x.shape
+
     def test_backward_without_forward_raises(self):
         g = build_model("vgg-mini", 10, seed=0)
         with pytest.raises(RuntimeError):
@@ -304,7 +334,8 @@ class TestModelGradients:
         y = g.forward(x, Mode.TRAIN)
         up = rng.normal(size=y.shape)
         g.zero_grad()
-        gx = g.backward(up)
+        # ModelGraph.backward does not form the graph input's gradient
+        gx = conv.backward(act.backward(up))
 
         w = conv.weight.data.item()
         w_q = np.clip(np.floor(np.abs(cfg.s * w * cfg.weight_qscale) + 0.5)

@@ -2,9 +2,12 @@
 
 The tracer in perfbench/spans.py patches engine functions by name; a renamed
 or removed function shows up as an absent span. This run fails the suite
-when that happens, instead of silently dropping per-layer numbers.
+when that happens, instead of silently dropping per-layer numbers. It also
+fails when the runtime stops calling the traced kernels, which would leave
+their per-layer times reading 0.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,6 +20,14 @@ WORKLOADS = [w["name"] for w in
              json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
 
 
+def _harness():
+    spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench/run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_tiny_traced_run_is_correct_with_no_absent_spans(workload):
     proc = subprocess.run(
@@ -26,4 +37,9 @@ def test_tiny_traced_run_is_correct_with_no_absent_spans(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["trace.absent_spans"]["value"] == 0
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    assert metrics["trace.absent_spans"] == 0
+    assert metrics["export.runtime.conv_ms"] > 0
+    assert metrics["export.runtime.im2col_ms"] > 0
+    if _harness().WORKLOADS[workload].quantized:
+        assert metrics["export.runtime.act_ms"] > 0

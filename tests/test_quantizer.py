@@ -115,6 +115,36 @@ class TestQuantizeActivation:
         # m_a = 8: round(7 * 0.5) = round(3.5) = 4 under half-away-from-zero
         assert quantize_activation(0.5, 8) == pytest.approx(4 / 7, abs=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m_a", [2, 3, 8, 16, 256])
+    def test_equals_round_half_away_form(self, dtype, m_a):
+        # against scaled_round_clip, bitwise up to the sign of zero (+ 0.0
+        # maps -0.0 to +0.0): ties (k + 0.5)/(m_a-1) and their neighbours,
+        # negative inputs, inputs above 1 and a scalar
+        ties = ((np.arange(-2, m_a + 1) + 0.5) / (m_a - 1)).astype(dtype)
+        noise = np.random.default_rng(m_a).normal(0.5, 1.5, size=500).astype(dtype)
+        a = np.concatenate([ties, np.nextafter(ties, dtype(-np.inf)),
+                            np.nextafter(ties, dtype(np.inf)), noise,
+                            np.array([-0.0, 0.0, 1.0, 7.0, -3.0], dtype)])
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        for x in (a, a.reshape(1, -1), a[7]):
+            new = quantize_activation(x, m_a)
+            old = scaled_round_clip(x, float(m_a - 1), 0.0, 1.0)
+            assert type(new) is type(old) and new.dtype == old.dtype == dtype
+            np.testing.assert_array_equal(np.asarray(new + 0.0).view(uint),
+                                          np.asarray(old + 0.0).view(uint))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        for x in (bad, np.array([0.5, bad]), np.array([0.5, bad], dtype=np.float32)):
+            with pytest.raises(ValueError, match="quantizer input must be finite"):
+                quantize_activation(x, 8)
+
+    def test_finite_input_whose_sum_overflows(self):
+        x = np.full(4, np.finfo(np.float32).max, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(quantize_activation(x, 8), 1.0)
+
     @given(st.floats(-10, 10), st.integers(2, 16))
     def test_lattice_membership(self, a, m_a):
         v = quantize_activation(a, m_a)
