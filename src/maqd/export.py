@@ -30,9 +30,9 @@ weight is the lattice integer clip(2*state, -2q, 2q) with 2q = 2*qscale
 integer multiple of 4**-p. Its magnitude is at most
 fan_in * 2q * (m_a-1), so while fan_in * 2q * (m_a-1) * 4**p < 2**24 a
 float32 GEMM computes it exactly, in any order of accumulation; past that
-bound the same codes go through a float64 GEMM. The scale
-1/((m_a-1) * 2q) is folded into the next AFFINE, so the logits differ from
-the trainer's float64 EVAL forward by float64 rounding alone.
+bound the same codes go through a float64 GEMM. The sums are then divided by
+(m_a-1) * 2q in float64, so the logits differ from the trainer's float64
+EVAL forward by float64 rounding alone.
 """
 
 from __future__ import annotations
@@ -229,12 +229,10 @@ def _parse_op(r: _Reader) -> RuntimeOp:
                                    f"2*qscale must be a positive integer")
         n = out_ch * in_ch * k * k
         states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(out_ch, in_ch * k * k)
-        weights = np.clip(states.astype(np.float64) / qscale, -1.0, 1.0)
-        lattice = np.clip(2.0 * states, -two_q, two_q)  # weights * 2q, integers
+        lattice = np.clip(2.0 * states, -two_q, two_q)  # weight values * 2q, integers
         op = RuntimeOp(opcode, dict(out_ch=out_ch, in_ch=in_ch, kernel=k,
                                     stride=stride, qscale=qscale, states=states,
-                                    weights=weights, lattice=_tap_major(
-                                        lattice, in_ch, k).astype(np.float32)))
+                                    lattice=_tap_major(lattice, in_ch, k).astype(np.float32)))
     elif opcode == OP_CONV_F:
         out_ch, in_ch, k, stride = r.unpack("<HHBB")
         n = out_ch * in_ch * k * k
@@ -322,82 +320,81 @@ def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
 _F32_EXACT = 2 ** 24  # float32 holds every integer up to this magnitude
 
 
-def _value(x: np.ndarray, div) -> np.ndarray:
-    """The float64 value x / div of a runtime activation."""
-    if div == 1:
-        return x.astype(np.float64, copy=False)
-    return np.divide(x, div, dtype=np.float64)
+def _value(x: np.ndarray, top) -> np.ndarray:
+    """The float64 value of a runtime activation: x itself, or x / top while
+    x holds ACT_Q codes."""
+    return x if top is None else np.divide(x, top, dtype=np.float64)
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
     """Forward pass over the opcode stream; returns (n, class_count) logits.
 
-    The activation is carried as x with a scalar divisor: its value is
-    x / div. ACT_Q sets x to its integer codes 0..m_a-1 in float32 and div
-    to m_a-1; CONV_Q multiplies x by the op's integer lattice and div by
-    2*qscale, in float32 on codes within the bound of the module docstring
-    and in float64 otherwise; AP2 keeps div; AFFINE folds it in as
-    scale/div; any other op first takes the float64 value x / div.
+    Activations are float64 values, except between an ACT_Q and the CONV_Q
+    that reads it: there x holds the integer codes 0..m_a-1 in float32 (value
+    x / top, top = m_a-1), AP2 pools them as they are, and the CONV_Q
+    multiplies them by its integer lattice, in float32 within the bound of
+    the module docstring and in float64 otherwise, then divides the sums by
+    top * 2*qscale. Any other op first takes the float64 value x / top.
     """
 
-    def run_span(x, div, codes, i):
-        """Execute ops from i until RES_SEP/RES_END/end; returns (x, div, next
-        i). `codes` is (m_a-1) * 4**p while x holds codes pooled p times, and
-        None otherwise."""
+    def run_span(x, i):
+        """Execute ops from i until RES_SEP/RES_END/end; returns (x, next i).
+        While x holds codes pooled p times, `bound` is (m_a-1) * 4**p."""
         ops = model.ops
+        top = bound = None
         while i < len(ops):
             op = ops[i]
             code = op.opcode
+            if code not in (OP_CONV_Q, OP_AP2):
+                x, top = _value(x, top), None
             if code == OP_CONV_Q:
                 two_q = 2.0 * op.fields["qscale"]
                 fan_in = op.fields["in_ch"] * op.fields["kernel"] ** 2
-                exact32 = codes is not None and fan_in * two_q * codes < _F32_EXACT
-                x = _run_conv(op, x.astype(np.float32 if exact32 else np.float64, copy=False))
-                div, codes = div * two_q, None
+                exact32 = top is not None and fan_in * two_q * bound < _F32_EXACT
+                y = _run_conv(op, x.astype(np.float32 if exact32 else np.float64, copy=False))
+                x, top = np.divide(y, two_q * (top or 1), dtype=np.float64), None
             elif code == OP_CONV_F:
-                x, div, codes = _run_conv(op, _value(x, div)), 1, None
+                x = _run_conv(op, x)
             elif code == OP_AFFINE:
                 c = op.fields["channels"]
                 if x.ndim != 4 or x.shape[1] != c:
                     raise ModelFormatError(f"AFFINE record {i} has {c} channels, its "
                                            f"input has shape {x.shape}")
-                x = x * (op.fields["scale"] / div).reshape(1, -1, 1, 1)
+                x = x * op.fields["scale"].reshape(1, -1, 1, 1)
                 x += op.fields["bias"].reshape(1, -1, 1, 1)
-                div, codes = 1, None
             elif code == OP_ACT_Q:
                 top = op.fields["m_a"] - 1
-                q = quantize_activation(_value(x, div), op.fields["m_a"])
+                q = quantize_activation(x, op.fields["m_a"])
                 q *= top  # float64, so the float32 codes come out exact
-                x, div, codes = q.astype(np.float32), top, top
+                x, bound = q.astype(np.float32), top
             elif code == OP_RELU:
-                x, div, codes = np.maximum(_value(x, div), 0.0), 1, None
+                x = np.maximum(x, 0.0)
             elif code == OP_AP2:
-                if codes is not None and 4 * codes < _F32_EXACT:
-                    codes *= 4  # a 2x2 mean of codes is exact in float32
+                if top is not None and 4 * bound < _F32_EXACT:
+                    bound *= 4  # a 2x2 mean of codes is exact in float32
                 else:
-                    x, div, codes = _value(x, div), 1, None
+                    x, top = _value(x, top), None
                 x = _avg_pool2(x)
             elif code == OP_GAP:
-                x, div, codes = np.mean(_value(x, div), axis=(2, 3)), 1, None
+                x = np.mean(x, axis=(2, 3))
             elif code == OP_RES_BEGIN:
-                ys, ds, i = run_span(x, div, codes, i + 1)
+                ys, i = run_span(x, i + 1)
                 if i == len(ops) or ops[i].opcode != OP_RES_SEP:
                     raise ModelFormatError("malformed residual block")
-                yf, df, i = run_span(x, div, codes, i + 1)
+                yf, i = run_span(x, i + 1)
                 if i == len(ops) or ops[i].opcode != OP_RES_END:
                     raise ModelFormatError("malformed residual block")
-                x, div, codes = _value(ys, ds) + _value(yf, df), 1, None
+                x = ys + yf
             elif code in (OP_RES_SEP, OP_RES_END):
-                return x, div, i
+                return x, i
             else:
                 raise ModelFormatError(f"unexpected opcode {code}")
             i += 1
-        return x, div, i
+        return _value(x, top), i
 
-    x, div, i = run_span(images.astype(np.float64), 1, None, 0)
+    logits, i = run_span(images.astype(np.float64), 0)
     if i != len(model.ops):  # a RES_SEP/RES_END outside any block
         raise ModelFormatError("malformed residual block")
-    logits = _value(x, div)
     if logits.shape != (images.shape[0], model.class_count):
         raise ModelFormatError(f"the stream ends in shape {logits.shape}, not "
                                f"({images.shape[0]}, {model.class_count}) logits")
@@ -449,7 +446,8 @@ def opcount_report(model: RuntimeModel, input_hw: tuple[int, int]) -> list[OpCou
             pad = 1 if k == 3 else 0
             ho = (h + 2 * pad - k) // stride + 1
             wo = (w + 2 * pad - k) // stride + 1
-            nnz = int(np.count_nonzero(op.fields["weights"]))
+            w = op.fields["states" if op.opcode == OP_CONV_Q else "weights"]
+            nnz = int(np.count_nonzero(w))
             macs = nnz * ho * wo
             add_only = 0 if incoming_m_a == 2 else macs
             counts.append(OpCount(layer_index=idx, mults=macs, adds=macs,

@@ -394,11 +394,24 @@ class TestIntegerCodeRuntime:
         assert x.dtype == y.dtype == dtype
         np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(dtype))
 
+    @pytest.mark.parametrize("at_the_end", [False, True], ids=["read-by-affine", "at-the-end"])
+    def test_codes_no_conv_reads_are_values(self, tmp_path, at_the_end):
+        norm = NormLayer(NormKind.BN, 3)
+        norm.state.b[...] = 0.5
+        layers = ([GlobalAvgPool(), ActQuant(CFG)] if at_the_end else
+                  [ActQuant(CFG), AvgPool2(), norm, GlobalAvgPool()])
+        graph = ModelGraph(layers, "codes", 3, CFG, NormKind.BN)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        images = np.random.default_rng(34).uniform(-0.2, 1.2, size=(2, 3, 4, 4))
+        report = parity_check(graph, import_model(path), images)
+        assert report.max_abs_logit_diff < 1e-9
 
-def conv_q_op(out_ch, in_ch, kernel, stride, weights):
+
+def conv_q_op(out_ch, in_ch, kernel, stride, states):
     return RuntimeOp(OP_CONV_Q, dict(out_ch=out_ch, in_ch=in_ch, kernel=kernel,
                                      stride=stride, qscale=7.5,
-                                     states=None, weights=weights))
+                                     states=np.asarray(states, dtype=np.int16)))
 
 
 class TestOpCount:
