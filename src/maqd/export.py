@@ -46,7 +46,7 @@ import numpy as np
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                       NormLayer, ReLU, ResidualBlock, _avg_pool2, _im2col,
                       _tap_major)
-from .normalization import Mode, NormKind, NormLayerState, WSState, weight_standardize
+from .normalization import Mode, WSState, fold_normalization, weight_standardize
 from .quantizer import (QScaleMode, QuantConfig, quantize_activation,
                         quantize_weight, round_half_away)
 
@@ -72,20 +72,6 @@ _QUANT_FIELD_AT = {"m_w": 1, "m_a": 3, "qscale_mode": 5, "s": 6, "alpha": 14}
 
 class ModelFormatError(ValueError):
     """Exported model file failed validation."""
-
-
-def fold_normalization(st: NormLayerState) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel (scale, bias) reproducing the EVAL-mode normalized output:
-    scale = g / sqrt(running_var + eps), bias = b - scale * running_mean.
-    LBN's scalar statistics broadcast over channels."""
-    if st.kind is NormKind.LN:
-        raise ValueError("LN recomputes statistics per sample and cannot be folded")
-    rv = np.asarray(st.running_var, dtype=np.float64)
-    rm = np.asarray(st.running_mean, dtype=np.float64)
-    scale = st.g.astype(np.float64) / np.sqrt(rv + st.eps)
-    bias = st.b.astype(np.float64) - scale * rm
-    c = st.channels
-    return np.broadcast_to(scale, (c,)).copy(), np.broadcast_to(bias, (c,)).copy()
 
 
 def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:

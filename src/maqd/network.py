@@ -18,7 +18,7 @@ optimizer updates the raw (latent) full-precision weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _nbytes(obj) -> int:
         return obj.nbytes
     if isinstance(obj, (tuple, list)):
         return sum(_nbytes(o) for o in obj)
-    if hasattr(obj, "__dict__"):
+    if is_dataclass(obj):
         return sum(_nbytes(v) for v in vars(obj).values())
     return 0
 
@@ -290,8 +290,12 @@ class AvgPool2:
 
     def backward(self, upstream):
         n, c, h, w = self.cache
-        g = np.repeat(np.repeat(upstream, 2, axis=2), 2, axis=3) * 0.25
-        return g.astype(upstream.dtype)
+        quarter = upstream * 0.25
+        g = np.empty((n, c, h, w), dtype=upstream.dtype)
+        for i in (0, 1):
+            for j in (0, 1):
+                g[..., i::2, j::2] = quarter
+        return g
 
     def cache_nbytes(self):
         return 0
@@ -313,8 +317,9 @@ class GlobalAvgPool:
 
     def backward(self, upstream):
         n, c, h, w = self.cache
-        g = np.broadcast_to(upstream[:, :, None, None] / (h * w), (n, c, h, w))
-        return np.ascontiguousarray(g).astype(upstream.dtype)
+        g = np.empty((n, c, h, w), dtype=upstream.dtype)
+        g[...] = (upstream / (h * w))[:, :, None, None]
+        return g
 
     def cache_nbytes(self):
         return 0

@@ -12,6 +12,23 @@ BN and LBN keep EMA running statistics for input-independent evaluation;
 LN recomputes per-sample statistics at eval time. Variances use the
 population convention (divide by count).
 
+The kernels make the fewest whole-tensor passes and no float64 copy of
+their input. Every reduction accumulates in float64 (`dtype=np.float64`)
+over the input's own dtype. The TRAIN forward takes the mean, squares
+x - mean in place for the variance, then builds x_hat and y in place: x_hat
+is the saved buffer, y the output. EVAL for BN and LBN is x * scale + bias
+with the constants of `fold_normalization`, the same the export writes, in
+two passes. The BN and LBN backward reduce grad_b = sum(upstream) and
+grad_g = sum(upstream * x_hat) per channel, derive the statistics' terms
+m1 = g.grad_b / count and m2 = g.grad_g / count from them (per channel for
+BN, one dot product for LBN), and form
+grad_x = inv_std * (g * upstream - m1 - m2 * x_hat) in four passes over two
+buffers. LN takes its per-sample means of g * upstream and of
+g * upstream * x_hat directly. At float64 the TRAIN forward is bitwise the
+two-pass formula (x - mean) * inv_std * g + b with statistics from a float64
+copy; at float32 the variance sums float32 squares, a difference of a few
+float32 roundings.
+
 Weight standardization operates on an (out, fan_in) view of a weight
 tensor: each row is centered and divided by sqrt(fan_in)*std + eps (eps
 outside the square root).
@@ -79,18 +96,32 @@ class NormLayerState:
         return self.g.shape[0]
 
 
+def fold_normalization(st: NormLayerState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel float64 (scale, bias) of the EVAL-mode output
+    x * scale + bias: scale = g / sqrt(running_var + eps),
+    bias = b - scale * running_mean. LBN's scalar statistics broadcast over
+    channels. The EVAL forward and the export's AFFINE records share it."""
+    if st.kind is NormKind.LN:
+        raise ValueError("LN recomputes statistics per sample and cannot be folded")
+    rv = np.asarray(st.running_var, dtype=np.float64)
+    rm = np.asarray(st.running_mean, dtype=np.float64)
+    scale = st.g.astype(np.float64) / np.sqrt(rv + st.eps)
+    bias = st.b.astype(np.float64) - scale * rm
+    c = st.channels
+    return np.broadcast_to(scale, (c,)).copy(), np.broadcast_to(bias, (c,)).copy()
+
+
+def _channels(v: np.ndarray, dtype) -> np.ndarray:
+    """A (C,) vector as a (1, C, 1, 1) broadcast operand of the given dtype."""
+    return v.astype(dtype, copy=False).reshape(1, -1, 1, 1)
+
+
 @dataclass
 class NormCache:
     x_hat: np.ndarray
     inv_std: np.ndarray
     g: np.ndarray
-    axes: tuple[int, ...]
-
-
-def _stats(x: np.ndarray, axes: tuple[int, ...]):
-    mean = np.mean(x, axis=axes, keepdims=True, dtype=np.float64)
-    var = np.mean(np.square(x.astype(np.float64) - mean), axis=axes, keepdims=True)
-    return mean.astype(x.dtype), var.astype(x.dtype)
+    kind: NormKind
 
 
 def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
@@ -98,29 +129,29 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     None in EVAL mode. TRAIN mode updates the running statistics (BN, LBN)."""
     if x.ndim != 4 or x.shape[1] != st.channels:
         raise ValueError(f"expected (n, {st.channels}, h, w) input, got {x.shape}")
+    if mode is Mode.EVAL and st.kind is not NormKind.LN:
+        scale, bias = fold_normalization(st)
+        y = np.multiply(x, _channels(scale, x.dtype))
+        y += _channels(bias, x.dtype)
+        return y, None
+
     axes = _REDUCE_AXES[st.kind]
-    g4 = st.g.reshape(1, -1, 1, 1)
-    b4 = st.b.reshape(1, -1, 1, 1)
-
-    if mode is Mode.TRAIN or st.kind is NormKind.LN:
-        mean, var = _stats(x, axes)
-        if mode is Mode.TRAIN and st.kind is not NormKind.LN:
-            r = st.ema_rate
-            st.running_mean = ((1 - r) * st.running_mean + r * mean.squeeze()).astype(st.running_mean.dtype)
-            st.running_var = ((1 - r) * st.running_var + r * var.squeeze()).astype(st.running_var.dtype)
-    else:
-        mean = np.asarray(st.running_mean, dtype=x.dtype).reshape(1, -1, 1, 1) \
-            if st.kind is NormKind.BN else np.asarray(st.running_mean, dtype=x.dtype)
-        var = np.asarray(st.running_var, dtype=x.dtype).reshape(1, -1, 1, 1) \
-            if st.kind is NormKind.BN else np.asarray(st.running_var, dtype=x.dtype)
-
+    mean = np.mean(x, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
+    x_hat = np.subtract(x, mean)        # (x - mean)**2 first, then x_hat
+    np.square(x_hat, out=x_hat)
+    var = np.mean(x_hat, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
+    if mode is Mode.TRAIN and st.kind is not NormKind.LN:
+        r = st.ema_rate
+        st.running_mean = ((1 - r) * st.running_mean + r * mean.squeeze()).astype(st.running_mean.dtype)
+        st.running_var = ((1 - r) * st.running_var + r * var.squeeze()).astype(st.running_var.dtype)
     inv_std = 1.0 / np.sqrt(var + st.eps)
-    x_hat = (x - mean) * inv_std
-    y = g4 * x_hat + b4
+    np.subtract(x, mean, out=x_hat)
+    x_hat *= inv_std
+    y = np.multiply(x_hat, _channels(st.g, x.dtype))
+    y += _channels(st.b, x.dtype)
     if mode is Mode.TRAIN:
-        cache = NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, axes=axes)
-        return y.astype(x.dtype), cache
-    return y.astype(x.dtype), None
+        return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, kind=st.kind)
+    return y, None
 
 
 def norm_backward(cache: NormCache, upstream: np.ndarray):
@@ -128,15 +159,39 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
     of the statistics on the input. Returns (grad_x, grad_g, grad_b)."""
     if cache is None:
         raise ValueError("norm_backward requires a TRAIN-mode cache")
-    x_hat, inv_std, axes = cache.x_hat, cache.inv_std, cache.axes
-    g4 = cache.g.reshape(1, -1, 1, 1)
-    d_xhat = upstream * g4
-    m1 = np.mean(d_xhat, axis=axes, keepdims=True, dtype=np.float64).astype(upstream.dtype)
-    m2 = np.mean(d_xhat * x_hat, axis=axes, keepdims=True, dtype=np.float64).astype(upstream.dtype)
-    grad_x = (d_xhat - m1 - x_hat * m2) * inv_std
-    grad_g = np.sum(upstream * x_hat, axis=(0, 2, 3), dtype=np.float64).astype(cache.g.dtype)
-    grad_b = np.sum(upstream, axis=(0, 2, 3), dtype=np.float64).astype(cache.g.dtype)
-    return grad_x.astype(upstream.dtype), grad_g, grad_b
+    x_hat, inv_std, g = cache.x_hat, cache.inv_std, cache.g
+    dtype = upstream.dtype
+    grad_b = np.sum(upstream, axis=(0, 2, 3), dtype=np.float64)
+    t = np.multiply(upstream, x_hat)
+    grad_g = np.sum(t, axis=(0, 2, 3), dtype=np.float64)
+
+    if cache.kind is NormKind.LN:
+        axes = _REDUCE_AXES[NormKind.LN]
+        grad_x = np.multiply(upstream, _channels(g, dtype))    # d_xhat
+        np.multiply(grad_x, x_hat, out=t)
+        m1 = np.mean(grad_x, axis=axes, keepdims=True, dtype=np.float64).astype(dtype)
+        m2 = np.mean(t, axis=axes, keepdims=True, dtype=np.float64).astype(dtype)
+        np.multiply(x_hat, m2, out=t)
+        grad_x -= m1
+        grad_x -= t
+        grad_x *= inv_std
+    else:
+        # m1 = mean(g * upstream) and m2 = mean(g * upstream * x_hat) over
+        # the reduction axes, from the two channel sums; then
+        # grad_x = inv_std * (g * upstream - m1 - m2 * x_hat).
+        g64 = g.astype(np.float64)
+        if cache.kind is NormKind.BN:
+            count = x_hat.size // g.size
+            m1, m2 = g64 * grad_b / count, g64 * grad_g / count
+        else:
+            count = x_hat.size
+            m1, m2 = g64 @ grad_b / count, g64 @ grad_g / count
+        inv = inv_std.astype(np.float64).reshape(-1)
+        np.multiply(x_hat, _channels(inv * m2, dtype), out=t)
+        t += _channels(inv * m1, dtype)
+        grad_x = np.multiply(upstream, _channels(inv * g64, dtype))
+        grad_x -= t
+    return grad_x, grad_g.astype(g.dtype), grad_b.astype(g.dtype)
 
 
 @dataclass

@@ -1,6 +1,8 @@
-"""Central finite-difference oracle shared by the gradient tests."""
+"""Central finite-difference oracle shared by the gradient tests, and the
+scaled sigmoid whose finite differences the activation surrogate must match."""
 
 import numpy as np
+from scipy.special import expit
 
 
 def numeric_grad(f, x, step=1e-4):
@@ -26,3 +28,8 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     scale = max(np.max(np.abs(approx)), np.max(np.abs(exact)), 1e-12)
     return np.max(np.abs(approx - exact)) / scale
+
+
+def scaled_sigmoid(z, alpha: float):
+    """sigma_alpha(z) = 1 / (1 + exp(-z / alpha))."""
+    return expit(np.asarray(z, dtype=np.float64) / alpha)

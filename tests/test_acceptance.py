@@ -19,10 +19,9 @@ from maqd.network import (Conv2d, GlobalAvgPool, ModelGraph, NormLayer, ReLU,
 from maqd.normalization import Mode, NormKind, NormLayerState, WSState, \
     norm_forward, weight_standardize
 from maqd.quantizer import (QScaleMode, QuantConfig, activation_surrogate_grad,
-                            quantize_activation, quantize_weight,
-                            scaled_sigmoid, thresholds)
+                            quantize_activation, quantize_weight, thresholds)
 from maqd.training import LossConfig, combined_loss, norm_comparison_experiment, train
-from gradcheck import numeric_grad, rel_err
+from gradcheck import numeric_grad, rel_err, scaled_sigmoid
 
 
 def _data_subdir(*names):

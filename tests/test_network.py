@@ -152,6 +152,22 @@ class TestPooling:
         up = np.ones_like(y)
         np.testing.assert_array_equal(p.backward(up), np.full_like(x, 0.25))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backwards_equal_the_repeat_and_broadcast_forms(self, dtype):
+        rng = RNG(17)
+        x = rng.normal(size=(2, 3, 6, 4)).astype(dtype)
+        pool = AvgPool2()
+        up = rng.normal(size=pool.forward(x, Mode.TRAIN).shape).astype(dtype)
+        got = pool.backward(up)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, np.repeat(np.repeat(up, 2, axis=2), 2, axis=3) * 0.25)
+        gap = GlobalAvgPool()
+        up = rng.normal(size=gap.forward(x, Mode.TRAIN).shape).astype(dtype)
+        got = gap.backward(up)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(
+            got, np.broadcast_to(up[:, :, None, None] / 24, x.shape))
+
     def test_gap_value(self):
         g = GlobalAvgPool()
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from maqd import export
 from maqd.normalization import (Mode, NormKind, NormLayerState, WSState,
-                                norm_backward, norm_forward, weight_standardize,
-                                weight_standardize_backward)
+                                fold_normalization, norm_backward, norm_forward,
+                                weight_standardize, weight_standardize_backward)
 from gradcheck import numeric_grad, rel_err
 
 ALL_KINDS = [NormKind.BN, NormKind.LN, NormKind.LBN]
@@ -149,6 +152,163 @@ class TestBackward:
         assert rel_err(numeric_grad(lambda v: loss_from(v, g0, b0), x), gx) < 1e-5
         assert rel_err(numeric_grad(lambda v: loss_from(x, v, b0), g0), gg) < 1e-5
         assert rel_err(numeric_grad(lambda v: loss_from(x, g0, v), b0), gb) < 1e-5
+
+
+_AXES = {NormKind.BN: (0, 2, 3), NormKind.LN: (1, 2, 3), NormKind.LBN: (0, 1, 2, 3)}
+
+
+def _reference_forward(x, st, mode):
+    """The two-pass formulas the kernels replaced: statistics from a float64
+    copy of x, then x_hat and y as whole-tensor expressions. Returns
+    (y, x_hat, inv_std, running_mean, running_var) without touching st."""
+    axes = _AXES[st.kind]
+    g4, b4 = st.g.reshape(1, -1, 1, 1), st.b.reshape(1, -1, 1, 1)
+    rm, rv = st.running_mean, st.running_var
+    if mode is Mode.TRAIN or st.kind is NormKind.LN:
+        mean = np.mean(x, axis=axes, keepdims=True, dtype=np.float64)
+        var = np.mean(np.square(x.astype(np.float64) - mean), axis=axes, keepdims=True)
+        mean, var = mean.astype(x.dtype), var.astype(x.dtype)
+        if mode is Mode.TRAIN and st.kind is not NormKind.LN:
+            r = st.ema_rate
+            rm = ((1 - r) * rm + r * mean.squeeze()).astype(rm.dtype)
+            rv = ((1 - r) * rv + r * var.squeeze()).astype(rv.dtype)
+    else:
+        mean = np.asarray(rm, dtype=x.dtype).reshape(1, -1, 1, 1)
+        var = np.asarray(rv, dtype=x.dtype).reshape(1, -1, 1, 1)
+    inv_std = 1.0 / np.sqrt(var + st.eps)
+    x_hat = (x - mean) * inv_std
+    return (g4 * x_hat + b4).astype(x.dtype), x_hat, inv_std, rm, rv
+
+
+def _reference_backward(x_hat, inv_std, g, kind, up):
+    axes = _AXES[kind]
+    d_xhat = up * g.reshape(1, -1, 1, 1)
+    m1 = np.mean(d_xhat, axis=axes, keepdims=True, dtype=np.float64).astype(up.dtype)
+    m2 = np.mean(d_xhat * x_hat, axis=axes, keepdims=True, dtype=np.float64).astype(up.dtype)
+    grad_x = ((d_xhat - m1 - x_hat * m2) * inv_std).astype(up.dtype)
+    grad_g = np.sum(up * x_hat, axis=(0, 2, 3), dtype=np.float64)
+    grad_b = np.sum(up, axis=(0, 2, 3), dtype=np.float64)
+    return grad_x, grad_g, grad_b
+
+
+def _oracle_case(kind, shape, dtype, seed):
+    """A state with a few EMA steps behind it, one zero gain, and a batch."""
+    rng = np.random.default_rng(seed)
+    st = NormLayerState.create(kind, shape[1], dtype=dtype)
+    st.g[:] = rng.normal(size=shape[1])
+    st.g[1] = 0.0
+    st.b[:] = rng.normal(size=shape[1])
+    for _ in range(3):
+        norm_forward((1 + 2 * rng.normal(size=shape)).astype(dtype), st, Mode.TRAIN)
+    x = (2 + 3 * rng.normal(size=shape)).astype(dtype)
+    up = rng.normal(size=shape).astype(dtype)
+    return st, x, up
+
+
+def _term_scale(g, inv_std, up):
+    """Largest term g * upstream * inv_std of grad_x. Where x_hat is 0
+    everywhere (BN with one element per channel) the exact grad_x is 0 and
+    only this scale gives the rounding of its cancelling terms a size."""
+    return np.max(np.abs(up * g.reshape(1, -1, 1, 1) * inv_std))
+
+
+# n=1, h=w=1 and n=h=w=1 are the edge cases; every case has a zero gain.
+ORACLE_SHAPES = [(4, 3, 5, 6), (1, 3, 4, 4), (5, 3, 1, 1), (1, 3, 1, 1)]
+
+
+class TestKernelOracle:
+    """The fewest-pass kernels against the two-pass reference formulas."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float64_train_is_bitwise_and_gradients_agree(self, kind, shape):
+        st, x, up = _oracle_case(kind, shape, np.float64, seed=20)
+        y_ref, x_hat, inv_std, rm, rv = _reference_forward(x, st, Mode.TRAIN)
+        y, cache = norm_forward(x, st, Mode.TRAIN)
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(cache.x_hat, x_hat)
+        if kind is not NormKind.LN:
+            np.testing.assert_array_equal(st.running_mean, rm)
+            np.testing.assert_array_equal(st.running_var, rv)
+        gx, gg, gb = norm_backward(cache, up)
+        gx_ref, gg_ref, gb_ref = _reference_backward(x_hat, inv_std, st.g, kind, up)
+        assert gx.dtype == gg.dtype == gb.dtype == np.float64
+        assert np.max(np.abs(gx - gx_ref)) <= 1e-12 * _term_scale(st.g, inv_std, up)
+        assert rel_err(gg, gg_ref) < 1e-12
+        assert rel_err(gb, gb_ref) < 1e-12
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float32_train_within_stated_bound(self, kind, shape):
+        # The variance now sums float32 squares of x - mean (float32) in a
+        # float64 accumulator instead of squaring a float64 copy of x, and
+        # m1, m2 come from the channel sums: each moves y and the
+        # gradients by a few float32 roundings, bounded here by 1e-6 of the
+        # output's (or the largest gradient term's) magnitude.
+        st, x, up = _oracle_case(kind, shape, np.float32, seed=21)
+        y_ref, x_hat, inv_std, _, _ = _reference_forward(x, st, Mode.TRAIN)
+        y, cache = norm_forward(x, st, Mode.TRAIN)
+        assert y.dtype == cache.x_hat.dtype == np.float32
+        assert np.max(np.abs(y - y_ref)) <= 1e-6 * np.max(np.abs(y_ref))
+        gx, gg, gb = norm_backward(cache, up)
+        gx_ref, gg_ref, gb_ref = _reference_backward(x_hat, inv_std, st.g, kind, up)
+        assert gx.dtype == gg.dtype == gb.dtype == np.float32
+        assert np.max(np.abs(gx - gx_ref)) <= 1e-6 * _term_scale(st.g, inv_std, up)
+        assert rel_err(gg, gg_ref) < 1e-6
+        assert rel_err(gb, gb_ref) < 1e-6
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-15), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    def test_eval_is_the_fold(self, kind, dtype, bound, shape):
+        # EVAL computes x * scale + bias from fold_normalization, the
+        # constants the export writes; the reference's (x - mean) * inv_std
+        # * g + b rounds differently, by a few roundings of its terms.
+        st, x, _ = _oracle_case(kind, shape, dtype, seed=22)
+        y, cache = norm_forward(x, st, Mode.EVAL)
+        assert cache is None and y.dtype == dtype
+        scale, bias = fold_normalization(st)
+        np.testing.assert_array_equal(
+            y, x * scale.astype(dtype).reshape(1, -1, 1, 1) + bias.astype(dtype).reshape(1, -1, 1, 1))
+        y_ref = _reference_forward(x, st, Mode.EVAL)[0]
+        terms = np.abs(x * scale.reshape(1, -1, 1, 1)) + np.abs(bias.reshape(1, -1, 1, 1))
+        assert np.max(np.abs(y.astype(np.float64) - y_ref)) <= bound * np.max(terms)
+        # the zero-gain channel is its bias, exactly
+        np.testing.assert_array_equal(y[:, 1], st.b[1])
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_ln_eval_is_bitwise(self, shape):
+        st, x, _ = _oracle_case(NormKind.LN, shape, np.float64, seed=23)
+        y, _ = norm_forward(x, st, Mode.EVAL)
+        np.testing.assert_array_equal(y, _reference_forward(x, st, Mode.EVAL)[0])
+
+    def test_export_shares_the_fold(self):
+        assert export.fold_normalization is fold_normalization
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float32_train_makes_no_float64_copy(self, kind):
+        # TRAIN keeps x_hat and y (one x-sized float32 buffer each); a
+        # float64 copy of x alone would take two more.
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(8, 16, 32, 32)).astype(np.float32)
+        up = rng.normal(size=x.shape).astype(np.float32)
+        st = NormLayerState.create(kind, 16, dtype=np.float32)
+        norm_forward(x, st, Mode.TRAIN)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y, cache = norm_forward(x, st, Mode.TRAIN)
+            fwd_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            grads = norm_backward(cache, up)
+            bwd_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.dtype == grads[0].dtype == np.float32
+        assert fwd_peak < 2.5 * x.nbytes
+        # the backward's grad_x and one product buffer, both float32
+        assert bwd_peak < 2.5 * x.nbytes
 
 
 class TestWeightStandardize:

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maqd import quantizer
 from maqd.quantizer import (QScaleMode, QuantConfig, QuantKind,
                             activation_surrogate_grad, quantize_activation,
                             quantize_tensor_backward, quantize_tensor_forward,
-                            quantize_weight, scaled_round_clip, scaled_sigmoid,
-                            thresholds, weight_surrogate_grad)
+                            quantize_weight, scaled_round_clip, thresholds,
+                            weight_surrogate_grad)
+from gradcheck import scaled_sigmoid
 
 CFG3_HALF = QuantConfig(m_w=3, m_a=4, qscale_mode=QScaleMode.HALF_MW)
 CFG3_HALF_M1 = QuantConfig(m_w=3, m_a=4, qscale_mode=QScaleMode.HALF_MW_MINUS_ONE)
@@ -326,3 +328,48 @@ class TestTensorQuantize:
         _, saved = quantize_tensor_forward(np.zeros((1, 1, 2, 2)), QuantKind.WEIGHT, CFG3_HALF)
         with pytest.raises(ValueError):
             quantize_tensor_backward(saved, np.zeros((1, 1, 3, 3)), QuantKind.WEIGHT, CFG3_HALF)
+
+
+class TestBlockedSurrogateBackward:
+    """The activation backward runs in blocks of quantizer._CHUNK elements;
+    the blocks must not show in the result."""
+
+    CFG = QuantConfig(m_w=15, m_a=8)
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-13), (np.float32, 4e-6)])
+    def test_tensor_spanning_blocks(self, dtype, bound):
+        chunk = quantizer._CHUNK
+        n = 2 * chunk + 37
+        rng = np.random.default_rng(30)
+        z = rng.uniform(-1.0, 2.0, size=n).astype(dtype)
+        up = rng.normal(size=n).astype(dtype)
+        m_a, alpha = self.CFG.m_a, self.CFG.alpha
+        g = quantize_tensor_backward(z, up, QuantKind.ACTIVATION, self.CFG)
+        assert g.dtype == dtype and g.shape == (n,)
+        surrogate = activation_surrogate_grad(z, m_a, alpha)
+        np.testing.assert_allclose(g, surrogate * up, rtol=1e-12, atol=0)
+        # the same accuracy bound as test_closed_form_accuracy_and_dtype
+        zl, al = z.astype(np.longdouble), np.longdouble(alpha)
+        ref = sum(1 / (al * (2 + 2 * np.cosh((zl - np.longdouble(b)) / al)))
+                  for b in thresholds(m_a))
+        assert np.max(np.abs(surrogate.astype(np.longdouble) - ref) / ref) <= bound
+        # elements on either side of each block edge, one element at a time
+        for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1):
+            assert g[i] == pytest.approx(
+                up[i] * activation_surrogate_grad(z[i], m_a, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_contiguous_views(self, dtype):
+        rng = np.random.default_rng(31)
+        shape = (3, 8, 64, 64)     # more than one block
+        saved = rng.uniform(-1.0, 2.0, size=shape[:3] + (128,)).astype(dtype)[..., ::2]
+        up = rng.normal(size=(3, 64, 64, 8)).astype(dtype).transpose(0, 3, 1, 2)
+        assert not saved.flags.c_contiguous and not up.flags.c_contiguous
+        g = quantize_tensor_backward(saved, up, QuantKind.ACTIVATION, self.CFG)
+        assert g.shape == shape and g.dtype == dtype
+        surrogate = activation_surrogate_grad(saved, self.CFG.m_a, self.CFG.alpha)
+        np.testing.assert_allclose(g, surrogate * up, rtol=1e-12, atol=0)
+        contiguous = quantize_tensor_backward(np.ascontiguousarray(saved),
+                                              np.ascontiguousarray(up),
+                                              QuantKind.ACTIVATION, self.CFG)
+        np.testing.assert_array_equal(g, contiguous)
