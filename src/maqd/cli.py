@@ -30,6 +30,10 @@ class UsageError(ValueError):
     pass
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be unpickled."""
+
+
 _ARCHS = ("vgg", "vgg-mini", "preact_resnet", "preact-mini", "cnn9", "cnn9-mini")
 _DATASETS = ("cifar10", "cifar100", "mnist", "blobs")
 
@@ -93,6 +97,8 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _read_config_file(path) -> dict:
@@ -104,23 +110,24 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in _DEFAULTS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, value, f"{path}:{lineno}")
     return values
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value: str, where: str):
+    """A config-file value as the type of the key's default."""
     default = _DEFAULTS[key]
-    if isinstance(value, str):
+    try:
         if isinstance(default, bool):
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-            raise UsageError(f"--{key.replace('_', '-')}: expected a boolean, got {value!r}")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
+            return _BOOLEANS[value.lower()]
+        if isinstance(default, (int, float)):
+            return type(default)(value)
+    except (KeyError, ValueError):
+        raise UsageError(f"{where}: {key.replace('_', '-')} = {value!r} is not a "
+                         f"valid {type(default).__name__}") from None
     return value
 
 
@@ -132,15 +139,11 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     resolved = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        for key, value in file_values.items():
-            if key not in _DEFAULTS:
-                raise UsageError(f"unknown config key {key!r} in {args.config}")
-            resolved[key] = _coerce(key, value)
+        resolved.update(_read_config_file(args.config))
     for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key, None)  # argparse has typed it
         if flag_value is not None:
-            resolved[key] = _coerce(key, flag_value)
+            resolved[key] = flag_value
     if resolved["data_dir"] is None:
         resolved["data_dir"] = os.environ.get("MAQD_DATA_DIR")
 
@@ -265,7 +268,12 @@ def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
 
 def _load_checkpoint(path) -> network.ModelGraph:
     with open(path, "rb") as f:
-        return pickle.load(f)
+        try:
+            graph = pickle.load(f)
+        except (pickle.UnpicklingError, EOFError) as e:  # not a pickle, or truncated
+            raise CheckpointError(f"{path}: not a readable checkpoint "
+                                  f"({type(e).__name__}: {e})") from None
+    return graph
 
 
 def _cmd_train(cfg):

@@ -23,16 +23,31 @@ Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics; its
 EVAL forward is numerically equivalent to the trainer's.
 
-The runtime computes quantized convs on integers. After an ACT_Q the
-activation is its codes k in 0..m_a-1 (value k/(m_a-1)), and a CONV_Q
-weight is the lattice integer clip(2*state, -2q, 2q) with 2q = 2*qscale
-(value lattice/2q), so each conv sum is an integer, or after p 2x2 pools an
-integer multiple of 4**-p. Its magnitude is at most
-fan_in * 2q * (m_a-1), so while fan_in * 2q * (m_a-1) * 4**p < 2**24 a
-float32 GEMM computes it exactly, in any order of accumulation; past that
-bound the same codes go through a float64 GEMM. The sums are then divided by
-(m_a-1) * 2q in float64, so the logits differ from the trainer's float64
-EVAL forward by float64 rounding alone.
+`import_model` compiles the records in one walk. It nests each residual
+block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
+channels, the downsampling and whether GAP has flattened the activation, and
+binds each op's arguments. A ModelFormatError naming the record's byte
+rejects a conv whose kernel is not 1 or 3, whose stride is not 1 or 2 or
+with 0 channels; an ACT_Q with m_a < 2; a conv or AFFINE whose channels are
+not its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
+branches that end in different channels, downsampling or flattening; an
+unbalanced residual marker; residual blocks nested deeper than 64; and a
+stream that does not end in (class_count) logits. The runtime then checks
+only the shape of its input.
+
+The runtime computes quantized convs on integers. After an ACT_Q that a
+CONV_Q reads (through AP2s only) the activation is its codes k in 0..m_a-1
+(value k/(m_a-1)), and a CONV_Q weight is the lattice integer
+clip(2*state, -2q, 2q) with 2q = 2*qscale (value lattice/2q), so each conv
+sum is an integer, or after p 2x2 pools an integer multiple of 4**-p. Its
+magnitude is at most fan_in * 2q * (m_a-1), so while
+fan_in * 2q * (m_a-1) * 4**p < 2**24 a float32 GEMM computes it exactly, in
+any order of accumulation; past that bound the same codes go through a
+float64 GEMM. The import binds that dtype to the ACT_Q's codes and to the
+conv's lattice, and binds the conv's divisor (m_a-1) * 2q; the conv divides
+its sums by it in float64, so the logits differ from the trainer's float64
+EVAL forward by float64 rounding alone. Every other ACT_Q emits float64
+values.
 """
 
 from __future__ import annotations
@@ -74,6 +89,14 @@ class ModelFormatError(ValueError):
     """Exported model file failed validation."""
 
 
+def _export_weights(conv: Conv2d) -> np.ndarray:
+    """The conv's (out, in*k*k) float64 weight rows, standardized under WS."""
+    w2d = conv.weight.data.reshape(conv.out_ch, -1).astype(np.float64)
+    if conv.weight_standardized:
+        w2d, _ = weight_standardize(WSState(w2d, eps=conv.ws_eps))
+    return w2d
+
+
 def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
     """Integer lattice states for a quantized conv, with the qscale used to
     decode them: value = clamp(state / qscale, -1, 1).
@@ -84,9 +107,7 @@ def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
     if conv.quant is None:
         raise ValueError("conv layer is not weight-quantized")
     q = conv.quant.weight_qscale
-    w2d = conv.weight.data.reshape(conv.out_ch, -1).astype(np.float64)
-    if conv.weight_standardized:
-        w2d, _ = weight_standardize(WSState(w2d, eps=conv.ws_eps))
+    w2d = _export_weights(conv)
     raw_states = round_half_away(q * conv.quant.s * w2d)
     cap = int(np.ceil(q))
     states = np.clip(raw_states, -cap, cap).astype(np.int16)
@@ -101,6 +122,7 @@ def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
 class RuntimeOp:
     opcode: int
     fields: dict = field(default_factory=dict)
+    at: int = 0  # byte offset of the record in its file
 
 
 @dataclass
@@ -108,68 +130,52 @@ class RuntimeModel:
     arch: str
     class_count: int
     quant: QuantConfig | None
-    ops: list[RuntimeOp]
+    ops: list[RuntimeOp]  # bound ops: residual blocks nest in their RES_BEGIN
+    in_ch: int  # channel count of the images the model takes
 
 
 def _record(opcode: int, payload: bytes = b"") -> bytes:
     return struct.pack("<BI", opcode, len(payload)) + payload
 
 
-def _conv_records(conv: Conv2d) -> bytes:
+def _conv_record(conv: Conv2d) -> bytes:
     head = struct.pack("<HHBB", conv.out_ch, conv.in_ch, conv.kernel, conv.stride)
     if conv.quant is not None:
         states, q = weight_states(conv)
         payload = head + struct.pack("<d", q) + states.astype("<i2").tobytes()
         return _record(OP_CONV_Q, payload)
-    w2d = conv.weight.data.reshape(conv.out_ch, -1).astype(np.float64)
-    if conv.weight_standardized:
-        w2d, _ = weight_standardize(WSState(w2d, eps=conv.ws_eps))
-    payload = head + w2d.astype("<f8").tobytes()
-    return _record(OP_CONV_F, payload)
+    return _record(OP_CONV_F, head + _export_weights(conv).astype("<f8").tobytes())
 
 
-def _layer_records(layer) -> bytes:
+_BARE_OPS = {ReLU: OP_RELU, AvgPool2: OP_AP2, GlobalAvgPool: OP_GAP}
+
+
+def _records(layers) -> list[bytes]:
+    return [rec for layer in layers for rec in _layer_records(layer)]
+
+
+def _layer_records(layer) -> list[bytes]:
     if isinstance(layer, Conv2d):
-        return _conv_records(layer)
+        return [_conv_record(layer)]
     if isinstance(layer, NormLayer):
         scale, bias = fold_normalization(layer.state)
         payload = struct.pack("<H", scale.size) + scale.astype("<f8").tobytes() \
             + bias.astype("<f8").tobytes()
-        return _record(OP_AFFINE, payload)
+        return [_record(OP_AFFINE, payload)]
     if isinstance(layer, ActQuant):
-        return _record(OP_ACT_Q, struct.pack("<H", layer.cfg.m_a))
-    if isinstance(layer, ReLU):
-        return _record(OP_RELU)
-    if isinstance(layer, AvgPool2):
-        return _record(OP_AP2)
-    if isinstance(layer, GlobalAvgPool):
-        return _record(OP_GAP)
+        return [_record(OP_ACT_Q, struct.pack("<H", layer.cfg.m_a))]
+    if type(layer) in _BARE_OPS:
+        return [_record(_BARE_OPS[type(layer)])]
     if isinstance(layer, ResidualBlock):
-        out = _record(OP_RES_BEGIN)
-        for l in layer.s_branch:
-            out += _layer_records(l)
-        out += _record(OP_RES_SEP)
-        for l in layer.f_branch:
-            out += _layer_records(l)
-        out += _record(OP_RES_END)
-        return out
+        return [_record(OP_RES_BEGIN), *_records(layer.s_branch), _record(OP_RES_SEP),
+                *_records(layer.f_branch), _record(OP_RES_END)]
     raise TypeError(f"cannot export layer of type {type(layer).__name__}")
-
-
-def _count_records(blob: bytes) -> int:
-    count = 0
-    offset = 0
-    while offset < len(blob):
-        _, length = struct.unpack_from("<BI", blob, offset)
-        offset += 5 + length
-        count += 1
-    return count
 
 
 def export(graph: ModelGraph, path) -> None:
     """Serialize a trained graph; import(export(g)) reproduces all runtime
     parameters bitwise."""
-    body = b"".join(_layer_records(layer) for layer in graph.layers)
+    records = _records(graph.layers)
     arch_bytes = graph.arch.encode("ascii")
     header = MAGIC + struct.pack("<H", FORMAT_VERSION)
     header += struct.pack("<B", len(arch_bytes)) + arch_bytes
@@ -180,8 +186,8 @@ def export(graph: ModelGraph, path) -> None:
                               _QSCALE_MODE_CODE[q.qscale_mode], q.s, q.alpha)
     else:
         header += struct.pack("<BHHBdd", 0, 3, 2, 0, 1.0 / 3.0, 0.25)
-    header += struct.pack("<I", _count_records(body))
-    Path(path).write_bytes(header + body)
+    header += struct.pack("<I", len(records))
+    Path(path).write_bytes(header + b"".join(records))
 
 
 class _Reader:
@@ -203,40 +209,34 @@ class _Reader:
 
 
 def _parse_op(r: _Reader) -> RuntimeOp:
+    at = r.offset
     opcode, length = r.unpack("<BI")
-    start = r.offset
-    if opcode == OP_CONV_Q:
+    op = RuntimeOp(opcode, at=at)
+    start, f = r.offset, op.fields
+    if op.opcode in (OP_CONV_Q, OP_CONV_F):
         out_ch, in_ch, k, stride = r.unpack("<HHBB")
-        qscale_at = r.offset
-        (qscale,) = r.unpack("<d")
-        two_q = 2.0 * qscale
-        if not (np.isfinite(two_q) and two_q >= 1 and two_q == int(two_q)):
-            raise ModelFormatError(f"{r.path}: CONV_Q qscale {qscale} at byte {qscale_at}: "
-                                   f"2*qscale must be a positive integer")
-        n = out_ch * in_ch * k * k
-        states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(out_ch, in_ch * k * k)
-        lattice = np.clip(2.0 * states, -two_q, two_q)  # weight values * 2q, integers
-        op = RuntimeOp(opcode, dict(out_ch=out_ch, in_ch=in_ch, kernel=k,
-                                    stride=stride, qscale=qscale, states=states,
-                                    lattice=_tap_major(lattice, in_ch, k).astype(np.float32)))
-    elif opcode == OP_CONV_F:
-        out_ch, in_ch, k, stride = r.unpack("<HHBB")
-        n = out_ch * in_ch * k * k
-        weights = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(out_ch, in_ch * k * k)
-        op = RuntimeOp(opcode, dict(out_ch=out_ch, in_ch=in_ch, kernel=k,
-                                    stride=stride, weights=weights))
-    elif opcode == OP_AFFINE:
+        f.update(out_ch=out_ch, in_ch=in_ch, kernel=k, stride=stride)
+        n, shape = out_ch * in_ch * k * k, (out_ch, in_ch * k * k)
+        if op.opcode == OP_CONV_Q:
+            qscale_at = r.offset
+            (qscale,) = r.unpack("<d")
+            two_q = 2.0 * qscale
+            if not (np.isfinite(two_q) and two_q >= 1 and two_q == int(two_q)):
+                raise ModelFormatError(f"{r.path}: CONV_Q qscale {qscale} at byte {qscale_at}: "
+                                       f"2*qscale must be a positive integer")
+            states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(shape)
+            # the lattice: weight values * 2q, integers
+            f.update(qscale=qscale, states=states, w=np.clip(2.0 * states, -two_q, two_q))
+        else:
+            f["w"] = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape)
+    elif op.opcode == OP_AFFINE:
         (c,) = r.unpack("<H")
-        scale = np.frombuffer(r.take(8 * c), dtype="<f8")
-        bias = np.frombuffer(r.take(8 * c), dtype="<f8")
-        op = RuntimeOp(opcode, dict(channels=c, scale=scale, bias=bias))
-    elif opcode == OP_ACT_Q:
-        (m_a,) = r.unpack("<H")
-        op = RuntimeOp(opcode, dict(m_a=m_a))
-    elif opcode in (OP_RELU, OP_AP2, OP_GAP, OP_RES_BEGIN, OP_RES_SEP, OP_RES_END):
-        op = RuntimeOp(opcode)
-    else:
-        raise ModelFormatError(f"{r.path}: unknown opcode {opcode} at byte {r.offset - 5}")
+        f.update(channels=c, scale=np.frombuffer(r.take(8 * c), dtype="<f8"),
+                 bias=np.frombuffer(r.take(8 * c), dtype="<f8"))
+    elif op.opcode == OP_ACT_Q:
+        (f["m_a"],) = r.unpack("<H")
+    elif op.opcode not in (OP_RELU, OP_AP2, OP_GAP, OP_RES_BEGIN, OP_RES_SEP, OP_RES_END):
+        raise ModelFormatError(f"{r.path}: unknown opcode {op.opcode} at byte {op.at}")
     if r.offset - start != length:
         raise ModelFormatError(
             f"{r.path}: record length mismatch at byte {start} (declared {length}, "
@@ -244,8 +244,94 @@ def _parse_op(r: _Reader) -> RuntimeOp:
     return op
 
 
+_F32_EXACT = 2 ** 24  # float32 holds every integer up to this magnitude
+_MAX_NESTING = 64  # residual blocks within residual blocks
+
+
+def _codes_reader(recs: list[RuntimeOp], i: int):
+    """(GEMM dtype, divisor) of the CONV_Q that reads the ACT_Q record i
+    through AP2s only, or None when no CONV_Q reads it."""
+    j = next((j for j in range(i + 1, len(recs)) if recs[j].opcode != OP_AP2), len(recs))
+    if j == len(recs) or recs[j].opcode != OP_CONV_Q:
+        return None
+    conv, top = recs[j].fields, recs[i].fields["m_a"] - 1
+    # the bound of the module docstring, in exact integers
+    bound = conv["in_ch"] * conv["kernel"] ** 2 * int(2 * conv["qscale"]) * top \
+        * 4 ** (j - i - 1)
+    return np.float32 if bound < _F32_EXACT else np.float64, 2.0 * conv["qscale"] * top
+
+
+def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
+    """The one walk of `import_model` over the parsed records; returns (bound
+    ops, input channel count). The input has the channels of the first conv
+    or AFFINE record, since no other op changes them."""
+    in_ch = next((op.fields.get("in_ch", op.fields.get("channels")) for op in recs
+                  if op.opcode in (OP_CONV_Q, OP_CONV_F, OP_AFFINE)), class_count)
+
+    def error(op, msg):
+        return ModelFormatError(f"{path}: record at byte {op.at}: {msg}")
+
+    def span(i, c, down, flat, depth):
+        """Bind records from i to the RES_SEP/RES_END ending the span, or the
+        end; returns (ops, that index, the activation's end (c, down, flat))."""
+        ops, codes = [], None
+        while i < len(recs) and recs[i].opcode not in (OP_RES_SEP, OP_RES_END):
+            op = recs[i]
+            code, f = op.opcode, op.fields
+            conv = code in (OP_CONV_Q, OP_CONV_F)
+            if conv and not (f["kernel"] in (1, 3) and f["stride"] in (1, 2)
+                             and f["in_ch"] and f["out_ch"]):
+                raise error(op, "conv with kernel {kernel}, stride {stride} and {in_ch} -> "
+                                "{out_ch} channels".format(**f))
+            if code == OP_ACT_Q and f["m_a"] < 2:
+                raise error(op, f"ACT_Q with m_a {f['m_a']} (m_a must be >= 2)")
+            if flat and code in (OP_CONV_Q, OP_CONV_F, OP_AFFINE, OP_AP2, OP_GAP):
+                raise error(op, "follows GAP, which flattened the activation")
+            reads = f.get("in_ch", f.get("channels", c))  # what a conv or AFFINE reads
+            if reads != c:
+                raise error(op, f"reads {reads} channels, its input has {c}")
+            if conv:
+                c, down = f["out_ch"], down * f["stride"]
+                dtype, divisor = codes or (np.float64, None)
+                f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
+            if code == OP_CONV_Q:
+                f["divisor"], codes = divisor or 2.0 * f["qscale"], None
+            elif code == OP_ACT_Q:
+                codes = _codes_reader(recs, i)
+                f["codes"] = codes[0] if codes else None
+            elif code == OP_AP2:
+                down *= 2
+            elif code == OP_GAP:
+                flat = True
+            elif code == OP_RES_BEGIN:
+                if depth == _MAX_NESTING:
+                    raise error(op, f"residual blocks nested deeper than {_MAX_NESTING}")
+                ends = []
+                for name, marker in (("s", OP_RES_SEP), ("f", OP_RES_END)):
+                    f[name], i, branch_end = span(i + 1, c, down, flat, depth + 1)
+                    if i == len(recs) or recs[i].opcode != marker:
+                        raise error(op, "malformed residual block: no RES_SEP/RES_END")
+                    ends.append(branch_end)
+                if ends[0] != ends[1]:
+                    raise error(op, f"residual branches end in (channels, downsampling, "
+                                    f"flat) {ends[0]} and {ends[1]}")
+                c, down, flat = ends[0]
+            ops.append(op)
+            i += 1
+        return ops, i, (c, down, flat)
+
+    ops, i, (c, _, flat) = span(0, in_ch, 1, False, 0)
+    if i < len(recs):
+        raise error(recs[i], "malformed residual block: no RES_BEGIN opens it")
+    if not flat or c != class_count:
+        raise ModelFormatError(f"{path}: the stream ends at byte {end} in {c} channels"
+                               f"{'' if flat else ' before GAP'}, not {class_count} logits")
+    return ops, in_ch
+
+
 def import_model(path) -> RuntimeModel:
-    """Parse and validate an exported model file."""
+    """Parse an exported model file and compile it into the bound ops that
+    `runtime_infer` runs; a defect raises ModelFormatError naming its byte."""
     data = Path(path).read_bytes()
     r = _Reader(data, path)
     if r.take(4) != MAGIC:
@@ -277,114 +363,60 @@ def import_model(path) -> RuntimeModel:
             raise ModelFormatError(f"{path}: invalid quant block at byte {at}: "
                                    f"{e}") from None
     (record_count,) = r.unpack("<I")
-    ops = []
-    for _ in range(record_count):
-        ops.append(_parse_op(r))
+    recs = [_parse_op(r) for _ in range(record_count)]
     if r.offset != len(data):
         raise ModelFormatError(f"{path}: {len(data) - r.offset} trailing bytes at "
                                f"byte {r.offset}")
-    return RuntimeModel(arch=arch, class_count=class_count, quant=quant, ops=ops)
+    ops, in_ch = _bind(recs, class_count, path, len(data))
+    return RuntimeModel(arch=arch, class_count=class_count, quant=quant, ops=ops,
+                        in_ch=in_ch)
 
 
 def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
-    """Cross-correlation of x in x's dtype: with a CONV_Q's integer lattice
-    (so the result is in units of 1/(2*qscale)) or with a CONV_F's weights."""
-    k, stride = op.fields["kernel"], op.fields["stride"]
-    pad = 1 if k == 3 else 0
-    if x.shape[1] != op.fields["in_ch"]:
-        raise ValueError(f"expected {op.fields['in_ch']} channels, got {x.shape[1]}")
-    cols, ho, wo = _im2col(x, k, stride, pad)
-    if op.opcode == OP_CONV_Q:
-        w = op.fields["lattice"].astype(x.dtype, copy=False)
-    else:
-        w = _tap_major(op.fields["weights"], op.fields["in_ch"], k)
-    y = cols @ w.T
+    """Cross-correlation of x, in the conv's dtype, with its bound tap-major
+    matrix: a CONV_Q's integer lattice (so the result is in units of
+    1/(2*qscale)) or a CONV_F's weights."""
+    f = op.fields
+    cols, ho, wo = _im2col(x, f["kernel"], f["stride"], 1 if f["kernel"] == 3 else 0)
+    y = cols @ f["w"].T
     return np.ascontiguousarray(
-        y.reshape(x.shape[0], ho, wo, op.fields["out_ch"]).transpose(0, 3, 1, 2))
-
-
-_F32_EXACT = 2 ** 24  # float32 holds every integer up to this magnitude
-
-
-def _value(x: np.ndarray, top) -> np.ndarray:
-    """The float64 value of a runtime activation: x itself, or x / top while
-    x holds ACT_Q codes."""
-    return x if top is None else np.divide(x, top, dtype=np.float64)
+        y.reshape(x.shape[0], ho, wo, f["out_ch"]).transpose(0, 3, 1, 2))
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
-    """Forward pass over the opcode stream; returns (n, class_count) logits.
+    """Forward pass over the bound ops; returns (n, class_count) float64
+    logits. Activations are float64 values, or codes from an ACT_Q to the
+    CONV_Q that reads them (see the module docstring)."""
+    if images.ndim != 4 or images.shape[1] != model.in_ch:
+        raise ValueError(f"expected (n, {model.in_ch}, h, w) images with {model.in_ch} "
+                         f"channels, got shape {images.shape}")
+    return _run_ops(model.ops, images.astype(np.float64))
 
-    Activations are float64 values, except between an ACT_Q and the CONV_Q
-    that reads it: there x holds the integer codes 0..m_a-1 in float32 (value
-    x / top, top = m_a-1), AP2 pools them as they are, and the CONV_Q
-    multiplies them by its integer lattice, in float32 within the bound of
-    the module docstring and in float64 otherwise, then divides the sums by
-    top * 2*qscale. Any other op first takes the float64 value x / top.
-    """
 
-    def run_span(x, i):
-        """Execute ops from i until RES_SEP/RES_END/end; returns (x, next i).
-        While x holds codes pooled p times, `bound` is (m_a-1) * 4**p."""
-        ops = model.ops
-        top = bound = None
-        while i < len(ops):
-            op = ops[i]
-            code = op.opcode
-            if code not in (OP_CONV_Q, OP_AP2):
-                x, top = _value(x, top), None
-            if code == OP_CONV_Q:
-                two_q = 2.0 * op.fields["qscale"]
-                fan_in = op.fields["in_ch"] * op.fields["kernel"] ** 2
-                exact32 = top is not None and fan_in * two_q * bound < _F32_EXACT
-                y = _run_conv(op, x.astype(np.float32 if exact32 else np.float64, copy=False))
-                x, top = np.divide(y, two_q * (top or 1), dtype=np.float64), None
-            elif code == OP_CONV_F:
-                x = _run_conv(op, x)
-            elif code == OP_AFFINE:
-                c = op.fields["channels"]
-                if x.ndim != 4 or x.shape[1] != c:
-                    raise ModelFormatError(f"AFFINE record {i} has {c} channels, its "
-                                           f"input has shape {x.shape}")
-                x = x * op.fields["scale"].reshape(1, -1, 1, 1)
-                x += op.fields["bias"].reshape(1, -1, 1, 1)
-            elif code == OP_ACT_Q:
-                top = op.fields["m_a"] - 1
-                q = quantize_activation(x, op.fields["m_a"])
-                q *= top  # float64, so the float32 codes come out exact
-                x, bound = q.astype(np.float32), top
-            elif code == OP_RELU:
-                x = np.maximum(x, 0.0)
-            elif code == OP_AP2:
-                if top is not None and 4 * bound < _F32_EXACT:
-                    bound *= 4  # a 2x2 mean of codes is exact in float32
-                else:
-                    x, top = _value(x, top), None
-                x = _avg_pool2(x)
-            elif code == OP_GAP:
-                x = np.mean(x, axis=(2, 3))
-            elif code == OP_RES_BEGIN:
-                ys, i = run_span(x, i + 1)
-                if i == len(ops) or ops[i].opcode != OP_RES_SEP:
-                    raise ModelFormatError("malformed residual block")
-                yf, i = run_span(x, i + 1)
-                if i == len(ops) or ops[i].opcode != OP_RES_END:
-                    raise ModelFormatError("malformed residual block")
-                x = ys + yf
-            elif code in (OP_RES_SEP, OP_RES_END):
-                return x, i
-            else:
-                raise ModelFormatError(f"unexpected opcode {code}")
-            i += 1
-        return _value(x, top), i
-
-    logits, i = run_span(images.astype(np.float64), 0)
-    if i != len(model.ops):  # a RES_SEP/RES_END outside any block
-        raise ModelFormatError("malformed residual block")
-    if logits.shape != (images.shape[0], model.class_count):
-        raise ModelFormatError(f"the stream ends in shape {logits.shape}, not "
-                               f"({images.shape[0]}, {model.class_count}) logits")
-    return logits
+def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
+    for op in ops:
+        code, f = op.opcode, op.fields
+        if code == OP_CONV_Q:
+            x = np.divide(_run_conv(op, x), f["divisor"], dtype=np.float64)
+        elif code == OP_CONV_F:
+            x = _run_conv(op, x)
+        elif code == OP_AFFINE:
+            x = x * f["scale"].reshape(1, -1, 1, 1)
+            x += f["bias"].reshape(1, -1, 1, 1)
+        elif code == OP_ACT_Q:
+            x = quantize_activation(x, f["m_a"])
+            if f["codes"] is not None:
+                x *= f["m_a"] - 1  # in float64; the float32 cast snaps each code to k
+                x = x.astype(np.float32).astype(f["codes"], copy=False)
+        elif code == OP_RELU:
+            x = np.maximum(x, 0.0)
+        elif code == OP_AP2:
+            x = _avg_pool2(x)
+        elif code == OP_GAP:
+            x = np.mean(x, axis=(2, 3))
+        else:  # OP_RES_BEGIN
+            x = _run_ops(f["s"], x) + _run_ops(f["f"], x)
+    return x
 
 
 @dataclass
@@ -408,44 +440,3 @@ def parity_check(graph: ModelGraph, model: RuntimeModel, images: np.ndarray,
         agree += int(np.sum(np.argmax(ref, axis=1) == np.argmax(out, axis=1)))
     return ParityReport(max_abs_logit_diff=max_diff, argmax_agreement=agree / n,
                         samples=n)
-
-
-@dataclass
-class OpCount:
-    layer_index: int
-    mults: int
-    adds: int
-    add_only_mults: int  # multiply count under the {0, 1}-activation convention
-
-
-def opcount_report(model: RuntimeModel, input_hw: tuple[int, int]) -> list[OpCount]:
-    """Per-conv operation counts, skipping zero weight states. When the
-    incoming activation lattice is binary (m_a = 2), multiplications
-    degenerate and the add-only multiply count is zero."""
-    h, w = input_hw
-    counts = []
-    incoming_m_a = None  # None: real-valued input
-    idx = 0
-    for op in model.ops:
-        if op.opcode in (OP_CONV_Q, OP_CONV_F):
-            k, stride = op.fields["kernel"], op.fields["stride"]
-            pad = 1 if k == 3 else 0
-            ho = (h + 2 * pad - k) // stride + 1
-            wo = (w + 2 * pad - k) // stride + 1
-            w = op.fields["states" if op.opcode == OP_CONV_Q else "weights"]
-            nnz = int(np.count_nonzero(w))
-            macs = nnz * ho * wo
-            add_only = 0 if incoming_m_a == 2 else macs
-            counts.append(OpCount(layer_index=idx, mults=macs, adds=macs,
-                                  add_only_mults=add_only))
-            h, w = ho, wo
-            idx += 1
-        elif op.opcode == OP_ACT_Q:
-            incoming_m_a = op.fields["m_a"]
-        elif op.opcode == OP_RELU:
-            incoming_m_a = None
-        elif op.opcode == OP_AP2:
-            h, w = h // 2, w // 2
-        elif op.opcode == OP_GAP:
-            h = w = 1
-    return counts

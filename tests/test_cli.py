@@ -1,11 +1,14 @@
 import csv
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from maqd.cli import RunConfig, UsageError, main, parse_config
-from maqd.export import import_model
+from maqd.export import export, import_model
+from maqd.network import Conv2d, GlobalAvgPool, ModelGraph, build_model
+from maqd.normalization import NormKind
 
 
 def train_args(out_dir, *extra):
@@ -44,7 +47,20 @@ class TestParseConfig:
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("learning_rate = 0.25\n")
-        with pytest.raises(UsageError, match="learning_rate"):
+        with pytest.raises(UsageError,
+                           match=r"run.conf:1: unknown config key 'learning_rate'"):
+            parse_config(["train", "--config", str(conf)])
+
+    @pytest.mark.parametrize("line,message", [
+        ("epochs = abc", "epochs = 'abc' is not a valid int"),
+        ("batch-size = 1.5", "batch-size = '1.5' is not a valid int"),
+        ("lr = fast", "lr = 'fast' is not a valid float"),
+        ("augment = maybe", "augment = 'maybe' is not a valid bool")],
+        ids=["int", "fraction-for-int", "float", "bool"])
+    def test_bad_config_value_names_its_line_and_key(self, tmp_path, line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seed = 3\n{line}\n")
+        with pytest.raises(UsageError, match=rf"run.conf:2: {message}"):
             parse_config(["train", "--config", str(conf)])
 
     def test_malformed_config_line(self, tmp_path):
@@ -105,6 +121,28 @@ class TestExitCodes:
     def test_missing_checkpoint_file_is_2(self, tmp_path, capsys):
         assert main(["eval", "--dataset", "blobs",
                      "--checkpoint", str(tmp_path / "none.pkl")]) == 2
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_unreadable_checkpoint_is_2_and_names_the_file(self, tmp_path, capsys, damage):
+        path = tmp_path / "checkpoint.pkl"
+        graph = build_model("vgg-mini", 2, seed=1)
+        blob = {"garbage": b"garbage", "truncated": pickle.dumps(graph)[:2000]}[damage]
+        path.write_bytes(blob)
+        assert main(["export", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "m.maqd")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: not a readable checkpoint" in err
+
+    def test_unrunnable_model_is_2_and_names_the_record(self, tmp_path, capsys):
+        path = tmp_path / "m.maqd"
+        conv = Conv2d(3, 4, 3, rng=np.random.default_rng(2))
+        export(ModelGraph([conv, GlobalAvgPool()], "x", 4, None, NormKind.LBN), path)
+        data = bytearray(path.read_bytes())
+        at = 4 + 2 + 1 + len("x") + 2 + 22 + 4  # the conv record
+        data[at + 5 + 5] = 0  # its stride
+        path.write_bytes(bytes(data))
+        assert main(["infer", "--dataset", "blobs", "--model", str(path)]) == 2
+        assert f"record at byte {at}: conv with kernel 3, stride 0" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -2,16 +2,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maqd.export as export_mod
 from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
-                         OP_CONV_Q, OP_GAP, OP_RELU, OP_RES_BEGIN, OP_RES_END,
-                         OP_RES_SEP, ModelFormatError, OpCount,
-                         RuntimeModel, RuntimeOp, export, fold_normalization,
-                         import_model, opcount_report, parity_check,
+                         OP_CONV_F, OP_CONV_Q, OP_GAP, OP_RELU, OP_RES_BEGIN,
+                         OP_RES_END, OP_RES_SEP, ModelFormatError, export,
+                         fold_normalization, import_model, parity_check,
                          runtime_infer, weight_states)
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
-                          ModelGraph, NormLayer, build_model)
+                          ModelGraph, NormLayer, ResidualBlock, build_model)
 from maqd.normalization import Mode, NormKind, NormLayerState, WSState, \
     norm_forward, weight_standardize
 from maqd.quantizer import QuantConfig, quantize_weight
@@ -36,6 +37,36 @@ def warm_up(graph, steps=3, n=4, hw=8, in_ch=1, seed=1):
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         graph.forward(rng.normal(size=(n, in_ch, hw, hw)), Mode.TRAIN)
+
+
+def rec(opcode, payload=b""):
+    return struct.pack("<BI", opcode, len(payload)) + payload
+
+
+def conv_f(in_ch, out_ch, kernel=1, stride=1):
+    """A CONV_F record with all-ones weights."""
+    head = struct.pack("<HHBB", out_ch, in_ch, kernel, stride)
+    return rec(OP_CONV_F, head + np.ones(out_ch * in_ch * kernel * kernel).tobytes())
+
+
+def affine(c):
+    return rec(OP_AFFINE, struct.pack("<H", c) + np.ones(c).tobytes() + np.zeros(c).tobytes())
+
+
+def write_stream(tmp_path, records, class_count=2):
+    """A float model file named "x" holding `records`; returns its path and
+    the byte offset of each record."""
+    blob = MAGIC + struct.pack("<HB", FORMAT_VERSION, 1) + b"x"
+    blob += struct.pack("<H", class_count)
+    blob += struct.pack("<BHHBdd", 0, 3, 2, 0, 1 / 3, 0.25)
+    blob += struct.pack("<I", len(records))
+    offsets = []
+    for record in records:
+        offsets.append(len(blob))
+        blob += record
+    path = tmp_path / "s.maqd"
+    path.write_bytes(blob)
+    return path, offsets
 
 
 class TestFoldNormalization:
@@ -184,15 +215,8 @@ class TestValidation:
             import_model(path)
 
     def test_unknown_opcode(self, tmp_path):
-        blob = MAGIC + struct.pack("<H", FORMAT_VERSION)
-        blob += struct.pack("<B", 1) + b"x"
-        blob += struct.pack("<H", 2)
-        blob += struct.pack("<BHHBdd", 0, 3, 2, 0, 1 / 3, 0.25)
-        blob += struct.pack("<I", 1)
-        blob += struct.pack("<BI", 99, 0)
-        path = tmp_path / "bad.maqd"
-        path.write_bytes(blob)
-        with pytest.raises(ModelFormatError, match="unknown opcode 99"):
+        path, (at,) = write_stream(tmp_path, [rec(99)])
+        with pytest.raises(ModelFormatError, match=f"unknown opcode 99 at byte {at}"):
             import_model(path)
 
     def test_non_ascii_arch_name_names_its_byte(self, tmp_path):
@@ -226,16 +250,151 @@ class TestValidation:
             import_model(path)
 
     def test_record_length_mismatch(self, tmp_path):
-        blob = MAGIC + struct.pack("<H", FORMAT_VERSION)
-        blob += struct.pack("<B", 1) + b"x"
-        blob += struct.pack("<H", 2)
-        blob += struct.pack("<BHHBdd", 0, 3, 2, 0, 1 / 3, 0.25)
-        blob += struct.pack("<I", 1)
-        blob += struct.pack("<BI", 5, 1) + b"\x00"  # RELU with bogus payload
-        path = tmp_path / "bad.maqd"
-        path.write_bytes(blob)
+        path, _ = write_stream(tmp_path, [rec(OP_RELU, b"\x00")])  # a bogus payload
         with pytest.raises(ModelFormatError, match="length mismatch"):
             import_model(path)
+
+
+class TestStreamDefects:
+    """Each stream below parses, but no runtime could run it to logits: the
+    import rejects it, naming the byte of the offending record."""
+
+    @pytest.mark.parametrize("kernel,stride,in_ch,out_ch", [
+        (5, 1, 1, 2), (0, 1, 1, 2), (3, 0, 1, 2), (3, 3, 1, 2), (1, 1, 1, 0), (1, 1, 0, 2)],
+        ids=["kernel-5", "kernel-0", "stride-0", "stride-3", "no-outputs", "no-inputs"])
+    def test_unrunnable_conv(self, tmp_path, kernel, stride, in_ch, out_ch):
+        path, (_, at, _) = write_stream(tmp_path, [
+            conv_f(1, 1), conv_f(in_ch, out_ch, kernel, stride), rec(OP_GAP)])
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {at}: conv with kernel {kernel}, "
+                                 rf"stride {stride} and {in_ch} -> {out_ch} channels"):
+            import_model(path)
+
+    @pytest.mark.parametrize("m_a", [0, 1])
+    def test_act_q_needs_two_states(self, tmp_path, m_a):
+        path, (_, at, _) = write_stream(
+            tmp_path, [conv_f(2, 2), rec(OP_ACT_Q, struct.pack("<H", m_a)), rec(OP_GAP)])
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {at}: ACT_Q with m_a {m_a}"):
+            import_model(path)
+
+    @pytest.mark.parametrize("reader", [conv_f(3, 2), affine(3)], ids=["conv", "affine"])
+    def test_channel_count_must_match_the_previous_op(self, tmp_path, reader):
+        path, (_, at, _) = write_stream(tmp_path, [conv_f(1, 2), reader, rec(OP_GAP)])
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {at}: reads 3 channels, its input has 2"):
+            import_model(path)
+
+    @pytest.mark.parametrize("after", [conv_f(2, 2), affine(2), rec(OP_AP2), rec(OP_GAP)],
+                             ids=["conv", "affine", "ap2", "second-gap"])
+    def test_spatial_op_after_gap(self, tmp_path, after):
+        path, (_, _, at) = write_stream(tmp_path, [conv_f(1, 2), rec(OP_GAP), after])
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {at}: follows GAP, which flattened"):
+            import_model(path)
+
+    def test_act_q_and_relu_after_gap_run(self, tmp_path):
+        path, _ = write_stream(tmp_path, [
+            conv_f(1, 2), rec(OP_GAP), rec(OP_RELU), rec(OP_ACT_Q, struct.pack("<H", 4))])
+        logits = runtime_infer(import_model(path), np.full((3, 1, 4, 4), 0.2))
+        np.testing.assert_array_equal(logits, np.full((3, 2), 1 / 3))  # 0.2 rounds to 1/3
+
+    @pytest.mark.parametrize("s_branch,f_branch,ends", [
+        ([conv_f(2, 4)], [conv_f(2, 1)], r"\(4, 1, False\) and \(1, 1, False\)"),
+        ([rec(OP_AP2)], [conv_f(2, 2)], r"\(2, 2, False\) and \(2, 1, False\)"),
+        ([conv_f(2, 2, 3, 2)], [rec(OP_AP2), rec(OP_AP2)],
+         r"\(2, 2, False\) and \(2, 4, False\)"),
+        ([rec(OP_GAP)], [], r"\(2, 1, True\) and \(2, 1, False\)")],
+        ids=["channels", "downsampling", "stride-vs-pools", "flattening"])
+    def test_residual_branches_must_agree(self, tmp_path, s_branch, f_branch, ends):
+        path, offsets = write_stream(tmp_path, [
+            conv_f(1, 2), rec(OP_RES_BEGIN), *s_branch, rec(OP_RES_SEP), *f_branch,
+            rec(OP_RES_END), rec(OP_GAP)])
+        # the downsampling factors start at 1 after the first conv
+        with pytest.raises(ModelFormatError, match=rf"record at byte {offsets[1]}: "
+                                                   rf"residual branches end in .* {ends}"):
+            import_model(path)
+
+    def test_nesting_is_bounded(self, tmp_path):
+        depth = 65
+        path, offsets = write_stream(tmp_path, [
+            *[rec(OP_RES_BEGIN)] * depth, *[rec(OP_RES_SEP), rec(OP_RES_END)] * depth,
+            rec(OP_GAP)])
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {offsets[64]}: residual blocks nested"):
+            import_model(path)
+
+    def test_matching_residual_branches_run(self, tmp_path):
+        path, _ = write_stream(tmp_path, [
+            rec(OP_RES_BEGIN), conv_f(1, 2, 3, 2), rec(OP_RES_SEP), rec(OP_AP2),
+            conv_f(1, 2), rec(OP_RES_END), rec(OP_GAP)])
+        model = import_model(path)
+        assert model.in_ch == 1
+        assert [op.opcode for op in model.ops] == [OP_RES_BEGIN, OP_GAP]
+        s_ops, f_ops = model.ops[0].fields["s"], model.ops[0].fields["f"]
+        assert [op.opcode for op in s_ops] == [OP_CONV_F]
+        assert [op.opcode for op in f_ops] == [OP_AP2, OP_CONV_F]
+        logits = runtime_infer(model, np.ones((2, 1, 6, 6)))
+        # 3x3 stride-2 conv of ones, padded: per-output window sums averaged
+        # over the 3x3 map, plus the pooled 1x1 conv (1.0 everywhere)
+        windows = np.array([4, 6, 6, 6, 9, 9, 6, 9, 9])
+        np.testing.assert_allclose(logits, np.full((2, 2), windows.mean() + 1.0))
+
+
+@pytest.fixture(scope="module")
+def residual_file(tmp_path_factory):
+    """A small quantized model with a residual block, exported: (its
+    directory, its bytes, the offsets of its header fields, of its opcodes
+    and of the fields that head each record's payload)."""
+    rng = np.random.default_rng(40)
+    branch = lambda k: [NormLayer(NormKind.LBN, 2), ActQuant(CFG),
+                        Conv2d(2, 2, k, rng=rng, quant=CFG), NormLayer(NormKind.LBN, 2)]
+    graph = ModelGraph([Conv2d(1, 2, 3, rng=rng, quant=CFG), NormLayer(NormKind.LBN, 2),
+                        ActQuant(CFG), ResidualBlock(branch(3), branch(1)), AvgPool2(),
+                        Conv2d(2, 3, 1, rng=rng, quant=CFG), GlobalAvgPool()],
+                       "fuzz", 3, CFG, NormKind.LBN)
+    warm_up(graph)
+    path = tmp_path_factory.mktemp("fuzz") / "m.maqd"
+    export(graph, path)
+    blob = path.read_bytes()
+    at = 4 + 2 + 1 + len("fuzz") + 2 + struct.calcsize("<BHHBdd") + 4
+    heads = list(range(at))
+    while at < len(blob):  # the opcode and up to a conv's u16/u16/u8/u8 head
+        length = struct.unpack_from("<I", blob, at + 1)[0]
+        heads += [at, *range(at + 5, at + 5 + min(length, 6))]
+        at += 5 + length
+    return path.parent, blob, heads
+
+
+class TestMutatedFiles:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_and_runs_or_fails_typed(self, residual_file, data):
+        directory, blob, heads = residual_file
+        at = st.one_of(st.sampled_from(heads), st.integers(0, len(blob) - 1))
+        value = st.one_of(st.sampled_from([0, 1, 2, 3, 255]), st.integers(0, 255))
+        edits = data.draw(st.lists(st.tuples(at, value), min_size=1, max_size=3))
+        cut = data.draw(st.sampled_from([None, *range(len(blob))]))
+        mutated = bytearray(blob)
+        for at, value in edits:
+            mutated[at] = value
+        path = directory / "mutated.maqd"
+        path.write_bytes(bytes(mutated[:cut]))
+        try:
+            model = import_model(path)
+        except ModelFormatError:
+            return
+        images = np.random.default_rng(41).normal(size=(2, 1, 8, 8))
+        try:
+            with np.errstate(all="ignore"):
+                logits = runtime_infer(model, images)
+        except ValueError:
+            return
+        assert logits.shape == (2, model.class_count)
+
+    def test_unmutated_file_runs(self, residual_file):
+        model = import_model(residual_file[0] / "m.maqd")
+        assert runtime_infer(model, np.ones((2, 1, 8, 8))).shape == (2, 3)
 
 
 class TestRuntimeParity:
@@ -274,14 +433,16 @@ class TestRuntimeParity:
         report = parity_check(graph, model, images)
         assert report.max_abs_logit_diff < 1e-9
 
-    @pytest.mark.parametrize("codes", [
-        [OP_RES_BEGIN], [OP_RES_BEGIN, OP_RES_SEP], [OP_RES_BEGIN, OP_RES_END],
-        [OP_RES_SEP], [OP_RELU, OP_RES_END]],
+    @pytest.mark.parametrize("codes,bad", [
+        ([OP_RES_BEGIN], 0), ([OP_RES_BEGIN, OP_RES_SEP], 0), ([OP_RES_BEGIN, OP_RES_END], 0),
+        ([OP_RES_SEP], 0), ([OP_RELU, OP_RES_END], 1)],
         ids=["begin-only", "no-end", "no-sep", "stray-sep", "stray-end"])
-    def test_unbalanced_residual_markers_raise(self, codes):
-        model = RuntimeModel("res", 1, None, [RuntimeOp(c) for c in codes])
-        with pytest.raises(ModelFormatError, match="malformed residual block"):
-            runtime_infer(model, np.zeros((1, 1, 2, 2)))
+    def test_unbalanced_residual_markers_raise(self, tmp_path, codes, bad):
+        path, offsets = write_stream(tmp_path, [rec(c) for c in codes] + [rec(OP_GAP)],
+                                     class_count=1)
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {offsets[bad]}: malformed residual block"):
+            import_model(path)
 
     def test_channel_mismatch_raises(self, tmp_path):
         graph = tiny_graph()
@@ -293,21 +454,34 @@ class TestRuntimeParity:
 
 
 class TestRuntimeShapeErrors:
-    def _affine(self, c):
-        return RuntimeOp(OP_AFFINE, dict(channels=c, scale=np.ones(c), bias=np.zeros(c)))
-
     @pytest.mark.parametrize("c", [1, 3], ids=["broadcasting", "mismatched"])
-    def test_affine_channel_count_must_match_its_input(self, c):
-        model = RuntimeModel("x", 2, None, [self._affine(c), RuntimeOp(OP_GAP)])
-        with pytest.raises(ModelFormatError, match=f"AFFINE record 0 has {c} channels"):
-            runtime_infer(model, np.zeros((1, 2, 4, 4)))
+    def test_affine_channel_count_must_match_its_input(self, tmp_path, c):
+        path, (_, at, _) = write_stream(tmp_path, [conv_f(1, 2), affine(c), rec(OP_GAP)])
+        with pytest.raises(ModelFormatError,
+                           match=rf"record at byte {at}: reads {c} channels, its input has 2"):
+            import_model(path)
 
-    @pytest.mark.parametrize("ops", [[RuntimeOp(OP_GAP)], [RuntimeOp(OP_RELU)]],
-                             ids=["wrong-width", "not-pooled"])
-    def test_logits_must_have_class_count_width(self, ops):
-        model = RuntimeModel("x", 3, None, ops)
-        with pytest.raises(ModelFormatError, match=r"not \(1, 3\) logits"):
-            runtime_infer(model, np.zeros((1, 2, 4, 4)))
+    @pytest.mark.parametrize("last,ends", [
+        (OP_GAP, "in 2 channels, not 3 logits"),
+        (OP_RELU, "in 2 channels before GAP, not 3 logits")],
+        ids=["wrong-width", "not-pooled"])
+    def test_logits_must_have_class_count_width(self, tmp_path, last, ends):
+        path, _ = write_stream(tmp_path, [conv_f(1, 2), rec(last)], class_count=3)
+        end = path.stat().st_size
+        with pytest.raises(ModelFormatError, match=f"the stream ends at byte {end} {ends}"):
+            import_model(path)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 4), (3, 4, 4), (1, 1, 3, 4, 4)],
+                             ids=["channels", "3-d", "5-d"])
+    def test_input_must_be_images_of_the_stream_channels(self, tmp_path, shape):
+        # a stream with no conv or AFFINE takes class_count channels
+        path, _ = write_stream(tmp_path, [rec(OP_AP2), rec(OP_GAP)], class_count=3)
+        model = import_model(path)
+        assert model.in_ch == 3
+        assert runtime_infer(model, np.ones((1, 3, 4, 4))).shape == (1, 3)
+        with pytest.raises(ValueError,
+                           match=r"expected \(n, 3, h, w\) images with 3 channels"):
+            runtime_infer(model, np.zeros(shape))
 
 
 def _quantized_stack(cfg, in_ch, out_ch, kernel, stride, pooled, seed):
@@ -406,51 +580,3 @@ class TestIntegerCodeRuntime:
         images = np.random.default_rng(34).uniform(-0.2, 1.2, size=(2, 3, 4, 4))
         report = parity_check(graph, import_model(path), images)
         assert report.max_abs_logit_diff < 1e-9
-
-
-def conv_q_op(out_ch, in_ch, kernel, stride, states):
-    return RuntimeOp(OP_CONV_Q, dict(out_ch=out_ch, in_ch=in_ch, kernel=kernel,
-                                     stride=stride, qscale=7.5,
-                                     states=np.asarray(states, dtype=np.int16)))
-
-
-class TestOpCount:
-    def _model(self, ops):
-        return RuntimeModel(arch="x", class_count=2, quant=CFG, ops=ops)
-
-    def test_skips_zero_weights(self):
-        w = np.zeros((2, 9))
-        w[0, 0] = 1.0
-        w[1, 3] = -1.0
-        model = self._model([conv_q_op(2, 1, 3, 1, w)])
-        (count,) = opcount_report(model, (8, 8))
-        assert count.mults == 2 * 8 * 8
-        assert count.adds == count.mults
-
-    def test_binary_activation_zeroes_multiplies(self):
-        w = np.ones((2, 18))
-        ops = [RuntimeOp(OP_ACT_Q, dict(m_a=2)), conv_q_op(2, 2, 3, 1, w)]
-        (count,) = opcount_report(self._model(ops), (4, 4))
-        assert count.add_only_mults == 0
-        assert count.mults == 36 * 16
-
-    def test_multilevel_activation_keeps_multiplies(self):
-        w = np.ones((2, 18))
-        ops = [RuntimeOp(OP_ACT_Q, dict(m_a=4)), conv_q_op(2, 2, 3, 1, w)]
-        (count,) = opcount_report(self._model(ops), (4, 4))
-        assert count.add_only_mults == count.mults
-
-    def test_pooling_shrinks_spatial_extent(self):
-        w = np.ones((1, 9))
-        ops = [conv_q_op(1, 1, 3, 1, w),
-               RuntimeOp(OP_AP2),
-               conv_q_op(1, 1, 3, 1, w)]
-        first, second = opcount_report(self._model(ops), (8, 8))
-        assert first.mults == 9 * 64
-        assert second.mults == 9 * 16
-
-    def test_gap_then_1x1_head(self):
-        w = np.ones((3, 2))
-        ops = [RuntimeOp(OP_GAP), conv_q_op(3, 2, 1, 1, w)]
-        (count,) = opcount_report(self._model(ops), (8, 8))
-        assert count.mults == 6

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from maqd import export, network
-from maqd.export import (OP_AP2, OP_CONV_F, OP_GAP, RuntimeModel, RuntimeOp,
-                         _run_conv, runtime_infer)
+from maqd.export import _run_conv, import_model, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_cnn9,
                           build_model, build_preact_resnet, build_vgg)
@@ -17,7 +16,7 @@ RNG = lambda s=0: np.random.default_rng(s)
 class TestConv2d:
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_forward_matches_padded_window_einsum(self, dtype, kernel, stride):
+    def test_forward_matches_padded_window_einsum(self, tmp_path, dtype, kernel, stride):
         # Oracle for the column order of the patch matrix against the weight
         # order: both the trainer and the runtime conv against an einsum over
         # explicitly padded windows, odd height, even width, 3 channels.
@@ -34,8 +33,10 @@ class TestConv2d:
                             stride * j:stride * j + kernel] for j in range(wo)]
                         for i in range(ho)])              # (ho, wo, n, c, k, k)
         expected = np.einsum("ocab,hwncab->nohw", w, win)
-        op = RuntimeOp(OP_CONV_F, dict(out_ch=4, in_ch=3, kernel=kernel, stride=stride,
-                                       weights=w.reshape(4, -1)))
+        # the runtime's conv op, bound by the import of the exported conv
+        export.export(ModelGraph([conv, GlobalAvgPool()], "conv", 4, None, NormKind.LBN),
+                      tmp_path / "conv.maqd")
+        op = import_model(tmp_path / "conv.maqd").ops[0]
         y = conv.forward(x, Mode.EVAL)
         assert y.dtype == dtype
         for out in (y, _run_conv(op, x)):
@@ -124,7 +125,7 @@ class TestPooling:
         np.testing.assert_array_equal(p.forward(x, Mode.EVAL), 3.5)
 
     @pytest.mark.parametrize("dtype,rel", [(np.float32, 1e-6), (np.float64, 1e-15)])
-    def test_avgpool_forward_matches_reshape_mean(self, dtype, rel, monkeypatch):
+    def test_avgpool_forward_matches_reshape_mean(self, tmp_path, dtype, rel, monkeypatch):
         x = RNG(16).normal(size=(2, 3, 6, 4)).astype(dtype)
         y = AvgPool2().forward(x, Mode.EVAL)
         assert y.dtype == dtype
@@ -136,8 +137,9 @@ class TestPooling:
         monkeypatch.setattr(export, "_avg_pool2",
                             lambda a: pooled.append(network._avg_pool2(a)) or pooled[-1])
         x64 = x.astype(np.float64)
-        model = RuntimeModel("pool", 3, None, [RuntimeOp(OP_AP2), RuntimeOp(OP_GAP)])
-        runtime_infer(model, x64)
+        export.export(ModelGraph([AvgPool2(), GlobalAvgPool()], "pool", 3, None, NormKind.LBN),
+                      tmp_path / "pool.maqd")
+        runtime_infer(import_model(tmp_path / "pool.maqd"), x64)
         (got,) = pooled
         np.testing.assert_array_equal(got, AvgPool2().forward(x64, Mode.EVAL))
 
