@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: train, eval, export, infer, norm-bench, sweep. Hyperparameter
-precedence is flags > config file > defaults; the fully resolved config is
-echoed into the run directory's JSON summary. Config files are flat
-`key = value` text (same keys as the flags, kebab- or snake-case).
+Subcommands: train, eval, export, infer, norm-bench, sweep. Every
+`RunConfig` field is a flag (a bool is `--x` / `--no-x`) and a config-file
+key. Precedence is flags > config file > defaults; the fully resolved
+config is echoed into the run directory's JSON summary. Config files are
+flat UTF-8 `key = value` text (kebab- or snake-case keys).
 
 The dataset directory comes from --data-dir or the MAQD_DATA_DIR
 environment variable.
@@ -12,17 +13,19 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets, export as export_mod, network, training
-from .normalization import Mode, NormKind
+from .normalization import NormKind
 from .quantizer import QScaleMode, QuantConfig
 
 
@@ -31,79 +34,103 @@ class UsageError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that cannot be unpickled."""
+    """A checkpoint file that does not unpickle into a usable ModelGraph."""
 
 
-_ARCHS = ("vgg", "vgg-mini", "preact_resnet", "preact-mini", "cnn9", "cnn9-mini")
 _DATASETS = ("cifar10", "cifar100", "mnist", "blobs")
 
 
 @dataclass
 class RunConfig:
+    """Every setting of a run. Each field is a `--flag` (a bool also has
+    `--no-flag`) and a config-file key. The quantizer, loss and optimizer
+    defaults are those of QuantConfig, LossConfig and OptimState."""
+
     command: str
     architecture: str = "vgg"
     dataset: str = "cifar10"
     data_dir: str | None = None
-    m_w: int = 15
-    m_a: int = 8
-    qscale_mode: str = "half_mw"
-    gamma: float = 0.05
-    alpha: float = 0.25
-    s: float = 1.0 / 3.0
+    m_w: int = QuantConfig.m_w
+    m_a: int = QuantConfig.m_a
+    qscale_mode: str = QuantConfig.qscale_mode.value
+    gamma: float = training.LossConfig.gamma
+    alpha: float = QuantConfig.alpha
+    s: float = QuantConfig.s
     lr: float = 1e-2
     epochs: int = 300
     batch_size: int = 100
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    momentum: float = training.OptimState.momentum
+    weight_decay: float = training.OptimState.weight_decay
     seed: int = 42
     augment: bool = True
     quantize: bool = True
     quantize_head: bool = True
-    norm: str = "lbn"
+    norm: str = NormKind.LBN.value
     pad_to: int = 0
     out_dir: str = "runs/run"
     metrics_max_samples: int = 0
 
     def validate(self):
-        checks = [
-            ("architecture", self.architecture in _ARCHS, f"one of {_ARCHS}"),
-            ("dataset", self.dataset in _DATASETS, f"one of {_DATASETS}"),
-            ("m-w", self.m_w >= 3 and self.m_w % 2 == 1, "an odd integer >= 3"),
-            ("m-a", self.m_a >= 2, ">= 2"),
-            ("qscale-mode", self.qscale_mode in ("half_mw", "half_mw_minus_one"),
-             "half_mw or half_mw_minus_one"),
-            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
-            ("alpha", self.alpha > 0, "> 0"),
-            ("s", self.s > 0, "> 0"),
-            ("lr", self.lr > 0, "> 0"),
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("batch-size", self.batch_size >= 1, ">= 1"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-            ("weight-decay", self.weight_decay >= 0, ">= 0"),
-            ("norm", self.norm in ("bn", "ln", "lbn"), "bn, ln, or lbn"),
-            ("metrics-max-samples", self.metrics_max_samples >= 0, ">= 0"),
-        ]
-        for key, ok, expect in checks:
+        """The CLI checks the choice lists and the values only it reads; the
+        engine configs check the rest, and their messages start with the
+        name of the bad field."""
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise UsageError(f"{_flag(key)}: value must be one of {allowed}")
+        for key, ok, expect in [
+                ("lr", self.lr > 0, "> 0"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("metrics_max_samples", self.metrics_max_samples >= 0, ">= 0")]:
             if not ok:
-                raise UsageError(f"--{key}: value must be {expect}")
+                raise UsageError(f"{_flag(key)}: value must be {expect}")
+        try:
+            self.quant_config()
+            self.loss_config()
+            training.OptimState(learning_rate=self.lr, momentum=self.momentum,
+                                weight_decay=self.weight_decay)
+            datasets.BatchPlan(seed=self.seed, batch_size=self.batch_size)
+        except ValueError as e:
+            raise UsageError(f"{_flag(str(e).split()[0])}: {e}") from None
 
     def quant_config(self) -> QuantConfig | None:
-        if not self.quantize:
-            return None
-        mode = QScaleMode.HALF_MW if self.qscale_mode == "half_mw" \
-            else QScaleMode.HALF_MW_MINUS_ONE
-        return QuantConfig(m_w=self.m_w, m_a=self.m_a, qscale_mode=mode,
-                           s=self.s, alpha=self.alpha)
+        """The quantizer settings (built, and so checked, even when
+        quantization is off)."""
+        quant = QuantConfig(m_w=self.m_w, m_a=self.m_a, s=self.s, alpha=self.alpha,
+                            qscale_mode=QScaleMode(self.qscale_mode))
+        return quant if self.quantize else None
+
+    def loss_config(self) -> training.LossConfig:
+        return training.LossConfig(gamma=self.gamma)
 
 
+_CHOICES = {
+    "architecture": network.ARCHITECTURES,
+    "dataset": _DATASETS,
+    "qscale_mode": tuple(m.value for m in QScaleMode),
+    "norm": tuple(k.value for k in NormKind),
+}
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _field_type(key: str) -> type:
+    default = _DEFAULTS[key]
+    return str if default is None else type(default)
+
+
 def _read_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text at byte {e.start}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -119,29 +146,26 @@ def _read_config_file(path) -> dict:
 
 def _coerce(key: str, value: str, where: str):
     """A config-file value as the type of the key's default."""
-    default = _DEFAULTS[key]
+    kind = _field_type(key)
     try:
-        if isinstance(default, bool):
-            return _BOOLEANS[value.lower()]
-        if isinstance(default, (int, float)):
-            return type(default)(value)
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
     except (KeyError, ValueError):
         raise UsageError(f"{where}: {key.replace('_', '-')} = {value!r} is not a "
-                         f"valid {type(default).__name__}") from None
-    return value
+                         f"valid {kind.__name__}") from None
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def parse_config(argv: list[str]) -> tuple[RunConfig, argparse.Namespace]:
+    """The resolved and checked config, and the parsed arguments, which also
+    hold the subcommand's own options (checkpoint paths and the like)."""
+    args = _build_parser().parse_args(argv)
     if args.command is None:
         raise UsageError("a subcommand is required")
 
     resolved = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         resolved.update(_read_config_file(args.config))
     for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)  # argparse has typed it
+        flag_value = getattr(args, key)  # argparse has typed it
         if flag_value is not None:
             resolved[key] = flag_value
     if resolved["data_dir"] is None:
@@ -149,38 +173,20 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     cfg = RunConfig(command=args.command, **resolved)
     cfg.validate()
-    cfg._args = args  # subcommand-specific extras (checkpoint paths etc.)
-    return cfg
+    return cfg, args
 
 
 def _add_common_flags(p):
+    """A flag per RunConfig field, typed as its default; unset flags stay
+    None so the config file and the defaults show through."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--architecture", choices=_ARCHS)
-    p.add_argument("--dataset", choices=_DATASETS)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--m-w", dest="m_w", type=int)
-    p.add_argument("--m-a", dest="m_a", type=int)
-    p.add_argument("--qscale-mode", dest="qscale_mode",
-                   choices=("half_mw", "half_mw_minus_one"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--augment", dest="augment", action="store_const", const=True)
-    p.add_argument("--no-augment", dest="augment", action="store_const", const=False)
-    p.add_argument("--quantize", dest="quantize", action="store_const", const=True)
-    p.add_argument("--no-quantize", dest="quantize", action="store_const", const=False)
-    p.add_argument("--no-quantize-head", dest="quantize_head",
-                   action="store_const", const=False)
-    p.add_argument("--norm", choices=("bn", "ln", "lbn"))
-    p.add_argument("--pad-to", dest="pad_to", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--metrics-max-samples", dest="metrics_max_samples", type=int)
+    for key, default in _DEFAULTS.items():
+        if isinstance(default, bool):
+            p.add_argument(_flag(key), action=argparse.BooleanOptionalAction,
+                           help=f"default: {'on' if default else 'off'}")
+        else:
+            p.add_argument(_flag(key), type=_field_type(key),
+                           choices=_CHOICES.get(key), help=f"default: {default}")
 
 
 def _build_parser():
@@ -231,74 +237,97 @@ def _load_dataset(cfg: RunConfig):
     return datasets.load_cifar(cfg.data_dir, variant)
 
 
-def _build(cfg: RunConfig, class_count: int, in_channels: int, dtype=np.float32):
-    return network.build_model(
-        cfg.architecture, class_count, quant=cfg.quant_config(),
-        norm_kind=NormKind(cfg.norm), quantize_head=cfg.quantize_head,
-        seed=cfg.seed, dtype=dtype, in_channels=in_channels)
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-
-
 def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
     out_dir = Path(out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, test_set = _load_dataset(cfg)
-    graph = _build(cfg, train_set.class_count, train_set.images.shape[1])
-    loss_cfg = training.LossConfig(gamma=cfg.gamma)
+    graph = network.build_model(
+        cfg.architecture, train_set.class_count, quant=cfg.quant_config(),
+        norm_kind=NormKind(cfg.norm), quantize_head=cfg.quantize_head,
+        seed=cfg.seed, dtype=np.float32, in_channels=train_set.images.shape[1])
     log = training.train(
         graph, train_set, test_set, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        loss_cfg=loss_cfg, base_lr=cfg.lr, momentum=cfg.momentum,
+        loss_cfg=cfg.loss_config(), base_lr=cfg.lr, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, seed=cfg.seed, augment=cfg.augment,
         metrics_max_samples=cfg.metrics_max_samples or None)
 
     with open(out_dir / "config.json", "w") as f:
-        json.dump(_config_dict(cfg), f, indent=2)
+        json.dump(asdict(cfg), f, indent=2)
     training.write_training_log(out_dir / "training_log.csv", log)
     training.write_sparsity_csv(out_dir / "sparsity.csv", log[-1])
     with open(out_dir / "checkpoint.pkl", "wb") as f:
         pickle.dump(graph, f)
-    export_mod.export(graph, out_dir / "model.maqd")
+    if graph.norm_kind is NormKind.LN:
+        print("skipped model.maqd: LN recomputes statistics per sample and "
+              "cannot be folded into the runtime")
+    else:
+        export_mod.export(graph, out_dir / "model.maqd")
     # Last: a sweep takes the summary as the sign that the cell is complete.
-    training.write_summary_json(out_dir / "summary.json", _config_dict(cfg), log)
+    training.write_summary_json(out_dir / "summary.json", asdict(cfg), log)
     return out_dir
 
 
-def _load_checkpoint(path) -> network.ModelGraph:
+class _Unpickler(pickle._Unpickler):
+    """The pure-Python unpickler, taking a numpy dtype only in the state
+    numpy itself writes: `np.dtype.__setstate__` can crash the process on a
+    damaged state tuple."""
+
+    dispatch = dict(pickle._Unpickler.dispatch)
+
+    def load_build(self):
+        state, inst = self.stack[-1], self.stack[-2]
+        if isinstance(inst, np.dtype) and state != inst.__reduce__()[2]:
+            raise pickle.UnpicklingError(f"damaged numpy dtype state {state!r}")
+        super().load_build()
+
+    dispatch[pickle.BUILD[0]] = load_build
+
+
+@contextlib.contextmanager
+def _checkpoint(path):
+    """The checkpoint's ModelGraph. Pickle has no schema, so a damaged file
+    can also load into objects the engine cannot use; the errors those raise
+    in the `with` body (a missing attribute, a value of the wrong type or
+    shape) name the file as well."""
     with open(path, "rb") as f:
         try:
-            graph = pickle.load(f)
-        except (pickle.UnpicklingError, EOFError) as e:  # not a pickle, or truncated
+            graph = _Unpickler(f).load()
+        except Exception as e:  # a damaged pickle can raise almost anything
             raise CheckpointError(f"{path}: not a readable checkpoint "
                                   f"({type(e).__name__}: {e})") from None
-    return graph
+    if not isinstance(graph, network.ModelGraph):
+        raise CheckpointError(f"{path}: not a readable checkpoint (it holds a "
+                              f"{type(graph).__name__}, not a ModelGraph)")
+    try:
+        yield graph
+    except (AttributeError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: unusable checkpoint "
+                              f"({type(e).__name__}: {e})") from None
 
 
-def _cmd_train(cfg):
+def _cmd_train(cfg, args):
     out = _run_train(cfg)
     print(f"run complete: {out}")
     return 0
 
 
-def _cmd_eval(cfg):
-    graph = _load_checkpoint(cfg._args.checkpoint)
+def _cmd_eval(cfg, args):
     _, test_set = _load_dataset(cfg)
-    res = training.evaluate(graph, test_set, training.LossConfig(gamma=cfg.gamma))
+    with _checkpoint(args.checkpoint) as graph:
+        res = training.evaluate(graph, test_set, cfg.loss_config())
     print(json.dumps({"test_loss": res.loss, "test_acc": res.acc, "r_a": res.r_a}))
     return 0
 
 
-def _cmd_export(cfg):
-    graph = _load_checkpoint(cfg._args.checkpoint)
-    export_mod.export(graph, cfg._args.out)
-    print(f"exported {cfg._args.out}")
+def _cmd_export(cfg, args):
+    with _checkpoint(args.checkpoint) as graph:
+        export_mod.export(graph, args.out)
+    print(f"exported {args.out}")
     return 0
 
 
-def _cmd_infer(cfg):
-    model = export_mod.import_model(cfg._args.model)
+def _cmd_infer(cfg, args):
+    model = export_mod.import_model(args.model)
     _, test_set = _load_dataset(cfg)
     logits = []
     for start in range(0, test_set.images.shape[0], cfg.batch_size):
@@ -307,31 +336,32 @@ def _cmd_infer(cfg):
     logits = np.concatenate(logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == test_set.labels))
     report = {"samples": int(test_set.images.shape[0]), "accuracy": acc}
-    if getattr(cfg._args, "checkpoint", None):
-        graph = _load_checkpoint(cfg._args.checkpoint)
-        parity = export_mod.parity_check(graph, model, test_set.images, cfg.batch_size)
+    if args.checkpoint:
+        with _checkpoint(args.checkpoint) as graph:
+            parity = export_mod.parity_check(graph, model, test_set.images,
+                                             cfg.batch_size)
         report["parity"] = asdict(parity)
     text = json.dumps(report, indent=2)
-    if getattr(cfg._args, "report", None):
-        Path(cfg._args.report).write_text(text)
+    if args.report:
+        Path(args.report).write_text(text)
     print(text)
     return 0
 
 
-def _cmd_norm_bench(cfg):
+def _cmd_norm_bench(cfg, args):
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, test_set = _load_dataset(cfg)
-    subset = cfg._args.train_subset
+    subset = args.train_subset
     if subset:
         train_set = datasets.LabeledImageSet(
             train_set.images[:subset], train_set.labels[:subset], train_set.class_count)
     rows = training.norm_comparison_experiment(
         train_set, test_set,
-        batch_sizes=[int(b) for b in cfg._args.batch_sizes.split(",")],
-        variants=cfg._args.variants.split(","),
+        batch_sizes=[int(b) for b in args.batch_sizes.split(",")],
+        variants=args.variants.split(","),
         epochs=cfg.epochs, base_lr_at_128=cfg.lr, weight_decay=cfg.weight_decay,
-        seeds=[int(s) for s in cfg._args.seeds.split(",")],
+        seeds=[int(s) for s in args.seeds.split(",")],
         arch=cfg.architecture,
         metrics_max_samples=cfg.metrics_max_samples or None,
         progress=lambda r: print(f"{r.variant} N={r.batch_size} seed={r.seed}: "
@@ -341,13 +371,13 @@ def _cmd_norm_bench(cfg):
     return 0
 
 
-def _cmd_sweep(cfg):
+def _cmd_sweep(cfg, args):
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = [(int(mw), int(ma))
-            for mw in cfg._args.m_w_grid.split(",")
-            for ma in cfg._args.m_a_grid.split(",")]
-    cells = [("nonquantized", None, None)] if cfg._args.include_nonquantized else []
+            for mw in args.m_w_grid.split(",")
+            for ma in args.m_a_grid.split(",")]
+    cells = [("nonquantized", None, None)] if args.include_nonquantized else []
     cells += [(f"mw{mw}_ma{ma}", mw, ma) for mw, ma in grid]
 
     rows = []
@@ -357,11 +387,8 @@ def _cmd_sweep(cfg):
         if summary_path.exists():
             print(f"skipping completed cell {name}")
         else:
-            cell_cfg = RunConfig(**{**_config_dict(cfg), "command": "train"})
-            if mw is None:
-                cell_cfg.quantize = False
-            else:
-                cell_cfg.m_w, cell_cfg.m_a = mw, ma
+            changes = {"quantize": False} if mw is None else {"m_w": mw, "m_a": ma}
+            cell_cfg = replace(cfg, command="train", **changes)
             cell_cfg.validate()
             _run_train(cell_cfg, cell_dir)
         with open(summary_path) as f:
@@ -369,7 +396,6 @@ def _cmd_sweep(cfg):
         rows.append({"m_w": mw, "m_a": ma, "accuracy": final["test_acc"],
                      "r_w": final["r_w"], "r_a": final["r_a"]})
 
-    import csv
     with open(out_dir / "sweep.csv", "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["m_w", "m_a", "accuracy", "r_w", "r_a"])
         writer.writeheader()
@@ -391,9 +417,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
-        return _COMMANDS[cfg.command](cfg)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+        cfg, args = parse_config(argv)
+        return _COMMANDS[cfg.command](cfg, args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

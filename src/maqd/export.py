@@ -61,7 +61,7 @@ import numpy as np
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                       NormLayer, ReLU, ResidualBlock, _avg_pool2, _im2col,
                       _tap_major)
-from .normalization import Mode, WSState, fold_normalization, weight_standardize
+from .normalization import Mode, fold_normalization, weight_standardize
 from .quantizer import (QScaleMode, QuantConfig, quantize_activation,
                         quantize_weight, round_half_away)
 
@@ -93,7 +93,7 @@ def _export_weights(conv: Conv2d) -> np.ndarray:
     """The conv's (out, in*k*k) float64 weight rows, standardized under WS."""
     w2d = conv.weight.data.reshape(conv.out_ch, -1).astype(np.float64)
     if conv.weight_standardized:
-        w2d, _ = weight_standardize(WSState(w2d, eps=conv.ws_eps))
+        w2d, _ = weight_standardize(w2d)
     return w2d
 
 

@@ -1,5 +1,8 @@
-"""Model assembly: convolution, pooling, layer graph, and the three
-architectures (VGG string, pre-activation ResNet block grammar, 9-layer CNN).
+"""Model assembly: convolution, pooling, layer graph, and `build_model`,
+which makes every name in `ARCHITECTURES`: a VGG stack, a pre-activation
+residual net and a 9-layer CNN, each full size or mini. An architecture is
+a body function (plain conv-norm-act groups, or residual blocks) and its
+plan; `build_model` adds the shared classifier head.
 
 Layers record their forward caches on themselves (the tape); backward walks
 the layer list in reverse, composing each layer's exact or surrogate
@@ -22,8 +25,8 @@ from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
-from .normalization import (Mode, NormKind, NormLayerState, WSState,
-                            norm_backward, norm_forward, weight_standardize,
+from .normalization import (Mode, NormKind, NormLayerState, norm_backward,
+                            norm_forward, weight_standardize,
                             weight_standardize_backward)
 from .quantizer import (QuantConfig, QuantKind, quantize_tensor_backward,
                         quantize_tensor_forward)
@@ -114,8 +117,7 @@ class Conv2d:
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
                  rng: np.random.Generator, weight_standardized: bool = True,
-                 quant: QuantConfig | None = None, ws_eps: float = 1e-10,
-                 dtype=np.float64):
+                 quant: QuantConfig | None = None, dtype=np.float64):
         if kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {kernel}")
         if stride not in (1, 2):
@@ -125,7 +127,6 @@ class Conv2d:
         self.padding = 1 if kernel == 3 else 0
         self.weight_standardized = weight_standardized
         self.quant = quant
-        self.ws_eps = ws_eps
         fan_in = in_ch * kernel * kernel
         init = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, kernel, kernel))
         self.weight = Param(name="weight", data=init.astype(dtype), decay=True)
@@ -140,7 +141,7 @@ class Conv2d:
         w2d = self.weight.data.reshape(self.out_ch, -1)
         ws_cache = None
         if self.weight_standardized:
-            w2d, ws_cache = weight_standardize(WSState(w2d, eps=self.ws_eps))
+            w2d, ws_cache = weight_standardize(w2d)
         q_saved = None
         if self.quant is not None:
             w2d, q_saved = quantize_tensor_forward(w2d, QuantKind.WEIGHT, self.quant)
@@ -185,10 +186,8 @@ class Conv2d:
 class NormLayer:
     """Wraps a NormLayerState as a graph node."""
 
-    def __init__(self, kind: NormKind, channels: int, eps: float = 1e-5,
-                 ema_rate: float = 0.1, dtype=np.float64):
-        self.state = NormLayerState.create(kind, channels, eps=eps,
-                                           ema_rate=ema_rate, dtype=dtype)
+    def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
+        self.state = NormLayerState.create(kind, channels, dtype=dtype)
         self.g = Param(name="g", data=self.state.g)
         self.b = Param(name="b", data=self.state.b)
         self.cache = None
@@ -420,135 +419,88 @@ class ModelGraph:
         return sum(layer.cache_nbytes() for layer in self.layers)
 
 
-def _conv_norm_act(layers, in_ch, out_ch, kernel, stride, *, norm_kind, quant,
-                   rng, dtype, use_ws):
-    layers.append(Conv2d(in_ch, out_ch, kernel, stride, rng=rng,
-                         weight_standardized=use_ws, quant=quant, dtype=dtype))
-    layers.append(NormLayer(norm_kind, out_ch, dtype=dtype))
-    layers.append(ActQuant(quant) if quant is not None else ReLU())
-
-
-def _head(layers, in_ch, num_classes, *, quant, quantize_head, rng, dtype, use_ws):
-    head_quant = quant if (quant is not None and quantize_head) else None
-    layers.append(Conv2d(in_ch, num_classes, kernel=1, stride=1, rng=rng,
-                         weight_standardized=use_ws, quant=head_quant, dtype=dtype))
-    layers.append(GlobalAvgPool())
-
-
 # Conv plans: each entry is a (channels, repeat) group; "AP" inserts pooling.
 _VGG_PLAN = [(64, 2), (128, 2), "AP", (256, 4), "AP", (512, 4), "AP", (512, 4)]
 _VGG_MINI_PLAN = [(16, 2), "AP", (32, 2), "AP", (64, 2)]
 _CNN9_PLAN = [(64, 2), "AP", (128, 2), "AP", (256, 2), "AP", (512, 2)]
 _CNN9_MINI_PLAN = [(32, 2), "AP", (64, 2), "AP", (128, 2), "AP", (256, 2)]
+# (channels, stride) per residual block.
+_RESNET_PLAN = [(64, 1), (128, 1), (256, 2), (256, 2), (512, 2), (512, 2), (512, 2), (512, 2)]
+_RESNET_MINI_PLAN = [(16, 1), (32, 2), (64, 2)]
 
 
-def _build_plain(plan, num_classes, *, norm_kind, quant, quantize_head, seed,
-                 dtype, use_ws, in_channels, arch):
-    rng = np.random.default_rng(seed)
+def _plain_body(plan, ch, extent, conv, norm, act):
+    """Conv-norm-act layers per plan group, with a 2x2 average pool at each
+    "AP"."""
     layers: list = []
-    ch = in_channels
     for entry in plan:
         if entry == "AP":
             layers.append(AvgPool2())
             continue
         out_ch, repeat = entry
         for _ in range(repeat):
-            _conv_norm_act(layers, ch, out_ch, 3, 1, norm_kind=norm_kind,
-                           quant=quant, rng=rng, dtype=dtype, use_ws=use_ws)
+            layers += [conv(ch, out_ch), norm(out_ch), act()]
             ch = out_ch
-    _head(layers, ch, num_classes, quant=quant, quantize_head=quantize_head,
-          rng=rng, dtype=dtype, use_ws=use_ws)
-    return ModelGraph(layers, arch, num_classes, quant, norm_kind)
+    return layers, ch
 
 
-def build_vgg(num_classes: int = 10, *, quant: QuantConfig | None = None,
-              norm_kind: NormKind = NormKind.LBN, quantize_head: bool = True,
-              seed: int = 42, dtype=np.float64, use_ws: bool = True,
-              in_channels: int = 3, mini: bool = False) -> ModelGraph:
-    """VGG-style stack: 16 conv layers (6 in the mini variant) plus a 1x1
-    classifier head followed by global average pooling."""
-    plan = _VGG_MINI_PLAN if mini else _VGG_PLAN
-    return _build_plain(plan, num_classes, norm_kind=norm_kind, quant=quant,
-                        quantize_head=quantize_head, seed=seed, dtype=dtype,
-                        use_ws=use_ws, in_channels=in_channels,
-                        arch="vgg-mini" if mini else "vgg")
+def _preact_body(plan, ch, extent, conv, norm, act):
+    """Pre-activation residual blocks. Each sums a long branch
+    (norm-act-conv-norm-act-conv-norm) and a short branch
+    (norm-act-conv-norm). Stride-2 blocks downsample with a 2x2 average pool
+    in front of the block and keep stride-1 convolutions; the pool is
+    skipped once the spatial extent has collapsed to 1."""
+    def branch(c, out_ch, n_convs):
+        layers: list = []
+        for _ in range(n_convs):
+            layers += [norm(c), act(), conv(c, out_ch)]
+            c = out_ch
+        return layers + [norm(out_ch)]
 
-
-def build_cnn9(num_classes: int = 100, *, quant: QuantConfig | None = None,
-               norm_kind: NormKind = NormKind.LBN, quantize_head: bool = True,
-               seed: int = 42, dtype=np.float64, use_ws: bool = True,
-               in_channels: int = 3, mini: bool = False) -> ModelGraph:
-    """9-conv CNN (8 body convs + head) used by the normalization benchmark."""
-    plan = _CNN9_MINI_PLAN if mini else _CNN9_PLAN
-    return _build_plain(plan, num_classes, norm_kind=norm_kind, quant=quant,
-                        quantize_head=quantize_head, seed=seed, dtype=dtype,
-                        use_ws=use_ws, in_channels=in_channels,
-                        arch="cnn9-mini" if mini else "cnn9")
-
-
-# (channels, stride) per residual block.
-_RESNET_PLAN = [(64, 1), (128, 1), (256, 2), (256, 2), (512, 2), (512, 2), (512, 2), (512, 2)]
-_RESNET_MINI_PLAN = [(16, 1), (32, 2), (64, 2)]
-
-
-def _res_branch(in_ch, out_ch, n_convs, *, norm_kind, quant, rng, dtype, use_ws):
     layers: list = []
-    ch = in_ch
-    for _ in range(n_convs):
-        layers.append(NormLayer(norm_kind, ch, dtype=dtype))
-        layers.append(ActQuant(quant) if quant is not None else ReLU())
-        layers.append(Conv2d(ch, out_ch, 3, 1, rng=rng, weight_standardized=use_ws,
-                             quant=quant, dtype=dtype))
-        ch = out_ch
-    layers.append(NormLayer(norm_kind, out_ch, dtype=dtype))
-    return layers
-
-
-def build_preact_resnet(num_classes: int = 10, *, quant: QuantConfig | None = None,
-                        norm_kind: NormKind = NormKind.LBN, quantize_head: bool = True,
-                        seed: int = 42, dtype=np.float64, use_ws: bool = True,
-                        in_channels: int = 3, input_hw: int = 32,
-                        mini: bool = False) -> ModelGraph:
-    """Pre-activation residual net built from two-branch blocks.
-
-    Each block sums a long branch (norm-act-conv-norm-act-conv-norm) and a
-    short branch (norm-act-conv-norm). Stride-2 blocks downsample with a 2x2
-    average pool in front of the block and keep stride-1 convolutions; the
-    pool is skipped once the spatial extent has collapsed to 1.
-    """
-    plan = _RESNET_MINI_PLAN if mini else _RESNET_PLAN
-    rng = np.random.default_rng(seed)
-    layers: list = []
-    ch = in_channels
-    extent = input_hw
     for out_ch, stride in plan:
         if stride == 2 and extent > 1:
             layers.append(AvgPool2())
             extent //= 2
-        s_branch = _res_branch(ch, out_ch, 2, norm_kind=norm_kind, quant=quant,
-                               rng=rng, dtype=dtype, use_ws=use_ws)
-        f_branch = _res_branch(ch, out_ch, 1, norm_kind=norm_kind, quant=quant,
-                               rng=rng, dtype=dtype, use_ws=use_ws)
-        layers.append(ResidualBlock(s_branch, f_branch))
+        layers.append(ResidualBlock(branch(ch, out_ch, 2), branch(ch, out_ch, 1)))
         ch = out_ch
-    _head(layers, ch, num_classes, quant=quant, quantize_head=quantize_head,
-          rng=rng, dtype=dtype, use_ws=use_ws)
-    return ModelGraph(layers, "preact-mini" if mini else "preact_resnet",
-                      num_classes, quant, norm_kind)
+    return layers, ch
 
 
-_BUILDERS = {
-    "vgg": lambda **kw: build_vgg(mini=False, **kw),
-    "vgg-mini": lambda **kw: build_vgg(mini=True, **kw),
-    "preact_resnet": lambda **kw: build_preact_resnet(mini=False, **kw),
-    "preact-mini": lambda **kw: build_preact_resnet(mini=True, **kw),
-    "cnn9": lambda **kw: build_cnn9(mini=False, **kw),
-    "cnn9-mini": lambda **kw: build_cnn9(mini=True, **kw),
+# Each architecture's body function and plan.
+_BODIES = {
+    "vgg": (_plain_body, _VGG_PLAN),                 # 16 convs
+    "vgg-mini": (_plain_body, _VGG_MINI_PLAN),       # 6 convs
+    "preact_resnet": (_preact_body, _RESNET_PLAN),
+    "preact-mini": (_preact_body, _RESNET_MINI_PLAN),
+    "cnn9": (_plain_body, _CNN9_PLAN),               # 8 convs, the norm benchmark's
+    "cnn9-mini": (_plain_body, _CNN9_MINI_PLAN),
 }
+ARCHITECTURES = tuple(_BODIES)
 
 
-def build_model(arch: str, num_classes: int, **kwargs) -> ModelGraph:
-    if arch not in _BUILDERS:
-        raise ValueError(f"unknown architecture {arch!r}; expected one of {sorted(_BUILDERS)}")
-    return _BUILDERS[arch](num_classes=num_classes, **kwargs)
+def build_model(arch: str, num_classes: int, *, quant: QuantConfig | None = None,
+                norm_kind: NormKind = NormKind.LBN, quantize_head: bool = True,
+                seed: int = 42, dtype=np.float64, use_ws: bool = True,
+                in_channels: int = 3, input_hw: int = 32) -> ModelGraph:
+    """The named architecture's body, then a 1x1 classifier conv (quantized
+    unless `quantize_head` is false) and global average pooling. Every conv
+    draws its initial weights, in layer order, from one generator seeded with
+    `seed`. `input_hw` is the input's spatial extent, which only the
+    residual nets read."""
+    if arch not in _BODIES:
+        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    body, plan = _BODIES[arch]
+    rng = np.random.default_rng(seed)
 
+    def make_conv(c_in, c_out, kernel, q):
+        return Conv2d(c_in, c_out, kernel, rng=rng, weight_standardized=use_ws,
+                      quant=q, dtype=dtype)
+
+    layers, ch = body(plan, in_channels, input_hw,
+                      conv=lambda c_in, c_out: make_conv(c_in, c_out, 3, quant),
+                      norm=lambda c: NormLayer(norm_kind, c, dtype=dtype),
+                      act=lambda: ActQuant(quant) if quant is not None else ReLU())
+    layers += [make_conv(ch, num_classes, 1, quant if quantize_head else None),
+               GlobalAvgPool()]
+    return ModelGraph(layers, arch, num_classes, quant, norm_kind)

@@ -37,7 +37,7 @@ outside the square root).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +75,10 @@ class NormLayerState:
     running_var: np.ndarray | None = None
 
     @classmethod
-    def create(cls, kind: NormKind, channels: int, eps: float = 1e-5,
-               ema_rate: float = 0.1, dtype=np.float64) -> "NormLayerState":
+    def create(cls, kind: NormKind, channels: int, dtype=np.float64,
+               **settings) -> "NormLayerState":
+        """Fresh g = 1, b = 0 and running statistics (0, 1) in `dtype`;
+        `settings` may set eps and ema_rate."""
         if kind is NormKind.BN:
             rm = np.zeros(channels, dtype=dtype)
             rv = np.ones(channels, dtype=dtype)
@@ -88,8 +90,7 @@ class NormLayerState:
         return cls(kind=kind,
                    g=np.ones(channels, dtype=dtype),
                    b=np.zeros(channels, dtype=dtype),
-                   eps=eps, ema_rate=ema_rate,
-                   running_mean=rm, running_var=rv)
+                   running_mean=rm, running_var=rv, **settings)
 
     @property
     def channels(self) -> int:
@@ -195,18 +196,6 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
 
 
 @dataclass
-class WSState:
-    """Raw weights viewed as (out, fan_in) rows, plus the stabilizer."""
-
-    weight: np.ndarray
-    eps: float = 1e-10
-
-    def __post_init__(self):
-        if self.weight.ndim != 2 or self.weight.shape[1] < 1:
-            raise ValueError(f"expected (out, fan_in) weights, got {self.weight.shape}")
-
-
-@dataclass
 class WSCache:
     w: np.ndarray
     mu: np.ndarray
@@ -215,13 +204,15 @@ class WSCache:
     fan_in: int
 
 
-def weight_standardize(ws: WSState):
-    """Per-row standardization: (W - mu) / (sqrt(fan_in) * sigma + eps)."""
-    w = ws.weight
+def weight_standardize(w: np.ndarray, eps: float = 1e-10):
+    """Per-row standardization of (out, fan_in) weights:
+    (W - mu) / (sqrt(fan_in) * sigma + eps). Returns (w_hat, cache)."""
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise ValueError(f"expected (out, fan_in) weights, got {w.shape}")
     fan_in = w.shape[1]
     mu = np.mean(w, axis=1, keepdims=True, dtype=np.float64)
     sigma = np.sqrt(np.mean(np.square(w.astype(np.float64) - mu), axis=1, keepdims=True))
-    denom = np.sqrt(fan_in) * sigma + ws.eps
+    denom = np.sqrt(fan_in) * sigma + eps
     w_hat = ((w - mu) / denom).astype(w.dtype)
     cache = WSCache(w=w, mu=mu.astype(w.dtype), sigma=sigma.astype(w.dtype),
                     denom=denom.astype(w.dtype), fan_in=fan_in)

@@ -11,7 +11,6 @@ test sample and then over samples).
 from __future__ import annotations
 
 import csv
-import enum
 import json
 import os
 import time
@@ -25,15 +24,9 @@ from .network import ModelGraph, Param
 from .normalization import Mode, NormKind
 
 
-class MseTarget(enum.Enum):
-    LOGITS = "logits"
-    PROBS = "probs"
-
-
 @dataclass(frozen=True)
 class LossConfig:
     gamma: float = 0.05
-    mse_target: MseTarget = MseTarget.LOGITS
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -42,7 +35,7 @@ class LossConfig:
 
 def combined_loss(logits: np.ndarray, labels: np.ndarray,
                   cfg: LossConfig = LossConfig()):
-    """(1-gamma)*CE + gamma*MSE against the one-hot label.
+    """(1-gamma)*CE + gamma*MSE of the logits against the one-hot label.
 
     CE is averaged over the batch; MSE over batch and classes. Returns the
     scalar loss and the exact gradient w.r.t. the logits.
@@ -61,16 +54,9 @@ def combined_loss(logits: np.ndarray, labels: np.ndarray,
     ce = -np.mean(log_softmax(logits64, axis=1)[np.arange(n), labels])
     grad_ce = (probs - one_hot) / n
 
-    if cfg.mse_target is MseTarget.LOGITS:
-        diff = logits64 - one_hot
-        mse = np.mean(diff ** 2)
-        grad_mse = 2.0 * diff / (n * k)
-    else:
-        diff = probs - one_hot
-        mse = np.mean(diff ** 2)
-        # d softmax jacobian: diag(p) - p p^T, applied per row
-        inner = 2.0 * diff / (n * k)
-        grad_mse = probs * (inner - np.sum(inner * probs, axis=1, keepdims=True))
+    diff = logits64 - one_hot
+    mse = np.mean(diff ** 2)
+    grad_mse = 2.0 * diff / (n * k)
 
     loss = (1.0 - cfg.gamma) * ce + cfg.gamma * mse
     grad = (1.0 - cfg.gamma) * grad_ce + cfg.gamma * grad_mse
@@ -108,20 +94,12 @@ def sgd_momentum_step(params: list[Param], opt: OptimState):
         p.data -= opt.learning_rate * v
 
 
-@dataclass
-class ScheduleState:
-    base_lr: float
-    total_epochs: int
-    current_epoch: int = 0
-
-    def __post_init__(self):
-        if self.current_epoch > self.total_epochs:
-            raise ValueError("current_epoch exceeds total_epochs")
-
-
-def cosine_lr(sched: ScheduleState) -> float:
-    """Cosine annealing from base_lr to 0, no restarts."""
-    return sched.base_lr * 0.5 * (1.0 + np.cos(np.pi * sched.current_epoch / sched.total_epochs))
+def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
+    """Cosine annealing from base_lr at epoch 0 to 0 at total_epochs, no
+    restarts."""
+    if epoch > total_epochs:
+        raise ValueError(f"epoch {epoch} exceeds total_epochs {total_epochs}")
+    return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
 
 
 def scaled_lr_for_batch(base_lr_at_128: float, batch_size: int) -> float:
@@ -229,7 +207,6 @@ def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageS
     """Full training loop; deterministic given the seed. Returns one record
     per epoch (plus an initial-state record when epochs == 0)."""
     opt = OptimState(learning_rate=base_lr, momentum=momentum, weight_decay=weight_decay)
-    sched = ScheduleState(base_lr=base_lr, total_epochs=max(epochs, 1))
     params = graph.parameters()
     log: list[EpochRecord] = []
 
@@ -248,8 +225,7 @@ def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageS
 
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        sched.current_epoch = epoch
-        opt.learning_rate = cosine_lr(sched)
+        opt.learning_rate = cosine_lr(base_lr, epoch, epochs)
         plan = BatchPlan(seed=seed + epoch, batch_size=batch_size, shuffle=True,
                          pad_crop=augment, hflip=augment)
         loss_sum = 0.0

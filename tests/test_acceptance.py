@@ -16,7 +16,7 @@ from maqd.datasets import LabeledImageSet, load_cifar, load_mnist_idx, pad_image
 from maqd.export import export, import_model, parity_check
 from maqd.network import (Conv2d, GlobalAvgPool, ModelGraph, NormLayer, ReLU,
                           build_model)
-from maqd.normalization import Mode, NormKind, NormLayerState, WSState, \
+from maqd.normalization import Mode, NormKind, NormLayerState, \
     norm_forward, weight_standardize
 from maqd.quantizer import (QScaleMode, QuantConfig, activation_surrogate_grad,
                             quantize_activation, quantize_weight, thresholds)
@@ -186,7 +186,7 @@ class TestCriterion6:
     def test_criterion_6(self, shape):
         rng = np.random.default_rng(18)
         w = rng.normal(loc=0.5, scale=2.0, size=shape)
-        w_hat, _ = weight_standardize(WSState(w))
+        w_hat, _ = weight_standardize(w)
         fan_in = shape[1]
         assert np.all(np.abs(w_hat.mean(axis=1)) < 1e-8)
         assert np.all(np.abs(w_hat.std(axis=1) - 1 / np.sqrt(fan_in)) < 1e-6)

@@ -1,13 +1,16 @@
+import argparse
 import csv
 import json
 import pickle
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from maqd import cli
 from maqd.cli import RunConfig, UsageError, main, parse_config
 from maqd.export import export, import_model
-from maqd.network import Conv2d, GlobalAvgPool, ModelGraph, build_model
+from maqd.network import ARCHITECTURES, Conv2d, GlobalAvgPool, ModelGraph, build_model
 from maqd.normalization import NormKind
 
 
@@ -17,23 +20,49 @@ def train_args(out_dir, *extra):
             "--metrics-max-samples", "40", "--out-dir", str(out_dir), *extra]
 
 
+# A value other than the default for every RunConfig field; a bool is
+# listed with both values, so both its flags and its on/off are used.
+FIELD_VALUES = [
+    ("architecture", "cnn9-mini"), ("dataset", "blobs"), ("data_dir", "/data"),
+    ("m_w", 7), ("m_a", 4), ("qscale_mode", "half_mw_minus_one"), ("gamma", 0.5),
+    ("alpha", 0.75), ("s", 0.5), ("lr", 0.125), ("epochs", 3), ("batch_size", 7),
+    ("momentum", 0.5), ("weight_decay", 0.001), ("seed", 3),
+    ("augment", False), ("augment", True), ("quantize", False), ("quantize", True),
+    ("quantize_head", False), ("quantize_head", True), ("norm", "bn"),
+    ("pad_to", 36), ("out_dir", "runs/x"), ("metrics_max_samples", 9),
+]
+
+
+def config_text(key, value):
+    if isinstance(value, bool):
+        value = "on" if value else "off"
+    return f"{key.replace('_', '-')} = {value}\n"
+
+
+def flag_args(key, value):
+    flag = "--" + key.replace("_", "-")
+    if isinstance(value, bool):
+        return [flag if value else "--no-" + flag[2:]]
+    return [flag, str(value)]
+
+
 class TestParseConfig:
     def test_defaults(self):
-        cfg = parse_config(["train"])
+        cfg, _ = parse_config(["train"])
         assert cfg.lr == 1e-2
         assert cfg.epochs == 300
         assert cfg.m_w == 15 and cfg.m_a == 8
         assert cfg.augment and cfg.quantize
 
     def test_flag_overrides_default(self):
-        cfg = parse_config(["train", "--lr", "0.5", "--no-augment"])
+        cfg, _ = parse_config(["train", "--lr", "0.5", "--no-augment"])
         assert cfg.lr == 0.5
         assert cfg.augment is False
 
     def test_config_file(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("lr = 0.25\nbatch-size = 7\n# comment\nquantize = off\n")
-        cfg = parse_config(["train", "--config", str(conf)])
+        cfg, _ = parse_config(["train", "--config", str(conf)])
         assert cfg.lr == 0.25
         assert cfg.batch_size == 7
         assert cfg.quantize is False
@@ -41,7 +70,7 @@ class TestParseConfig:
     def test_flag_beats_config_file(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("lr = 0.25\n")
-        cfg = parse_config(["train", "--config", str(conf), "--lr", "0.125"])
+        cfg, _ = parse_config(["train", "--config", str(conf), "--lr", "0.125"])
         assert cfg.lr == 0.125
 
     def test_unknown_config_key(self, tmp_path):
@@ -63,6 +92,36 @@ class TestParseConfig:
         with pytest.raises(UsageError, match=rf"run.conf:2: {message}"):
             parse_config(["train", "--config", str(conf)])
 
+    def test_every_field_is_listed(self):
+        assert {key for key, _ in FIELD_VALUES} == \
+            {f.name for f in fields(RunConfig)} - {"command"}
+
+    @pytest.mark.parametrize("key,value", FIELD_VALUES,
+                             ids=[f"{k}={v}" for k, v in FIELD_VALUES])
+    def test_every_field_is_a_flag_and_a_config_key(self, tmp_path, key, value):
+        other = (not value) if isinstance(value, bool) else getattr(RunConfig, key)
+        conf = tmp_path / "run.conf"
+        conf.write_text(config_text(key, other))
+        by_flag, _ = parse_config(["train", "--config", str(conf), *flag_args(key, value)])
+        conf.write_text(config_text(key, value))
+        by_file, _ = parse_config(["train", "--config", str(conf)])
+        assert getattr(by_flag, key) == getattr(by_file, key) == value
+        saved = json.loads(json.dumps(asdict(by_flag)))  # as config.json holds it
+        assert saved[key] == value and RunConfig(**saved) == by_flag
+
+    def test_architecture_choices_are_the_network_s(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for p in sub.choices.values():
+            arch = next(a for a in p._actions if "--architecture" in a.option_strings)
+            assert tuple(arch.choices) == ARCHITECTURES
+
+    def test_config_file_that_is_not_utf8_names_the_byte(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"\xff\xfel\x00r\x00")
+        with pytest.raises(UsageError, match="run.conf: not UTF-8 text at byte 0"):
+            parse_config(["train", "--config", str(conf)])
+
     def test_malformed_config_line(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("lr 0.25\n")
@@ -71,12 +130,12 @@ class TestParseConfig:
 
     def test_data_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAQD_DATA_DIR", str(tmp_path))
-        cfg = parse_config(["train"])
+        cfg, _ = parse_config(["train"])
         assert cfg.data_dir == str(tmp_path)
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAQD_DATA_DIR", "/nowhere")
-        cfg = parse_config(["train", "--data-dir", str(tmp_path)])
+        cfg, _ = parse_config(["train", "--data-dir", str(tmp_path)])
         assert cfg.data_dir == str(tmp_path)
 
     @pytest.mark.parametrize("flag,value,fragment", [
@@ -97,11 +156,11 @@ class TestParseConfig:
             parse_config([])
 
     def test_quant_config_none_when_disabled(self):
-        cfg = parse_config(["train", "--no-quantize"])
+        cfg, _ = parse_config(["train", "--no-quantize"])
         assert cfg.quant_config() is None
 
     def test_quant_config_mirrors_flags(self):
-        cfg = parse_config(["train", "--m-w", "3", "--m-a", "2",
+        cfg, _ = parse_config(["train", "--m-w", "3", "--m-a", "2",
                             "--qscale-mode", "half_mw_minus_one"])
         q = cfg.quant_config()
         assert q.m_w == 3 and q.m_a == 2
@@ -133,6 +192,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {path}: not a readable checkpoint" in err
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--config"],
+        ["eval", "--dataset", "blobs", "--checkpoint"],
+        ["infer", "--dataset", "blobs", "--model"]], ids=["config", "checkpoint", "model"])
+    def test_directory_path_is_2_and_named(self, tmp_path, capsys, command):
+        assert main([*command, str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_damaged_checkpoint_exports_or_is_2(self, tmp_path, capsys):
+        conv = Conv2d(3, 4, 3, rng=np.random.default_rng(0))
+        blob = pickle.dumps(ModelGraph([conv, GlobalAvgPool()], "x", 4, None, NormKind.LBN))
+        path = tmp_path / "checkpoint.pkl"
+        rng = np.random.default_rng(8)
+        codes = set()
+        for _ in range(400):
+            data = bytearray(blob)
+            for at in rng.integers(0, len(data), size=3):
+                data[at] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(data))
+            with np.errstate(all="ignore"):  # damaged weights may overflow in WS
+                code = main(["export", "--checkpoint", str(path),
+                             "--out", str(tmp_path / "m.maqd")])
+            assert code in (0, 2)
+            if code == 2:
+                assert f"error: {path}: " in capsys.readouterr().err
+            codes.add(code)
+        assert codes == {0, 2}
+
+    def test_damaged_dtype_state_is_2_not_a_crash(self, tmp_path, capsys):
+        # numpy's own unpickling of this dtype state crashes the process
+        blob = pickle.dumps(np.zeros(3))
+        at = blob.index(b"\x8c\x01<\x94NNN") + 5
+        path = tmp_path / "checkpoint.pkl"
+        path.write_bytes(blob[:at] + pickle.POP + blob[at + 1:])
+        assert main(["export", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "m.maqd")]) == 2
+        assert "damaged numpy dtype state" in capsys.readouterr().err
+
     def test_unrunnable_model_is_2_and_names_the_record(self, tmp_path, capsys):
         path = tmp_path / "m.maqd"
         conv = Conv2d(3, 4, 3, rng=np.random.default_rng(2))
@@ -161,6 +258,7 @@ class TestTrainRun:
 
     def test_config_json_round_trips(self, run_dir):
         saved = json.loads((run_dir / "config.json").read_text())
+        assert saved == asdict(parse_config(train_args(run_dir))[0])
         assert saved["epochs"] == 1
         assert saved["architecture"] == "vgg-mini"
         assert saved["augment"] is False
@@ -203,6 +301,13 @@ class TestTrainRun:
         report = json.loads(report_path.read_text())
         assert report["parity"]["argmax_agreement"] == 1.0
         assert report["parity"]["max_abs_logit_diff"] < 1e-4
+
+    def test_ln_run_skips_the_model_file(self, tmp_path, capsys):
+        assert main(train_args(tmp_path, "--norm", "ln")) == 0
+        assert "skipped model.maqd: LN" in capsys.readouterr().out
+        assert (tmp_path / "summary.json").exists()
+        assert (tmp_path / "checkpoint.pkl").exists()
+        assert not (tmp_path / "model.maqd").exists()
 
     def test_export_command_matches_train_export(self, run_dir, tmp_path):
         out = tmp_path / "re.maqd"

@@ -13,7 +13,7 @@ from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
                          runtime_infer, weight_states)
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
                           ModelGraph, NormLayer, ResidualBlock, build_model)
-from maqd.normalization import Mode, NormKind, NormLayerState, WSState, \
+from maqd.normalization import Mode, NormKind, NormLayerState, \
     norm_forward, weight_standardize
 from maqd.quantizer import QuantConfig, quantize_weight
 
@@ -112,7 +112,7 @@ class TestWeightStates:
         states, q = weight_states(conv)
         decoded = np.clip(states.astype(np.float64) / q, -1, 1)
         w2d = conv.weight.data.reshape(2, -1).astype(np.float64)
-        w2d, _ = weight_standardize(WSState(w2d, eps=conv.ws_eps))
+        w2d, _ = weight_standardize(w2d)
         np.testing.assert_array_equal(decoded, quantize_weight(w2d, CFG))
 
     def test_rejects_float_conv(self):

@@ -4,8 +4,7 @@ import pytest
 from maqd import export, network
 from maqd.export import _run_conv, import_model, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
-                          NormLayer, ReLU, ResidualBlock, build_cnn9,
-                          build_model, build_preact_resnet, build_vgg)
+                          NormLayer, ReLU, ResidualBlock, build_model)
 from maqd.normalization import Mode, NormKind
 from maqd.quantizer import QuantConfig, activation_surrogate_grad
 from gradcheck import numeric_grad, rel_err
@@ -188,11 +187,11 @@ class TestPooling:
 
 class TestBuilders:
     def test_vgg_conv_count(self):
-        g = build_vgg(10, quant=QuantConfig())
+        g = build_model("vgg", 10, quant=QuantConfig())
         assert len(g.conv_layers()) == 17  # 16 body convs plus the head
 
     def test_vgg_spatial_trace(self):
-        g = build_vgg(10, quant=QuantConfig(), dtype=np.float32)
+        g = build_model("vgg", 10, quant=QuantConfig(), dtype=np.float32)
         x = RNG(8).normal(size=(1, 3, 32, 32)).astype(np.float32)
         traces = []
         for layer in g.layers:
@@ -203,23 +202,24 @@ class TestBuilders:
         assert x.shape == (1, 10)
 
     def test_vgg_r_a_has_one_fewer_entry_than_convs(self):
-        g = build_vgg(10, mini=True, quant=QuantConfig())
+        g = build_model("vgg-mini", 10, quant=QuantConfig())
         assert len(g.activation_layers()) == len(g.conv_layers()) - 1
 
     def test_vgg_head_activation_not_quantized(self):
-        g = build_vgg(10, quant=QuantConfig())
+        g = build_model("vgg", 10, quant=QuantConfig())
         assert isinstance(g.layers[-1], GlobalAvgPool)
         assert isinstance(g.layers[-2], Conv2d)
         assert g.layers[-2].kernel == 1
 
     def test_preact_shape_contract(self):
         for classes in (10, 100):
-            g = build_preact_resnet(classes, quant=QuantConfig(), dtype=np.float32)
+            g = build_model("preact_resnet", classes, quant=QuantConfig(),
+                            dtype=np.float32)
             x = RNG(9).normal(size=(2, 3, 32, 32)).astype(np.float32)
             assert g.forward(x, Mode.EVAL).shape == (2, classes)
 
     def test_preact_block_is_branch_sum(self):
-        g = build_preact_resnet(10, mini=True, quant=QuantConfig())
+        g = build_model("preact-mini", 10, quant=QuantConfig())
         block = next(l for l in g.layers if isinstance(l, ResidualBlock))
         x = RNG(10).normal(size=(1, 3, 8, 8))
         y = block.forward(x, Mode.EVAL)
@@ -232,7 +232,7 @@ class TestBuilders:
         np.testing.assert_array_equal(y, ys + yf)
 
     def test_preact_branches_end_with_norm(self):
-        g = build_preact_resnet(10, quant=QuantConfig())
+        g = build_model("preact_resnet", 10, quant=QuantConfig())
         for block in (l for l in g.layers if isinstance(l, ResidualBlock)):
             assert isinstance(block.s_branch[-1], NormLayer)
             assert isinstance(block.f_branch[-1], NormLayer)
@@ -240,14 +240,14 @@ class TestBuilders:
             assert len([l for l in block.f_branch if isinstance(l, Conv2d)]) == 1
 
     def test_cnn9_conv_count(self):
-        g = build_cnn9(100)
+        g = build_model("cnn9", 100)
         assert len(g.conv_layers()) == 9
 
     def test_cnn9_norm_kind_does_not_change_shapes(self):
         x = RNG(11).normal(size=(2, 3, 32, 32)).astype(np.float32)
         shapes = set()
         for kind in NormKind:
-            g = build_cnn9(100, norm_kind=kind, dtype=np.float32)
+            g = build_model("cnn9", 100, norm_kind=kind, dtype=np.float32)
             shapes.add(g.forward(x, Mode.EVAL).shape)
         assert shapes == {(2, 100)}
 

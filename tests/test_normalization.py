@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maqd import export
-from maqd.normalization import (Mode, NormKind, NormLayerState, WSState,
+from maqd.normalization import (Mode, NormKind, NormLayerState,
                                 fold_normalization, norm_backward, norm_forward,
                                 weight_standardize, weight_standardize_backward)
 from gradcheck import numeric_grad, rel_err
@@ -314,19 +314,19 @@ class TestKernelOracle:
 class TestWeightStandardize:
     def test_constant_row_is_zeroed(self):
         w = np.full((1, 5), 3.0)
-        w_hat, _ = weight_standardize(WSState(w))
+        w_hat, _ = weight_standardize(w)
         np.testing.assert_array_equal(w_hat, 0.0)
 
     def test_two_element_row(self):
         eps = 1e-10
         w = np.array([[1.0, -1.0]])
-        w_hat, _ = weight_standardize(WSState(w, eps=eps))
+        w_hat, _ = weight_standardize(w, eps=eps)
         np.testing.assert_allclose(w_hat, w / (np.sqrt(2) + eps), atol=1e-15)
 
     def test_row_statistics(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(8, 27)) * 3 + 1
-        w_hat, _ = weight_standardize(WSState(w, eps=0.0))
+        w_hat, _ = weight_standardize(w, eps=0.0)
         np.testing.assert_allclose(w_hat.mean(axis=1), 0.0, atol=1e-8)
         np.testing.assert_allclose(w_hat.std(axis=1), 1 / np.sqrt(27), atol=1e-6)
 
@@ -334,25 +334,25 @@ class TestWeightStandardize:
         # denominator is sqrt(fan_in)*sigma + eps, not sqrt(var + eps)
         eps = 0.5
         w = np.array([[2.0, -2.0]])
-        w_hat, _ = weight_standardize(WSState(w, eps=eps))
+        w_hat, _ = weight_standardize(w, eps=eps)
         np.testing.assert_allclose(w_hat, w / (np.sqrt(2) * 2.0 + eps), atol=1e-15)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            WSState(np.zeros(5))
+            weight_standardize(np.zeros(5))
 
 
 class TestWeightStandardizeBackward:
     def test_zero_upstream(self):
         w = np.random.default_rng(10).normal(size=(2, 6))
-        _, cache = weight_standardize(WSState(w))
+        _, cache = weight_standardize(w)
         g = weight_standardize_backward(cache, np.zeros_like(w))
         assert not np.any(g)
 
     def test_uniform_upstream_row_sums_vanish(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(3, 9))
-        _, cache = weight_standardize(WSState(w))
+        _, cache = weight_standardize(w)
         g = weight_standardize_backward(cache, np.ones_like(w))
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-8)
 
@@ -362,9 +362,9 @@ class TestWeightStandardizeBackward:
         up = rng.normal(size=w.shape)
 
         def loss(w_val):
-            w_hat, _ = weight_standardize(WSState(w_val.reshape(3, 7)))
+            w_hat, _ = weight_standardize(w_val.reshape(3, 7))
             return float(np.sum(w_hat * up))
 
-        _, cache = weight_standardize(WSState(w))
+        _, cache = weight_standardize(w)
         g = weight_standardize_backward(cache, up)
         assert rel_err(numeric_grad(loss, w), g) < 1e-5

@@ -5,9 +5,8 @@ from maqd.datasets import LabeledImageSet, synthetic_blobs
 from maqd.network import ActQuant, Conv2d, GlobalAvgPool, ModelGraph, Param, build_model
 from maqd.normalization import Mode, NormKind
 from maqd.quantizer import QuantConfig
-from maqd.training import (LossConfig, MseTarget, OptimState, ScheduleState,
-                           combined_loss, compute_r_w, cosine_lr,
-                           evaluate, measure_step_bytes,
+from maqd.training import (LossConfig, OptimState, combined_loss, compute_r_w,
+                           cosine_lr, evaluate, measure_step_bytes,
                            norm_comparison_experiment, scaled_lr_for_batch,
                            sgd_momentum_step, train)
 from gradcheck import numeric_grad, rel_err
@@ -31,12 +30,11 @@ class TestCombinedLoss:
         loss, _ = combined_loss(logits, labels, LossConfig(gamma=1.0))
         assert loss == 0.0
 
-    @pytest.mark.parametrize("target", list(MseTarget))
-    def test_gradient_matches_finite_differences(self, target):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(4, 10))
         labels = rng.integers(0, 10, size=4)
-        cfg = LossConfig(gamma=0.05, mse_target=target)
+        cfg = LossConfig(gamma=0.05)
         _, grad = combined_loss(logits, labels, cfg)
         fd = numeric_grad(lambda v: combined_loss(v, labels, cfg)[0], logits, step=1e-6)
         assert rel_err(fd, grad) < 1e-6
@@ -96,19 +94,12 @@ class TestSgdMomentum:
 
 class TestSchedules:
     def test_cosine_endpoints(self):
-        s = ScheduleState(base_lr=0.4, total_epochs=10)
-        assert cosine_lr(s) == pytest.approx(0.4)
-        s.current_epoch = 10
-        assert cosine_lr(s) == pytest.approx(0.0, abs=1e-15)
-        s.current_epoch = 5
-        assert cosine_lr(s) == pytest.approx(0.2)
+        assert cosine_lr(0.4, 0, 10) == pytest.approx(0.4)
+        assert cosine_lr(0.4, 10, 10) == pytest.approx(0.0, abs=1e-15)
+        assert cosine_lr(0.4, 5, 10) == pytest.approx(0.2)
 
     def test_cosine_non_increasing(self):
-        s = ScheduleState(base_lr=1.0, total_epochs=50)
-        values = []
-        for e in range(51):
-            s.current_epoch = e
-            values.append(cosine_lr(s))
+        values = [cosine_lr(1.0, e, 50) for e in range(51)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_lr_scaling(self):
@@ -268,14 +259,14 @@ class TestTrainLoop:
 
     def test_quantized_weights_are_quantizer_outputs(self):
         from maqd.quantizer import quantize_weight
-        from maqd.normalization import WSState, weight_standardize
+        from maqd.normalization import weight_standardize
         train_set, test_set = _blob_split()
         cfg = QuantConfig(m_w=3, m_a=2)
         g = _mini_graph(train_set, quant=cfg)
         train(g, train_set, test_set, epochs=1, batch_size=32)
         for conv in g.conv_layers():
             w2d = conv.weight.data.reshape(conv.out_ch, -1)
-            w_hat, _ = weight_standardize(WSState(w2d, eps=conv.ws_eps))
+            w_hat, _ = weight_standardize(w2d)
             expected = quantize_weight(w_hat, cfg).astype(w2d.dtype)
             got, _, _ = conv.effective_weight()
             np.testing.assert_array_equal(got, expected)
