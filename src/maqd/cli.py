@@ -13,12 +13,14 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import json
+import lzma
 import os
-import pickle
 import sys
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -34,7 +36,7 @@ class UsageError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that does not unpickle into a usable ModelGraph."""
+    """A checkpoint file that is damaged or does not fit the model its config builds."""
 
 
 _DATASETS = ("cifar10", "cifar100", "mnist", "blobs")
@@ -80,6 +82,8 @@ class RunConfig:
         for key, ok, expect in [
                 ("lr", self.lr > 0, "> 0"),
                 ("epochs", self.epochs >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("pad_to", self.pad_to >= 0, ">= 0"),
                 ("weight_decay", self.weight_decay >= 0, ">= 0"),
                 ("metrics_max_samples", self.metrics_max_samples >= 0, ">= 0")]:
             if not ok:
@@ -237,14 +241,34 @@ def _load_dataset(cfg: RunConfig):
     return datasets.load_cifar(cfg.data_dir, variant)
 
 
+def _build(cfg: RunConfig, class_count: int, in_channels: int,
+           input_hw: int) -> network.ModelGraph:
+    """The run's model, for a dataset of these dimensions."""
+    return network.build_model(
+        cfg.architecture, class_count, quant=cfg.quant_config(),
+        norm_kind=NormKind(cfg.norm), quantize_head=cfg.quantize_head,
+        seed=cfg.seed, dtype=np.float32, in_channels=in_channels, input_hw=input_hw)
+
+
+def _state(graph: network.ModelGraph) -> dict[str, np.ndarray]:
+    """The checkpoint's arrays: `param<i>` in `parameters()` order, then
+    `running_mean<j>` and `running_var<j>` of each BN/LBN layer in
+    `all_layers()` order. They are the graph's own arrays, not copies."""
+    state = {f"param{i}": p.data for i, p in enumerate(graph.parameters())}
+    norms = [l.state for l in graph.all_layers()
+             if isinstance(l, network.NormLayer) and l.state.running_mean is not None]
+    for j, st in enumerate(norms):
+        state |= {f"running_mean{j}": st.running_mean, f"running_var{j}": st.running_var}
+    return state
+
+
 def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
     out_dir = Path(out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, test_set = _load_dataset(cfg)
-    graph = network.build_model(
-        cfg.architecture, train_set.class_count, quant=cfg.quant_config(),
-        norm_kind=NormKind(cfg.norm), quantize_head=cfg.quantize_head,
-        seed=cfg.seed, dtype=np.float32, in_channels=train_set.images.shape[1])
+    channels, hw = train_set.images.shape[1:3]
+    dims = dict(class_count=train_set.class_count, in_channels=channels, input_hw=hw)
+    graph = _build(cfg, **dims)
     log = training.train(
         graph, train_set, test_set, epochs=cfg.epochs, batch_size=cfg.batch_size,
         loss_cfg=cfg.loss_config(), base_lr=cfg.lr, momentum=cfg.momentum,
@@ -255,8 +279,8 @@ def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
         json.dump(asdict(cfg), f, indent=2)
     training.write_training_log(out_dir / "training_log.csv", log)
     training.write_sparsity_csv(out_dir / "sparsity.csv", log[-1])
-    with open(out_dir / "checkpoint.pkl", "wb") as f:
-        pickle.dump(graph, f)
+    np.savez(out_dir / "checkpoint.npz", config=json.dumps({**asdict(cfg), **dims}),
+             **_state(graph))
     if graph.norm_kind is NormKind.LN:
         print("skipped model.maqd: LN recomputes statistics per sample and "
               "cannot be folded into the runtime")
@@ -267,42 +291,47 @@ def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
     return out_dir
 
 
-class _Unpickler(pickle._Unpickler):
-    """The pure-Python unpickler, taking a numpy dtype only in the state
-    numpy itself writes: `np.dtype.__setstate__` can crash the process on a
-    damaged state tuple."""
-
-    dispatch = dict(pickle._Unpickler.dispatch)
-
-    def load_build(self):
-        state, inst = self.stack[-1], self.stack[-2]
-        if isinstance(inst, np.dtype) and state != inst.__reduce__()[2]:
-            raise pickle.UnpicklingError(f"damaged numpy dtype state {state!r}")
-        super().load_build()
-
-    dispatch[pickle.BUILD[0]] = load_build
-
-
-@contextlib.contextmanager
-def _checkpoint(path):
-    """The checkpoint's ModelGraph. Pickle has no schema, so a damaged file
-    can also load into objects the engine cannot use; the errors those raise
-    in the `with` body (a missing attribute, a value of the wrong type or
-    shape) name the file as well."""
-    with open(path, "rb") as f:
-        try:
-            graph = _Unpickler(f).load()
-        except Exception as e:  # a damaged pickle can raise almost anything
-            raise CheckpointError(f"{path}: not a readable checkpoint "
-                                  f"({type(e).__name__}: {e})") from None
-    if not isinstance(graph, network.ModelGraph):
-        raise CheckpointError(f"{path}: not a readable checkpoint (it holds a "
-                              f"{type(graph).__name__}, not a ModelGraph)")
+def _load_checkpoint(path, data: datasets.LabeledImageSet | None = None
+                     ) -> network.ModelGraph:
+    """The model a `checkpoint.npz` holds: built from its config, then each
+    array written in place into the buffer of its key in `_state`, whose
+    keys, shapes and dtypes the file must match. Using it on `data` of
+    other class or channel counts is a usage error."""
     try:
-        yield graph
-    except (AttributeError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: unusable checkpoint "
+        with zipfile.ZipFile(path) as archive:  # read() checks each member's CRC
+            arrays = {name.removesuffix(".npy"):
+                      np.load(io.BytesIO(archive.read(name)), allow_pickle=False)
+                      for name in archive.namelist()}
+    # What zipfile raises on a damaged file, or numpy on a member not in .npy format
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError,
+            NotImplementedError, zlib.error, lzma.LZMAError) as e:
+        raise CheckpointError(f"{path}: not a readable checkpoint "
                               f"({type(e).__name__}: {e})") from None
+    try:  # a missing or unexpected config key is a KeyError or TypeError naming it
+        saved = dict(json.loads(str(arrays.pop("config"))))
+        graph = _build(RunConfig(**{k: saved.pop(k) for k in ["command", *_DEFAULTS]}),
+                       **saved)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: key 'config' does not describe a run "
+                              f"({type(e).__name__}: {e})") from None
+    expected = _state(graph)
+    odd = sorted(expected.keys() ^ arrays.keys())
+    if odd:
+        kind = "missing" if odd[0] in expected else "unexpected"
+        raise CheckpointError(f"{path}: {kind} key {odd[0]!r}")
+    for key, want in expected.items():
+        have = arrays[key]
+        if not (isinstance(have, np.ndarray) and have.shape == want.shape
+                and have.dtype == want.dtype):
+            raise CheckpointError(f"{path}: key {key!r} must be a {want.dtype} array "
+                                  f"of shape {want.shape}")
+        want[...] = have
+    if data is not None:
+        for key, value in [("class_count", data.class_count),
+                           ("in_channels", data.images.shape[1])]:
+            if saved[key] != value:
+                raise UsageError(f"the checkpoint's {key} is {saved[key]}, the data's {value}")
+    return graph
 
 
 def _cmd_train(cfg, args):
@@ -313,15 +342,14 @@ def _cmd_train(cfg, args):
 
 def _cmd_eval(cfg, args):
     _, test_set = _load_dataset(cfg)
-    with _checkpoint(args.checkpoint) as graph:
-        res = training.evaluate(graph, test_set, cfg.loss_config())
+    res = training.evaluate(_load_checkpoint(args.checkpoint, test_set), test_set,
+                            cfg.loss_config())
     print(json.dumps({"test_loss": res.loss, "test_acc": res.acc, "r_a": res.r_a}))
     return 0
 
 
 def _cmd_export(cfg, args):
-    with _checkpoint(args.checkpoint) as graph:
-        export_mod.export(graph, args.out)
+    export_mod.export(_load_checkpoint(args.checkpoint), args.out)
     print(f"exported {args.out}")
     return 0
 
@@ -337,9 +365,8 @@ def _cmd_infer(cfg, args):
     acc = float(np.mean(np.argmax(logits, axis=1) == test_set.labels))
     report = {"samples": int(test_set.images.shape[0]), "accuracy": acc}
     if args.checkpoint:
-        with _checkpoint(args.checkpoint) as graph:
-            parity = export_mod.parity_check(graph, model, test_set.images,
-                                             cfg.batch_size)
+        parity = export_mod.parity_check(_load_checkpoint(args.checkpoint, test_set),
+                                         model, test_set.images, cfg.batch_size)
         report["parity"] = asdict(parity)
     text = json.dumps(report, indent=2)
     if args.report:

@@ -108,7 +108,20 @@ def _col2im(g2: np.ndarray, w2d: np.ndarray, x_shape, k: int, stride: int,
     return np.ascontiguousarray(gx[:, pad:h + pad, pad:w + pad].transpose(0, 3, 1, 2))
 
 
-class Conv2d:
+class _Leaf:
+    """What a layer without sublayers shares: no parameters unless it says
+    otherwise, and a tape (`cache`) that is empty until a TRAIN forward."""
+
+    cache = None
+
+    def parameters(self) -> list[Param]:
+        return []
+
+    def cache_nbytes(self) -> int:
+        return _nbytes(self.cache)
+
+
+class Conv2d(_Leaf):
     """3x3 (pad 1) or 1x1 (pad 0) cross-correlation, stride 1 or 2, no bias.
 
     Optional weight standardization and weight quantization are folded into
@@ -130,7 +143,6 @@ class Conv2d:
         fan_in = in_ch * kernel * kernel
         init = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, kernel, kernel))
         self.weight = Param(name="weight", data=init.astype(dtype), decay=True)
-        self.cache = None
 
     def parameters(self):
         return [self.weight]
@@ -179,18 +191,14 @@ class Conv2d:
         self.weight.grad += grad_w2d.reshape(self.weight.data.shape)
         return grad_x
 
-    def cache_nbytes(self) -> int:
-        return _nbytes(self.cache)
 
-
-class NormLayer:
+class NormLayer(_Leaf):
     """Wraps a NormLayerState as a graph node."""
 
     def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
         self.state = NormLayerState.create(kind, channels, dtype=dtype)
         self.g = Param(name="g", data=self.state.g)
         self.b = Param(name="b", data=self.state.b)
-        self.cache = None
 
     def parameters(self):
         return [self.g, self.b]
@@ -207,21 +215,14 @@ class NormLayer:
         self.b.grad += grad_b
         return grad_x
 
-    def cache_nbytes(self):
-        return _nbytes(self.cache)
 
-
-class ActQuant:
+class ActQuant(_Leaf):
     """Quantized activation with scaled-sigmoid surrogate backward."""
 
     def __init__(self, cfg: QuantConfig):
         self.cfg = cfg
-        self.cache = None
         self.record = False
         self.last_output = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x, mode):
         y, saved = quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
@@ -234,18 +235,11 @@ class ActQuant:
     def backward(self, upstream):
         return quantize_tensor_backward(self.cache, upstream, QuantKind.ACTIVATION, self.cfg)
 
-    def cache_nbytes(self):
-        return _nbytes(self.cache)
 
-
-class ReLU:
+class ReLU(_Leaf):
     def __init__(self):
-        self.cache = None
         self.record = False
         self.last_output = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x, mode):
         y = np.maximum(x, 0.0)
@@ -258,9 +252,6 @@ class ReLU:
     def backward(self, upstream):
         return upstream * self.cache
 
-    def cache_nbytes(self):
-        return _nbytes(self.cache)
-
 
 def _avg_pool2(x: np.ndarray) -> np.ndarray:
     """Non-overlapping 2x2 mean of (n, c, h, w) as four strided adds, in
@@ -272,14 +263,8 @@ def _avg_pool2(x: np.ndarray) -> np.ndarray:
             + x[..., 1::2, 1::2]) * x.dtype.type(0.25)
 
 
-class AvgPool2:
+class AvgPool2(_Leaf):
     """Non-overlapping 2x2 mean pooling; requires even spatial extents."""
-
-    def __init__(self):
-        self.cache = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x, mode):
         y = _avg_pool2(x)
@@ -296,18 +281,9 @@ class AvgPool2:
                 g[..., i::2, j::2] = quarter
         return g
 
-    def cache_nbytes(self):
-        return 0
 
-
-class GlobalAvgPool:
+class GlobalAvgPool(_Leaf):
     """Mean over all spatial positions; flattens (n, c, h, w) -> (n, c)."""
-
-    def __init__(self):
-        self.cache = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x, mode):
         if mode is Mode.TRAIN:
@@ -319,9 +295,6 @@ class GlobalAvgPool:
         g = np.empty((n, c, h, w), dtype=upstream.dtype)
         g[...] = (upstream / (h * w))[:, :, None, None]
         return g
-
-    def cache_nbytes(self):
-        return 0
 
 
 class ResidualBlock:

@@ -147,10 +147,30 @@ def thresholds(m_a: int) -> np.ndarray:
 _CHUNK = 1 << 16
 
 
-def _surrogate_blocks(z: np.ndarray, m_a: int, alpha: float,
-                      upstream: np.ndarray | None = None) -> np.ndarray:
-    """Sum over thresholds of sigma'_alpha(z - b_m), times upstream when one
-    is given, computed block by block (see activation_surrogate_grad)."""
+def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
+                              upstream: np.ndarray | None = None) -> np.ndarray:
+    """Sum over thresholds of d/dz sigma_alpha(z - b_m); strictly positive.
+    Times `upstream`, in upstream's dtype, when one is given.
+
+    Each bump is sigma'_alpha(x) = E / (1 + E) / (1 + E) / alpha with
+    E = exp((z - b_m) / alpha). The thresholds are 1/(m_a-1) apart, so E is
+    geometric in m: one exp per element gives E for the first threshold and
+    each further one is a multiply by exp(-1/((m_a-1) alpha)). The work runs
+    in blocks of _CHUNK elements with four preallocated scratch buffers, in
+    a_hat's float dtype (float64 for non-float input): per threshold a block
+    takes five cache-resident passes (the multiply, 1 + E, two divides and
+    the accumulate), and the input and output cross main memory once.
+    Against an extended-precision reference the relative error is ~1e-15 at
+    float64 and ~2e-6 at float32 on z in [-3, 4], alpha = 0.25, tails
+    included.
+
+    The anchor exponent is clamped to +-log(max)/2 of the dtype and a chain of
+    multiplies spans at most log(max)/4, so E and (1 + E) stay finite and
+    dividing E by (1 + E) twice never overflows; a clamp only acts where every
+    bump of its chain is below ~exp(-log(max)/4) of the peak. A small alpha
+    whose thresholds span more than log(max)/4 takes one exp per chain.
+    """
+    z = np.asarray(a_hat)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     dtype = _float_dtype(z)
@@ -190,30 +210,6 @@ def _surrogate_blocks(z: np.ndarray, m_a: int, alpha: float,
     return out
 
 
-def activation_surrogate_grad(a_hat, m_a: int, alpha: float):
-    """Sum over thresholds of d/dz sigma_alpha(z - b_m); strictly positive.
-
-    Each bump is sigma'_alpha(x) = E / (1 + E) / (1 + E) / alpha with
-    E = exp((z - b_m) / alpha). The thresholds are 1/(m_a-1) apart, so E is
-    geometric in m: one exp per element gives E for the first threshold and
-    each further one is a multiply by exp(-1/((m_a-1) alpha)). The work runs
-    in blocks of _CHUNK elements with four preallocated scratch buffers, in
-    a_hat's float dtype (float64 for non-float input): per threshold a block
-    takes five cache-resident passes (the multiply, 1 + E, two divides and
-    the accumulate), and the input and output cross main memory once.
-    Against an extended-precision reference the relative error is ~1e-15 at
-    float64 and ~2e-6 at float32 on z in [-3, 4], alpha = 0.25, tails
-    included.
-
-    The anchor exponent is clamped to +-log(max)/2 of the dtype and a chain of
-    multiplies spans at most log(max)/4, so E and (1 + E) stay finite and
-    dividing E by (1 + E) twice never overflows; a clamp only acts where every
-    bump of its chain is below ~exp(-log(max)/4) of the peak. A small alpha
-    whose thresholds span more than log(max)/4 takes one exp per chain.
-    """
-    return _surrogate_blocks(np.asarray(a_hat), m_a, alpha)
-
-
 def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig):
     """Elementwise quantization of a tensor; returns the quantized tensor and
     the pre-quantization values saved for the surrogate backward."""
@@ -231,7 +227,7 @@ def quantize_tensor_backward(saved: np.ndarray, upstream: np.ndarray,
     if saved.shape != upstream.shape:
         raise ValueError(f"shape mismatch: saved {saved.shape} vs upstream {upstream.shape}")
     if kind is QuantKind.ACTIVATION:
-        return _surrogate_blocks(saved, cfg.m_a, cfg.alpha, upstream)
+        return activation_surrogate_grad(saved, cfg.m_a, cfg.alpha, upstream)
     g = weight_surrogate_grad(saved, cfg).astype(upstream.dtype, copy=False)
     g *= upstream
     return g
