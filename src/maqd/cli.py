@@ -357,6 +357,11 @@ def _cmd_export(cfg, args):
 def _cmd_infer(cfg, args):
     model = export_mod.import_model(args.model)
     _, test_set = _load_dataset(cfg)
+    # every mismatch with the data is refused before a batch runs
+    graph = _load_checkpoint(args.checkpoint, test_set) if args.checkpoint else None
+    if model.class_count != test_set.class_count:
+        raise UsageError(f"the model's class_count is {model.class_count}, "
+                         f"the data's {test_set.class_count}")
     logits = []
     for start in range(0, test_set.images.shape[0], cfg.batch_size):
         logits.append(export_mod.runtime_infer(
@@ -364,9 +369,8 @@ def _cmd_infer(cfg, args):
     logits = np.concatenate(logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == test_set.labels))
     report = {"samples": int(test_set.images.shape[0]), "accuracy": acc}
-    if args.checkpoint:
-        parity = export_mod.parity_check(_load_checkpoint(args.checkpoint, test_set),
-                                         model, test_set.images, cfg.batch_size)
+    if graph is not None:
+        parity = export_mod.parity_check(graph, model, test_set.images, cfg.batch_size)
         report["parity"] = asdict(parity)
     text = json.dumps(report, indent=2)
     if args.report:

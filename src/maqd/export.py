@@ -59,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
-                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _im2col,
-                      _tap_major)
+                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _conv,
+                      _im2col, _tap_major)
 from .normalization import Mode, fold_normalization, weight_standardize
 from .quantizer import (QScaleMode, QuantConfig, quantize_activation,
                         quantize_weight, round_half_away)
@@ -375,12 +375,11 @@ def import_model(path) -> RuntimeModel:
 def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     """Cross-correlation of x, in the conv's dtype, with its bound tap-major
     matrix: a CONV_Q's integer lattice (so the result is in units of
-    1/(2*qscale)) or a CONV_F's weights."""
+    1/(2*qscale)) or a CONV_F's weights. It is the trainer's blocked conv,
+    building each block's patch matrix with this module's `_im2col`."""
     f = op.fields
-    cols, ho, wo = _im2col(x, f["kernel"], f["stride"], 1 if f["kernel"] == 3 else 0)
-    y = cols @ f["w"].T
-    return np.ascontiguousarray(
-        y.reshape(x.shape[0], ho, wo, f["out_ch"]).transpose(0, 3, 1, 2))
+    return _conv(x, f["w"], f["kernel"], f["stride"], 1 if f["kernel"] == 3 else 0,
+                 _im2col)[0]
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:

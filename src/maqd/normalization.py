@@ -143,8 +143,9 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     var = np.mean(x_hat, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
     if mode is Mode.TRAIN and st.kind is not NormKind.LN:
         r = st.ema_rate
-        st.running_mean = ((1 - r) * st.running_mean + r * mean.squeeze()).astype(st.running_mean.dtype)
-        st.running_var = ((1 - r) * st.running_var + r * var.squeeze()).astype(st.running_var.dtype)
+        # in place: the statistics stay the arrays `create` made (checkpoints alias them)
+        st.running_mean[...] = (1 - r) * st.running_mean + r * mean.squeeze()
+        st.running_var[...] = (1 - r) * st.running_var + r * var.squeeze()
     inv_std = 1.0 / np.sqrt(var + st.eps)
     np.subtract(x, mean, out=x_hat)
     x_hat *= inv_std

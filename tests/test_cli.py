@@ -328,6 +328,17 @@ class TestCheckpoint:
                      "--checkpoint", str(path)]) == 2
         assert "error: the checkpoint's class_count is 3, the data's 4" in capsys.readouterr().err
 
+    def test_infer_with_a_three_class_model_is_a_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # refused before the runtime runs a batch
+        path = tmp_path / "m.maqd"
+        export(write_checkpoint(tmp_path / "checkpoint.npz", class_count=3), path)
+        batches = []
+        monkeypatch.setattr(cli.export_mod, "runtime_infer", lambda *a: batches.append(a))
+        assert main(["infer", "--dataset", "blobs", "--model", str(path)]) == 2
+        assert "error: the model's class_count is 3, the data's 4" in capsys.readouterr().err
+        assert not batches
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):

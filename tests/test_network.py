@@ -1,8 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maqd import export, network
-from maqd.export import _run_conv, import_model, runtime_infer
+from maqd.export import _run_conv, import_model, parity_check, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_model)
 from maqd.normalization import Mode, NormKind
@@ -115,6 +118,128 @@ class TestConv2d:
         indicator = (np.abs(cfg.s * w) < 1).astype(float)
         np.testing.assert_allclose(conv.weight.grad.reshape(2, 1),
                                    grad_w_eff * indicator, atol=1e-12)
+
+
+def _blocked_case(kernel, stride, dtype, seed, channels=16):
+    """A conv of `channels` in and out channels and a batch spanning three
+    or more blocks of network._BLOCK_BYTES of patch matrix, the last one
+    ragged: square images of the extent that makes about three samples a
+    block. Returns the conv, the batch and the samples per block."""
+    itemsize = np.dtype(dtype).itemsize
+    ho = math.isqrt(network._BLOCK_BYTES // (3 * kernel * kernel * channels * itemsize))
+    step = network._BLOCK_BYTES // (ho * ho * kernel * kernel * channels * itemsize)
+    n = 2 * step + max(1, step // 2)
+    rng = RNG(seed)
+    conv = Conv2d(channels, channels, kernel, stride, rng=rng, weight_standardized=False,
+                  dtype=dtype)
+    x = rng.normal(size=(n, channels, ho * stride, ho * stride)).astype(dtype)
+    return conv, x, step
+
+
+def _one_shot(conv, x, up):
+    """The whole-batch conv the blocked kernel replaces: one patch matrix of
+    the whole batch, one GEMM each way and one _col2im. Returns
+    (y, grad_x, grad_w)."""
+    k, stride, pad = conv.kernel, conv.stride, conv.padding
+    w2d = conv.weight.data.reshape(conv.out_ch, -1)
+    cols, ho, wo = network._im2col(x, k, stride, pad)
+    y = (cols @ network._tap_major(w2d, conv.in_ch, k).T).reshape(
+        x.shape[0], ho, wo, conv.out_ch).transpose(0, 3, 1, 2)
+    g2 = up.transpose(0, 2, 3, 1).reshape(-1, conv.out_ch)
+    grad_w = (np.ascontiguousarray(g2.T) @ cols).reshape(
+        conv.out_ch, -1, conv.in_ch).transpose(0, 2, 1).reshape(conv.weight.data.shape)
+    grad_x = np.empty_like(x)
+    network._col2im(g2, w2d, x.shape, k, stride, pad, ho, wo, grad_x)
+    return y, grad_x, grad_w
+
+
+KERNEL_STRIDE = [(1, 1), (1, 2), (3, 1), (3, 2)]
+
+
+class TestBlockedConv:
+    """The conv runs one block of samples at a time, a block's patch matrix
+    being about network._BLOCK_BYTES. The blocks must not show in the
+    forward or the input gradient: their values are rows of the same GEMMs
+    as the one-shot conv's. That holds as far as the BLAS computes a GEMM
+    row the same way whatever the row count: OpenBLAS on AVX-512 does not
+    for some small or narrow float64 GEMMs (3 input channels, for one),
+    whose rows then differ in the last bit. The weight gradient sums the
+    blocks' products in another order."""
+
+    @pytest.mark.parametrize("kernel,stride", KERNEL_STRIDE)
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-13)])
+    def test_matches_the_one_shot_conv(self, kernel, stride, dtype, bound):
+        conv, x, step = _blocked_case(kernel, stride, dtype, seed=40)
+        assert x.shape[0] > 2 * step and x.shape[0] % step
+        y = conv.forward(x, Mode.TRAIN)
+        up = RNG(41).normal(size=y.shape).astype(dtype)
+        conv.weight.zero_grad()
+        grad_x = conv.backward(up)
+        y_ref, grad_x_ref, grad_w_ref = _one_shot(conv, x, up)
+        assert y.dtype == grad_x.dtype == dtype and y.flags.c_contiguous
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(conv.forward(x, Mode.EVAL), y_ref)
+        np.testing.assert_array_equal(grad_x, grad_x_ref)
+        assert (np.max(np.abs(conv.weight.grad - grad_w_ref))
+                <= bound * np.max(np.abs(grad_w_ref)))
+
+    @pytest.mark.parametrize("kernel,stride", KERNEL_STRIDE)
+    @pytest.mark.parametrize("quantized", [True, False], ids=["conv_q", "conv_f"])
+    def test_runtime_parity(self, tmp_path, monkeypatch, kernel, stride, quantized):
+        # a CONV_Q after an ACT_Q runs on float32 codes, a CONV_F on float64
+        # values; the batch spans three or more blocks of that dtype
+        cfg = QuantConfig()
+        _, x, step = _blocked_case(kernel, stride,
+                                   np.float32 if quantized else np.float64, seed=42)
+        graph = ModelGraph(
+            [ActQuant(cfg), Conv2d(16, 16, kernel, stride, rng=RNG(43), quant=cfg)]
+            if quantized else [Conv2d(16, 16, kernel, stride, rng=RNG(43))],
+            "blocked", 16, cfg if quantized else None, NormKind.LBN)
+        graph.layers.append(GlobalAvgPool())
+        export.export(graph, tmp_path / "m.maqd")
+        model = import_model(tmp_path / "m.maqd")
+        blocks = []
+        im2col = export._im2col
+        monkeypatch.setattr(export, "_im2col",
+                            lambda *a: blocks.append(a[0].shape[0]) or im2col(*a))
+        images = x.astype(np.float64)
+        report = parity_check(graph, model, images, batch_size=images.shape[0])
+        assert report.max_abs_logit_diff < 1e-9
+        assert report.argmax_agreement == 1.0
+        assert len(blocks) >= 3 and blocks[-1] < blocks[0] == step
+
+    def test_tape_is_the_input_and_one_block(self):
+        # and the weight-sized effective weight; the whole batch's patch
+        # matrix would be 2.3 blocks here
+        conv, x, step = _blocked_case(3, 1, np.float32, seed=44)
+        conv.forward(x, Mode.TRAIN)
+        per_sample = network._im2col(x[:1], 3, 1, 1)[0].nbytes
+        w2d = conv.effective_weight()[0]
+        assert conv.cache_nbytes() <= x.nbytes + step * per_sample + w2d.nbytes
+
+    def test_float32_train_step_memory_budget(self):
+        # the forward's output, one block's patch matrix and its GEMM; the
+        # backward's channel-major upstream copy and input gradient, and per
+        # block one patch matrix and the col2im buffers
+        conv, x, step = _blocked_case(3, 1, np.float32, seed=45)
+        block = step * network._im2col(x[:1], 3, 1, 1)[0].nbytes
+        up = RNG(46).normal(size=(x.shape[0], conv.out_ch) + x.shape[2:]).astype(np.float32)
+        conv.forward(x, Mode.TRAIN)
+        conv.backward(up)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = conv.forward(x, Mode.TRAIN)
+            fwd_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            grad_x = conv.backward(up)
+            bwd_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.dtype == grad_x.dtype == np.float32
+        assert fwd_peak < y.nbytes + 1.5 * block
+        assert bwd_peak < up.nbytes + x.nbytes + 1.5 * block
 
 
 class TestPooling:

@@ -99,6 +99,22 @@ class TestForward:
         y_eval, _ = norm_forward(x, st, Mode.EVAL)
         np.testing.assert_allclose(y_eval, y_train, atol=1e-8)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    def test_train_step_updates_the_running_arrays_in_place(self, kind, dtype):
+        # the arrays `create` made stay the state's, with their type and
+        # dtype, so a checkpoint's view of them (cli._state) stays live
+        st = NormLayerState.create(kind, 3, dtype=dtype)
+        before = [st.running_mean, st.running_var]
+        shapes = [a.shape for a in before]
+        x = np.random.default_rng(6).normal(1.0, 2.0, size=(4, 3, 2, 2)).astype(dtype)
+        norm_forward(x, st, Mode.TRAIN)
+        for new, old, shape in zip([st.running_mean, st.running_var], before, shapes):
+            assert new is old
+            assert type(new) is np.ndarray and new.dtype == dtype and new.shape == shape
+        assert np.all(st.running_mean != 0) and np.all(st.running_var != 1)
+        old[...] = 5    # writable in place, as a checkpoint load writes it
+
 
 class TestBackward:
     def test_requires_train_cache(self):
