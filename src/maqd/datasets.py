@@ -3,14 +3,19 @@
 Readers for the canonical CIFAR binary layout and the MNIST idx format,
 plus a linearly separable synthetic blob dataset for fast end-to-end
 tests. Nothing here ever downloads; files are read from a local directory
-(CLI flag or MAQD_DATA_DIR).
+(CLI flag or MAQD_DATA_DIR). A file that does not parse, including a
+damaged `.gz` and a label outside the class range, raises a `FormatError`
+that names the file and, where one is at fault, the byte (of the
+decompressed stream, for a `.gz`).
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,10 +59,22 @@ class BatchPlan:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+def _check_labels(path: Path, labels: np.ndarray, class_count: int, first: int,
+                  stride: int) -> None:
+    """Raise a FormatError naming the byte offset, first + i*stride, of the
+    first record i whose label is not below class_count."""
+    bad = np.flatnonzero(labels >= class_count)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"{path}: record at byte {first + i * stride}: label "
+                          f"{labels[i]} outside the {class_count} classes")
+
+
 _CIFAR_RECORD_PIXELS = 3072  # 3 x 32 x 32
 
 
-def _read_cifar_file(path: Path, label_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_cifar_file(path: Path, label_bytes: int,
+                     class_count: int) -> tuple[np.ndarray, np.ndarray]:
     record = label_bytes + _CIFAR_RECORD_PIXELS
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     if raw.size == 0 or raw.size % record != 0:
@@ -66,6 +83,7 @@ def _read_cifar_file(path: Path, label_bytes: int) -> tuple[np.ndarray, np.ndarr
     raw = raw.reshape(-1, record)
     # CIFAR-100 records carry (coarse, fine) label bytes; the fine label is used.
     labels = raw[:, label_bytes - 1].astype(np.int64)
+    _check_labels(path, labels, class_count, 0, record)
     images = raw[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
     return images, labels
 
@@ -93,7 +111,7 @@ def load_cifar(data_dir, variant: int = 10, dtype=np.float32):
             raise FormatError(f"missing dataset file: {f}")
 
     def _load(files):
-        parts = [_read_cifar_file(f, label_bytes) for f in files]
+        parts = [_read_cifar_file(f, label_bytes, class_count) for f in files]
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]))
 
@@ -112,10 +130,19 @@ def load_cifar(data_dir, variant: int = 10, dtype=np.float32):
             LabeledImageSet(test_images, test_labels, **kw))
 
 
+def _read_bytes(path: Path) -> bytes:
+    """The file's bytes, decompressed if its name ends in `.gz`."""
+    if path.suffix != ".gz":
+        return path.read_bytes()
+    try:
+        with gzip.open(path, "rb") as f:
+            return f.read()
+    except (gzip.BadGzipFile, zlib.error, EOFError) as e:
+        raise FormatError(f"{path}: damaged gzip file: {e}") from e
+
+
 def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rb") as f:
-        data = f.read()
+    data = _read_bytes(path)
     if len(data) < 4:
         raise FormatError(f"{path}: truncated header")
     magic = struct.unpack(">i", data[:4])[0]
@@ -123,8 +150,14 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
         raise FormatError(f"{path}: bad magic {magic}, expected {expected_magic}")
     ndim = magic & 0xFF
     header = 4 + 4 * ndim
+    if len(data) < header:
+        raise FormatError(f"{path}: header cut at byte {len(data)}, "
+                          f"its {ndim} dims end at byte {header}")
     dims = struct.unpack(f">{ndim}i", data[4:header])
-    count = int(np.prod(dims))
+    for i, d in enumerate(dims):
+        if d < 0:
+            raise FormatError(f"{path}: dim {i} at byte {4 + 4 * i} is {d}, expected >= 0")
+    count = math.prod(dims)
     body = np.frombuffer(data, dtype=np.uint8, offset=header)
     if body.size != count:
         raise FormatError(f"{path}: payload {body.size} bytes, expected {count}")
@@ -148,7 +181,9 @@ def load_mnist_idx(data_dir, dtype=np.float32):
     for img_stem, lbl_stem in (("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
                                ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")):
         images = _read_idx(_find_idx(data_dir, img_stem), 2051)
-        labels = _read_idx(_find_idx(data_dir, lbl_stem), 2049)
+        label_path = _find_idx(data_dir, lbl_stem)
+        labels = _read_idx(label_path, 2049)
+        _check_labels(label_path, labels, 10, 8, 1)  # after the magic and the count
         if images.shape[0] != labels.shape[0]:
             raise FormatError(f"{data_dir}: image/label count mismatch")
         images = (images.astype(np.float64) / 255.0)[:, None, :, :].astype(dtype)

@@ -4,11 +4,16 @@ residual net and a 9-layer CNN, each full size or mini. An architecture is
 a body function (plain conv-norm-act groups, or residual blocks) and its
 plan; `build_model` adds the shared classifier head.
 
-Layers record their forward caches on themselves (the tape); backward walks
-the layer list in reverse, composing each layer's exact or surrogate
-backward. Convolutions are cross-correlations computed by `_conv` one block
-of samples at a time, a block being as many samples as keep its patch
-matrix near `_BLOCK_BYTES`: per block, `_im2col` copies the samples into a
+Layers record their forward caches on themselves (the tape). One forward
+walk, `_forward`, and one backward walk, `_backward`, serve the graph and
+each residual branch; backward composes each layer's exact or surrogate
+backward in reverse. A forward may pass `visit(layer, output)`, which sees
+every leaf's output: `training.evaluate` reads R_a that way, and no layer
+keeps its output.
+
+Convolutions are cross-correlations computed by `_conv` one block of
+samples at a time, a block being as many samples as keep its patch matrix
+near `_BLOCK_BYTES`: per block, `_im2col` copies the samples into a
 zero-padded NHWC buffer and gathers each output pixel's window in
 (ki, kj, c) order, so every kernel tap copies a contiguous run of channels,
 and one GEMM with the tap-major weight gives the block's output. No
@@ -279,15 +284,11 @@ class ActQuant(_Leaf):
 
     def __init__(self, cfg: QuantConfig):
         self.cfg = cfg
-        self.record = False
-        self.last_output = None
 
     def forward(self, x, mode):
         y, saved = quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
         if mode is Mode.TRAIN:
             self.cache = saved
-        if self.record:
-            self.last_output = y
         return y
 
     def backward(self, upstream):
@@ -295,17 +296,10 @@ class ActQuant(_Leaf):
 
 
 class ReLU(_Leaf):
-    def __init__(self):
-        self.record = False
-        self.last_output = None
-
     def forward(self, x, mode):
-        y = np.maximum(x, 0.0)
         if mode is Mode.TRAIN:
             self.cache = x > 0
-        if self.record:
-            self.last_output = y
-        return y
+        return np.maximum(x, 0.0)
 
     def backward(self, upstream):
         return upstream * self.cache
@@ -355,6 +349,27 @@ class GlobalAvgPool(_Leaf):
         return g
 
 
+def _forward(layers: list, x: np.ndarray, mode: Mode, visit) -> np.ndarray:
+    """Run `layers` in order on x; a residual block runs its branches through
+    this same walk. `visit(layer, output)`, if given, sees every leaf's
+    output."""
+    for layer in layers:
+        if isinstance(layer, ResidualBlock):
+            x = layer.forward(x, mode, visit)
+        else:
+            x = layer.forward(x, mode)
+            if visit is not None:
+                visit(layer, x)
+    return x
+
+
+def _backward(layers: list, g: np.ndarray) -> np.ndarray:
+    """Compose the backwards of `layers` in reverse order on g."""
+    for layer in reversed(layers):
+        g = layer.backward(g)
+    return g
+
+
 class ResidualBlock:
     """Sum of two pre-activation branches evaluated on the same input."""
 
@@ -362,29 +377,11 @@ class ResidualBlock:
         self.s_branch = s_branch
         self.f_branch = f_branch
 
-    def parameters(self):
-        return [p for layer in self.s_branch + self.f_branch for p in layer.parameters()]
-
-    def forward(self, x, mode):
-        ys = x
-        for layer in self.s_branch:
-            ys = layer.forward(ys, mode)
-        yf = x
-        for layer in self.f_branch:
-            yf = layer.forward(yf, mode)
-        return ys + yf
+    def forward(self, x, mode, visit=None):
+        return _forward(self.s_branch, x, mode, visit) + _forward(self.f_branch, x, mode, visit)
 
     def backward(self, upstream):
-        gs = upstream
-        for layer in reversed(self.s_branch):
-            gs = layer.backward(gs)
-        gf = upstream
-        for layer in reversed(self.f_branch):
-            gf = layer.backward(gf)
-        return gs + gf
-
-    def cache_nbytes(self):
-        return sum(layer.cache_nbytes() for layer in self.s_branch + self.f_branch)
+        return _backward(self.s_branch, upstream) + _backward(self.f_branch, upstream)
 
 
 def _walk(layers):
@@ -409,7 +406,7 @@ class ModelGraph:
         self._forward_done = False
 
     def parameters(self) -> list[Param]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for layer in self.all_layers() for p in layer.parameters()]
 
     def all_layers(self):
         return list(_walk(self.layers))
@@ -420,11 +417,11 @@ class ModelGraph:
     def activation_layers(self):
         return [l for l in self.all_layers() if isinstance(l, (ActQuant, ReLU))]
 
-    def forward(self, x: np.ndarray, mode: Mode = Mode.TRAIN) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, mode)
+    def forward(self, x: np.ndarray, mode: Mode = Mode.TRAIN, visit=None) -> np.ndarray:
+        """The (n, num_classes) logits; `visit` sees each leaf's output."""
+        x = _forward(self.layers, x, mode, visit)
         self._forward_done = mode is Mode.TRAIN
-        return x  # (n, num_classes) after the trailing global pool
+        return x
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Accumulate every parameter's gradient. The gradient of the graph
@@ -433,9 +430,7 @@ class ModelGraph:
         if not self._forward_done:
             raise RuntimeError("backward requires a preceding TRAIN-mode forward")
         first, *rest = self.layers
-        g = grad_logits
-        for layer in reversed(rest):
-            g = layer.backward(g)
+        g = _backward(rest, grad_logits)
         if isinstance(first, Conv2d):
             first.backward(g, input_grad=False)
         else:
@@ -447,7 +442,7 @@ class ModelGraph:
             p.zero_grad()
 
     def tape_nbytes(self) -> int:
-        return sum(layer.cache_nbytes() for layer in self.layers)
+        return sum(layer.cache_nbytes() for layer in self.all_layers())
 
 
 # Conv plans: each entry is a (channels, repeat) group; "AP" inserts pooling.

@@ -127,15 +127,11 @@ def compute_r_w(graph: ModelGraph):
     return nonzero / total, per_layer
 
 
-def compute_r_a(act_layers: list) -> np.ndarray:
-    """R_a count of one forwarded batch: per activation layer, the sum over
-    the batch's samples of each sample's non-zero output fraction, read from
-    the output the layer recorded."""
-    sums = np.zeros(len(act_layers))
-    for i, l in enumerate(act_layers):
-        out = l.last_output.reshape(l.last_output.shape[0], -1)
-        sums[i] = (np.count_nonzero(out, axis=1) / out.shape[1]).sum()
-    return sums
+def compute_r_a(output: np.ndarray) -> float:
+    """R_a count of one activation layer's output on a batch: the sum over
+    the batch's samples of each sample's non-zero output fraction."""
+    out = output.reshape(output.shape[0], -1)
+    return (np.count_nonzero(out, axis=1) / out.shape[1]).sum()
 
 
 @dataclass
@@ -149,8 +145,9 @@ class EvalResult:
 def evaluate(graph: ModelGraph, data: LabeledImageSet, loss_cfg: LossConfig,
              batch_size: int = 100, max_samples: int | None = None) -> EvalResult:
     """One EVAL-mode pass: mean loss, accuracy and R_a. R_a per activation
-    layer is the mean over samples of that sample's non-zero output fraction;
-    the pooled value is the element-count weighted mean over layers."""
+    layer is the mean over samples of that sample's non-zero output fraction,
+    read by the forward's visitor; the pooled value is the element-count
+    weighted mean over layers."""
     images, labels = data.images, data.labels
     if max_samples is not None:
         images, labels = images[:max_samples], labels[:max_samples]
@@ -160,25 +157,25 @@ def evaluate(graph: ModelGraph, data: LabeledImageSet, loss_cfg: LossConfig,
     act_layers = graph.activation_layers()
     if not act_layers:
         raise ValueError("model has no activation layers")
+    slot = {layer: i for i, layer in enumerate(act_layers)}
+    ratio_sums = np.zeros(len(act_layers))
+    elem_counts = [0] * len(act_layers)
+
+    def visit(layer, output):
+        i = slot.get(layer)
+        if i is not None:
+            ratio_sums[i] += compute_r_a(output)
+            elem_counts[i] = output[0].size
+
     loss_sum = 0.0
     correct = 0
-    ratio_sums = np.zeros(len(act_layers))
-    for l in act_layers:
-        l.record = True
-    try:
-        for start in range(0, n, batch_size):
-            xb = images[start:start + batch_size]
-            yb = labels[start:start + batch_size]
-            logits = graph.forward(xb, Mode.EVAL)
-            loss, _ = combined_loss(logits, yb, loss_cfg)
-            loss_sum += loss * xb.shape[0]
-            correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-            ratio_sums += compute_r_a(act_layers)
-        elem_counts = [l.last_output[0].size for l in act_layers]
-    finally:
-        for l in act_layers:
-            l.record = False
-            l.last_output = None
+    for start in range(0, n, batch_size):
+        xb = images[start:start + batch_size]
+        yb = labels[start:start + batch_size]
+        logits = graph.forward(xb, Mode.EVAL, visit)
+        loss, _ = combined_loss(logits, yb, loss_cfg)
+        loss_sum += loss * xb.shape[0]
+        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
     per_layer = (ratio_sums / n).tolist()
     return EvalResult(loss=loss_sum / n, acc=correct / n,
                       r_a=float(np.average(per_layer, weights=elem_counts)),
@@ -201,8 +198,8 @@ class EpochRecord:
 
 def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageSet,
           *, epochs: int, batch_size: int, loss_cfg: LossConfig = LossConfig(),
-          base_lr: float = 1e-2, momentum: float = 0.9, weight_decay: float = 0.0,
-          seed: int = 42, augment: bool = False,
+          base_lr: float = 1e-2, momentum: float = OptimState.momentum,
+          weight_decay: float = OptimState.weight_decay, seed: int = 42, augment: bool = False,
           metrics_max_samples: int | None = None) -> list[EpochRecord]:
     """Full training loop; deterministic given the seed. Returns one record
     per epoch (plus an initial-state record when epochs == 0)."""
@@ -303,7 +300,8 @@ def norm_comparison_experiment(train_set: LabeledImageSet, test_set: LabeledImag
                                *, batch_sizes: list[int],
                                variants: list[str] = ("LBN+WS", "LBN", "BN+WS", "BN"),
                                epochs: int = 10, base_lr_at_128: float = 1e-2,
-                               weight_decay: float = 0.0, seeds: list[int] = (42,),
+                               weight_decay: float = OptimState.weight_decay,
+                               seeds: list[int] = (42,),
                                arch: str = "cnn9-mini", dtype=np.float32,
                                metrics_max_samples: int | None = 1000,
                                progress=None) -> list[NormBenchRow]:

@@ -13,6 +13,7 @@ from maqd.network import (ARCHITECTURES, Conv2d, GlobalAvgPool, ModelGraph, Norm
                           build_model)
 from maqd.normalization import Mode, NormKind
 from maqd.training import OptimState, combined_loss, sgd_momentum_step
+from test_datasets import DAMAGE, write_damaged
 
 
 BLOBS_DIMS = {"class_count": 4, "in_channels": 1, "input_hw": 8}
@@ -194,6 +195,14 @@ class TestExitCodes:
         monkeypatch.delenv("MAQD_DATA_DIR", raising=False)
         assert main(["train", "--dataset", "mnist", "--epochs", "0"]) == 2
         assert "data-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", DAMAGE)
+    def test_damaged_dataset_is_2_and_names_the_file(self, tmp_path, capsys, case):
+        path = write_damaged(tmp_path, case)
+        dataset, message = DAMAGE[case][0], DAMAGE[case][-1]
+        assert main(["train", "--dataset", dataset, "--data-dir", str(tmp_path),
+                     "--epochs", "0", "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_missing_checkpoint_file_is_2(self, tmp_path, capsys):
         assert main(["eval", "--dataset", "blobs",

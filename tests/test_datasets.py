@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maqd.datasets import (BatchPlan, FormatError, LabeledImageSet, batches,
                            load_cifar, load_mnist_idx, pad_images,
@@ -53,6 +55,104 @@ def write_mnist(tmp_path, n_train=6, n_test=3, gz=False, seed=2):
         labels = rng.integers(0, 10, size=n, dtype=np.uint8)
         write_idx_images(tmp_path / f"{stem}-images-idx3-ubyte{suffix}", images, gz)
         write_idx_labels(tmp_path / f"{stem}-labels-idx1-ubyte{suffix}", labels, gz)
+
+
+def _set_byte(at, value):
+    return lambda blob: blob[:at] + bytes([value]) + blob[at + 1:]
+
+
+def _flip_middle_byte(blob):
+    at = len(blob) // 2
+    return _set_byte(at, blob[at] ^ 0xFF)(blob)
+
+
+# Damage cases: (dataset, gzipped, file, edit of its bytes, the error
+# message after "<path>: ").
+DAMAGE = {
+    "idx header cut": ("mnist", False, "train-images-idx3-ubyte", lambda b: b[:10],
+                       "header cut at byte 10, its 3 dims end at byte 16"),
+    "idx negative dim": ("mnist", False, "train-images-idx3-ubyte",
+                         lambda b: b[:4] + struct.pack(">i", -6) + b[8:],
+                         "dim 0 at byte 4 is -6, expected >= 0"),
+    "idx label": ("mnist", False, "t10k-labels-idx1-ubyte", _set_byte(10, 12),
+                  "record at byte 10: label 12 outside the 10 classes"),
+    "gz flipped byte": ("mnist", True, "train-images-idx3-ubyte.gz", _flip_middle_byte,
+                        "damaged gzip file"),
+    "gz truncated": ("mnist", True, "train-labels-idx1-ubyte.gz", lambda b: b[:-12],
+                     "damaged gzip file"),
+    "cifar label": ("cifar10", False, "data_batch_2.bin", _set_byte(2 * 3073, 200),
+                    f"record at byte {2 * 3073}: label 200 outside the 10 classes"),
+}
+
+
+def write_damaged(tmp_path, case):
+    """Write a dataset with one file damaged as DAMAGE[case] says; returns
+    that file's path."""
+    dataset, gz, name, edit, _ = DAMAGE[case]
+    if dataset == "cifar10":
+        write_cifar10(tmp_path)
+    else:
+        write_mnist(tmp_path, gz=gz)
+    path = tmp_path / name
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("case", DAMAGE)
+    def test_names_the_file_and_byte(self, tmp_path, case):
+        path = write_damaged(tmp_path, case)
+        dataset, message = DAMAGE[case][0], DAMAGE[case][-1]
+        with pytest.raises(FormatError) as err:
+            if dataset == "cifar10":
+                load_cifar(tmp_path, 10)
+            else:
+                load_mnist_idx(tmp_path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+    def test_cifar100_fine_label_checked(self, tmp_path):
+        write_cifar100(tmp_path)
+        path = tmp_path / "test.bin"
+        path.write_bytes(_set_byte(3 * 3074 + 1, 100)(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"record at byte {3 * 3074}: label 100"):
+            load_cifar(tmp_path, 100)
+
+
+@pytest.fixture(scope="module")
+def mnist_dirs(tmp_path_factory):
+    """{gzipped: a directory of small MNIST idx files}."""
+    dirs = {gz: tmp_path_factory.mktemp("gz" if gz else "raw") for gz in (False, True)}
+    for gz, d in dirs.items():
+        write_mnist(d, gz=gz)
+    return dirs
+
+
+class TestMutatedFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_idx_file_loads_or_fails_typed(self, mnist_dirs, data):
+        gz = data.draw(st.booleans())
+        stem = data.draw(st.sampled_from(["train-images-idx3-ubyte", "train-labels-idx1-ubyte"]))
+        path = mnist_dirs[gz] / (stem + (".gz" if gz else ""))
+        blob = path.read_bytes()
+        at = st.one_of(st.integers(0, min(15, len(blob) - 1)), st.integers(0, len(blob) - 1))
+        value = st.one_of(st.sampled_from([0, 1, 2, 3, 8, 10, 255]), st.integers(0, 255))
+        edits = data.draw(st.lists(st.tuples(at, value), min_size=1, max_size=3))
+        cut = data.draw(st.one_of(st.none(), st.integers(0, 20), st.integers(0, len(blob))))
+        mutated = bytearray(blob)
+        for at, value in edits:
+            mutated[at] = value
+        path.write_bytes(bytes(mutated[:cut]))
+        try:
+            load_mnist_idx(mnist_dirs[gz])
+        except FormatError:
+            pass
+        finally:
+            path.write_bytes(blob)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_unmutated_files_load(self, mnist_dirs, gz):
+        assert load_mnist_idx(mnist_dirs[gz])[0].images.shape == (6, 1, 28, 28)
 
 
 class TestCifarLoader:

@@ -356,6 +356,22 @@ class TestBuilders:
             yf = l.forward(yf, Mode.EVAL)
         np.testing.assert_array_equal(y, ys + yf)
 
+    def test_visit_sees_every_leaf_output_in_order(self):
+        g = build_model("preact-mini", 10, quant=QuantConfig())
+        x = RNG(11).normal(size=(2, 3, 8, 8))
+        seen = []
+        logits = g.forward(x, Mode.EVAL, lambda layer, out: seen.append((layer, out)))
+        assert [layer for layer, _ in seen] == g.all_layers()
+        np.testing.assert_array_equal(seen[-1][1], logits)
+        block = g.layers[0]
+        assert isinstance(block, ResidualBlock)
+        outputs = {id(layer): out for layer, out in seen}
+        for branch in (block.s_branch, block.f_branch):
+            y = x
+            for layer in branch:
+                y = layer.forward(y, Mode.EVAL)
+                np.testing.assert_array_equal(outputs[id(layer)], y)
+
     def test_preact_branches_end_with_norm(self):
         g = build_model("preact_resnet", 10, quant=QuantConfig())
         for block in (l for l in g.layers if isinstance(l, ResidualBlock)):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from maqd import training
 from maqd.datasets import LabeledImageSet, synthetic_blobs
-from maqd.network import ActQuant, Conv2d, GlobalAvgPool, ModelGraph, Param, build_model
+from maqd.network import (ActQuant, Conv2d, GlobalAvgPool, ModelGraph, Param,
+                          ResidualBlock, build_model)
 from maqd.normalization import Mode, NormKind
 from maqd.quantizer import QuantConfig
 from maqd.training import (LossConfig, OptimState, combined_loss, compute_r_w,
@@ -175,6 +177,57 @@ class TestSparsityMetrics:
         res = evaluate(g, data, LossConfig(), batch_size=1)
         assert res.r_a == pytest.approx((0.25 + 0.75) / 2)
 
+    def test_r_a_of_residual_branches_matches_leaf_walk(self):
+        g = build_model("preact-mini", 3, quant=QuantConfig(), seed=3, input_hw=8)
+        rng = np.random.default_rng(4)
+        for _ in range(2):   # running statistics away from their initial values
+            g.forward(rng.normal(size=(4, 3, 8, 8)), Mode.TRAIN)
+        images = rng.normal(size=(10, 3, 8, 8))
+        data = LabeledImageSet(images, rng.integers(0, 3, size=10), class_count=3)
+
+        outputs = []
+
+        def walk(layers, x):
+            for layer in layers:
+                if isinstance(layer, ResidualBlock):
+                    x = walk(layer.s_branch, x) + walk(layer.f_branch, x)
+                else:
+                    x = layer.forward(x, Mode.EVAL)
+                    if isinstance(layer, ActQuant):
+                        outputs.append(x.reshape(x.shape[0], -1))
+            return x
+
+        walk(g.layers, images)
+        assert len(outputs) == len(g.activation_layers()) == 9
+        expected = [float(np.mean(np.count_nonzero(o, axis=1) / o.shape[1]))
+                    for o in outputs]
+        assert 0.0 < max(expected) < 1.0
+        res = evaluate(g, data, LossConfig(), batch_size=4)
+        np.testing.assert_allclose(res.r_a_per_layer, expected, rtol=1e-12)
+        sizes = [o.shape[1] for o in outputs]
+        assert res.r_a == pytest.approx(np.average(expected, weights=sizes), rel=1e-12)
+
+    def test_evaluate_leaves_layer_attributes_alone(self, monkeypatch):
+        """Checked after each batch's forward and after the pass."""
+        g = build_model("preact-mini", 3, quant=QuantConfig(), seed=3, input_hw=8)
+        g.forward(np.random.default_rng(5).normal(size=(4, 3, 8, 8)), Mode.TRAIN)
+        layers = g.layers + g.all_layers()
+        before = [dict(vars(l)) for l in layers]
+
+        def check():
+            for layer, attrs in zip(layers, before):
+                assert vars(layer).keys() == attrs.keys()
+                assert all(vars(layer)[k] is v for k, v in attrs.items())
+
+        def checked_loss(*args):
+            check()
+            return combined_loss(*args)
+
+        monkeypatch.setattr(training, "combined_loss", checked_loss)
+        data = LabeledImageSet(np.ones((5, 3, 8, 8)), np.zeros(5, dtype=np.int64), 3)
+        evaluate(g, data, LossConfig(), batch_size=2)
+        check()
+
     def test_r_a_empty_set_rejected(self):
         g = build_model("vgg-mini", 10, quant=QuantConfig(), seed=0)
         data = LabeledImageSet(np.zeros((1, 3, 8, 8)), np.zeros(1, dtype=np.int64), 10)
@@ -222,9 +275,9 @@ class TestTrainLoop:
         modes = []
         forward = g.forward
 
-        def counting_forward(x, mode=Mode.TRAIN):
+        def counting_forward(x, mode=Mode.TRAIN, visit=None):
             modes.append(mode)
-            return forward(x, mode)
+            return forward(x, mode, visit)
 
         g.forward = counting_forward
         train(g, train_set, test_set, epochs=1, batch_size=32)
