@@ -379,7 +379,7 @@ def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     building each block's patch matrix with this module's `_im2col`."""
     f = op.fields
     return _conv(x, f["w"], f["kernel"], f["stride"], 1 if f["kernel"] == 3 else 0,
-                 _im2col)[0]
+                 _im2col)
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:

@@ -9,7 +9,11 @@ walk, `_forward`, and one backward walk, `_backward`, serve the graph and
 each residual branch; backward composes each layer's exact or surrogate
 backward in reverse. A forward may pass `visit(layer, output)`, which sees
 every leaf's output: `training.evaluate` reads R_a that way, and no layer
-keeps its output.
+keeps its output. The tape holds each tensor once: an `ActQuant` that
+directly follows a `NormLayer` in a layer list is linked to it (`_link`)
+and tapes nothing, its backward rebuilding its input from the norm's x_hat,
+g and b. A backward with no TRAIN forward's tape to read is a
+RuntimeError that names the layer.
 
 Convolutions are cross-correlations computed by `_conv` one block of
 samples at a time, a block being as many samples as keep its patch matrix
@@ -20,10 +24,10 @@ and one GEMM with the tap-major weight gives the block's output. No
 full-batch patch matrix is ever built. `_tap_major` puts the (out, c*k*k)
 weight rows in the same order; the weight itself, WS, the quantizer and the
 export format keep the canonical (out, c, k, k) layout. A TRAIN conv tapes
-its input and the last block's patch matrix only; its backward walks the
-blocks in reverse, rebuilds each other block's patch matrix from the input
-and runs the exact transposes block by block. The export runtime calls the
-same conv and 2x2 pooling kernels.
+its input and its effective weight with the WS and quantizer caches, and
+no patch matrix; its backward walks the blocks in reverse, rebuilds each
+block's patch matrix from the input and runs the exact transposes block by
+block. The export runtime calls the same conv and 2x2 pooling kernels.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -137,11 +141,11 @@ def _blocks(x_shape, itemsize: int, k: int, stride: int, pad: int) -> list[slice
 
 
 def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, stride: int, pad: int,
-          im2col) -> tuple[np.ndarray, np.ndarray]:
+          im2col) -> np.ndarray:
     """Cross-correlation of (n, c, h, w) x with the tap-major (out, k*k*c)
     matrix w_tap, one block of `_blocks` at a time: the block's patch matrix
     from `im2col` (the caller's `_im2col`) times w_tap. Returns the
-    (n, out, ho, wo) output and the last block's patch matrix."""
+    (n, out, ho, wo) output."""
     out_ch = w_tap.shape[0]
     y = cols = None
     for b in _blocks(x.shape, x.itemsize, k, stride, pad):
@@ -151,7 +155,7 @@ def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, stride: int, pad: int,
         if y is None:
             y = np.empty((x.shape[0], out_ch, ho, wo), dtype=part.dtype)
         y[b] = part.reshape(-1, ho, wo, out_ch).transpose(0, 3, 1, 2)
-    return y, cols
+    return y
 
 
 class _Leaf:
@@ -165,6 +169,15 @@ class _Leaf:
 
     def cache_nbytes(self) -> int:
         return _nbytes(self.cache)
+
+    def _tape(self, source=None):
+        """The tape of the last TRAIN forward of this layer, or of the layer
+        `source` whose tape it reads; without one, a backward is an error
+        that names this layer."""
+        cache = (self if source is None else source).cache
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward before a TRAIN forward")
+        return cache
 
 
 class Conv2d(_Leaf):
@@ -209,32 +222,29 @@ class Conv2d(_Leaf):
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
-        y, cols = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel,
-                        self.stride, self.padding, _im2col)
+        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel,
+                  self.stride, self.padding, _im2col)
         if mode is Mode.TRAIN:
-            self.cache = (x, cols, w2d, ws_cache, q_saved)
+            self.cache = (x, w2d, ws_cache, q_saved)
         return y
 
     def backward(self, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the weight gradient; return the input gradient, or
         None without computing it when `input_grad` is false.
 
-        Walks the forward's blocks in reverse: the last block's patch matrix
-        is taped, each other block's is rebuilt from the taped input just
-        before its GEMM. The weight gradient reads a channel-major copy of
-        `upstream`, the (out, n*ho*wo) matrix whose columns are the patch
-        matrix's rows, and sums the blocks' products."""
-        if self.cache is None:
-            raise RuntimeError("backward before forward")
-        x, cols, w2d, ws_cache, q_saved = self.cache
+        Walks the forward's blocks in reverse and rebuilds each block's
+        patch matrix from the taped input just before its GEMM. The weight
+        gradient reads a channel-major copy of `upstream`, the
+        (out, n*ho*wo) matrix whose columns are the patch matrix's rows, and
+        sums the blocks' products, last block first."""
+        x, w2d, ws_cache, q_saved = self._tape()
         k, stride, pad = self.kernel, self.stride, self.padding
         ho, wo = upstream.shape[2:]
         g_cm = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3))  # (out, n, ho, wo)
         grad_x = np.empty(x.shape, np.result_type(upstream, w2d)) if input_grad else None
         grad_tap = None
         for b in reversed(_blocks(x.shape, x.itemsize, k, stride, pad)):
-            if cols is None:
-                cols = _im2col(x[b], k, stride, pad)[0]
+            cols = _im2col(x[b], k, stride, pad)[0]
             part = g_cm[:, b].reshape(self.out_ch, -1) @ cols
             cols = None
             if grad_tap is None:
@@ -273,26 +283,38 @@ class NormLayer(_Leaf):
         return y
 
     def backward(self, upstream):
-        grad_x, grad_g, grad_b = norm_backward(self.cache, upstream)
+        grad_x, grad_g, grad_b = norm_backward(self._tape(), upstream)
         self.g.grad += grad_g
         self.b.grad += grad_b
         return grad_x
 
 
 class ActQuant(_Leaf):
-    """Quantized activation with scaled-sigmoid surrogate backward."""
+    """Quantized activation with scaled-sigmoid surrogate backward.
+
+    Standalone it tapes its input. Linked to the `NormLayer` it directly
+    follows (`norm`, set by `_link`) it tapes nothing: its input is that
+    norm's output x_hat * g + b, which the backward rebuilds block by block
+    from the norm's tape."""
 
     def __init__(self, cfg: QuantConfig):
         self.cfg = cfg
+        self.norm = None
 
     def forward(self, x, mode):
         y, saved = quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
-        if mode is Mode.TRAIN:
+        if mode is Mode.TRAIN and self.norm is None:
             self.cache = saved
         return y
 
     def backward(self, upstream):
-        return quantize_tensor_backward(self.cache, upstream, QuantKind.ACTIVATION, self.cfg)
+        if self.norm is None:
+            saved, affine = self._tape(), None
+        else:
+            t = self._tape(self.norm)
+            saved, affine = t.x_hat, (t.g, t.b)
+        return quantize_tensor_backward(saved, upstream, QuantKind.ACTIVATION, self.cfg,
+                                        affine=affine)
 
 
 class ReLU(_Leaf):
@@ -302,7 +324,7 @@ class ReLU(_Leaf):
         return np.maximum(x, 0.0)
 
     def backward(self, upstream):
-        return upstream * self.cache
+        return upstream * self._tape()
 
 
 def _avg_pool2(x: np.ndarray) -> np.ndarray:
@@ -325,7 +347,7 @@ class AvgPool2(_Leaf):
         return y
 
     def backward(self, upstream):
-        n, c, h, w = self.cache
+        n, c, h, w = self._tape()
         quarter = upstream * 0.25
         g = np.empty((n, c, h, w), dtype=upstream.dtype)
         for i in (0, 1):
@@ -343,7 +365,7 @@ class GlobalAvgPool(_Leaf):
         return np.mean(x, axis=(2, 3), dtype=np.float64).astype(x.dtype)
 
     def backward(self, upstream):
-        n, c, h, w = self.cache
+        n, c, h, w = self._tape()
         g = np.empty((n, c, h, w), dtype=upstream.dtype)
         g[...] = (upstream / (h * w))[:, :, None, None]
         return g
@@ -370,12 +392,23 @@ def _backward(layers: list, g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _link(layers: list) -> None:
+    """Link each ActQuant of `layers` that directly follows a NormLayer to
+    that norm, so that it reads the norm's tape instead of taping its
+    input."""
+    for prev, layer in zip(layers, layers[1:]):
+        if isinstance(layer, ActQuant) and isinstance(prev, NormLayer):
+            layer.norm = prev
+
+
 class ResidualBlock:
     """Sum of two pre-activation branches evaluated on the same input."""
 
     def __init__(self, s_branch: list, f_branch: list):
         self.s_branch = s_branch
         self.f_branch = f_branch
+        _link(s_branch)
+        _link(f_branch)
 
     def forward(self, x, mode, visit=None):
         return _forward(self.s_branch, x, mode, visit) + _forward(self.f_branch, x, mode, visit)
@@ -399,6 +432,7 @@ class ModelGraph:
     def __init__(self, layers: list, arch: str, num_classes: int,
                  quant: QuantConfig | None, norm_kind: NormKind):
         self.layers = layers
+        _link(layers)
         self.arch = arch
         self.num_classes = num_classes
         self.quant = quant

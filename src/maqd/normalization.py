@@ -119,9 +119,14 @@ def _channels(v: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass
 class NormCache:
+    """A TRAIN forward's tape. g and b are the layer's own arrays, not
+    copies: a linked `ActQuant` rebuilds the output x_hat * g + b from them
+    before the optimizer step moves them."""
+
     x_hat: np.ndarray
     inv_std: np.ndarray
     g: np.ndarray
+    b: np.ndarray
     kind: NormKind
 
 
@@ -152,7 +157,7 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     y = np.multiply(x_hat, _channels(st.g, x.dtype))
     y += _channels(st.b, x.dtype)
     if mode is Mode.TRAIN:
-        return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, kind=st.kind)
+        return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, b=st.b, kind=st.kind)
     return y, None
 
 

@@ -11,7 +11,10 @@ in blocks of _CHUNK elements whose scratch buffers stay in the per-core
 cache, multiplies by the upstream gradient inside each block, and so reads
 the saved input and the upstream gradient and writes the result once from
 main memory, whatever m_a is. Each threshold costs five passes over the
-cached block.
+cached block. An activation that follows a normalization saves nothing of
+its own: its backward is given the norm's x_hat and per-channel (g, b), and
+rebuilds its input z = x_hat * g + b inside each block, which then holds
+whole channel planes.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -148,9 +151,16 @@ _CHUNK = 1 << 16
 
 
 def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
-                              upstream: np.ndarray | None = None) -> np.ndarray:
+                              upstream: np.ndarray | None = None,
+                              affine: tuple | None = None) -> np.ndarray:
     """Sum over thresholds of d/dz sigma_alpha(z - b_m); strictly positive.
     Times `upstream`, in upstream's dtype, when one is given.
+
+    With `affine` = (g, b), two per-channel vectors, a_hat is a norm's
+    (n, c, ...) x_hat and z = a_hat * g + b over axis 1. Each block is then
+    whole channel planes, and z is rebuilt in it by the two ufunc calls of
+    `norm_forward` (multiply by g, add b, in a_hat's dtype), so it is bitwise
+    the norm's output; no full-size z is made.
 
     Each bump is sigma'_alpha(x) = E / (1 + E) / (1 + E) / alpha with
     E = exp((z - b_m) / alpha). The thresholds are 1/(m_a-1) apart, so E is
@@ -183,14 +193,29 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     out = np.empty(z.shape, out_dtype)
     zf, of = z.reshape(-1), out.reshape(-1)  # a strided z or upstream is copied
     uf = None if upstream is None else upstream.reshape(-1)
-    size = min(_CHUNK, zf.size)
+    block = _CHUNK
+    if affine is not None:
+        plane = max(1, int(np.prod(z.shape[2:])))
+        block = max(1, _CHUNK // plane) * plane
+        # g and b per element over the channel cycle of c planes and then one
+        # block: the block starting at plane p reads them from plane p % c on
+        cycle = z.shape[1] * plane
+        g_el, b_el = (np.resize(np.repeat(v.astype(dtype, copy=False), plane), cycle + block)
+                      for v in affine)
+    size = min(block, zf.size)
     e, d, bump, total = (np.empty(size, dtype) for _ in range(4))
-    for lo in range(0, zf.size, _CHUNK):
-        n = min(_CHUNK, zf.size - lo)
+    for lo in range(0, zf.size, block):
+        n = min(block, zf.size - lo)
         ec, dc, bc, tc = e[:n], d[:n], bump[:n], total[:n]
         tc.fill(0)
         for first in range(0, m_a - 1, chain):
-            np.subtract(zf[lo:lo + n], b[first], out=ec, casting="unsafe")
+            if affine is None:
+                np.subtract(zf[lo:lo + n], b[first], out=ec, casting="unsafe")
+            else:
+                at = lo % cycle
+                np.multiply(zf[lo:lo + n], g_el[at:at + n], out=ec)
+                ec += b_el[at:at + n]
+                np.subtract(ec, b[first], out=ec, casting="unsafe")
             ec /= dtype.type(alpha)
             np.clip(ec, -half_range, half_range, out=ec)
             np.exp(ec, out=ec)
@@ -222,12 +247,15 @@ def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig):
 
 
 def quantize_tensor_backward(saved: np.ndarray, upstream: np.ndarray,
-                             kind: QuantKind, cfg: QuantConfig) -> np.ndarray:
-    """upstream * surrogate(saved), elementwise, in upstream's dtype."""
+                             kind: QuantKind, cfg: QuantConfig,
+                             affine: tuple | None = None) -> np.ndarray:
+    """upstream * surrogate(saved), elementwise, in upstream's dtype. For an
+    activation, `affine` = (g, b) makes the surrogate's input
+    saved * g + b per channel (see `activation_surrogate_grad`)."""
     if saved.shape != upstream.shape:
         raise ValueError(f"shape mismatch: saved {saved.shape} vs upstream {upstream.shape}")
     if kind is QuantKind.ACTIVATION:
-        return activation_surrogate_grad(saved, cfg.m_a, cfg.alpha, upstream)
+        return activation_surrogate_grad(saved, cfg.m_a, cfg.alpha, upstream, affine)
     g = weight_surrogate_grad(saved, cfg).astype(upstream.dtype, copy=False)
     g *= upstream
     return g

@@ -267,8 +267,11 @@ def write_sparsity_csv(path, record: EpochRecord):
 
 def measure_step_bytes(graph: ModelGraph, xb: np.ndarray, yb: np.ndarray,
                        loss_cfg: LossConfig = LossConfig()) -> int:
-    """Bytes held by forward caches plus parameters, gradients, and the batch
-    itself after one training step; the engine's peak-allocation proxy."""
+    """Bytes of the TRAIN forward's tape (`tape_nbytes`: each conv's input
+    and effective weight, each norm's x_hat, each ReLU's 1-byte mask, and
+    no activation input that a norm's tape rebuilds) plus parameters,
+    gradients, the batch and its logits; the engine's peak-allocation proxy
+    for one training step."""
     graph.zero_grad()
     logits = graph.forward(xb, Mode.TRAIN)
     _, grad = combined_loss(logits, yb, loss_cfg)

@@ -1,10 +1,11 @@
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maqd import export, network
+from maqd import export, network, quantizer
 from maqd.export import _run_conv, import_model, parity_check, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_model)
@@ -508,3 +509,149 @@ class TestModelGradients:
         np.testing.assert_allclose(gx, up * surr * w_q, atol=1e-12)
         expected_w_grad = np.sum(up * surr * x) * (1.0 if abs(cfg.s * w) < 1 else 0.0)
         assert conv.weight.grad.item() == pytest.approx(expected_w_grad, rel=1e-10)
+
+
+def _leaf(name):
+    """A leaf layer of each class on a (2, 4, 4, 4) input, a linked ActQuant
+    behind its norm."""
+    if name == "Conv2d":
+        return Conv2d(4, 4, kernel=3, rng=RNG(50), quant=QuantConfig())
+    if name == "NormLayer":
+        return NormLayer(NormKind.BN, 4)
+    if name in ("ActQuant", "linked ActQuant"):
+        act = ActQuant(QuantConfig())
+        if name == "linked ActQuant":
+            network._link([NormLayer(NormKind.LBN, 4), act])
+            assert act.norm is not None
+        return act
+    return {"ReLU": ReLU, "AvgPool2": AvgPool2, "GlobalAvgPool": GlobalAvgPool}[name]()
+
+
+LEAVES = ["Conv2d", "NormLayer", "ActQuant", "linked ActQuant", "ReLU", "AvgPool2",
+          "GlobalAvgPool"]
+
+
+class TestBackwardBeforeForward:
+    @pytest.mark.parametrize("name", LEAVES)
+    @pytest.mark.parametrize("eval_first", [False, True], ids=["fresh", "after_eval"])
+    def test_is_a_runtime_error_naming_the_layer(self, name, eval_first):
+        layer = _leaf(name)
+        x = RNG(51).normal(size=(2, 4, 4, 4))
+        y = layer.forward(x, Mode.EVAL)
+        if not eval_first:
+            layer = _leaf(name)
+        cls = type(layer).__name__
+        with pytest.raises(RuntimeError, match=rf"^{cls}\.backward before a TRAIN forward$"):
+            layer.backward(np.ones_like(y))
+
+    def test_a_linked_act_whose_norm_has_no_tape(self):
+        # the act's own TRAIN forward tapes nothing: its norm's tape is missing
+        act = _leaf("linked ActQuant")
+        y = act.forward(RNG(52).normal(size=(2, 4, 4, 4)), Mode.TRAIN)
+        with pytest.raises(RuntimeError, match=r"^ActQuant\.backward before a TRAIN forward$"):
+            act.backward(np.ones_like(y))
+
+
+def _quantized(arch, norm_kind, dtype, seed=60):
+    """A quantized mini model whose norms have non-trivial gains and shifts,
+    one of them 0, so a rebuilt activation input that got g or b wrong
+    would show."""
+    graph = build_model(arch, 10, quant=QuantConfig(), norm_kind=norm_kind, dtype=dtype,
+                        seed=seed, input_hw=8)
+    rng = RNG(seed + 1)
+    for layer in graph.all_layers():
+        if isinstance(layer, NormLayer):
+            c = layer.g.data.shape[0]
+            layer.g.data[...] = rng.uniform(0.5, 1.5, size=c)
+            layer.g.data[0] = 0.0
+            layer.b.data[...] = rng.normal(0.2, 0.3, size=c)
+    return graph
+
+
+def _step(graph, x, up):
+    """One TRAIN forward and backward: the logits, every parameter gradient
+    and every running statistic."""
+    logits = graph.forward(x, Mode.TRAIN)
+    graph.zero_grad()
+    graph.backward(up)
+    stats = [a.copy() for l in graph.all_layers() if isinstance(l, NormLayer)
+             for a in (l.state.running_mean, l.state.running_var) if a is not None]
+    return [logits] + [p.grad.copy() for p in graph.parameters()] + stats
+
+
+def _acts(graph):
+    return [l for l in graph.all_layers() if isinstance(l, ActQuant)]
+
+
+class TestTapeOnce:
+    """Each tensor is taped once: every ActQuant that `build_model` makes
+    reads its norm's tape, and no conv tapes a patch matrix. The numbers are those of
+    a walk in which every ActQuant tapes its own input."""
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("norm_kind", list(NormKind))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [None, 100], ids=["chunk", "small_chunk"])
+    def test_step_is_bitwise_the_self_taping_walk(self, monkeypatch, arch, norm_kind,
+                                                  dtype, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(quantizer, "_CHUNK", chunk)
+        graph = _quantized(arch, norm_kind, dtype)
+        ref = copy.deepcopy(graph)
+        for act in _acts(ref):
+            act.norm = None
+        assert all(act.norm is not None for act in _acts(graph))
+        x = RNG(62).normal(size=(4, 3, 8, 8)).astype(dtype)
+        up = RNG(63).normal(size=(4, 10)).astype(dtype)
+        got, want = _step(graph, x, up), _step(ref, x, up)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_a_deep_copy_reads_its_own_tapes(self):
+        # perfbench trains a deep copy of a graph on every repeat
+        graph = _quantized("preact-mini", NormKind.LBN, np.float32)
+        x = RNG(64).normal(size=(4, 3, 8, 8)).astype(np.float32)
+        up = RNG(65).normal(size=(4, 10)).astype(np.float32)
+        graph.forward(x, Mode.TRAIN)
+        twin = copy.deepcopy(graph)          # the taped original, kept aside
+        clone = copy.deepcopy(graph)
+        originals = {id(l) for l in graph.all_layers()}
+        layers = clone.all_layers()
+        for act in _acts(clone):
+            assert act.norm is layers[layers.index(act) - 1]
+            assert id(act.norm) not in originals
+        norms = [l for l in graph.all_layers() if isinstance(l, NormLayer)]
+        tapes = [(l.cache.x_hat, l.cache.x_hat.copy()) for l in norms]
+        _step(clone, RNG(66).normal(size=(4, 3, 8, 8)).astype(np.float32), up)
+        for layer, (x_hat, saved) in zip(norms, tapes):
+            assert layer.cache.x_hat is x_hat
+            np.testing.assert_array_equal(x_hat, saved)
+        graph.zero_grad()
+        graph.backward(up)
+        twin.zero_grad()
+        twin.backward(up)
+        for p, q in zip(graph.parameters(), twin.parameters()):
+            np.testing.assert_array_equal(p.grad, q.grad)
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    def test_tape_accounting(self, arch):
+        graph = _quantized(arch, NormKind.LBN, np.float32)
+        x = RNG(67).normal(size=(4, 3, 8, 8)).astype(np.float32)
+        graph.forward(x, Mode.TRAIN)
+        layers = graph.all_layers()
+        acts = _acts(graph)
+        assert acts and all(act.cache_nbytes() == 0 for act in acts)
+        conv_bytes = 0
+        for conv in graph.conv_layers():
+            tape = conv.cache
+            assert tape[0].shape[:2] == (4, conv.in_ch) and tape[0].ndim == 4
+            w2d, ws_cache, q_saved = conv.effective_weight()
+            want = (tape[0].nbytes + w2d.nbytes + network._nbytes(ws_cache)
+                    + network._nbytes(q_saved))
+            assert conv.cache_nbytes() == want
+            conv_bytes += want
+        norm_bytes = sum(l.cache_nbytes() for l in layers if isinstance(l, NormLayer))
+        assert norm_bytes > 0
+        assert graph.tape_nbytes() == conv_bytes + norm_bytes

@@ -4,7 +4,8 @@ The tracer in perfbench/spans.py patches engine functions by name; a renamed
 or removed function shows up as an absent span. This run fails the suite
 when that happens, instead of silently dropping per-layer numbers. It also
 fails when the runtime stops calling the traced kernels, which would leave
-their per-layer times reading 0.
+their per-layer times reading 0, and when the tape is no longer the sum of
+its per-class parts or a quantized activation tapes its input again.
 """
 
 import json
@@ -34,3 +35,10 @@ def test_tiny_traced_run_is_correct_with_no_absent_spans(workload):
     assert metrics["export.runtime.im2col_ms"] > 0
     if metrics["quantizer.act.fwd_calls"] > 0:  # a quantized workload
         assert metrics["export.runtime.act_ms"] > 0
+    # the tape is the sum of the per-class tapes, and an activation that
+    # follows a norm reads the norm's tape instead of taping its input
+    per_class = sum(metrics[k + ".tape_mb"] for k in (
+        "quantizer.act", "network.conv", "normalization.norm", "network.relu"))
+    assert abs(metrics["network.tape_mb"] - per_class) <= 1e-6
+    if metrics["quantizer.act.bwd_calls"] > 0:
+        assert metrics["quantizer.act.tape_mb"] == 0

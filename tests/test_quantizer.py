@@ -373,3 +373,36 @@ class TestBlockedSurrogateBackward:
                                               np.ascontiguousarray(up),
                                               QuantKind.ACTIVATION, self.CFG)
         np.testing.assert_array_equal(g, contiguous)
+
+
+class TestRebuiltInput:
+    """An activation after a norm hands the backward the norm's x_hat and
+    per-channel (g, b): each block, whole channel planes, rebuilds
+    z = x_hat * g + b the way `norm_forward` forms its output, so the result
+    is bitwise that of the backward given z itself."""
+
+    CFG = QuantConfig(m_w=15, m_a=8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape, chunk", [
+        ((3, 5, 8, 8), None),        # one block
+        ((3, 5, 8, 8), 200),         # 3 planes a block, a ragged last block
+        ((2, 3, 16, 16), 100),       # planes larger than a chunk: one a block
+        ((4, 6, 1, 1), 7),           # 1x1 planes
+    ])
+    def test_bitwise_the_backward_of_z(self, monkeypatch, dtype, shape, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(quantizer, "_CHUNK", chunk)
+        rng = np.random.default_rng(32)
+        x_hat = rng.normal(size=shape).astype(dtype)
+        g = rng.uniform(0.2, 2.0, size=shape[1]).astype(dtype)
+        g[1] = 0.0                   # a zero gain is no special case: nothing divides by g
+        b = rng.normal(0.3, 0.5, size=shape[1]).astype(dtype)
+        up = rng.normal(size=shape).astype(dtype)
+        z = np.multiply(x_hat, g.reshape(1, -1, 1, 1))
+        z += b.reshape(1, -1, 1, 1)
+        want = quantize_tensor_backward(z, up, QuantKind.ACTIVATION, self.CFG)
+        got = quantize_tensor_backward(x_hat, up, QuantKind.ACTIVATION, self.CFG,
+                                       affine=(g, b))
+        assert got.dtype == dtype and got.shape == shape
+        np.testing.assert_array_equal(got, want)
