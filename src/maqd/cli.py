@@ -177,7 +177,36 @@ def parse_config(argv: list[str]) -> tuple[RunConfig, argparse.Namespace]:
 
     cfg = RunConfig(command=args.command, **resolved)
     cfg.validate()
+    for key in _LIST_FLAGS.keys() & vars(args).keys():
+        setattr(args, key, _list_flag(key, getattr(args, key)))
+    if getattr(args, "train_subset", 0) < 0:
+        raise UsageError("--train-subset: value must be >= 0")
     return cfg, args
+
+
+# The subcommands' comma-separated flags: item type, item check, and what
+# the check asks for. The sweep checks a grid's values as --m-w and --m-a.
+_LIST_FLAGS = {
+    "batch_sizes": (int, lambda v: v > 0, "integers > 0"),
+    "variants": (str, lambda v: v in training.NORM_VARIANTS,
+                 f"names in {tuple(training.NORM_VARIANTS)}"),
+    "seeds": (int, lambda v: v >= 0, "integers >= 0"),
+    "m_w_grid": (int, lambda v: True, "integers"),
+    "m_a_grid": (int, lambda v: True, "integers"),
+}
+
+
+def _list_flag(key: str, text: str) -> list:
+    """The items of the comma-separated value of flag `key`, typed and
+    checked as `_LIST_FLAGS` says."""
+    kind, ok, expect = _LIST_FLAGS[key]
+    try:
+        items = [kind(v) for v in text.split(",")]
+    except ValueError:
+        items = []
+    if not items or not all(ok(v) for v in items):
+        raise UsageError(f"{_flag(key)}: {text!r} is not a comma-separated list of {expect}")
+    return items
 
 
 def _add_common_flags(p):
@@ -389,10 +418,9 @@ def _cmd_norm_bench(cfg, args):
             train_set.images[:subset], train_set.labels[:subset], train_set.class_count)
     rows = training.norm_comparison_experiment(
         train_set, test_set,
-        batch_sizes=[int(b) for b in args.batch_sizes.split(",")],
-        variants=args.variants.split(","),
+        batch_sizes=args.batch_sizes, variants=args.variants,
         epochs=cfg.epochs, base_lr_at_128=cfg.lr, weight_decay=cfg.weight_decay,
-        seeds=[int(s) for s in args.seeds.split(",")],
+        seeds=args.seeds,
         arch=cfg.architecture,
         metrics_max_samples=cfg.metrics_max_samples or None,
         progress=lambda r: print(f"{r.variant} N={r.batch_size} seed={r.seed}: "
@@ -403,24 +431,23 @@ def _cmd_norm_bench(cfg, args):
 
 
 def _cmd_sweep(cfg, args):
+    cells = [("nonquantized", None, None)] if args.include_nonquantized else []
+    cells += [(f"mw{mw}_ma{ma}", mw, ma) for mw in args.m_w_grid for ma in args.m_a_grid]
+    configs = [replace(cfg, command="train",
+                       **({"quantize": False} if mw is None else {"m_w": mw, "m_a": ma}))
+               for _, mw, ma in cells]
+    for cell_cfg in configs:  # every cell before the first one runs
+        cell_cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = [(int(mw), int(ma))
-            for mw in args.m_w_grid.split(",")
-            for ma in args.m_a_grid.split(",")]
-    cells = [("nonquantized", None, None)] if args.include_nonquantized else []
-    cells += [(f"mw{mw}_ma{ma}", mw, ma) for mw, ma in grid]
 
     rows = []
-    for name, mw, ma in cells:
+    for (name, mw, ma), cell_cfg in zip(cells, configs):
         cell_dir = out_dir / name
         summary_path = cell_dir / "summary.json"
         if summary_path.exists():
             print(f"skipping completed cell {name}")
         else:
-            changes = {"quantize": False} if mw is None else {"m_w": mw, "m_a": ma}
-            cell_cfg = replace(cfg, command="train", **changes)
-            cell_cfg.validate()
             _run_train(cell_cfg, cell_dir)
         with open(summary_path) as f:
             final = json.load(f)["final"]

@@ -108,7 +108,9 @@ def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
         raise ValueError("conv layer is not weight-quantized")
     q = conv.quant.weight_qscale
     w2d = _export_weights(conv)
-    raw_states = round_half_away(q * conv.quant.s * w2d)
+    # the quantizer's product order, q * (s * w): (q * s) * w rounds
+    # differently at a lattice tie
+    raw_states = round_half_away(np.multiply(q, np.multiply(conv.quant.s, w2d)))
     cap = int(np.ceil(q))
     states = np.clip(raw_states, -cap, cap).astype(np.int16)
     # decode must reproduce the quantized weights exactly (at 64-bit)

@@ -26,8 +26,11 @@ weight rows in the same order; the weight itself, WS, the quantizer and the
 export format keep the canonical (out, c, k, k) layout. A TRAIN conv tapes
 its input and its effective weight with the WS and quantizer caches, and
 no patch matrix; its backward walks the blocks in reverse, rebuilds each
-block's patch matrix from the input and runs the exact transposes block by
-block. The export runtime calls the same conv and 2x2 pooling kernels.
+block's patch matrix from the input and sums the weight gradient block by
+block. The input gradient, the conv's exact transpose, is `_conv` again
+(`_col2im`): the upstream, zero-dilated by the stride, cross-correlated
+with the spatially flipped weight. The export runtime calls the same conv
+and 2x2 pooling kernels.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -101,28 +104,6 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
     return w2d.reshape(-1, c, k * k).transpose(0, 2, 1).reshape(w2d.shape[0], -1)
 
 
-def _col2im(g2: np.ndarray, w2d: np.ndarray, x_shape, k: int, stride: int,
-            pad: int, ho: int, wo: int, out: np.ndarray) -> None:
-    """Input gradient of the conv, written into the (n, c, h, w) `out`: the
-    transpose of _im2col applied to g2 @ _tap_major(w2d), without building
-    that (n*ho*wo, k*k*c) matrix.
-
-    g2 is the (n*ho*wo, out) output gradient and w2d the (out, c*k*k)
-    effective weight. Each kernel tap (ki, kj) is one GEMM,
-    g2 @ w[:, :, ki, kj], whose (n, ho, wo, c) result is added into a
-    zero-padded NHWC buffer at the strided window that tap read; the buffer
-    is cropped and transposed into `out` once at the end.
-    """
-    n, c, h, w = x_shape
-    taps = w2d.reshape(-1, c, k * k).transpose(2, 0, 1).copy()   # (k*k, out, c)
-    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=np.result_type(g2, w2d))
-    for ki in range(k):
-        for kj in range(k):
-            gx[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
-                (g2 @ taps[ki * k + kj]).reshape(n, ho, wo, c)
-    out[...] = gx[:, pad:h + pad, pad:w + pad].transpose(0, 3, 1, 2)
-
-
 # Bytes of patch matrix per block of samples, small enough that a block's
 # patch matrix stays cache-resident through its GEMM. Of 1, 2, 4, 8 and 32 MB,
 # 4 MB gave the fastest vgg-mini batch-100 train step and EVAL forward on
@@ -156,6 +137,25 @@ def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, stride: int, pad: int,
             y = np.empty((x.shape[0], out_ch, ho, wo), dtype=part.dtype)
         y[b] = part.reshape(-1, ho, wo, out_ch).transpose(0, 3, 1, 2)
     return y
+
+
+def _col2im(upstream: np.ndarray, w2d: np.ndarray, x_shape, k: int, stride: int,
+            pad: int) -> np.ndarray:
+    """Input gradient of the conv of (n, c, h, w) `x_shape` with the
+    (out, c*k*k) weight w2d, given the (n, out, ho, wo) output gradient: the
+    transpose of the conv is itself a conv. The upstream, zero-dilated by
+    the stride, is cross-correlated by `_conv` at stride 1 and padding
+    k-1-pad with the weight flipped in both spatial axes and its in and out
+    channels swapped."""
+    n, c, h, w = x_shape
+    if stride > 1:
+        up = np.zeros((n, upstream.shape[1], h + 2 * pad - k + 1, w + 2 * pad - k + 1),
+                      dtype=upstream.dtype)
+        up[:, :, ::stride, ::stride] = upstream
+        upstream = up
+    w_flip = w2d.reshape(-1, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv(upstream, _tap_major(w_flip.reshape(c, -1), upstream.shape[1], k),
+                 k, 1, k - 1 - pad, _im2col)
 
 
 class _Leaf:
@@ -232,28 +232,24 @@ class Conv2d(_Leaf):
         """Accumulate the weight gradient; return the input gradient, or
         None without computing it when `input_grad` is false.
 
-        Walks the forward's blocks in reverse and rebuilds each block's
-        patch matrix from the taped input just before its GEMM. The weight
-        gradient reads a channel-major copy of `upstream`, the
+        The weight gradient walks the forward's blocks in reverse and
+        rebuilds each block's patch matrix from the taped input just before
+        its GEMM. It reads a channel-major copy of `upstream`, the
         (out, n*ho*wo) matrix whose columns are the patch matrix's rows, and
-        sums the blocks' products, last block first."""
+        sums the blocks' products, last block first. The input gradient is
+        the one `_col2im` conv, blocked like the forward."""
         x, w2d, ws_cache, q_saved = self._tape()
         k, stride, pad = self.kernel, self.stride, self.padding
-        ho, wo = upstream.shape[2:]
         g_cm = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3))  # (out, n, ho, wo)
-        grad_x = np.empty(x.shape, np.result_type(upstream, w2d)) if input_grad else None
         grad_tap = None
         for b in reversed(_blocks(x.shape, x.itemsize, k, stride, pad)):
-            cols = _im2col(x[b], k, stride, pad)[0]
-            part = g_cm[:, b].reshape(self.out_ch, -1) @ cols
-            cols = None
+            part = g_cm[:, b].reshape(self.out_ch, -1) @ _im2col(x[b], k, stride, pad)[0]
             if grad_tap is None:
                 grad_tap = part
             else:
                 grad_tap += part
-            if input_grad:
-                g2 = upstream[b].transpose(0, 2, 3, 1).reshape(-1, self.out_ch)
-                _col2im(g2, w2d, x[b].shape, k, stride, pad, ho, wo, grad_x[b])
+        g_cm = None                     # not held through the input-gradient conv
+        grad_x = _col2im(upstream, w2d, x.shape, k, stride, pad) if input_grad else None
         # grad_tap is tap-major (out, k*k*c); back to canonical (out, c*k*k)
         grad_w2d = grad_tap.reshape(self.out_ch, -1, self.in_ch).transpose(
             0, 2, 1).reshape(self.out_ch, -1)

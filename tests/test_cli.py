@@ -204,6 +204,27 @@ class TestExitCodes:
                      "--epochs", "0", "--out-dir", str(tmp_path / "out")]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("norm-bench", "--variants", "FOO"),
+        ("norm-bench", "--batch-sizes", "16,x"),
+        ("sweep", "--m-w-grid", "3,x"),
+        ("norm-bench", "--train-subset", "-5"),
+    ])
+    def test_bad_list_flag_is_2_and_names_the_flag(self, tmp_path, capsys, command, flag,
+                                                    value):
+        # refused before any data is read or any directory is made
+        out = tmp_path / "out"
+        assert main([command, "--dataset", "blobs", "--out-dir", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
+    def test_sweep_checks_every_cell_before_the_first_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--dataset", "blobs", "--epochs", "0", "--out-dir", str(out),
+                     "--m-w-grid", "3,4", "--m-a-grid", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: --m-w: ")
+        assert not out.exists()
+
     def test_missing_checkpoint_file_is_2(self, tmp_path, capsys):
         assert main(["eval", "--dataset", "blobs",
                      "--checkpoint", str(tmp_path / "none.npz")]) == 2

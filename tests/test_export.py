@@ -115,6 +115,26 @@ class TestWeightStates:
         w2d, _ = weight_standardize(w2d)
         np.testing.assert_array_equal(decoded, quantize_weight(w2d, CFG))
 
+    def test_lattice_ties_export_with_parity(self, tmp_path):
+        # at M_w 15 (qscale q 7.5) and s 1/3, q * (s * 0.6) is just below 1.5
+        # and rounds to 1, while (q * s) * 0.6 is 1.5 and rounds away to 2
+        # (likewise 3.5 at 1.4): the states must follow the quantizer's
+        # product order
+        conv = Conv2d(1, 4, 1, rng=np.random.default_rng(6), weight_standardized=False,
+                      quant=CFG)
+        conv.weight.data[:, 0, 0, 0] = [0.6, -0.6, 1.4, -1.4]
+        graph = ModelGraph([conv, GlobalAvgPool()], "ties", 4, CFG, NormKind.LBN)
+        export(graph, tmp_path / "ties.maqd")
+        model = import_model(tmp_path / "ties.maqd")
+        states, q = weight_states(conv)
+        decoded = np.clip(states.astype(np.float64) / q, -1, 1)
+        np.testing.assert_array_equal(decoded,
+                                      quantize_weight(conv.weight.data.reshape(4, 1), CFG))
+        np.testing.assert_array_equal(model.ops[0].fields["states"], states)
+        images = np.random.default_rng(7).normal(size=(5, 1, 3, 3))
+        report = parity_check(graph, model, images, batch_size=5)
+        assert report.max_abs_logit_diff < 1e-9 and report.argmax_agreement == 1.0
+
     def test_rejects_float_conv(self):
         conv = Conv2d(1, 1, 1, rng=np.random.default_rng(5), quant=None)
         with pytest.raises(ValueError):

@@ -139,8 +139,10 @@ def _blocked_case(kernel, stride, dtype, seed, channels=16):
 
 def _one_shot(conv, x, up):
     """The whole-batch conv the blocked kernel replaces: one patch matrix of
-    the whole batch, one GEMM each way and one _col2im. Returns
-    (y, grad_x, grad_w)."""
+    the whole batch and one GEMM each way. The input gradient's GEMM reads
+    the patch matrix of the upstream, zero-dilated by the stride and padded
+    by k-1-pad, and the flipped weight with in and out channels swapped.
+    Returns (y, grad_x, grad_w)."""
     k, stride, pad = conv.kernel, conv.stride, conv.padding
     w2d = conv.weight.data.reshape(conv.out_ch, -1)
     cols, ho, wo = network._im2col(x, k, stride, pad)
@@ -149,8 +151,13 @@ def _one_shot(conv, x, up):
     g2 = up.transpose(0, 2, 3, 1).reshape(-1, conv.out_ch)
     grad_w = (np.ascontiguousarray(g2.T) @ cols).reshape(
         conv.out_ch, -1, conv.in_ch).transpose(0, 2, 1).reshape(conv.weight.data.shape)
-    grad_x = np.empty_like(x)
-    network._col2im(g2, w2d, x.shape, k, stride, pad, ho, wo, grad_x)
+    n, c, h, w = x.shape
+    dilated = np.zeros((n, conv.out_ch, h + 2 * pad - k + 1, w + 2 * pad - k + 1), up.dtype)
+    dilated[:, :, ::stride, ::stride] = up
+    w_flip = conv.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    g_cols = network._im2col(dilated, k, 1, k - 1 - pad)[0]
+    grad_x = (g_cols @ network._tap_major(w_flip, conv.out_ch, k).T).reshape(
+        n, h, w, c).transpose(0, 3, 1, 2)
     return y, grad_x, grad_w
 
 
@@ -209,6 +216,31 @@ class TestBlockedConv:
         assert report.argmax_agreement == 1.0
         assert len(blocks) >= 3 and blocks[-1] < blocks[0] == step
 
+    @pytest.mark.parametrize("kernel,stride", KERNEL_STRIDE)
+    def test_input_gradient_runs_in_blocks(self, monkeypatch, kernel, stride):
+        # the weight gradient gathers views of the taped x; every other
+        # gather reads the (dilated) upstream, at stride 1 and padding
+        # k-1-pad, one block of at most _BLOCK_BYTES of patch matrix at a time
+        conv, x, step = _blocked_case(kernel, stride, np.float32, seed=47)
+        up = RNG(48).normal(size=conv.forward(x, Mode.TRAIN).shape).astype(np.float32)
+        gathers = []
+        im2col = network._im2col
+
+        def probe(*a):
+            out = im2col(*a)
+            if not np.shares_memory(a[0], x):
+                gathers.append((a[0].shape[0], a[2:], out[0].nbytes))
+            return out
+
+        monkeypatch.setattr(network, "_im2col", probe)
+        conv.backward(up)
+        blocks = [m for m, _, _ in gathers]
+        assert len(blocks) >= 3 and sum(blocks) == x.shape[0]
+        assert all(args == (1, kernel - 1 - conv.padding) for _, args, _ in gathers)
+        assert all(m == 1 or nbytes <= network._BLOCK_BYTES for m, _, nbytes in gathers)
+        if stride == 1:
+            assert blocks[-1] < blocks[0] == step
+
     def test_tape_is_the_input_and_one_block(self):
         # and the weight-sized effective weight; the whole batch's patch
         # matrix would be 2.3 blocks here
@@ -220,8 +252,9 @@ class TestBlockedConv:
 
     def test_float32_train_step_memory_budget(self):
         # the forward's output, one block's patch matrix and its GEMM; the
-        # backward's channel-major upstream copy and input gradient, and per
-        # block one patch matrix and the col2im buffers
+        # backward's channel-major upstream copy (weight gradient) or input
+        # gradient (the input-gradient conv), and one block's patch matrix
+        # and GEMM output at a time
         conv, x, step = _blocked_case(3, 1, np.float32, seed=45)
         block = step * network._im2col(x[:1], 3, 1, 1)[0].nbytes
         up = RNG(46).normal(size=(x.shape[0], conv.out_ch) + x.shape[2:]).astype(np.float32)
