@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,6 @@ class LabeledImageSet:
     images: np.ndarray           # (n, c, h, w)
     labels: np.ndarray           # (n,), integer classes
     class_count: int
-    # per-channel standardization constants applied at load, if any
-    channel_mean: np.ndarray | None = None
-    channel_std: np.ndarray | None = None
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -50,9 +47,7 @@ class LabeledImageSet:
 class BatchPlan:
     seed: int
     batch_size: int
-    shuffle: bool = True
-    pad_crop: bool = False   # zero-pad 4 px then random crop back
-    hflip: bool = False      # horizontal flip with probability 1/2
+    augment: bool = False    # random 4 px pad-crop and horizontal flip
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -125,9 +120,8 @@ def load_cifar(data_dir, variant: int = 10, dtype=np.float32):
     train_images = ((train_images - mean) / std).astype(dtype)
     test_images = ((test_images - mean) / std).astype(dtype)
 
-    kw = dict(class_count=class_count, channel_mean=mean.ravel(), channel_std=std.ravel())
-    return (LabeledImageSet(train_images, train_labels, **kw),
-            LabeledImageSet(test_images, test_labels, **kw))
+    return (LabeledImageSet(train_images, train_labels, class_count),
+            LabeledImageSet(test_images, test_labels, class_count))
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -199,8 +193,7 @@ def pad_images(data: LabeledImageSet, hw: int) -> LabeledImageSet:
     top, left = (hw - h) // 2, (hw - w) // 2
     images = np.zeros((n, c, hw, hw), dtype=data.images.dtype)
     images[:, :, top:top + h, left:left + w] = data.images
-    return LabeledImageSet(images, data.labels, data.class_count,
-                           data.channel_mean, data.channel_std)
+    return LabeledImageSet(images, data.labels, data.class_count)
 
 
 def synthetic_blobs(classes: int = 2, per_class: int = 100, hw: int = 8,
@@ -225,25 +218,24 @@ def synthetic_blobs(classes: int = 2, per_class: int = 100, hw: int = 8,
     return LabeledImageSet(images, labels[perm], class_count=classes)
 
 
-def _augment(xb: np.ndarray, plan: BatchPlan, rng: np.random.Generator) -> np.ndarray:
+def _augment(xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random crop of each image zero-padded by 4 px, then a horizontal
+    flip of each with probability 1/2."""
     n, c, h, w = xb.shape
-    out = xb
-    if plan.pad_crop:
-        padded = np.pad(out, ((0, 0), (0, 0), (4, 4), (4, 4)))
-        out = np.empty_like(xb)
-        offs = rng.integers(0, 9, size=(n, 2))
-        for i in range(n):
-            oy, ox = offs[i]
-            out[i] = padded[i, :, oy:oy + h, ox:ox + w]
-    if plan.hflip:
-        flip = rng.random(n) < 0.5
-        out = out.copy() if out is xb else out
-        out[flip] = out[flip, :, :, ::-1]
+    padded = np.pad(xb, ((0, 0), (0, 0), (4, 4), (4, 4)))
+    out = np.empty_like(xb)
+    offs = rng.integers(0, 9, size=(n, 2))
+    for i in range(n):
+        oy, ox = offs[i]
+        out[i] = padded[i, :, oy:oy + h, ox:ox + w]
+    flip = rng.random(n) < 0.5
+    out[flip] = out[flip, :, :, ::-1]
     return out
 
 
 def batches(data: LabeledImageSet, plan: BatchPlan):
-    """Deterministic mini-batch sequence; the final short batch is included.
+    """Deterministic shuffled mini-batch sequence; the final short batch is
+    included.
 
     Shuffling and augmentation randomness derive from plan.seed via named
     substreams, so identical plans yield identical batches.
@@ -251,10 +243,10 @@ def batches(data: LabeledImageSet, plan: BatchPlan):
     n = data.images.shape[0]
     ss = np.random.SeedSequence(plan.seed)
     shuffle_rng, aug_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    order = shuffle_rng.permutation(n) if plan.shuffle else np.arange(n)
+    order = shuffle_rng.permutation(n)
     for start in range(0, n, plan.batch_size):
         idx = order[start:start + plan.batch_size]
         xb = data.images[idx]
-        if plan.pad_crop or plan.hflip:
-            xb = _augment(xb, plan, aug_rng)
+        if plan.augment:
+            xb = _augment(xb, aug_rng)
         yield np.ascontiguousarray(xb), data.labels[idx]

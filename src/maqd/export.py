@@ -19,6 +19,9 @@ Each record is  u8 opcode | u32 payload length | payload.  Opcodes:
     GAP      -
     RES_BEGIN / RES_SEP / RES_END   residual block structure markers
 
+Every conv runs at stride 1, padded by kernel // 2, so that its output keeps
+its input's extent; its stride byte is always 1.
+
 Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics; its
 EVAL forward is numerically equivalent to the trainer's.
@@ -27,8 +30,8 @@ EVAL forward is numerically equivalent to the trainer's.
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
 channels, the downsampling and whether GAP has flattened the activation, and
 binds each op's arguments. A ModelFormatError naming the record's byte
-rejects a conv whose kernel is not 1 or 3, whose stride is not 1 or 2 or
-with 0 channels; an ACT_Q with m_a < 2; a conv or AFFINE whose channels are
+rejects a conv whose kernel is not 1 or 3, whose stride byte is not 1,
+or with 0 channels; an ACT_Q with m_a < 2; a conv or AFFINE whose channels are
 not its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
 branches that end in different channels, downsampling or flattening; an
 unbalanced residual marker; residual blocks nested deeper than 64; and a
@@ -281,7 +284,7 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
             op = recs[i]
             code, f = op.opcode, op.fields
             conv = code in (OP_CONV_Q, OP_CONV_F)
-            if conv and not (f["kernel"] in (1, 3) and f["stride"] in (1, 2)
+            if conv and not (f["kernel"] in (1, 3) and f["stride"] == 1
                              and f["in_ch"] and f["out_ch"]):
                 raise error(op, "conv with kernel {kernel}, stride {stride} and {in_ch} -> "
                                 "{out_ch} channels".format(**f))
@@ -293,7 +296,7 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
             if reads != c:
                 raise error(op, f"reads {reads} channels, its input has {c}")
             if conv:
-                c, down = f["out_ch"], down * f["stride"]
+                c = f["out_ch"]
                 dtype, divisor = codes or (np.float64, None)
                 f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
             if code == OP_CONV_Q:
@@ -379,9 +382,7 @@ def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     matrix: a CONV_Q's integer lattice (so the result is in units of
     1/(2*qscale)) or a CONV_F's weights. It is the trainer's blocked conv,
     building each block's patch matrix with this module's `_im2col`."""
-    f = op.fields
-    return _conv(x, f["w"], f["kernel"], f["stride"], 1 if f["kernel"] == 3 else 0,
-                 _im2col)
+    return _conv(x, op.fields["w"], op.fields["kernel"], _im2col)
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:

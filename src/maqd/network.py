@@ -15,22 +15,24 @@ and tapes nothing, its backward rebuilding its input from the norm's x_hat,
 g and b. A backward with no TRAIN forward's tape to read is a
 RuntimeError that names the layer.
 
-Convolutions are cross-correlations computed by `_conv` one block of
-samples at a time, a block being as many samples as keep its patch matrix
-near `_BLOCK_BYTES`: per block, `_im2col` copies the samples into a
-zero-padded NHWC buffer and gathers each output pixel's window in
-(ki, kj, c) order, so every kernel tap copies a contiguous run of channels,
-and one GEMM with the tap-major weight gives the block's output. No
-full-batch patch matrix is ever built. `_tap_major` puts the (out, c*k*k)
-weight rows in the same order; the weight itself, WS, the quantizer and the
-export format keep the canonical (out, c, k, k) layout. A TRAIN conv tapes
-its input and its effective weight with the WS and quantizer caches, and
-no patch matrix; its backward walks the blocks in reverse, rebuilds each
-block's patch matrix from the input and sums the weight gradient block by
-block. The input gradient, the conv's exact transpose, is `_conv` again
-(`_col2im`): the upstream, zero-dilated by the stride, cross-correlated
-with the spatially flipped weight. The export runtime calls the same conv
-and 2x2 pooling kernels.
+Every convolution is a 3x3 or 1x1 cross-correlation at stride 1, padded
+by k // 2 so that its output keeps its input's extent (the nets downsample
+with pooling). `_conv` computes it one block of samples at a time, a block
+being as many samples as keep its patch matrix near `_BLOCK_BYTES`: per
+block, `_im2col` copies the samples into a zero-padded NHWC buffer and
+gathers each output pixel's window in (ki, kj, c) order, so every kernel
+tap copies a contiguous run of channels, and one GEMM with the tap-major
+weight gives the block's output. No full-batch patch matrix is ever built.
+`_tap_major` puts the (out, c*k*k) weight rows in the same order; the
+weight itself, WS, the quantizer and the export format keep the canonical
+(out, c, k, k) layout. A TRAIN conv tapes its input and its effective
+weight with the WS and quantizer caches, and no patch matrix; its backward
+walks the blocks in reverse, rebuilds each block's patch matrix from the
+input and sums the weight gradient block by block. The input gradient, the
+conv's exact transpose, is `_conv` again (`_col2im`): the upstream
+cross-correlated with the weight flipped in both spatial axes, its in and
+out channels swapped. The export runtime calls the same conv and 2x2
+pooling kernels.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -76,26 +78,22 @@ def _nbytes(obj) -> int:
     return 0
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(n, c, h, w) -> (n*ho*wo, k*k*c) patch matrix plus output extents.
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(n, c, h, w) -> (n*h*w, k*k*c) patch matrix of the stride-1 conv padded
+    by k // 2, whose output has x's extent.
 
     Columns are tap-major: column (ki*k + kj)*c + ci holds input channel ci
     at kernel tap (ki, kj), so the matrix multiplies `_tap_major` weights.
-    The input is copied once into a zero-padded NHWC buffer; a 1x1, stride-1
-    patch matrix is that buffer itself.
+    The input is copied once into a zero-padded NHWC buffer; a 1x1 patch
+    matrix is that buffer itself.
     """
     n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if hp < k or wp < k:
-        raise ValueError(f"spatial extent {h}x{w} too small for kernel {k}")
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    xp = (np.zeros if pad else np.empty)((n, hp, wp, c), dtype=x.dtype)
+    pad = k // 2
+    xp = (np.zeros if pad else np.empty)((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]             # (n, ho, wo, c, k, k)
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
-    return np.ascontiguousarray(cols), ho, wo
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+    return np.ascontiguousarray(cols)
 
 
 def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
@@ -111,51 +109,37 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
 _BLOCK_BYTES = 1 << 22
 
 
-def _blocks(x_shape, itemsize: int, k: int, stride: int, pad: int) -> list[slice]:
+def _blocks(x_shape, itemsize: int, k: int) -> list[slice]:
     """The conv's blocks: consecutive slices of the batch, each of as many
     samples as keep its patch matrix within _BLOCK_BYTES (at least one).
     An empty batch is one empty block."""
     n, c, h, w = x_shape
-    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-    step = max(1, _BLOCK_BYTES // max(1, ho * wo * k * k * c * itemsize))
+    step = max(1, _BLOCK_BYTES // max(1, h * w * k * k * c * itemsize))
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
-def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, stride: int, pad: int,
-          im2col) -> np.ndarray:
+def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col) -> np.ndarray:
     """Cross-correlation of (n, c, h, w) x with the tap-major (out, k*k*c)
-    matrix w_tap, one block of `_blocks` at a time: the block's patch matrix
-    from `im2col` (the caller's `_im2col`) times w_tap. Returns the
-    (n, out, ho, wo) output."""
+    matrix w_tap at stride 1 and padding k // 2, one block of `_blocks` at a
+    time: the block's patch matrix from `im2col` (the caller's `_im2col`)
+    times w_tap. Returns the (n, out, h, w) output."""
+    n, _, h, w = x.shape
     out_ch = w_tap.shape[0]
-    y = cols = None
-    for b in _blocks(x.shape, x.itemsize, k, stride, pad):
-        cols = None                     # one block's patch matrix at a time
-        cols, ho, wo = im2col(x[b], k, stride, pad)
-        part = cols @ w_tap.T
-        if y is None:
-            y = np.empty((x.shape[0], out_ch, ho, wo), dtype=part.dtype)
-        y[b] = part.reshape(-1, ho, wo, out_ch).transpose(0, 3, 1, 2)
+    y = np.empty((n, out_ch, h, w), dtype=np.result_type(x, w_tap))
+    for b in _blocks(x.shape, x.itemsize, k):
+        y[b] = (im2col(x[b], k) @ w_tap.T).reshape(-1, h, w, out_ch).transpose(0, 3, 1, 2)
     return y
 
 
-def _col2im(upstream: np.ndarray, w2d: np.ndarray, x_shape, k: int, stride: int,
-            pad: int) -> np.ndarray:
-    """Input gradient of the conv of (n, c, h, w) `x_shape` with the
-    (out, c*k*k) weight w2d, given the (n, out, ho, wo) output gradient: the
-    transpose of the conv is itself a conv. The upstream, zero-dilated by
-    the stride, is cross-correlated by `_conv` at stride 1 and padding
-    k-1-pad with the weight flipped in both spatial axes and its in and out
-    channels swapped."""
-    n, c, h, w = x_shape
-    if stride > 1:
-        up = np.zeros((n, upstream.shape[1], h + 2 * pad - k + 1, w + 2 * pad - k + 1),
-                      dtype=upstream.dtype)
-        up[:, :, ::stride, ::stride] = upstream
-        upstream = up
-    w_flip = w2d.reshape(-1, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return _conv(upstream, _tap_major(w_flip.reshape(c, -1), upstream.shape[1], k),
-                 k, 1, k - 1 - pad, _im2col)
+def _col2im(upstream: np.ndarray, w2d: np.ndarray, k: int) -> np.ndarray:
+    """Input gradient of the conv with the (out, c*k*k) weight w2d, given the
+    (n, out, h, w) output gradient. At stride 1 and padding k // 2 the
+    conv's transpose is the same conv with the weight flipped in both
+    spatial axes and its in and out channels swapped."""
+    out_ch = w2d.shape[0]
+    c = w2d.shape[1] // (k * k)
+    w_flip = w2d.reshape(out_ch, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv(upstream, _tap_major(w_flip.reshape(c, -1), out_ch, k), k, _im2col)
 
 
 class _Leaf:
@@ -181,22 +165,22 @@ class _Leaf:
 
 
 class Conv2d(_Leaf):
-    """3x3 (pad 1) or 1x1 (pad 0) cross-correlation, stride 1 or 2, no bias.
+    """3x3 or 1x1 cross-correlation at stride 1, padded by kernel // 2 so
+    that the output keeps the input's extent; no bias.
 
     Optional weight standardization and weight quantization are folded into
     the effective weight used by the forward pass.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, *,
+    stride = 1  # of every conv; the export writes it as the record's stride byte
+
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, *,
                  rng: np.random.Generator, weight_standardized: bool = True,
                  quant: QuantConfig | None = None, dtype=np.float64):
         if kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {kernel}")
-        if stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {stride}")
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride = kernel, stride
-        self.padding = 1 if kernel == 3 else 0
+        self.kernel, self.padding = kernel, kernel // 2
         self.weight_standardized = weight_standardized
         self.quant = quant
         fan_in = in_ch * kernel * kernel
@@ -222,8 +206,7 @@ class Conv2d(_Leaf):
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
-        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel,
-                  self.stride, self.padding, _im2col)
+        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col)
         if mode is Mode.TRAIN:
             self.cache = (x, w2d, ws_cache, q_saved)
         return y
@@ -235,21 +218,21 @@ class Conv2d(_Leaf):
         The weight gradient walks the forward's blocks in reverse and
         rebuilds each block's patch matrix from the taped input just before
         its GEMM. It reads a channel-major copy of `upstream`, the
-        (out, n*ho*wo) matrix whose columns are the patch matrix's rows, and
+        (out, n*h*w) matrix whose columns are the patch matrix's rows, and
         sums the blocks' products, last block first. The input gradient is
         the one `_col2im` conv, blocked like the forward."""
         x, w2d, ws_cache, q_saved = self._tape()
-        k, stride, pad = self.kernel, self.stride, self.padding
-        g_cm = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3))  # (out, n, ho, wo)
+        k = self.kernel
+        g_cm = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3))  # (out, n, h, w)
         grad_tap = None
-        for b in reversed(_blocks(x.shape, x.itemsize, k, stride, pad)):
-            part = g_cm[:, b].reshape(self.out_ch, -1) @ _im2col(x[b], k, stride, pad)[0]
+        for b in reversed(_blocks(x.shape, x.itemsize, k)):
+            part = g_cm[:, b].reshape(self.out_ch, -1) @ _im2col(x[b], k)
             if grad_tap is None:
                 grad_tap = part
             else:
                 grad_tap += part
         g_cm = None                     # not held through the input-gradient conv
-        grad_x = _col2im(upstream, w2d, x.shape, k, stride, pad) if input_grad else None
+        grad_x = _col2im(upstream, w2d, k) if input_grad else None
         # grad_tap is tap-major (out, k*k*c); back to canonical (out, c*k*k)
         grad_w2d = grad_tap.reshape(self.out_ch, -1, self.in_ch).transpose(
             0, 2, 1).reshape(self.out_ch, -1)
@@ -503,9 +486,9 @@ def _plain_body(plan, ch, extent, conv, norm, act):
 def _preact_body(plan, ch, extent, conv, norm, act):
     """Pre-activation residual blocks. Each sums a long branch
     (norm-act-conv-norm-act-conv-norm) and a short branch
-    (norm-act-conv-norm). Stride-2 blocks downsample with a 2x2 average pool
-    in front of the block and keep stride-1 convolutions; the pool is
-    skipped once the spatial extent has collapsed to 1."""
+    (norm-act-conv-norm). A block of plan stride 2 downsamples with a 2x2
+    average pool in front of it, as no conv is strided; the pool is skipped
+    once the spatial extent has collapsed to 1."""
     def branch(c, out_ch, n_convs):
         layers: list = []
         for _ in range(n_convs):

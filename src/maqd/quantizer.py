@@ -43,14 +43,15 @@ class QuantKind(enum.Enum):
 class QuantConfig:
     """All quantization hyperparameters.
 
-    m_w: odd number of weight states (>= 3).
-    m_a: number of activation states (>= 2).
+    m_w: odd number of weight states, 3 to 65533, so that the export's
+         int16 states (up to ceil(weight_qscale)) hold the clip endpoints.
+    m_a: number of activation states, 2 to 65535 (the export's u16).
     qscale_mode: weight lattice scale selection.
-    s: weight pre-scale; the clip band is |w_hat| < 1/s. WS rows have std
-       1/sqrt(fan_in), not 1, so a weight leaves state 0 only where
+    s: finite weight pre-scale; the clip band is |w_hat| < 1/s. WS rows
+       have std 1/sqrt(fan_in), not 1, so a weight leaves state 0 only where
        |w_hat| >= 1/(2 * weight_qscale * s): 0.2 * sqrt(fan_in) row stds at
        the defaults (M_w 15, s 1/3), 3.4 of them at fan_in 288.
-    alpha: sharpness of the activation surrogate sigmoid.
+    alpha: finite sharpness of the activation surrogate sigmoid.
     """
 
     m_w: int = 15
@@ -60,14 +61,14 @@ class QuantConfig:
     alpha: float = 0.25
 
     def __post_init__(self):
-        if self.m_w < 3 or self.m_w % 2 == 0:
-            raise ValueError(f"m_w must be an odd integer >= 3, got {self.m_w}")
-        if self.m_a < 2:
-            raise ValueError(f"m_a must be >= 2, got {self.m_a}")
-        if not self.s > 0:
-            raise ValueError(f"s must be positive, got {self.s}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (3 <= self.m_w <= 65533 and self.m_w % 2):
+            raise ValueError(f"m_w must be an odd integer in [3, 65533], got {self.m_w}")
+        if not 2 <= self.m_a <= 65535:
+            raise ValueError(f"m_a must be in [2, 65535], got {self.m_a}")
+        if not 0 < self.s < np.inf:
+            raise ValueError(f"s must be positive and finite, got {self.s}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def weight_qscale(self) -> float:
@@ -187,7 +188,9 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     b = thresholds(m_a)
     step = 1.0 / ((m_a - 1) * alpha)  # (z - b_m)/alpha - (z - b_{m+1})/alpha
     half_range = np.log(np.finfo(dtype).max) / 2
-    chain = int(half_range / 2 // step) + 1
+    # a chain spans at most all m_a - 1 thresholds; that test comes first,
+    # since the quotient overflows for a huge alpha
+    chain = m_a - 1 if step * (m_a - 1) <= half_range / 2 else int(half_range / 2 // step) + 1
     ratio = dtype.type(np.exp(-step))
     out_dtype = dtype if upstream is None else upstream.dtype
     out = np.empty(z.shape, out_dtype)

@@ -223,8 +223,7 @@ def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageS
     for epoch in range(epochs):
         t0 = time.perf_counter()
         opt.learning_rate = cosine_lr(base_lr, epoch, epochs)
-        plan = BatchPlan(seed=seed + epoch, batch_size=batch_size, shuffle=True,
-                         pad_crop=augment, hflip=augment)
+        plan = BatchPlan(seed=seed + epoch, batch_size=batch_size, augment=augment)
         loss_sum = 0.0
         n_samples = 0
         for xb, yb in batches(train_set, plan):

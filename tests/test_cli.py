@@ -218,6 +218,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--m-w", "70001"), ("--m-w", "65535"), ("--m-a", "65536"), ("--alpha", "inf"),
+        ("--alpha", "1e309"), ("--s", "nan")])
+    def test_quantizer_the_export_cannot_hold_is_2(self, tmp_path, capsys, flag, value):
+        # refused before the first epoch, not after training at export
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", "blobs", "--epochs", "1", "--out-dir", str(out),
+                     flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
     def test_sweep_checks_every_cell_before_the_first_runs(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep", "--dataset", "blobs", "--epochs", "0", "--out-dir", str(out),

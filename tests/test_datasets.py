@@ -173,16 +173,23 @@ class TestCifarLoader:
         np.testing.assert_array_equal(train.labels, fine)
 
     def test_channel_plane_order(self, tmp_path):
-        # one record: R plane 10, G plane 20, B plane 30
-        pixels = np.concatenate([np.full(1024, v, dtype=np.uint8) for v in (10, 20, 30)])
-        record = np.concatenate([[np.uint8(3)], pixels])
-        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
-            (tmp_path / name).write_bytes(record.tobytes())
-        train, _ = load_cifar(tmp_path, 10)
-        # constant planes: standardized values are not informative, but the
-        # stored per-channel means must match the raw planes
-        np.testing.assert_allclose(train.channel_mean, [10 / 255, 20 / 255, 30 / 255],
+        # train records: R plane 10, G plane 20, B plane 30; the test record
+        # holds them reversed
+        def record(planes):
+            pixels = np.concatenate([np.full(1024, v, dtype=np.uint8) for v in planes])
+            return np.concatenate([[np.uint8(3)], pixels]).tobytes()
+
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)]:
+            (tmp_path / name).write_bytes(record((10, 20, 30)))
+        (tmp_path / "test_batch.bin").write_bytes(record((30, 20, 10)))
+        train, test = load_cifar(tmp_path, 10, dtype=np.float64)
+        # constant planes have zero variance, so each channel is only
+        # centered on its train-split mean: train images are 0 and the
+        # test image is its planes less the train planes
+        np.testing.assert_allclose(train.images, 0.0, atol=1e-12)
+        np.testing.assert_allclose(test.images[0, :, 0, 0], [20 / 255, 0.0, -20 / 255],
                                    atol=1e-12)
+        assert np.all(test.images == test.images[:, :, :1, :1])
 
     def test_truncated_file_names_file(self, tmp_path):
         write_cifar10(tmp_path)
@@ -197,16 +204,22 @@ class TestCifarLoader:
 
     def test_standardization_reproducible(self, tmp_path):
         write_cifar10(tmp_path)
-        train, _ = load_cifar(tmp_path, 10, dtype=np.float64)
+        train, test = load_cifar(tmp_path, 10, dtype=np.float64)
         raw = np.concatenate([
             np.frombuffer((tmp_path / f"data_batch_{i}.bin").read_bytes(),
                           dtype=np.uint8).reshape(-1, 3073)[:, 1:]
             for i in range(1, 6)
         ]).reshape(-1, 3, 32, 32) / 255.0
-        np.testing.assert_allclose(train.channel_mean, raw.mean(axis=(0, 2, 3)),
-                                   atol=1e-6)
-        np.testing.assert_allclose(train.channel_std, raw.std(axis=(0, 2, 3)),
-                                   atol=1e-6)
+        raw_test = np.frombuffer((tmp_path / "test_batch.bin").read_bytes(),
+                                 dtype=np.uint8).reshape(-1, 3073)[:, 1:].reshape(
+                                     -1, 3, 32, 32) / 255.0
+        mean = raw.mean(axis=(0, 2, 3), keepdims=True)
+        std = raw.std(axis=(0, 2, 3), keepdims=True)
+        # both splits standardized per channel with the train split's constants
+        np.testing.assert_allclose(train.images, (raw - mean) / std, atol=1e-6)
+        np.testing.assert_allclose(test.images, (raw_test - mean) / std, atol=1e-6)
+        np.testing.assert_allclose(train.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
+        np.testing.assert_allclose(train.images.std(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
 
 class TestMnistLoader:
@@ -275,22 +288,16 @@ class TestBatches:
         return LabeledImageSet(rng.normal(size=(n, 1, 4, 4)),
                                rng.integers(0, 2, size=n), class_count=2)
 
-    def test_order_preserved_without_shuffle(self):
-        data = self._set()
-        plan = BatchPlan(seed=0, batch_size=4, shuffle=False)
-        out = np.concatenate([xb for xb, _ in batches(data, plan)])
-        np.testing.assert_array_equal(out, data.images)
-
     def test_short_final_batch(self):
         data = self._set(n=250 // 25)
         data = LabeledImageSet(np.zeros((250, 1, 2, 2)), np.zeros(250, dtype=np.int64), 2)
-        plan = BatchPlan(seed=0, batch_size=100, shuffle=True)
+        plan = BatchPlan(seed=0, batch_size=100)
         sizes = [xb.shape[0] for xb, _ in batches(data, plan)]
         assert sizes == [100, 100, 50]
 
     def test_epoch_visits_each_sample_once(self):
         data = self._set(n=17)
-        plan = BatchPlan(seed=1, batch_size=5, shuffle=True)
+        plan = BatchPlan(seed=1, batch_size=5)
         seen = np.concatenate([xb for xb, _ in batches(data, plan)])
         assert seen.shape[0] == 17
         sorted_seen = np.sort(seen.ravel())
@@ -298,7 +305,7 @@ class TestBatches:
 
     def test_no_augmentation_is_bitwise(self):
         data = self._set()
-        plan = BatchPlan(seed=2, batch_size=3, shuffle=True)
+        plan = BatchPlan(seed=2, batch_size=3)
         for xb, yb in batches(data, plan):
             for img, label in zip(xb, yb):
                 matches = np.any(np.all(data.images == img, axis=(1, 2, 3)))
@@ -306,17 +313,20 @@ class TestBatches:
 
     def test_deterministic_given_seed(self):
         data = self._set()
-        plan = BatchPlan(seed=4, batch_size=4, shuffle=True, pad_crop=True, hflip=True)
+        plan = BatchPlan(seed=4, batch_size=4, augment=True)
         run1 = [xb.copy() for xb, _ in batches(data, plan)]
         run2 = [xb.copy() for xb, _ in batches(data, plan)]
         for a, b in zip(run1, run2):
             np.testing.assert_array_equal(a, b)
 
     def test_augmented_labels_preserved(self):
+        # augmentation moves pixels only: the labels are those of the same
+        # plan without it, which shuffles alike
         data = self._set()
-        plan = BatchPlan(seed=5, batch_size=10, shuffle=False, pad_crop=True, hflip=True)
-        (xb, yb), = batches(data, plan)
-        np.testing.assert_array_equal(yb, data.labels)
+        (xb, yb), = batches(data, BatchPlan(seed=5, batch_size=10, augment=True))
+        (_, plain), = batches(data, BatchPlan(seed=5, batch_size=10))
+        np.testing.assert_array_equal(yb, plain)
+        np.testing.assert_array_equal(np.sort(yb), np.sort(data.labels))
         assert xb.shape == data.images.shape
 
     def test_batch_plan_validation(self):

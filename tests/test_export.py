@@ -247,14 +247,18 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="non-ASCII arch name at byte 9"):
             import_model(path)
 
-    def test_invalid_quant_field_names_its_byte(self, tmp_path):
+    # field, its offset in the "<BHHBdd" quant block, its format, a bad value
+    @pytest.mark.parametrize("field,offset,fmt,value", [
+        ("m_w", 1, "<H", 4), ("m_w", 1, "<H", 65535), ("alpha", 14, "<d", np.inf)],
+        ids=["even-m_w", "m_w-past-int16-states", "infinite-alpha"])
+    def test_invalid_quant_field_names_its_byte(self, tmp_path, field, offset, fmt, value):
         path = self._valid_file(tmp_path)
         data = bytearray(path.read_bytes())
-        quant_at = 7 + len("tiny") + 2
-        struct.pack_into("<H", data, quant_at + 1, 4)  # even m_w
+        at = 7 + len("tiny") + 2 + offset
+        struct.pack_into(fmt, data, at, value)
         path.write_bytes(bytes(data))
         with pytest.raises(ModelFormatError,
-                           match=rf"quant block at byte {quant_at + 1}: m_w must be an odd"):
+                           match=rf"quant block at byte {at}: {field} must be .*, got {value}"):
             import_model(path)
 
     @pytest.mark.parametrize("qscale", [7.3, 0.0, -7.5, np.nan, np.inf])
@@ -280,8 +284,10 @@ class TestStreamDefects:
     import rejects it, naming the byte of the offending record."""
 
     @pytest.mark.parametrize("kernel,stride,in_ch,out_ch", [
-        (5, 1, 1, 2), (0, 1, 1, 2), (3, 0, 1, 2), (3, 3, 1, 2), (1, 1, 1, 0), (1, 1, 0, 2)],
-        ids=["kernel-5", "kernel-0", "stride-0", "stride-3", "no-outputs", "no-inputs"])
+        (5, 1, 1, 2), (0, 1, 1, 2), (3, 0, 1, 2), (3, 2, 1, 2), (3, 3, 1, 2), (1, 1, 1, 0),
+        (1, 1, 0, 2)],
+        ids=["kernel-5", "kernel-0", "stride-0", "stride-2", "stride-3", "no-outputs",
+             "no-inputs"])
     def test_unrunnable_conv(self, tmp_path, kernel, stride, in_ch, out_ch):
         path, (_, at, _) = write_stream(tmp_path, [
             conv_f(1, 1), conv_f(in_ch, out_ch, kernel, stride), rec(OP_GAP)])
@@ -322,10 +328,8 @@ class TestStreamDefects:
     @pytest.mark.parametrize("s_branch,f_branch,ends", [
         ([conv_f(2, 4)], [conv_f(2, 1)], r"\(4, 1, False\) and \(1, 1, False\)"),
         ([rec(OP_AP2)], [conv_f(2, 2)], r"\(2, 2, False\) and \(2, 1, False\)"),
-        ([conv_f(2, 2, 3, 2)], [rec(OP_AP2), rec(OP_AP2)],
-         r"\(2, 2, False\) and \(2, 4, False\)"),
         ([rec(OP_GAP)], [], r"\(2, 1, True\) and \(2, 1, False\)")],
-        ids=["channels", "downsampling", "stride-vs-pools", "flattening"])
+        ids=["channels", "downsampling", "flattening"])
     def test_residual_branches_must_agree(self, tmp_path, s_branch, f_branch, ends):
         path, offsets = write_stream(tmp_path, [
             conv_f(1, 2), rec(OP_RES_BEGIN), *s_branch, rec(OP_RES_SEP), *f_branch,
@@ -346,19 +350,19 @@ class TestStreamDefects:
 
     def test_matching_residual_branches_run(self, tmp_path):
         path, _ = write_stream(tmp_path, [
-            rec(OP_RES_BEGIN), conv_f(1, 2, 3, 2), rec(OP_RES_SEP), rec(OP_AP2),
+            rec(OP_RES_BEGIN), conv_f(1, 2, 3), rec(OP_AP2), rec(OP_RES_SEP), rec(OP_AP2),
             conv_f(1, 2), rec(OP_RES_END), rec(OP_GAP)])
         model = import_model(path)
         assert model.in_ch == 1
         assert [op.opcode for op in model.ops] == [OP_RES_BEGIN, OP_GAP]
         s_ops, f_ops = model.ops[0].fields["s"], model.ops[0].fields["f"]
-        assert [op.opcode for op in s_ops] == [OP_CONV_F]
+        assert [op.opcode for op in s_ops] == [OP_CONV_F, OP_AP2]
         assert [op.opcode for op in f_ops] == [OP_AP2, OP_CONV_F]
         logits = runtime_infer(model, np.ones((2, 1, 6, 6)))
-        # 3x3 stride-2 conv of ones, padded: per-output window sums averaged
-        # over the 3x3 map, plus the pooled 1x1 conv (1.0 everywhere)
-        windows = np.array([4, 6, 6, 6, 9, 9, 6, 9, 9])
-        np.testing.assert_allclose(logits, np.full((2, 2), windows.mean() + 1.0))
+        # the padded 3x3 conv of ones sums the window's in-bounds taps: 2 or
+        # 3 per axis, so its 6x6 map averages (16/6)**2 = 64/9, which the
+        # pools keep; plus the pooled 1x1 conv, 1.0 everywhere
+        np.testing.assert_allclose(logits, np.full((2, 2), 64 / 9 + 1.0), rtol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -504,12 +508,11 @@ class TestRuntimeShapeErrors:
             runtime_infer(model, np.zeros(shape))
 
 
-def _quantized_stack(cfg, in_ch, out_ch, kernel, stride, pooled, seed):
+def _quantized_stack(cfg, in_ch, out_ch, kernel, pooled, seed):
     """ActQuant, optionally AvgPool2, one quantized conv and the global pool,
     with weights spread over the whole state range (clipped ones included)."""
     rng = np.random.default_rng(seed)
-    conv = Conv2d(in_ch, out_ch, kernel, stride, rng=rng, weight_standardized=False,
-                  quant=cfg)
+    conv = Conv2d(in_ch, out_ch, kernel, rng=rng, weight_standardized=False, quant=cfg)
     conv.weight.data[...] = rng.normal(0.0, 4.0, size=conv.weight.data.shape)
     layers = [ActQuant(cfg)] + ([AvgPool2()] if pooled else []) + [conv, GlobalAvgPool()]
     return ModelGraph(layers, "codes", out_ch, cfg, NormKind.LBN)
@@ -521,17 +524,17 @@ def _sum_pool(codes):
             + codes[..., 1::2, 0::2] + codes[..., 1::2, 1::2])
 
 
-def _int_conv(codes, states, qscale, kernel, stride):
+def _int_conv(codes, states, qscale, kernel):
     """int64 cross-correlation of integer inputs with the lattice
     clip(2*states, -2q, 2q), over explicitly padded windows."""
     two_q = int(2 * qscale)
     out_ch = states.shape[0]
     lattice = np.clip(2 * states.astype(np.int64), -two_q, two_q)
     lattice = lattice.reshape(out_ch, codes.shape[1], kernel, kernel)
-    pad = 1 if kernel == 3 else 0
+    pad = kernel // 2
     xp = np.pad(codes, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    return np.einsum("nchwij,ocij->nohw", win[:, :, ::stride, ::stride], lattice)
+    return np.einsum("nchwij,ocij->nohw", win, lattice)
 
 
 class TestIntegerCodeRuntime:
@@ -558,16 +561,15 @@ class TestIntegerCodeRuntime:
         (op,) = [op for op in model.ops if op.opcode == OP_CONV_Q]
         return op, seen[0]
 
-    @pytest.mark.parametrize("kernel,stride,pooled", [
-        (1, 1, False), (1, 2, False), (3, 1, False), (3, 2, False), (3, 1, True)])
-    def test_codes_conv_is_the_int64_lattice_conv(self, tmp_path, monkeypatch,
-                                                   kernel, stride, pooled):
+    @pytest.mark.parametrize("kernel,pooled", [(1, False), (3, False), (3, True)])
+    def test_codes_conv_is_the_int64_lattice_conv(self, tmp_path, monkeypatch, kernel,
+                                                   pooled):
         codes = np.random.default_rng(30).integers(0, CFG.m_a, size=(2, 5, 8, 8))
-        graph = _quantized_stack(CFG, 5, 4, kernel, stride, pooled, seed=31)
+        graph = _quantized_stack(CFG, 5, 4, kernel, pooled, seed=31)
         op, (x, y) = self._run(tmp_path, monkeypatch, graph, codes, CFG.m_a)
         assert np.any(np.abs(op.fields["states"]) > CFG.weight_qscale)  # clipped states
         ref = _int_conv(_sum_pool(codes) if pooled else codes, op.fields["states"],
-                        op.fields["qscale"], kernel, stride)
+                        op.fields["qscale"], kernel)
         assert x.dtype == y.dtype == np.float32
         np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(np.float32))
 
@@ -581,10 +583,10 @@ class TestIntegerCodeRuntime:
         cfg = QuantConfig(m_w=255, m_a=256)
         codes = np.random.default_rng(32).integers(0, cfg.m_a, size=(2, in_ch, 6, 6))
         codes[0] = cfg.m_a - 1  # one sample at the largest codes
-        graph = _quantized_stack(cfg, in_ch, 3, kernel, 1, pooled, seed=33)
+        graph = _quantized_stack(cfg, in_ch, 3, kernel, pooled, seed=33)
         op, (x, y) = self._run(tmp_path, monkeypatch, graph, codes, cfg.m_a)
         ref = _int_conv(_sum_pool(codes) if pooled else codes, op.fields["states"],
-                        op.fields["qscale"], kernel, 1)
+                        op.fields["qscale"], kernel)
         assert x.dtype == y.dtype == dtype
         np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(dtype))
 

@@ -81,6 +81,17 @@ class TestQuantizeWeight:
         with pytest.raises(ValueError):
             QuantConfig(alpha=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("m_w", 65535), ("m_w", 70001), ("m_a", 65536), ("s", np.inf), ("s", np.nan),
+        ("alpha", np.inf), ("alpha", np.nan)])
+    def test_config_refuses_what_the_export_cannot_hold(self, field, value):
+        # int16 weight states reach ceil(weight_qscale), which is 32768 at
+        # m_w 65535; m_a is a u16; s and alpha are used as finite numbers.
+        # The message starts with the field, which the CLI and the import name
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            QuantConfig(**{field: value})
+        QuantConfig(m_w=65533, m_a=65535)
+
     @given(st.floats(-50, 50))
     def test_idempotent(self, w):
         for cfg in (CFG3_HALF, CFG3_HALF_M1):
@@ -268,6 +279,13 @@ class TestActivationSurrogate:
             got = activation_surrogate_grad(zd, m_a, alpha)
             bound = 1e-13 if dtype is np.float64 else 4e-6
             assert np.max(np.abs(got.astype(np.longdouble) - ref) / ref) <= bound
+
+    def test_huge_alpha_is_finite(self):
+        # 1/((m_a-1) alpha) is 0 at alpha 1e308: one chain spans every
+        # threshold, and each bump is its flat value 1/(4 alpha)
+        got = activation_surrogate_grad(np.linspace(-3, 4, 29), 8, 1e308)
+        assert got.dtype == np.float64 and np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, 7 / 4 / 1e308, rtol=1e-12)
 
     def test_four_state_value(self):
         # sum of three bumps at offsets from the thresholds {1/6, 1/2, 5/6}
