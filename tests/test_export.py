@@ -328,8 +328,9 @@ class TestStreamDefects:
     @pytest.mark.parametrize("s_branch,f_branch,ends", [
         ([conv_f(2, 4)], [conv_f(2, 1)], r"\(4, 1, False\) and \(1, 1, False\)"),
         ([rec(OP_AP2)], [conv_f(2, 2)], r"\(2, 2, False\) and \(2, 1, False\)"),
+        ([rec(OP_AP2)], [rec(OP_AP2), rec(OP_AP2)], r"\(2, 2, False\) and \(2, 4, False\)"),
         ([rec(OP_GAP)], [], r"\(2, 1, True\) and \(2, 1, False\)")],
-        ids=["channels", "downsampling", "flattening"])
+        ids=["channels", "downsampling", "pool-count", "flattening"])
     def test_residual_branches_must_agree(self, tmp_path, s_branch, f_branch, ends):
         path, offsets = write_stream(tmp_path, [
             conv_f(1, 2), rec(OP_RES_BEGIN), *s_branch, rec(OP_RES_SEP), *f_branch,
@@ -561,7 +562,7 @@ class TestIntegerCodeRuntime:
         (op,) = [op for op in model.ops if op.opcode == OP_CONV_Q]
         return op, seen[0]
 
-    @pytest.mark.parametrize("kernel,pooled", [(1, False), (3, False), (3, True)])
+    @pytest.mark.parametrize("kernel,pooled", [(1, False), (1, True), (3, False), (3, True)])
     def test_codes_conv_is_the_int64_lattice_conv(self, tmp_path, monkeypatch, kernel,
                                                    pooled):
         codes = np.random.default_rng(30).integers(0, CFG.m_a, size=(2, 5, 8, 8))

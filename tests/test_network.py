@@ -90,6 +90,48 @@ class TestConv2d:
         atu = conv.backward(u)
         assert np.sum(y * u) == pytest.approx(np.sum(atu * x), rel=1e-10)
 
+    @pytest.mark.parametrize("h,w", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_small_maps_keep_their_extent(self, tmp_path, kernel, h, w):
+        # a "same" conv on maps no wider than its kernel: the trainer, its
+        # transpose and the runtime conv all keep the input's extent
+        rng = RNG(6)
+        conv = Conv2d(2, 3, kernel=kernel, rng=rng, weight_standardized=False)
+        assert (conv.stride, conv.padding) == (1, kernel // 2)
+        x = rng.normal(size=(2, 2, h, w))
+        y = conv.forward(x, Mode.TRAIN)
+        assert y.shape == (2, 3, h, w)
+        u = rng.normal(size=y.shape)
+        conv.weight.zero_grad()
+        atu = conv.backward(u)
+        assert atu.shape == x.shape
+        assert np.sum(y * u) == pytest.approx(np.sum(atu * x), rel=1e-10)
+        export.export(ModelGraph([conv, GlobalAvgPool()], "conv", 3, None, NormKind.LBN),
+                      tmp_path / "conv.maqd")
+        op = import_model(tmp_path / "conv.maqd").ops[0]
+        np.testing.assert_allclose(_run_conv(op, x), y, rtol=0, atol=1e-12)
+
+    def test_one_pixel_map_sees_only_the_center_tap(self):
+        # padding by 1 puts every other tap of a 3x3 kernel on zeros
+        rng = RNG(7)
+        conv = Conv2d(4, 3, kernel=3, rng=rng, weight_standardized=False)
+        center = conv.weight.data[:, :, 1, 1]
+        x = rng.normal(size=(5, 4, 1, 1))
+        y = conv.forward(x, Mode.TRAIN)
+        np.testing.assert_allclose(y[:, :, 0, 0], x[:, :, 0, 0] @ center.T,
+                                   rtol=0, atol=1e-12)
+        u = rng.normal(size=y.shape)
+        conv.weight.zero_grad()
+        gx = conv.backward(u)
+        np.testing.assert_allclose(gx[:, :, 0, 0], u[:, :, 0, 0] @ center,
+                                   rtol=0, atol=1e-12)
+        # the weight gradient reaches the center tap alone
+        off_center = conv.weight.grad.copy()
+        off_center[:, :, 1, 1] = 0.0
+        assert not np.any(off_center)
+        np.testing.assert_allclose(conv.weight.grad[:, :, 1, 1],
+                                   u[:, :, 0, 0].T @ x[:, :, 0, 0], rtol=0, atol=1e-12)
+
     def test_shape_validation(self):
         conv = Conv2d(2, 2, kernel=3, rng=RNG(4))
         with pytest.raises(ValueError):
