@@ -75,16 +75,14 @@ class RunConfig:
     def validate(self):
         """The CLI checks the choice lists and the values only it reads; the
         engine configs check the rest, and their messages start with the
-        name of the bad field."""
+        name of the bad field (`_FLAG_OF` maps it to its flag)."""
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise UsageError(f"{_flag(key)}: value must be one of {allowed}")
         for key, ok, expect in [
-                ("lr", self.lr > 0, "> 0"),
                 ("epochs", self.epochs >= 0, ">= 0"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("pad_to", self.pad_to >= 0, ">= 0"),
-                ("weight_decay", self.weight_decay >= 0, ">= 0"),
                 ("metrics_max_samples", self.metrics_max_samples >= 0, ">= 0")]:
             if not ok:
                 raise UsageError(f"{_flag(key)}: value must be {expect}")
@@ -95,7 +93,8 @@ class RunConfig:
                                 weight_decay=self.weight_decay)
             datasets.BatchPlan(seed=self.seed, batch_size=self.batch_size)
         except ValueError as e:
-            raise UsageError(f"{_flag(str(e).split()[0])}: {e}") from None
+            field = str(e).split()[0]
+            raise UsageError(f"{_flag(_FLAG_OF.get(field, field))}: {e}") from None
 
     def quant_config(self) -> QuantConfig | None:
         """The quantizer settings (built, and so checked, even when
@@ -114,6 +113,8 @@ _CHOICES = {
     "qscale_mode": tuple(m.value for m in QScaleMode),
     "norm": tuple(k.value for k in NormKind),
 }
+# An engine config field whose flag has another name.
+_FLAG_OF = {"learning_rate": "lr"}
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}

@@ -24,7 +24,9 @@ its input's extent; its stride byte is always 1.
 
 Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics; its
-EVAL forward is numerically equivalent to the trainer's.
+EVAL forward is numerically equivalent to the trainer's. CONV_F weights and
+CONV_Q states come from the trainer's `Conv2d.effective_weight` run in
+float64; the runtime calls its `_conv`, `affine` and pooling kernels.
 
 `import_model` compiles the records in one walk. It nests each residual
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
@@ -63,10 +65,9 @@ import numpy as np
 
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                       NormLayer, ReLU, ResidualBlock, _avg_pool2, _conv,
-                      _im2col, _tap_major)
-from .normalization import Mode, fold_normalization, weight_standardize
-from .quantizer import (QScaleMode, QuantConfig, quantize_activation,
-                        quantize_weight, round_half_away)
+                      _global_avg_pool, _im2col, _tap_major)
+from .normalization import Mode, affine, fold_normalization
+from .quantizer import QScaleMode, QuantConfig, quantize_activation, round_half_away
 
 MAGIC = b"MAQD"
 FORMAT_VERSION = 1
@@ -92,33 +93,22 @@ class ModelFormatError(ValueError):
     """Exported model file failed validation."""
 
 
-def _export_weights(conv: Conv2d) -> np.ndarray:
-    """The conv's (out, in*k*k) float64 weight rows, standardized under WS."""
-    w2d = conv.weight.data.reshape(conv.out_ch, -1).astype(np.float64)
-    if conv.weight_standardized:
-        w2d, _ = weight_standardize(w2d)
-    return w2d
-
-
 def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
     """Integer lattice states for a quantized conv, with the qscale used to
     decode them: value = clamp(state / qscale, -1, 1).
 
-    States beyond +-qscale all decode to the clip endpoints; they are capped
-    at ceil(qscale) so the decode is exact and fits in an int16.
+    States are round_half_away(w_q * qscale) of the float64
+    `Conv2d.effective_weight` w_q: a lattice value k/qscale gives back k,
+    a clip endpoint +-1 gives +-ceil(qscale), which fits in an int16.
     """
     if conv.quant is None:
         raise ValueError("conv layer is not weight-quantized")
     q = conv.quant.weight_qscale
-    w2d = _export_weights(conv)
-    # the quantizer's product order, q * (s * w): (q * s) * w rounds
-    # differently at a lattice tie
-    raw_states = round_half_away(np.multiply(q, np.multiply(conv.quant.s, w2d)))
-    cap = int(np.ceil(q))
-    states = np.clip(raw_states, -cap, cap).astype(np.int16)
+    w_q = conv.effective_weight(np.float64)[0]
+    states = round_half_away(w_q * q).astype(np.int16)
     # decode must reproduce the quantized weights exactly (at 64-bit)
     decoded = np.clip(states.astype(np.float64) / q, -1.0, 1.0)
-    if not np.array_equal(decoded, quantize_weight(w2d, conv.quant)):
+    if not np.array_equal(decoded, w_q):
         raise AssertionError("state encoding does not reproduce forward weights")
     return states, q
 
@@ -149,7 +139,8 @@ def _conv_record(conv: Conv2d) -> bytes:
         states, q = weight_states(conv)
         payload = head + struct.pack("<d", q) + states.astype("<i2").tobytes()
         return _record(OP_CONV_Q, payload)
-    return _record(OP_CONV_F, head + _export_weights(conv).astype("<f8").tobytes())
+    w2d = conv.effective_weight(np.float64)[0]
+    return _record(OP_CONV_F, head + w2d.astype("<f8").tobytes())
 
 
 _BARE_OPS = {ReLU: OP_RELU, AvgPool2: OP_AP2, GlobalAvgPool: OP_GAP}
@@ -403,8 +394,7 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         elif code == OP_CONV_F:
             x = _run_conv(op, x)
         elif code == OP_AFFINE:
-            x = x * f["scale"].reshape(1, -1, 1, 1)
-            x += f["bias"].reshape(1, -1, 1, 1)
+            x = affine(x, f["scale"], f["bias"])
         elif code == OP_ACT_Q:
             x = quantize_activation(x, f["m_a"])
             if f["codes"] is not None:
@@ -415,7 +405,7 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         elif code == OP_AP2:
             x = _avg_pool2(x)
         elif code == OP_GAP:
-            x = np.mean(x, axis=(2, 3))
+            x = _global_avg_pool(x)
         else:  # OP_RES_BEGIN
             x = _run_ops(f["s"], x) + _run_ops(f["f"], x)
     return x

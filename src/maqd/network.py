@@ -31,8 +31,8 @@ walks the blocks in reverse, rebuilds each block's patch matrix from the
 input and sums the weight gradient block by block. The input gradient, the
 conv's exact transpose, is `_conv` again (`_col2im`): the upstream
 cross-correlated with the weight flipped in both spatial axes, its in and
-out channels swapped. The export runtime calls the same conv and 2x2
-pooling kernels.
+out channels swapped. The export runs `Conv2d.effective_weight` in float64;
+its runtime calls the same conv, `affine`, 2x2 and global pooling kernels.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -190,16 +190,18 @@ class Conv2d(_Leaf):
     def parameters(self):
         return [self.weight]
 
-    def effective_weight(self):
-        """Weight actually used by the forward pass, with the WS/quantizer
-        caches needed for backward."""
+    def effective_weight(self, dtype=None):
+        """The (out, c*k*k) weight raw -> WS -> quantizer, in `dtype` (the
+        weight's own by default), with the WS cache and quantizer input that
+        the backward needs."""
         w2d = self.weight.data.reshape(self.out_ch, -1)
+        w2d = w2d.astype(dtype or w2d.dtype, copy=False)
         ws_cache = None
         if self.weight_standardized:
             w2d, ws_cache = weight_standardize(w2d)
         q_saved = None
         if self.quant is not None:
-            w2d, q_saved = quantize_tensor_forward(w2d, QuantKind.WEIGHT, self.quant)
+            w2d, q_saved = quantize_tensor_forward(w2d, QuantKind.WEIGHT, self.quant), w2d
         return w2d, ws_cache, q_saved
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
@@ -281,10 +283,9 @@ class ActQuant(_Leaf):
         self.norm = None
 
     def forward(self, x, mode):
-        y, saved = quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
         if mode is Mode.TRAIN and self.norm is None:
-            self.cache = saved
-        return y
+            self.cache = x  # not copied: no layer writes into its input
+        return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
 
     def backward(self, upstream):
         if self.norm is None:
@@ -335,13 +336,18 @@ class AvgPool2(_Leaf):
         return g
 
 
+def _global_avg_pool(x: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) -> (n, c) spatial mean, summed in float64, in x's dtype."""
+    return np.mean(x, axis=(2, 3), dtype=np.float64).astype(x.dtype, copy=False)
+
+
 class GlobalAvgPool(_Leaf):
     """Mean over all spatial positions; flattens (n, c, h, w) -> (n, c)."""
 
     def forward(self, x, mode):
         if mode is Mode.TRAIN:
             self.cache = x.shape
-        return np.mean(x, axis=(2, 3), dtype=np.float64).astype(x.dtype)
+        return _global_avg_pool(x)
 
     def backward(self, upstream):
         n, c, h, w = self._tape()

@@ -15,13 +15,13 @@ population convention (divide by count).
 The kernels make the fewest whole-tensor passes and no float64 copy of
 their input. Every reduction accumulates in float64 (`dtype=np.float64`)
 over the input's own dtype. The TRAIN forward takes the mean, squares
-x - mean in place for the variance, then builds x_hat and y in place: x_hat
-is the saved buffer, y the output. EVAL for BN and LBN is x * scale + bias
-with the constants of `fold_normalization`, the same the export writes, in
-two passes. The BN and LBN backward reduce grad_b = sum(upstream) and
-grad_g = sum(upstream * x_hat) per channel, derive the statistics' terms
-m1 = g.grad_b / count and m2 = g.grad_g / count from them (per channel for
-BN, one dot product for LBN), and form
+x - mean in place for the variance, then builds x_hat in place: x_hat is
+the saved buffer, `affine(x_hat, g, b)` the output. EVAL for BN and LBN is
+`affine` with the constants of `fold_normalization`, which the export writes
+and its runtime's AFFINE applies. The BN and LBN backward reduce
+grad_b = sum(upstream) and grad_g = sum(upstream * x_hat) per channel,
+derive the statistics' terms m1 = g.grad_b / count and m2 = g.grad_g / count
+from them (per channel for BN, one dot product for LBN), and form
 grad_x = inv_std * (g * upstream - m1 - m2 * x_hat) in four passes over two
 buffers. LN takes its per-sample means of g * upstream and of
 g * upstream * x_hat directly. At float64 the TRAIN forward is bitwise the
@@ -117,6 +117,13 @@ def _channels(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False).reshape(1, -1, 1, 1)
 
 
+def affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x * scale + bias per channel of (n, c, h, w) x, in x's dtype, in two passes."""
+    y = np.multiply(x, _channels(scale, x.dtype))
+    y += _channels(bias, x.dtype)
+    return y
+
+
 @dataclass
 class NormCache:
     """A TRAIN forward's tape. g and b are the layer's own arrays, not
@@ -136,10 +143,7 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     if x.ndim != 4 or x.shape[1] != st.channels:
         raise ValueError(f"expected (n, {st.channels}, h, w) input, got {x.shape}")
     if mode is Mode.EVAL and st.kind is not NormKind.LN:
-        scale, bias = fold_normalization(st)
-        y = np.multiply(x, _channels(scale, x.dtype))
-        y += _channels(bias, x.dtype)
-        return y, None
+        return affine(x, *fold_normalization(st)), None
 
     axes = _REDUCE_AXES[st.kind]
     mean = np.mean(x, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
@@ -154,8 +158,7 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     inv_std = 1.0 / np.sqrt(var + st.eps)
     np.subtract(x, mean, out=x_hat)
     x_hat *= inv_std
-    y = np.multiply(x_hat, _channels(st.g, x.dtype))
-    y += _channels(st.b, x.dtype)
+    y = affine(x_hat, st.g, st.b)
     if mode is Mode.TRAIN:
         return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, b=st.b, kind=st.kind)
     return y, None

@@ -47,7 +47,9 @@ class QuantConfig:
          int16 states (up to ceil(weight_qscale)) hold the clip endpoints.
     m_a: number of activation states, 2 to 65535 (the export's u16).
     qscale_mode: weight lattice scale selection.
-    s: finite weight pre-scale; the clip band is |w_hat| < 1/s. WS rows
+    s: weight pre-scale; the clip band is |w_hat| < 1/s. s * weight_qscale
+       must be finite in float32, so that no standardized weight
+       (|w_hat| <= 1) overflows the quantizer in float32. WS rows
        have std 1/sqrt(fan_in), not 1, so a weight leaves state 0 only where
        |w_hat| >= 1/(2 * weight_qscale * s): 0.2 * sqrt(fan_in) row stds at
        the defaults (M_w 15, s 1/3), 3.4 of them at fan_in 288.
@@ -65,8 +67,11 @@ class QuantConfig:
             raise ValueError(f"m_w must be an odd integer in [3, 65533], got {self.m_w}")
         if not 2 <= self.m_a <= 65535:
             raise ValueError(f"m_a must be in [2, 65535], got {self.m_a}")
-        if not 0 < self.s < np.inf:
-            raise ValueError(f"s must be positive and finite, got {self.s}")
+        with np.errstate(over="ignore"):
+            fits = np.isfinite(np.float32(self.s) * np.float32(self.weight_qscale))
+        if not (0 < self.s and fits):
+            raise ValueError(f"s must be positive, with s * weight_qscale finite in "
+                             f"float32, got {self.s}")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
@@ -160,8 +165,8 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     With `affine` = (g, b), two per-channel vectors, a_hat is a norm's
     (n, c, ...) x_hat and z = a_hat * g + b over axis 1. Each block is then
     whole channel planes, and z is rebuilt in it by the two ufunc calls of
-    `norm_forward` (multiply by g, add b, in a_hat's dtype), so it is bitwise
-    the norm's output; no full-size z is made.
+    the normalization's `affine` kernel (multiply by g, add b, in a_hat's
+    dtype), so it is bitwise the norm's output; no full-size z is made.
 
     Each bump is sigma'_alpha(x) = E / (1 + E) / (1 + E) / alpha with
     E = exp((z - b_m) / alpha). The thresholds are 1/(m_a-1) apart, so E is
@@ -238,15 +243,14 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     return out
 
 
-def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig):
-    """Elementwise quantization of a tensor; returns the quantized tensor and
-    the pre-quantization values saved for the surrogate backward."""
+def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig) -> np.ndarray:
+    """Elementwise quantization of a tensor, in t's dtype. The surrogate
+    backward reads t itself, which the caller keeps."""
     if kind is QuantKind.WEIGHT:
         q = quantize_weight(t, cfg)
     else:
         q = quantize_activation(t, cfg.m_a)
-    # t is saved, not copied: no layer writes into its input between forward and backward.
-    return q.astype(t.dtype, copy=False), t
+    return q.astype(t.dtype, copy=False)
 
 
 def quantize_tensor_backward(saved: np.ndarray, upstream: np.ndarray,

@@ -73,8 +73,13 @@ class OptimState:
     velocity: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got "
+                             f"{self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 def sgd_momentum_step(params: list[Param], opt: OptimState):
@@ -202,7 +207,11 @@ def train(graph: ModelGraph, train_set: LabeledImageSet, test_set: LabeledImageS
           weight_decay: float = OptimState.weight_decay, seed: int = 42, augment: bool = False,
           metrics_max_samples: int | None = None) -> list[EpochRecord]:
     """Full training loop; deterministic given the seed. Returns one record
-    per epoch (plus an initial-state record when epochs == 0)."""
+    per epoch (plus an initial-state record when epochs == 0). An empty
+    train or test set is refused before the first step."""
+    for name, data in (("train", train_set), ("test", test_set)):
+        if data.images.shape[0] == 0:
+            raise ValueError(f"empty {name} set")
     opt = OptimState(learning_rate=base_lr, momentum=momentum, weight_decay=weight_decay)
     params = graph.parameters()
     log: list[EpochRecord] = []

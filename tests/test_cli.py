@@ -13,7 +13,7 @@ from maqd.network import (ARCHITECTURES, Conv2d, GlobalAvgPool, ModelGraph, Norm
                           build_model)
 from maqd.normalization import Mode, NormKind
 from maqd.training import OptimState, combined_loss, sgd_momentum_step
-from test_datasets import DAMAGE, write_damaged
+from test_datasets import DAMAGE, write_damaged, write_idx_images, write_idx_labels
 
 
 BLOBS_DIMS = {"class_count": 4, "in_channels": 1, "input_hw": 8}
@@ -160,6 +160,7 @@ class TestParseConfig:
         ("--m-w", "4", "m-w"),
         ("--gamma", "1.5", "gamma"),
         ("--lr", "0", "lr"),
+        ("--weight-decay", "-1", "weight-decay"),
         ("--momentum", "1.0", "momentum"),
         ("--epochs", "-1", "epochs"),
         ("--metrics-max-samples", "-5", "metrics-max-samples"),
@@ -220,7 +221,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [
         ("--m-w", "70001"), ("--m-w", "65535"), ("--m-a", "65536"), ("--alpha", "inf"),
-        ("--alpha", "1e309"), ("--s", "nan")])
+        ("--alpha", "1e309"), ("--s", "nan"),
+        # settings whose first step overflows the float32 weights
+        ("--s", "1e200"), ("--lr", "inf"), ("--weight-decay", "inf")])
     def test_quantizer_the_export_cannot_hold_is_2(self, tmp_path, capsys, flag, value):
         # refused before the first epoch, not after training at export
         out = tmp_path / "out"
@@ -228,6 +231,21 @@ class TestExitCodes:
                      flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_train,n_test,split", [(0, 3, "train"), (6, 0, "test")])
+    def test_empty_mnist_split_is_2_and_names_it(self, tmp_path, capsys, n_train, n_test,
+                                                 split):
+        # 0-image idx files load; training refuses them before its first step
+        for stem, n in (("train", n_train), ("t10k", n_test)):
+            write_idx_images(tmp_path / f"{stem}-images-idx3-ubyte",
+                             np.zeros((n, 28, 28), np.uint8))
+            write_idx_labels(tmp_path / f"{stem}-labels-idx1-ubyte", np.zeros(n, np.uint8))
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", "mnist", "--data-dir", str(tmp_path),
+                     "--architecture", "vgg-mini", "--epochs", "1",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: empty {split} set\n"
+        assert not (out / "checkpoint.npz").exists()
 
     def test_sweep_checks_every_cell_before_the_first_runs(self, tmp_path, capsys):
         out = tmp_path / "out"

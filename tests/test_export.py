@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -12,10 +13,11 @@ from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
                          fold_normalization, import_model, parity_check,
                          runtime_infer, weight_states)
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
-                          ModelGraph, NormLayer, ResidualBlock, build_model)
+                          ModelGraph, NormLayer, ResidualBlock, _tap_major,
+                          build_model)
 from maqd.normalization import Mode, NormKind, NormLayerState, \
     norm_forward, weight_standardize
-from maqd.quantizer import QuantConfig, quantize_weight
+from maqd.quantizer import QScaleMode, QuantConfig, quantize_weight, round_half_away
 
 CFG = QuantConfig(m_w=15, m_a=8)
 
@@ -99,11 +101,11 @@ class TestFoldNormalization:
 class TestWeightStates:
     def test_states_are_capped_int16(self):
         rng = np.random.default_rng(3)
-        conv = Conv2d(2, 4, 3, rng=rng, quant=CFG)
-        conv.weight.data *= 100  # force saturation
+        conv = Conv2d(2, 4, 3, rng=rng, weight_standardized=False, quant=CFG)
+        conv.weight.data *= 100  # force saturation (WS would undo the scaling)
         states, q = weight_states(conv)
         assert states.dtype == np.int16
-        assert np.max(np.abs(states)) <= int(np.ceil(q))
+        assert np.max(np.abs(states)) == int(np.ceil(q))
         assert q == CFG.weight_qscale
 
     def test_decode_reproduces_quantizer(self):
@@ -139,6 +141,74 @@ class TestWeightStates:
         conv = Conv2d(1, 1, 1, rng=np.random.default_rng(5), quant=None)
         with pytest.raises(ValueError):
             weight_states(conv)
+
+    @pytest.mark.parametrize("case", ["saturated-half-mw", "saturated-half-mw-minus-one",
+                                      "ties", "ws-float32"])
+    def test_states_round_the_float64_effective_weight(self, case):
+        rng = np.random.default_rng(8)
+        if case == "ties":  # the weights of test_lattice_ties_export_with_parity
+            conv = Conv2d(1, 4, 1, rng=rng, weight_standardized=False, quant=CFG)
+            conv.weight.data[:, 0, 0, 0] = [0.6, -0.6, 1.4, -1.4]
+        else:
+            mode = QScaleMode.HALF_MW_MINUS_ONE if case.endswith("minus-one") \
+                else QScaleMode.HALF_MW
+            saturated = case.startswith("saturated")
+            conv = Conv2d(3, 4, 3, rng=rng, weight_standardized=not saturated,
+                          quant=QuantConfig(m_w=15, qscale_mode=mode),
+                          dtype=np.float64 if saturated else np.float32)
+            if saturated:  # s * w past the clip band: WS would undo the scaling
+                conv.weight.data *= 100
+        w_q = conv.effective_weight(np.float64)[0]
+        assert w_q.dtype == np.float64
+        states, q = weight_states(conv)
+        np.testing.assert_array_equal(states, round_half_away(w_q * q))
+        if case == "ties":
+            np.testing.assert_array_equal(states[:, 0], [1, -1, 3, -3])
+        if case.startswith("saturated"):  # the clip endpoints are hit
+            assert np.max(states) == -np.min(states) == np.ceil(q)
+
+    def test_conv_f_holds_the_float64_effective_weight(self, tmp_path):
+        conv = Conv2d(2, 3, 3, rng=np.random.default_rng(9), quant=None, dtype=np.float32)
+        export(ModelGraph([conv, GlobalAvgPool()], "float", 3, None, NormKind.LBN),
+               tmp_path / "f.maqd")
+        (op, _) = import_model(tmp_path / "f.maqd").ops
+        np.testing.assert_array_equal(
+            op.fields["w"], _tap_major(conv.effective_weight(np.float64)[0], 2, 3))
+
+
+class TestSharedKernels:
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    def test_runtime_affine_and_gap_are_the_trainer_kernels(self, tmp_path, monkeypatch,
+                                                            kind):
+        # the runtime returns only logits, so each kernel's output is read off
+        # a spy, as test_avgpool_forward_matches_reshape_mean reads AP2's
+        rng = np.random.default_rng(12)
+        norm = NormLayer(kind, 3)
+        st = norm.state
+        st.g[...], st.b[...] = rng.normal(size=(2, 3))
+        st.running_mean[...] = rng.normal(size=st.running_mean.shape)
+        st.running_var[...] = rng.uniform(0.5, 2.0, size=st.running_var.shape)
+        graph = ModelGraph([norm, GlobalAvgPool()], "kernels", 3, None, kind)
+        export(graph, tmp_path / "k.maqd")
+        seen = {}
+
+        def spy(name):
+            kernel = getattr(export_mod, name)
+
+            def call(*args):
+                seen[name] = kernel(*args)
+                return seen[name]
+            return call
+
+        for name in ("affine", "_global_avg_pool"):
+            monkeypatch.setattr(export_mod, name, spy(name))
+        x = rng.normal(size=(4, 3, 6, 6))
+        logits = runtime_infer(import_model(tmp_path / "k.maqd"), x)
+        y = norm.forward(x, Mode.EVAL)
+        np.testing.assert_array_equal(seen["affine"], y)
+        np.testing.assert_array_equal(seen["_global_avg_pool"],
+                                      GlobalAvgPool().forward(y, Mode.EVAL))
+        np.testing.assert_array_equal(logits, graph.forward(x, Mode.EVAL))
 
 
 class TestRoundTrip:
@@ -249,8 +319,10 @@ class TestValidation:
 
     # field, its offset in the "<BHHBdd" quant block, its format, a bad value
     @pytest.mark.parametrize("field,offset,fmt,value", [
-        ("m_w", 1, "<H", 4), ("m_w", 1, "<H", 65535), ("alpha", 14, "<d", np.inf)],
-        ids=["even-m_w", "m_w-past-int16-states", "infinite-alpha"])
+        ("m_w", 1, "<H", 4), ("m_w", 1, "<H", 65535), ("alpha", 14, "<d", np.inf),
+        ("s", 6, "<d", 1e200)],
+        ids=["even-m_w", "m_w-past-int16-states", "infinite-alpha",
+             "s-overflowing-float32-weights"])
     def test_invalid_quant_field_names_its_byte(self, tmp_path, field, offset, fmt, value):
         path = self._valid_file(tmp_path)
         data = bytearray(path.read_bytes())
@@ -258,7 +330,8 @@ class TestValidation:
         struct.pack_into(fmt, data, at, value)
         path.write_bytes(bytes(data))
         with pytest.raises(ModelFormatError,
-                           match=rf"quant block at byte {at}: {field} must be .*, got {value}"):
+                           match=rf"quant block at byte {at}: {field} must be .*, "
+                                 rf"got {re.escape(str(value))}"):
             import_model(path)
 
     @pytest.mark.parametrize("qscale", [7.3, 0.0, -7.5, np.nan, np.inf])

@@ -262,8 +262,8 @@ class TestActivationSurrogate:
             assert got.dtype == dtype
             assert np.max(np.abs(got.astype(np.longdouble) - ref) / ref) <= bound
             for kind in QuantKind:
-                _, saved = quantize_tensor_forward(zd, kind, cfg)
-                g = quantize_tensor_backward(saved, np.ones_like(zd), kind, cfg)
+                assert quantize_tensor_forward(zd, kind, cfg).dtype == dtype
+                g = quantize_tensor_backward(zd, np.ones_like(zd), kind, cfg)
                 assert g.dtype == dtype
 
     def test_closed_form_small_alpha(self):
@@ -301,51 +301,48 @@ class TestTensorQuantize:
     def test_zero_tensor(self):
         t = np.zeros((2, 2, 2, 2))
         for kind in QuantKind:
-            q, saved = quantize_tensor_forward(t, kind, CFG3_HALF_M1)
+            q = quantize_tensor_forward(t, kind, CFG3_HALF_M1)
             assert np.all(q == 0)
-            assert np.array_equal(saved, t)
+            assert q.shape == t.shape and q.dtype == t.dtype
 
     def test_weight_ternary(self):
         rng = np.random.default_rng(0)
         t = rng.normal(scale=5, size=(3, 2, 3, 3))
-        q, _ = quantize_tensor_forward(t, QuantKind.WEIGHT, CFG3_HALF_M1)
+        q = quantize_tensor_forward(t, QuantKind.WEIGHT, CFG3_HALF_M1)
         assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
 
     def test_activation_lattice_membership(self):
         rng = np.random.default_rng(1)
         t = rng.normal(size=(2, 3, 4, 4))
-        q, _ = quantize_tensor_forward(t, QuantKind.ACTIVATION, CFG3_HALF)
+        q = quantize_tensor_forward(t, QuantKind.ACTIVATION, CFG3_HALF)
         states = q * (CFG3_HALF.m_a - 1)
         assert np.array_equal(states, np.round(states))
 
     def test_backward_zero_upstream(self):
         t = np.ones((1, 2, 2, 2))
-        _, saved = quantize_tensor_forward(t, QuantKind.ACTIVATION, CFG3_HALF)
-        g = quantize_tensor_backward(saved, np.zeros_like(t), QuantKind.ACTIVATION, CFG3_HALF)
+        g = quantize_tensor_backward(t, np.zeros_like(t), QuantKind.ACTIVATION, CFG3_HALF)
         assert np.all(g == 0)
 
     def test_weight_passthrough_at_zero(self):
         t = np.zeros((1, 1, 2, 2))
-        _, saved = quantize_tensor_forward(t, QuantKind.WEIGHT, CFG3_HALF)
         up = np.arange(4.0).reshape(1, 1, 2, 2)
-        g = quantize_tensor_backward(saved, up, QuantKind.WEIGHT, CFG3_HALF)
+        g = quantize_tensor_backward(t, up, QuantKind.WEIGHT, CFG3_HALF)
         assert np.array_equal(g, up)
 
     def test_activation_backward_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
         t = rng.normal(size=(2, 2, 3, 3))
         up = rng.normal(size=t.shape)
-        _, saved = quantize_tensor_forward(t, QuantKind.ACTIVATION, CFG3_HALF)
-        g = quantize_tensor_backward(saved, up, QuantKind.ACTIVATION, CFG3_HALF)
+        g = quantize_tensor_backward(t, up, QuantKind.ACTIVATION, CFG3_HALF)
         for idx in np.ndindex(t.shape):
             expected = up[idx] * activation_surrogate_grad(
                 t[idx], CFG3_HALF.m_a, CFG3_HALF.alpha)
             assert g[idx] == pytest.approx(expected, rel=1e-12)
 
     def test_backward_shape_mismatch(self):
-        _, saved = quantize_tensor_forward(np.zeros((1, 1, 2, 2)), QuantKind.WEIGHT, CFG3_HALF)
         with pytest.raises(ValueError):
-            quantize_tensor_backward(saved, np.zeros((1, 1, 3, 3)), QuantKind.WEIGHT, CFG3_HALF)
+            quantize_tensor_backward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)),
+                                     QuantKind.WEIGHT, CFG3_HALF)
 
 
 class TestBlockedSurrogateBackward:

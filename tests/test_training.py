@@ -93,6 +93,13 @@ class TestSgdMomentum:
         with pytest.raises(ValueError):
             OptimState(learning_rate=0.1, momentum=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("learning_rate", np.inf), ("learning_rate", np.nan),
+        ("weight_decay", -1.0), ("weight_decay", np.inf), ("weight_decay", np.nan)])
+    def test_settings_that_cannot_train_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            OptimState(**{"learning_rate": 0.1, field: value})
+
 
 class TestSchedules:
     def test_cosine_endpoints(self):
@@ -323,6 +330,18 @@ class TestTrainLoop:
             expected = quantize_weight(w_hat, cfg).astype(w2d.dtype)
             got, _, _ = conv.effective_weight()
             np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_is_refused_before_the_first_step(self, split):
+        sets = dict(zip(("train", "test"), _blob_split()))
+        full = sets[split]
+        sets[split] = LabeledImageSet(full.images[:0], full.labels[:0], full.class_count)
+        g = _mini_graph(sets["train"])
+        before = [p.data.copy() for p in g.parameters()]
+        with pytest.raises(ValueError, match=f"^empty {split} set$"):
+            train(g, sets["train"], sets["test"], epochs=1, batch_size=32)
+        for p, b in zip(g.parameters(), before):
+            np.testing.assert_array_equal(p.data, b)
 
 
 class TestNormComparison:
