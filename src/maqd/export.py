@@ -38,7 +38,8 @@ not its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
 branches that end in different channels, downsampling or flattening; an
 unbalanced residual marker; residual blocks nested deeper than 64; and a
 stream that does not end in (class_count) logits. The runtime then checks
-only the shape of its input.
+only the shape of its input, and the range of a folded pair's float64 input
+(below).
 
 The runtime computes quantized convs on integers. After an ACT_Q that a
 CONV_Q reads (through AP2s only) the activation is its codes k in 0..m_a-1
@@ -53,6 +54,27 @@ conv's lattice, and binds the conv's divisor (m_a-1) * 2q; the conv divides
 its sums by it in float64, so the logits differ from the trainer's float64
 EVAL forward by float64 rounding alone. Every other ACT_Q emits float64
 values.
+
+Normalization costs no arithmetic at inference. The import folds each AFFINE
+that an ACT_Q reads directly, and the divide of a CONV_Q that feeds that
+AFFINE directly, into m_a-1 thresholds per channel. Each step from the
+pair's input to its code (the divide, x * scale + bias, the quantizer)
+rounds monotonically, so the code is the number of thresholds the input
+reaches: T_k[c] is the least value of the input's dtype whose unfolded code
+is at least k. A channel with scale < 0 counts the other way, and one with
+scale 0 has a constant code. The import finds each T_k by bisection over
+the ordered bit patterns of that dtype, each probe running the unfolded
+kernels, so the compares give the unfolded codes bit for bit on the probed
+domain. For code sums that domain is |sum| <= fan_in * 2q * (m_a-1), which
+holds by construction. For a float64 input that is not a code sum (the conv
+sums of images, residual sums, images) it is the widest interval on which
+every channel's affine is finite; the runtime checks each batch against it
+and runs the pair unfolded for a batch outside it. So a NaN, an inf or an
+overflowing input fails as it does unfolded, with a ValueError naming the
+ACT_Q record's byte. A pair stays unfolded when its scale or bias is not
+finite, when its affine overflows on code sums, or when it has more than
+_FOLD_MAX_THRESHOLDS (16) thresholds, past which the compares cost more
+than the arithmetic they replace.
 """
 
 from __future__ import annotations
@@ -245,8 +267,9 @@ _MAX_NESTING = 64  # residual blocks within residual blocks
 
 
 def _codes_reader(recs: list[RuntimeOp], i: int):
-    """(GEMM dtype, divisor) of the CONV_Q that reads the ACT_Q record i
-    through AP2s only, or None when no CONV_Q reads it."""
+    """(GEMM dtype, divisor, bound on |sum|) of the CONV_Q that reads the
+    ACT_Q record i through AP2s only, or None when no CONV_Q reads it. The
+    bound is fan_in * 2q * (m_a-1), a float that may be inf."""
     j = next((j for j in range(i + 1, len(recs)) if recs[j].opcode != OP_AP2), len(recs))
     if j == len(recs) or recs[j].opcode != OP_CONV_Q:
         return None
@@ -254,7 +277,143 @@ def _codes_reader(recs: list[RuntimeOp], i: int):
     # the bound of the module docstring, in exact integers
     bound = conv["in_ch"] * conv["kernel"] ** 2 * int(2 * conv["qscale"]) * top \
         * 4 ** (j - i - 1)
-    return np.float32 if bound < _F32_EXACT else np.float64, 2.0 * conv["qscale"] * top
+    divisor = 2.0 * conv["qscale"] * top
+    return (np.float32 if bound < _F32_EXACT else np.float64, divisor,
+            conv["in_ch"] * conv["kernel"] ** 2 * divisor)
+
+
+# An AFFINE -> ACT_Q pair with at most this many thresholds per channel runs
+# as that many compares; one with more runs unfolded. On a (100, 16, 32, 32)
+# float32 map of conv sums (2 vCPU), 7, 16 and 31 compares with the codes'
+# cast took 6.6, 14.7 and 27.1 ms, against 20 ms for the divide, affine,
+# quantizer and cast they replace; compares on float64 inputs take about
+# 1.4 times as long.
+_FOLD_MAX_THRESHOLDS = 16
+
+
+@dataclass
+class _Fold:
+    """An AFFINE -> ACT_Q pair, and the CONV_Q divide in front of it, as
+    compares on the pair's input (see the module docstring)."""
+
+    thresholds: np.ndarray  # (m_a-1, C) in the input's dtype: code = #{x >= t}
+    flip: np.ndarray | None  # (1, C, 1, 1): code = m_a-1 - #{x >= t} where set
+    domain: tuple | None  # (lo, hi): the input range the fold holds on; None: any sum
+    divisor: float | None  # the folded CONV_Q's, None when an AFFINE reads the input
+    scale: np.ndarray
+    bias: np.ndarray
+
+    def holds_on(self, x: np.ndarray) -> bool:
+        """Whether every element of x (none, when x is empty) is in the domain;
+        a NaN is not."""
+        return self.domain is None or bool(self.domain[0] <= x.min(initial=np.inf)
+                                           and x.max(initial=-np.inf) <= self.domain[1])
+
+
+def _pipeline(x, m_a: int, divisor, scale, bias) -> np.ndarray:
+    """The unfolded pair on its input x: the CONV_Q divide (when divisor is
+    set), the AFFINE and the ACT_Q's quantizer; float64 values k/(m_a-1)."""
+    if divisor is not None:
+        x = np.divide(x, divisor, dtype=np.float64)
+    return quantize_activation(affine(x, scale, bias), m_a)
+
+
+def _as_codes(v: np.ndarray, top: int, dtype) -> np.ndarray:
+    """The integer codes k of quantized values k/top, in the given dtype."""
+    v *= top  # in float64; the float32 cast snaps each code to k
+    return v.astype(np.float32).astype(dtype, copy=False)
+
+
+def _keys(x: np.ndarray) -> np.ndarray:
+    """int64 keys that order as the floats x do; both zeros have key 0."""
+    bits = x.view(f"i{x.itemsize}").astype(np.int64)
+    mag = bits & ((1 << (8 * x.itemsize - 1)) - 1)
+    return np.where(bits < 0, -mag, mag)
+
+
+def _floats(keys: np.ndarray, dtype) -> np.ndarray:
+    """The floats of the given dtype whose `_keys` are keys."""
+    dtype = np.dtype(dtype)
+    bits = np.abs(keys).astype(f"u{dtype.itemsize}")
+    bits[keys < 0] |= np.array(1 << (8 * dtype.itemsize - 1), bits.dtype)
+    return bits.view(dtype)
+
+
+def _first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise, the least integer t in (lo, hi] where pred(t) holds, for
+    a pred that is monotone, false at lo and true at hi. Bisection."""
+    while True:
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2), no overflow
+        if np.array_equal(mid, lo):
+            return hi
+        p = pred(mid)
+        lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
+
+
+def _fold(m_a: int, dtype, bound, divisor, scale, bias) -> _Fold | None:
+    """The pair's fold, or None where it does not apply: more than
+    _FOLD_MAX_THRESHOLDS thresholds, a non-finite scale or bias, or code sums
+    (|input| <= bound) that the affine overflows. The input has the given
+    dtype; bound is None for a float64 input that is not a code sum."""
+    top, c = m_a - 1, scale.size
+    if top > _FOLD_MAX_THRESHOLDS or not (np.all(np.isfinite(scale))
+                                          and np.all(np.isfinite(bias))):
+        return None
+
+    def finite(s):  # the affine of inputs s, one per channel in axis 1
+        x = s if divisor is None else np.divide(s, divisor, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            return np.isfinite(affine(x.reshape(-1, c, 1, 1), scale, bias)).reshape(s.shape)
+
+    if bound is not None:  # code sums: exact, with |sum| <= bound
+        lo, hi = np.array([-bound, bound], dtype)
+        if not finite(np.repeat([[lo], [hi]], c, axis=1)).all():
+            return None
+        domain = None
+    else:  # the widest interval on which every channel's affine is finite
+        big = np.full((2, c), _keys(np.array(np.finfo(dtype).max, dtype)))
+        side = np.array([[1], [-1]])  # the positive and the negative inputs
+        bad = lambda t: ~finite(_floats(side * t, dtype))
+        ends = np.where(bad(big), _first(bad, np.zeros_like(big), big) - 1, big).min(axis=1)
+        lo, hi = _floats(np.array([-ends[1], ends[0]]), dtype)
+        domain = (lo, hi)
+    lo_key, hi_key = _keys(np.array([lo, hi], dtype))
+    # channel sign d: the code rises with d * key(input)
+    d = np.where(scale < 0, -1, 1)
+    k = np.arange(1, top + 1).reshape(-1, 1)
+
+    def reached(t):  # code(input of key d * t) >= k, by the unfolded kernels
+        s = _floats(d * t, dtype).reshape(top, c, 1, 1)
+        with np.errstate(over="ignore"):  # x * (m_a-1) may reach inf at the domain's ends
+            v = _pipeline(s, m_a, divisor, scale, bias)
+        return _as_codes(v, top, np.float32).reshape(top, c) >= k
+
+    t_lo = np.broadcast_to(np.where(d > 0, lo_key, -hi_key), (top, c))
+    t_hi = np.broadcast_to(np.where(d > 0, hi_key, -lo_key), (top, c))
+    # d > 0: code >= k from key t on; d < 0: code < k (flipped) from key 1 - t on
+    t = _first(reached, t_lo, t_hi)
+    out = _floats(np.where(d > 0, t, 1 - t), dtype)
+    never = d * np.inf  # the threshold no input reaches, flipped where d < 0
+    out = np.where(reached(t_lo), -never, np.where(reached(t_hi), out, never)).astype(dtype)
+    flip = (d < 0).reshape(1, c, 1, 1)
+    return _Fold(out, flip if flip.any() else None, domain, divisor, scale, bias)
+
+
+def _fold_pair(ops: list[RuntimeOp], m_a: int) -> _Fold | None:
+    """Fold the AFFINE that ends the bound ops, if any, and the CONV_Q that
+    feeds it directly, into the ACT_Q that follows them; see `_fold`."""
+    if not ops or ops[-1].opcode != OP_AFFINE:
+        return None
+    feed = ops[-2].fields if len(ops) > 1 and ops[-2].opcode == OP_CONV_Q else None
+    dtype, bound, divisor = (feed["w"].dtype, feed["bound"], feed["divisor"]) if feed \
+        else (np.float64, None, None)
+    aff = ops[-1].fields
+    fold = _fold(m_a, dtype, bound, divisor, aff["scale"], aff["bias"])
+    if fold is not None:
+        aff["folded"] = True
+        if feed:
+            feed["divisor"] = None  # the conv emits its sums
+    return fold
 
 
 def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
@@ -288,13 +447,16 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
                 raise error(op, f"reads {reads} channels, its input has {c}")
             if conv:
                 c = f["out_ch"]
-                dtype, divisor = codes or (np.float64, None)
+                dtype, divisor, bound = codes or (np.float64, None, None)
                 f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
             if code == OP_CONV_Q:
-                f["divisor"], codes = divisor or 2.0 * f["qscale"], None
+                f["divisor"], f["bound"], codes = divisor or 2.0 * f["qscale"], bound, None
+            elif code == OP_AFFINE:
+                f["folded"] = False
             elif code == OP_ACT_Q:
                 codes = _codes_reader(recs, i)
                 f["codes"] = codes[0] if codes else None
+                f["fold"] = _fold_pair(ops, f["m_a"])
             elif code == OP_AP2:
                 down *= 2
             elif code == OP_GAP:
@@ -386,20 +548,41 @@ def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
     return _run_ops(model.ops, images.astype(np.float64))
 
 
+def _run_act(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
+    """An ACT_Q: compares on the raw input of a folded pair whose input lies
+    in its fold's domain, else the unfolded arithmetic. A quantizer input
+    that is not finite raises a ValueError naming the record's byte."""
+    f, fold = op.fields, op.fields["fold"]
+    m_a, top = f["m_a"], f["m_a"] - 1
+    if fold is not None and fold.holds_on(x):
+        k = quantize_activation(x, m_a, fold.thresholds)
+        if fold.flip is not None:
+            k = np.where(fold.flip, top - k, k)
+        # k / top in float64 is bitwise the quantizer's value
+        return k.astype(f["codes"]) if f["codes"] is not None else \
+            np.divide(k, top, dtype=np.float64)
+    try:
+        x = _pipeline(x, m_a, fold.divisor, fold.scale, fold.bias) if fold is not None \
+            else quantize_activation(x, m_a)
+    except ValueError as e:
+        raise ValueError(f"ACT_Q record at byte {op.at}: {e}") from None
+    return x if f["codes"] is None else _as_codes(x, top, f["codes"])
+
+
 def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
     for op in ops:
         code, f = op.opcode, op.fields
         if code == OP_CONV_Q:
-            x = np.divide(_run_conv(op, x), f["divisor"], dtype=np.float64)
+            x = _run_conv(op, x)
+            if f["divisor"] is not None:  # else the ACT_Q's fold reads the sums
+                x = np.divide(x, f["divisor"], dtype=np.float64)
         elif code == OP_CONV_F:
             x = _run_conv(op, x)
         elif code == OP_AFFINE:
-            x = affine(x, f["scale"], f["bias"])
+            if not f["folded"]:
+                x = affine(x, f["scale"], f["bias"])
         elif code == OP_ACT_Q:
-            x = quantize_activation(x, f["m_a"])
-            if f["codes"] is not None:
-                x *= f["m_a"] - 1  # in float64; the float32 cast snaps each code to k
-                x = x.astype(np.float32).astype(f["codes"], copy=False)
+            x = _run_act(op, x)
         elif code == OP_RELU:
             x = np.maximum(x, 0.0)
         elif code == OP_AP2:

@@ -109,16 +109,30 @@ def quantize_weight(w_hat, cfg: QuantConfig):
     return scaled_round_clip(np.multiply(cfg.s, w_hat), cfg.weight_qscale, -1.0, 1.0)
 
 
-def quantize_activation(a_hat, m_a: int):
+def quantize_activation(a_hat, m_a: int, thresholds=None):
     """Quantize an activation onto the m_a-state lattice {0, ..., 1}.
 
     Equal to scaled_round_clip(a_hat, m_a - 1, 0, 1), computed in one buffer
     as floor(clip(a_hat * (m_a-1), 0, m_a-1) + 0.5) / (m_a-1): on the clipped,
     non-negative range, rounding half away from zero is floor(v + 0.5).
     Inputs in (-0.5/(m_a-1), 0] give +0.0, where scaled_round_clip gives -0.0.
+
+    With `thresholds`, an (m_a-1, C) array in a_hat's dtype, a_hat is an
+    (n, C, h, w) tensor and the result is instead, per element, the number
+    of k with a_hat >= thresholds[k, c], in the smallest unsigned integer
+    dtype that holds m_a - 1. The export's runtime binds thresholds that
+    make this count the code its folded pipeline would give; no finiteness
+    check runs, as the runtime checks its own input's range.
     """
     if m_a < 2:
         raise ValueError(f"m_a must be >= 2, got {m_a}")
+    if thresholds is not None:
+        count = np.zeros(a_hat.shape, np.min_scalar_type(m_a - 1))
+        reached = np.empty(a_hat.shape, bool)
+        for t in thresholds:
+            np.greater_equal(a_hat, t.reshape(1, -1, 1, 1), out=reached)
+            count += reached.view(np.uint8)
+        return count
     if not np.isfinite(np.add.reduce(a_hat, axis=None)):
         _check_finite(a_hat, "quantizer input")  # the sum may overflow on finite input
     top = float(m_a - 1)

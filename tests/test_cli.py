@@ -8,7 +8,7 @@ import pytest
 
 from maqd import cli
 from maqd.cli import CheckpointError, RunConfig, UsageError, main, parse_config
-from maqd.export import export, import_model
+from maqd.export import OP_ACT_Q, export, import_model
 from maqd.network import (ARCHITECTURES, Conv2d, GlobalAvgPool, ModelGraph, NormLayer,
                           build_model)
 from maqd.normalization import Mode, NormKind
@@ -397,6 +397,23 @@ class TestCheckpoint:
         assert main(["infer", "--dataset", "blobs", "--model", str(path)]) == 2
         assert "error: the model's class_count is 3, the data's 4" in capsys.readouterr().err
         assert not batches
+
+    def test_infer_on_a_nan_image_names_the_activation_record(self, tmp_path, capsys,
+                                                              monkeypatch):
+        path = tmp_path / "m.maqd"
+        export(write_checkpoint(tmp_path / "checkpoint.npz"), path)
+        at = next(op.at for op in import_model(path).ops if op.opcode == OP_ACT_Q)
+        load = cli._load_dataset
+
+        def with_a_nan(cfg):
+            train, test = load(cfg)
+            test.images[3, 0, 2, 2] = np.nan
+            return train, test
+
+        monkeypatch.setattr(cli, "_load_dataset", with_a_nan)
+        assert main(["infer", "--dataset", "blobs", "--model", str(path)]) == 2
+        assert f"error: ACT_Q record at byte {at}: quantizer input must be finite\n" \
+            == capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

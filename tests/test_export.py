@@ -1,5 +1,6 @@
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -676,3 +677,225 @@ class TestIntegerCodeRuntime:
         images = np.random.default_rng(34).uniform(-0.2, 1.2, size=(2, 3, 4, 4))
         report = parity_check(graph, import_model(path), images)
         assert report.max_abs_logit_diff < 1e-9
+
+
+def _unfolded(monkeypatch, path):
+    """The model at path imported with no AFFINE -> ACT_Q pair folded: the
+    divide, affine and quantizer arithmetic the fold must reproduce."""
+    with monkeypatch.context() as m:
+        m.setattr(export_mod, "_FOLD_MAX_THRESHOLDS", 0)
+        return import_model(path)
+
+
+def _act_ops(ops):
+    """Every bound ACT_Q op with the op before it in its span (or None), in
+    order, residual branches included."""
+    prev = None
+    for op in ops:
+        if op.opcode == OP_ACT_Q:
+            yield prev, op
+        if op.opcode == OP_RES_BEGIN:
+            yield from _act_ops(op.fields["s"])
+            yield from _act_ops(op.fields["f"])
+        prev = op
+
+
+def _spread_affines(graph, seed):
+    """Give every norm random running statistics and per-channel (g, b),
+    with about 15% of g zero and some negative, so that folds compare both
+    ways and some channels are constant."""
+    rng = np.random.default_rng(seed)
+    for layer in graph.all_layers():
+        if isinstance(layer, NormLayer):
+            st = layer.state
+            st.g[...] = rng.normal(size=st.g.shape) * (rng.uniform(size=st.g.shape) > 0.15)
+            st.b[...] = rng.normal(0.0, 0.5, size=st.b.shape)
+            st.running_mean[...] = rng.normal(size=st.running_mean.shape)
+            st.running_var[...] = rng.uniform(0.5, 3.0, size=st.running_var.shape)
+
+
+class TestThresholdFold:
+    """Each AFFINE -> ACT_Q pair with at most _FOLD_MAX_THRESHOLDS
+    thresholds runs as compares on its input; the oracle is the same file
+    imported with the fold off."""
+
+    def _folded_and_oracle(self, tmp_path, monkeypatch, graph):
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        return import_model(path), _unfolded(monkeypatch, path)
+
+    @pytest.mark.parametrize("kind", [NormKind.LBN, NormKind.BN])
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("m_a", [2, 8, "crossover", "past-crossover"])
+    def test_logits_equal_the_unfolded_runtime(self, tmp_path, monkeypatch, arch, kind, m_a):
+        # vgg-mini: code sums (pooled codes included) and raw-image conv
+        # sums; preact-mini: both heads of each residual block read float64
+        # sums, after a pool in front of its downsampling blocks
+        top = export_mod._FOLD_MAX_THRESHOLDS
+        m_a = {"crossover": top + 1, "past-crossover": top + 2}.get(m_a, m_a)
+        cfg = QuantConfig(m_a=m_a)
+        graph = build_model(arch, 4, quant=cfg, norm_kind=kind, in_channels=1, input_hw=8,
+                            seed=m_a)
+        _spread_affines(graph, seed=m_a)
+        model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
+        folds = [op.fields["fold"] for _, op in _act_ops(model.ops)]
+        assert all(op.fields["fold"] is None for _, op in _act_ops(oracle.ops))
+        if m_a - 1 > top:
+            assert not any(folds)
+        else:
+            assert all(folds)  # every ACT_Q of these nets follows an AFFINE
+            assert any(f.flip is not None for f in folds)
+        images = np.random.default_rng(m_a).normal(0.0, 2.0, size=(5, 1, 8, 8))
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      runtime_infer(oracle, images))
+
+    @pytest.mark.parametrize("in_ch,kernel,pooled,dtype", [
+        (32, 3, False, np.float64), (32, 1, False, np.float32),
+        (16, 3, True, np.float64), (16, 3, False, np.float32)])
+    def test_float32_and_float64_code_sums(self, tmp_path, monkeypatch, in_ch, kernel,
+                                           pooled, dtype):
+        # the codes conv of test_float64_fallback_past_the_float32_bound,
+        # then a folded norm and quantizer
+        cfg = QuantConfig(m_w=255, m_a=256)
+        rng = np.random.default_rng(35)
+        conv = Conv2d(in_ch, 3, kernel, rng=rng, weight_standardized=False, quant=cfg)
+        conv.weight.data[...] = rng.normal(0.0, 4.0, size=conv.weight.data.shape)
+        graph = ModelGraph([ActQuant(cfg), *([AvgPool2()] if pooled else []), conv,
+                            NormLayer(NormKind.BN, 3), ActQuant(CFG),
+                            Conv2d(3, 2, 1, rng=rng, quant=CFG), GlobalAvgPool()],
+                           "codes", 2, cfg, NormKind.BN)
+        _spread_affines(graph, seed=36)
+        model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
+        (_, first), (_, second) = _act_ops(model.ops)
+        assert first.fields["fold"] is None  # no AFFINE in front of it
+        assert second.fields["fold"].thresholds.dtype == dtype
+        assert second.fields["fold"].domain is None  # code sums need no check
+        codes = rng.integers(0, cfg.m_a, size=(3, in_ch, 6, 6))
+        codes[0] = cfg.m_a - 1
+        images = codes / (cfg.m_a - 1)
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      runtime_infer(oracle, images))
+
+    def test_values_when_no_conv_reads_the_codes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(37)
+        graph = ModelGraph([Conv2d(1, 3, 3, rng=rng, quant=CFG), NormLayer(NormKind.LBN, 3),
+                            ActQuant(CFG), GlobalAvgPool()], "values", 3, CFG, NormKind.LBN)
+        _spread_affines(graph, seed=38)
+        model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
+        ((_, act),) = _act_ops(model.ops)
+        assert act.fields["codes"] is None and act.fields["fold"] is not None
+        images = rng.normal(0.0, 2.0, size=(4, 1, 6, 6))
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      runtime_infer(oracle, images))
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    def test_inputs_on_each_threshold_and_one_ulp_away(self, tmp_path, monkeypatch, arch):
+        graph = build_model(arch, 4, quant=CFG, in_channels=1, input_hw=8, seed=39)
+        _spread_affines(graph, seed=39)
+        model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
+        pairs = list(zip(_act_ops(model.ops), _act_ops(oracle.ops)))
+        for ((aff, act), (oracle_aff, oracle_act)), feed in zip(pairs, self._feeds(model)):
+            fold = act.fields["fold"]
+            t = fold.thresholds.T[:, :, None]  # (C, m_a-1, 1)
+            t = np.where(np.isfinite(t), t, 0)  # no input reaches +-inf
+            x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)], 2)
+            x = x.reshape(1, x.shape[0], -1, 1)
+            if fold.domain is not None:
+                x = np.clip(x, *fold.domain)
+            oracle_in = x if feed is None else np.divide(x, feed, dtype=np.float64)
+            np.testing.assert_array_equal(
+                export_mod._run_ops([aff, act], x),
+                export_mod._run_ops([oracle_aff, oracle_act], oracle_in))
+
+    @staticmethod
+    def _feeds(model):
+        """The divisor that each folded pair took from its CONV_Q, or None."""
+        for _, act in _act_ops(model.ops):
+            yield act.fields["fold"].divisor
+
+    def test_thresholds_are_monotone_in_k(self, tmp_path, monkeypatch):
+        # rising where the code rises with the input, falling where it
+        # falls (a negative scale), so the codes climb one state at a time
+        graph = build_model("vgg-mini", 4, quant=CFG, in_channels=1, seed=41)
+        _spread_affines(graph, seed=41)
+        model, _ = self._folded_and_oracle(tmp_path, monkeypatch, graph)
+        for _, act in _act_ops(model.ops):
+            fold = act.fields["fold"]
+            t = fold.thresholds
+            if fold.flip is not None:
+                t = np.where(fold.flip[0, :, 0, 0], -t, t)
+            assert np.all(t[1:] >= t[:-1])
+
+
+def conv_q(in_ch, out_ch, seed=0):
+    """A 1x1 CONV_Q record, qscale 7.5, with random states in [-8, 8]."""
+    states = np.random.default_rng(seed).integers(-8, 9, size=out_ch * in_ch)
+    return rec(OP_CONV_Q, struct.pack("<HHBBd", out_ch, in_ch, 1, 1, 7.5)
+               + states.astype("<i2").tobytes())
+
+
+def _outcome(model, images):
+    """The runtime's logits on images, or the message of its ValueError."""
+    try:
+        with np.errstate(all="ignore"):
+            return runtime_infer(model, images)
+    except ValueError as e:
+        return str(e)
+
+
+class TestFoldEdges:
+    """Records the fold must leave unfolded or run as the unfolded runtime
+    does, and the errors of inputs no quantizer can take."""
+
+    LAYOUTS = {  # records in front of the AFFINE, and the images' channels
+        "image-sums": ([conv_q(1, 2)], 1),
+        "code-sums": ([rec(OP_ACT_Q, struct.pack("<H", 8)), conv_q(1, 2)], 1),
+        "images": ([], 2),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("scale,bias,m_a", [
+        (np.nan, 0.5, 8), (np.inf, 0.5, 8), (0.5, -np.inf, 8), (1e300, 0.5, 8),
+        (-1e300, 0.5, 8), (0.5, 1e300, 8), (0.5, 0.25, 65535)],
+        ids=["nan-scale", "inf-scale", "inf-bias", "huge-scale", "huge-negative-scale",
+             "huge-bias", "m_a-65535"])
+    def test_damaged_affine_or_act_q_runs_as_unfolded(self, tmp_path, monkeypatch, layout,
+                                                      scale, bias, m_a):
+        head, in_ch = self.LAYOUTS[layout]
+        path, _ = write_stream(tmp_path, [
+            *head, rec(OP_AFFINE, struct.pack("<H", 2) + np.array([scale, 0.75]).tobytes()
+                       + np.array([bias, -0.25]).tobytes()),
+            rec(OP_ACT_Q, struct.pack("<H", m_a)), conv_q(2, 2, seed=1), rec(OP_GAP)])
+        start = time.perf_counter()
+        model = import_model(path)
+        assert time.perf_counter() - start < 1.0
+        (_, act), *_ = reversed(list(_act_ops(model.ops)))
+        folds = np.isfinite(scale) and np.isfinite(bias) and m_a == 8
+        assert (act.fields["fold"] is not None) == folds
+        oracle = _unfolded(monkeypatch, path)
+        rng = np.random.default_rng(43)
+        for images in (rng.normal(size=(2, in_ch, 4, 4)), rng.normal(size=(2, in_ch, 4, 4))
+                       * 1e12):
+            folded, unfolded = _outcome(model, images), _outcome(oracle, images)
+            if isinstance(unfolded, str):
+                assert folded == unfolded
+            else:
+                np.testing.assert_array_equal(folded, unfolded)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+    def test_non_finite_quantizer_input_names_its_record(self, tmp_path, bad, folded):
+        cfg = QuantConfig(m_a=8 if folded else export_mod._FOLD_MAX_THRESHOLDS + 2)
+        graph = build_model("vgg-mini", 4, quant=cfg, in_channels=1, seed=44, use_ws=False)
+        for conv in graph.conv_layers():  # states far from 0, so a 1e308 pixel overflows
+            conv.weight.data *= 10
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        ((_, act), *_) = _act_ops(model.ops)
+        assert (act.fields["fold"] is not None) == folded
+        assert runtime_infer(model, np.zeros((0, 1, 8, 8))).shape == (0, 4)
+        images = np.random.default_rng(45).normal(size=(2, 1, 8, 8))
+        images[1, 0, 3, 3] = bad
+        assert _outcome(model, images) == \
+            f"ACT_Q record at byte {act.at}: quantizer input must be finite"

@@ -175,6 +175,21 @@ class TestQuantizeActivation:
         lo, hi = min(a, b), max(a, b)
         assert quantize_activation(lo, m_a) <= quantize_activation(hi, m_a)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m_a,count_dtype", [(2, np.uint8), (8, np.uint8),
+                                                 (300, np.uint16)])
+    def test_thresholds_count_the_ones_reached(self, dtype, m_a, count_dtype):
+        rng = np.random.default_rng(m_a)
+        x = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+        t = rng.normal(size=(m_a - 1, 3)).astype(dtype)
+        t[0, 0], t[-1, 1] = -np.inf, np.inf
+        t[:, 2] = x[0, 2, 0, 0]  # an input on a threshold reaches it
+        count = quantize_activation(x, m_a, thresholds=t)
+        assert count.dtype == count_dtype
+        ref = sum((x >= tk.reshape(1, 3, 1, 1)).astype(np.int64) for tk in t)
+        np.testing.assert_array_equal(count, ref)
+        assert np.all(count[0, 2, 0, 0] == m_a - 1)
+
 
 class TestThresholds:
     def test_binary(self):
