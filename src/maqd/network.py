@@ -17,18 +17,23 @@ RuntimeError that names the layer.
 
 Every convolution is a 3x3 or 1x1 cross-correlation at stride 1, padded
 by k // 2 so that its output keeps its input's extent (the nets downsample
-with pooling). `_conv` computes it one block of samples at a time, a block
-being as many samples as keep its patch matrix near `_BLOCK_BYTES`: per
-block, `_im2col` copies the samples into a zero-padded NHWC buffer and
-gathers each output pixel's window in (ki, kj, c) order, so every kernel
-tap copies a contiguous run of channels, and one GEMM with the tap-major
-weight gives the block's output. No full-batch patch matrix is ever built.
-`_tap_major` puts the (out, c*k*k) weight rows in the same order; the
-weight itself, WS, the quantizer and the export format keep the canonical
-(out, c, k, k) layout. A TRAIN conv tapes its input and its effective
-weight with the WS and quantizer caches, and no patch matrix; its backward
-walks the blocks in reverse, rebuilds each block's patch matrix from the
-input and sums the weight gradient block by block. The input gradient, the
+with pooling). `_conv` computes it in parts of whole samples, run on the
+threads of the `parallel` pool, each part as many samples as keep its
+patch matrix within `_BLOCK_BYTES // parallel.THREADS`, so that the parts
+in flight hold about one block of patch matrix between them: per part,
+`_im2col` copies the samples into a zero-padded NHWC buffer and gathers
+each output pixel's window in (ki, kj, c) order, so every kernel tap
+copies a contiguous run of channels, and one GEMM with the tap-major weight
+gives the part's output. The parts are rows of one GEMM, so the output
+does not depend on how many there are. No full-batch patch matrix is ever
+built. `_tap_major` puts the (out, c*k*k) weight rows in the same order;
+the weight itself, WS, the quantizer and the export format keep the
+canonical (out, c, k, k) layout. A TRAIN conv tapes its input and its
+effective weight with the WS and quantizer caches, and no patch matrix;
+its backward (`_weight_grad`) walks the `_blocks` of the input in reverse,
+rebuilds each block's patch matrix from the input, lets the threads split
+that block's GEMM by columns, and sums the weight gradient block by block,
+in the same order whatever the thread count. The input gradient, the
 conv's exact transpose, is `_conv` again (`_col2im`): the upstream
 cross-correlated with the weight flipped in both spatial axes, its in and
 out channels swapped. The export runs `Conv2d.effective_weight` in float64;
@@ -44,6 +49,7 @@ from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
+from . import parallel
 from .normalization import (Mode, NormKind, NormLayerState, norm_backward,
                             norm_forward, weight_standardize,
                             weight_standardize_backward)
@@ -78,9 +84,9 @@ def _nbytes(obj) -> int:
     return 0
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(n, c, h, w) -> (n*h*w, k*k*c) patch matrix of the stride-1 conv padded
-    by k // 2, whose output has x's extent.
+    by k // 2, whose output has x's extent; written into `out` when given.
 
     Columns are tap-major: column (ki*k + kj)*c + ci holds input channel ci
     at kernel tap (ki, kj), so the matrix multiplies `_tap_major` weights.
@@ -89,11 +95,16 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """
     n, c, h, w = x.shape
     pad = k // 2
-    xp = (np.zeros if pad else np.empty)((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n * h * w, k * k * c), dtype=x.dtype)
+    if not pad:
+        out.reshape(n, h, w, c)[...] = x.transpose(0, 2, 3, 1)
+        return out
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
-    return np.ascontiguousarray(cols)
+    out.reshape(n, h, w, k, k, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
+    return out
 
 
 def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
@@ -105,30 +116,94 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
 # Bytes of patch matrix per block of samples, small enough that a block's
 # patch matrix stays cache-resident through its GEMM. Of 1, 2, 4, 8 and 32 MB,
 # 4 MB gave the fastest vgg-mini batch-100 train step and EVAL forward on
-# 2 vCPU; cnn9-mini at batch 16 moved within 5%.
+# 2 vCPU; cnn9-mini at batch 16 moved within 5%. The pool's threads share it:
+# each takes a part of _BLOCK_BYTES // parallel.THREADS at a time.
 _BLOCK_BYTES = 1 << 22
+
+# Multiply-adds below which a GEMM is not split across threads. OpenBLAS
+# hands a GEMM of up to 1e6 of them to its small-matrix kernels, which sum
+# in another order than its blocked kernels, so a part of a GEMM is bitwise
+# that GEMM's rows or columns only above that size; this leaves a margin.
+_MIN_PART_MACS = 1 << 21
 
 
 def _blocks(x_shape, itemsize: int, k: int) -> list[slice]:
-    """The conv's blocks: consecutive slices of the batch, each of as many
-    samples as keep its patch matrix within _BLOCK_BYTES (at least one).
-    An empty batch is one empty block."""
+    """The weight gradient's blocks: consecutive slices of the batch, each
+    of as many samples as keep its patch matrix within _BLOCK_BYTES (at
+    least one). An empty batch is one empty block."""
     n, c, h, w = x_shape
     step = max(1, _BLOCK_BYTES // max(1, h * w * k * k * c * itemsize))
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
+def _conv_parts(x_shape, itemsize: int, k: int, out_ch: int) -> list[slice]:
+    """The forward's parts: as few even slices of the batch as keep each
+    part's patch matrix within _BLOCK_BYTES // parallel.THREADS (at least
+    one sample), so that the parts in flight hold one block between them. A
+    batch that fits one part is split into one part per thread, as far as
+    each keeps _MIN_PART_MACS."""
+    n, c, h, w = x_shape
+    per_sample = h * w * k * k * c
+    step = max(1, _BLOCK_BYTES // parallel.THREADS // max(1, per_sample * itemsize))
+    count = max(1, -(-n // step))
+    if count < parallel.THREADS:
+        count = max(count, min(parallel.THREADS, n * per_sample * out_ch // _MIN_PART_MACS))
+    return parallel.even(n, count)
+
+
 def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col) -> np.ndarray:
     """Cross-correlation of (n, c, h, w) x with the tap-major (out, k*k*c)
-    matrix w_tap at stride 1 and padding k // 2, one block of `_blocks` at a
-    time: the block's patch matrix from `im2col` (the caller's `_im2col`)
-    times w_tap. Returns the (n, out, h, w) output."""
+    matrix w_tap at stride 1 and padding k // 2, one part of `_conv_parts`
+    at a time on each pool thread: the part's patch matrix from `im2col`
+    (the caller's `_im2col`) times w_tap. The parts are rows of one GEMM,
+    so the output does not depend on them. Returns the (n, out, h, w)
+    output."""
     n, _, h, w = x.shape
     out_ch = w_tap.shape[0]
     y = np.empty((n, out_ch, h, w), dtype=np.result_type(x, w_tap))
-    for b in _blocks(x.shape, x.itemsize, k):
+
+    def run(b):
         y[b] = (im2col(x[b], k) @ w_tap.T).reshape(-1, h, w, out_ch).transpose(0, 3, 1, 2)
+
+    parallel.map_parts(run, _conv_parts(x.shape, x.itemsize, k, out_ch))
     return y
+
+
+def _weight_grad(x: np.ndarray, upstream: np.ndarray, k: int) -> np.ndarray:
+    """The tap-major (out, k*k*c) weight gradient of the conv of x, given
+    the (n, out, h, w) output gradient.
+
+    It walks the `_blocks` of x in reverse. Each block's patch matrix is
+    gathered into one buffer of one block, its samples split over the
+    pool's threads; then the threads split the block's GEMM by columns: the
+    (out, n*h*w) channel-major copy of `upstream`, whose columns are the
+    patch matrix's rows, times a slice of the patch matrix's columns. The
+    blocks' products are summed last block first."""
+    n, c, h, w = x.shape
+    out_ch = upstream.shape[1]
+    g_cm = np.empty((out_ch, n, h, w), upstream.dtype)  # channel-major upstream
+    parallel.map_parts(lambda s: np.copyto(g_cm[:, s], upstream[s].transpose(1, 0, 2, 3)),
+                       parallel.by_samples(n, upstream.nbytes))
+    grad_tap = np.empty((out_ch, k * k * c), np.result_type(g_cm, x))
+    blocks = _blocks(x.shape, x.itemsize, k)
+    patches = np.empty((min(blocks[0].stop, n) * h * w, k * k * c), x.dtype)
+    for i, b in enumerate(reversed(blocks)):
+        xb = x[b]
+        cols = patches[:xb.shape[0] * h * w]
+        g_b = g_cm[:, b].reshape(out_ch, -1)
+        gathers = min(parallel.THREADS, xb.shape[0], cols.nbytes // parallel.SMALL_BYTES)
+        parallel.map_parts(lambda s: _im2col(xb[s], k, cols[s.start * h * w:s.stop * h * w]),
+                           parallel.even(xb.shape[0], max(1, gathers)))
+
+        def columns(j):
+            if i == 0:
+                grad_tap[:, j] = g_b @ cols[:, j]
+            else:
+                grad_tap[:, j] += g_b @ cols[:, j]
+
+        splits = min(parallel.THREADS, out_ch * cols.size // _MIN_PART_MACS)
+        parallel.map_parts(columns, parallel.even(cols.shape[1], max(1, splits)))
+    return grad_tap
 
 
 def _col2im(upstream: np.ndarray, w2d: np.ndarray, k: int) -> np.ndarray:
@@ -217,23 +292,12 @@ class Conv2d(_Leaf):
         """Accumulate the weight gradient; return the input gradient, or
         None without computing it when `input_grad` is false.
 
-        The weight gradient walks the forward's blocks in reverse and
-        rebuilds each block's patch matrix from the taped input just before
-        its GEMM. It reads a channel-major copy of `upstream`, the
-        (out, n*h*w) matrix whose columns are the patch matrix's rows, and
-        sums the blocks' products, last block first. The input gradient is
-        the one `_col2im` conv, blocked like the forward."""
+        The weight gradient is `_weight_grad`'s, from the taped input; the
+        input gradient is the one `_col2im` conv, run in parts like the
+        forward."""
         x, w2d, ws_cache, q_saved = self._tape()
         k = self.kernel
-        g_cm = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3))  # (out, n, h, w)
-        grad_tap = None
-        for b in reversed(_blocks(x.shape, x.itemsize, k)):
-            part = g_cm[:, b].reshape(self.out_ch, -1) @ _im2col(x[b], k)
-            if grad_tap is None:
-                grad_tap = part
-            else:
-                grad_tap += part
-        g_cm = None                     # not held through the input-gradient conv
+        grad_tap = _weight_grad(x, upstream, k)
         grad_x = _col2im(upstream, w2d, k) if input_grad else None
         # grad_tap is tap-major (out, k*k*c); back to canonical (out, c*k*k)
         grad_w2d = grad_tap.reshape(self.out_ch, -1, self.in_ch).transpose(

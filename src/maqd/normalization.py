@@ -14,7 +14,11 @@ population convention (divide by count).
 
 The kernels make the fewest whole-tensor passes and no float64 copy of
 their input. Every reduction accumulates in float64 (`dtype=np.float64`)
-over the input's own dtype. The TRAIN forward takes the mean, squares
+over the input's own dtype, over the whole tensor on the calling thread;
+the elementwise passes between the reductions run in slices of samples on
+the threads of the `parallel` pool, each slice taking all of a stage's
+passes while it is in cache, so the results do not depend on the thread
+count. The TRAIN forward takes the mean, squares
 x - mean in place for the variance, then builds x_hat in place: x_hat is
 the saved buffer, `affine(x_hat, g, b)` the output. EVAL for BN and LBN is
 `affine` with the constants of `fold_normalization`, which the export writes
@@ -40,6 +44,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import parallel
 
 
 class NormKind(enum.Enum):
@@ -117,10 +123,23 @@ def _channels(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False).reshape(1, -1, 1, 1)
 
 
+def _per_sample(v: np.ndarray, s: slice) -> np.ndarray:
+    """The rows s of a statistic with one row per sample (LN's), else v."""
+    return v[s] if v.shape[0] > 1 else v
+
+
+def _affine_into(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, out: np.ndarray):
+    np.multiply(x, scale, out=out)
+    out += bias
+
+
 def affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x * scale + bias per channel of (n, c, h, w) x, in x's dtype, in two passes."""
-    y = np.multiply(x, _channels(scale, x.dtype))
-    y += _channels(bias, x.dtype)
+    """x * scale + bias per channel of (n, c, h, w) x, in x's dtype, in two
+    passes, split by samples over the pool's threads."""
+    scale, bias = _channels(scale, x.dtype), _channels(bias, x.dtype)
+    y = np.empty(x.shape, np.result_type(x, scale))
+    parallel.map_parts(lambda s: _affine_into(x[s], scale, bias, y[s]),
+                       parallel.by_samples(x.shape[0], x.nbytes))
     return y
 
 
@@ -146,9 +165,15 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
         return affine(x, *fold_normalization(st)), None
 
     axes = _REDUCE_AXES[st.kind]
+    parts = parallel.by_samples(x.shape[0], x.nbytes)
     mean = np.mean(x, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
-    x_hat = np.subtract(x, mean)        # (x - mean)**2 first, then x_hat
-    np.square(x_hat, out=x_hat)
+    x_hat = np.empty(x.shape, x.dtype)  # (x - mean)**2 first, then x_hat
+
+    def squares(s):
+        np.subtract(x[s], _per_sample(mean, s), out=x_hat[s])
+        np.square(x_hat[s], out=x_hat[s])
+
+    parallel.map_parts(squares, parts)
     var = np.mean(x_hat, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
     if mode is Mode.TRAIN and st.kind is not NormKind.LN:
         r = st.ema_rate
@@ -156,9 +181,15 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
         st.running_mean[...] = (1 - r) * st.running_mean + r * mean.squeeze()
         st.running_var[...] = (1 - r) * st.running_var + r * var.squeeze()
     inv_std = 1.0 / np.sqrt(var + st.eps)
-    np.subtract(x, mean, out=x_hat)
-    x_hat *= inv_std
-    y = affine(x_hat, st.g, st.b)
+    g, b = _channels(st.g, x.dtype), _channels(st.b, x.dtype)
+    y = np.empty(x.shape, x.dtype)
+
+    def normalize(s):
+        np.subtract(x[s], _per_sample(mean, s), out=x_hat[s])
+        x_hat[s] *= _per_sample(inv_std, s)
+        _affine_into(x_hat[s], g, b, y[s])
+
+    parallel.map_parts(normalize, parts)
     if mode is Mode.TRAIN:
         return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, b=st.b, kind=st.kind)
     return y, None
@@ -171,20 +202,30 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
         raise ValueError("norm_backward requires a TRAIN-mode cache")
     x_hat, inv_std, g = cache.x_hat, cache.inv_std, cache.g
     dtype = upstream.dtype
+    parts = parallel.by_samples(x_hat.shape[0], x_hat.nbytes)
     grad_b = np.sum(upstream, axis=(0, 2, 3), dtype=np.float64)
-    t = np.multiply(upstream, x_hat)
+    t = np.empty(x_hat.shape, np.result_type(upstream, x_hat))
+    parallel.map_parts(lambda s: np.multiply(upstream[s], x_hat[s], out=t[s]), parts)
     grad_g = np.sum(t, axis=(0, 2, 3), dtype=np.float64)
+    grad_x = np.empty(x_hat.shape, np.result_type(upstream, dtype))
 
     if cache.kind is NormKind.LN:
         axes = _REDUCE_AXES[NormKind.LN]
-        grad_x = np.multiply(upstream, _channels(g, dtype))    # d_xhat
-        np.multiply(grad_x, x_hat, out=t)
+        g_c = _channels(g, dtype)
+
+        def d_xhat(s):
+            np.multiply(upstream[s], g_c, out=grad_x[s])
+            np.multiply(grad_x[s], x_hat[s], out=t[s])
+
+        parallel.map_parts(d_xhat, parts)
         m1 = np.mean(grad_x, axis=axes, keepdims=True, dtype=np.float64).astype(dtype)
         m2 = np.mean(t, axis=axes, keepdims=True, dtype=np.float64).astype(dtype)
-        np.multiply(x_hat, m2, out=t)
-        grad_x -= m1
-        grad_x -= t
-        grad_x *= inv_std
+
+        def combine(s):
+            np.multiply(x_hat[s], m2[s], out=t[s])
+            grad_x[s] -= m1[s]
+            grad_x[s] -= t[s]
+            grad_x[s] *= inv_std[s]
     else:
         # m1 = mean(g * upstream) and m2 = mean(g * upstream * x_hat) over
         # the reduction axes, from the two channel sums; then
@@ -197,10 +238,15 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
             count = x_hat.size
             m1, m2 = g64 @ grad_b / count, g64 @ grad_g / count
         inv = inv_std.astype(np.float64).reshape(-1)
-        np.multiply(x_hat, _channels(inv * m2, dtype), out=t)
-        t += _channels(inv * m1, dtype)
-        grad_x = np.multiply(upstream, _channels(inv * g64, dtype))
-        grad_x -= t
+        c2, c1, c3 = (_channels(inv * v, dtype) for v in (m2, m1, g64))
+
+        def combine(s):
+            np.multiply(x_hat[s], c2, out=t[s])
+            t[s] += c1
+            np.multiply(upstream[s], c3, out=grad_x[s])
+            grad_x[s] -= t[s]
+
+    parallel.map_parts(combine, parts)
     return grad_x, grad_g.astype(g.dtype), grad_b.astype(g.dtype)
 
 

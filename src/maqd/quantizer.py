@@ -7,11 +7,13 @@ indicator band (weights) or a sum of scaled-sigmoid bumps centered on the
 state-switching thresholds (activations).
 
 The activation backward is the hot loop: m_a - 1 bumps per element. It runs
-in blocks of _CHUNK elements whose scratch buffers stay in the per-core
-cache, multiplies by the upstream gradient inside each block, and so reads
-the saved input and the upstream gradient and writes the result once from
-main memory, whatever m_a is. Each threshold costs five passes over the
-cached block. An activation that follows a normalization saves nothing of
+in blocks of _CHUNK elements, handed out to the threads of the `parallel`
+pool, each thread with its own scratch buffers that stay in its core's
+cache; it multiplies by the upstream gradient inside each block, and so
+reads the saved input and the upstream gradient and writes the result once
+from main memory, whatever m_a is. Each threshold costs five passes over
+the cached block. The blocks are independent, so the result does not
+depend on the thread count. An activation that follows a normalization saves nothing of
 its own: its backward is given the norm's x_hat and per-channel (g, b), and
 rebuilds its input z = x_hat * g + b inside each block, which then holds
 whole channel planes.
@@ -22,9 +24,12 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import enum
+import queue
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import parallel
 
 
 class QScaleMode(enum.Enum):
@@ -129,19 +134,30 @@ def quantize_activation(a_hat, m_a: int, thresholds=None):
     if thresholds is not None:
         count = np.zeros(a_hat.shape, np.min_scalar_type(m_a - 1))
         reached = np.empty(a_hat.shape, bool)
-        for t in thresholds:
-            np.greater_equal(a_hat, t.reshape(1, -1, 1, 1), out=reached)
-            count += reached.view(np.uint8)
+
+        def count_part(s):
+            for t in thresholds:
+                np.greater_equal(a_hat[s], t.reshape(1, -1, 1, 1), out=reached[s])
+                count[s] += reached[s].view(np.uint8)
+
+        parallel.map_parts(count_part, parallel.by_samples(a_hat.shape[0], a_hat.nbytes))
         return count
     if not np.isfinite(np.add.reduce(a_hat, axis=None)):
         _check_finite(a_hat, "quantizer input")  # the sum may overflow on finite input
     top = float(m_a - 1)
-    v = np.asarray(np.multiply(a_hat, top))
-    np.clip(v, 0.0, top, out=v)
-    v += 0.5
-    np.floor(v, out=v)
-    v /= top
-    return v if v.ndim else v[()]
+    a = np.atleast_1d(a_hat)
+    v = np.empty(a.shape, np.result_type(a, top))
+
+    def run(s):
+        vs = v[s]
+        np.multiply(a[s], top, out=vs)
+        np.clip(vs, 0.0, top, out=vs)
+        vs += 0.5
+        np.floor(vs, out=vs)
+        vs /= top
+
+    parallel.map_parts(run, parallel.by_samples(a.shape[0], a.nbytes))
+    return v if np.ndim(a_hat) else v[0]
 
 
 def _float_dtype(z: np.ndarray):
@@ -165,8 +181,8 @@ def thresholds(m_a: int) -> np.ndarray:
     return ((m - 1) + 0.5) / (m_a - 1)
 
 
-# Elements per block of the activation-surrogate kernel: its scratch
-# buffers stay in the per-core cache across all thresholds of a block.
+# Elements per block of the activation-surrogate kernel: a thread's scratch
+# buffers stay in its core's cache across all thresholds of a block.
 _CHUNK = 1 << 16
 
 
@@ -186,8 +202,9 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     E = exp((z - b_m) / alpha). The thresholds are 1/(m_a-1) apart, so E is
     geometric in m: one exp per element gives E for the first threshold and
     each further one is a multiply by exp(-1/((m_a-1) alpha)). The work runs
-    in blocks of _CHUNK elements with four preallocated scratch buffers, in
-    a_hat's float dtype (float64 for non-float input): per threshold a block
+    in blocks of _CHUNK elements, handed out to the pool's threads, each
+    thread with four scratch buffers made by the caller, in a_hat's float
+    dtype (float64 for non-float input): per threshold a block
     takes five cache-resident passes (the multiply, 1 + E, two divides and
     the accumulate), and the input and output cross main memory once.
     Against an extended-precision reference the relative error is ~1e-15 at
@@ -224,9 +241,19 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
         cycle = z.shape[1] * plane
         g_el, b_el = (np.resize(np.repeat(v.astype(dtype, copy=False), plane), cycle + block)
                       for v in affine)
-    size = min(block, zf.size)
-    e, d, bump, total = (np.empty(size, dtype) for _ in range(4))
-    for lo in range(0, zf.size, block):
+    # one set of four scratch buffers per pool thread, made here
+    scratch = queue.SimpleQueue()
+    for _ in range(min(parallel.THREADS, -(-zf.size // block))):
+        scratch.put([np.empty(min(block, zf.size), dtype) for _ in range(4)])
+
+    def run(lo):
+        bufs = scratch.get()
+        try:
+            chunk(lo, *bufs)
+        finally:
+            scratch.put(bufs)
+
+    def chunk(lo, e, d, bump, total):
         n = min(block, zf.size - lo)
         ec, dc, bc, tc = e[:n], d[:n], bump[:n], total[:n]
         tc.fill(0)
@@ -254,6 +281,8 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
         else:
             np.multiply(tc, uf[lo:lo + n], out=of[lo:lo + n], dtype=out_dtype,
                         casting="unsafe")
+
+    parallel.map_parts(run, range(0, zf.size, block), zf.nbytes)
     return out
 
 

@@ -1,15 +1,17 @@
 import copy
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maqd import export, network, quantizer
+from maqd import export, network, parallel, quantizer, training
 from maqd.export import _run_conv, import_model, parity_check, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_model)
-from maqd.normalization import Mode, NormKind
+from maqd.normalization import (Mode, NormKind, NormLayerState, norm_backward,
+                                norm_forward)
 from maqd.quantizer import QuantConfig, activation_surrogate_grad
 from gradcheck import numeric_grad, rel_err
 
@@ -233,21 +235,31 @@ class TestBlockedConv:
         graph.layers.append(GlobalAvgPool())
         export.export(graph, tmp_path / "m.maqd")
         model = import_model(tmp_path / "m.maqd")
-        blocks = []
+        gathers = []
         im2col = export._im2col
-        monkeypatch.setattr(export, "_im2col",
-                            lambda *a: blocks.append(a[0].shape[0]) or im2col(*a))
+
+        def probe(*a):
+            out = im2col(*a)
+            gathers.append((a[0].shape[0], out.nbytes))
+            return out
+
+        monkeypatch.setattr(export, "_im2col", probe)
         images = x.astype(np.float64)
         report = parity_check(graph, model, images, batch_size=images.shape[0])
         assert report.max_abs_logit_diff < 1e-9
         assert report.argmax_agreement == 1.0
-        assert len(blocks) >= 3 and blocks[-1] < blocks[0] == step
+        # the parts run in any order on the pool's threads; together they
+        # gather every sample once, each at most its share of one block
+        blocks = [m for m, _ in gathers]
+        assert len(blocks) >= 3 and sum(blocks) == x.shape[0]
+        assert all(nbytes <= network._BLOCK_BYTES // parallel.THREADS for _, nbytes in gathers)
 
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_input_gradient_runs_in_blocks(self, monkeypatch, kernel):
         # the weight gradient gathers views of the taped x; every other
-        # gather reads the upstream, one block of at most _BLOCK_BYTES of
-        # patch matrix at a time
+        # gather reads the upstream, in parts that run in any order on the
+        # pool's threads, each of at most _BLOCK_BYTES // THREADS of patch
+        # matrix
         conv, x, step = _blocked_case(kernel, np.float32, seed=47)
         up = RNG(48).normal(size=conv.forward(x, Mode.TRAIN).shape).astype(np.float32)
         gathers = []
@@ -263,8 +275,7 @@ class TestBlockedConv:
         conv.backward(up)
         blocks = [m for m, _ in gathers]
         assert len(blocks) >= 3 and sum(blocks) == x.shape[0]
-        assert all(nbytes <= network._BLOCK_BYTES for _, nbytes in gathers)
-        assert blocks[-1] < blocks[0] == step
+        assert all(nbytes <= network._BLOCK_BYTES // parallel.THREADS for _, nbytes in gathers)
 
     def test_tape_is_the_input_and_one_block(self):
         # and the weight-sized effective weight; the whole batch's patch
@@ -715,3 +726,123 @@ class TestTapeOnce:
         norm_bytes = sum(l.cache_nbytes() for l in layers if isinstance(l, NormLayer))
         assert norm_bytes > 0
         assert graph.tape_nbytes() == conv_bytes + norm_bytes
+
+
+
+class TestPool:
+    """The kernels run their parts on parallel.THREADS threads: rows of one
+    GEMM, columns of one GEMM or slices of an elementwise pass, never a
+    split reduction, so every result is bitwise the one-thread result."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", ["one_block", "three_blocks"])
+    def test_conv_forward_and_gradients(self, across_threads, kernel, dtype, blocks):
+        conv, x, step = _blocked_case(kernel, dtype, seed=80)
+        if blocks == "one_block":
+            x = x[:step]
+        assert len(network._blocks(x.shape, x.itemsize, kernel)) == (
+            1 if blocks == "one_block" else 3)
+        up = RNG(81).normal(size=(x.shape[0], conv.out_ch) + x.shape[2:]).astype(dtype)
+
+        def run():
+            conv.weight.zero_grad()
+            y = conv.forward(x, Mode.TRAIN)
+            grad_x = conv.backward(up)
+            return y, grad_x, conv.weight.grad.copy()
+
+        across_threads(run)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_forward_and_backward(self, across_threads, kind, dtype):
+        rng = RNG(82)
+        x = rng.normal(2.0, 3.0, size=(24, 16, 32, 32)).astype(dtype)
+        up = rng.normal(size=x.shape).astype(dtype)
+        g, b = rng.normal(size=16), rng.normal(size=16)
+
+        def run():
+            st = NormLayerState.create(kind, 16, dtype=dtype)
+            st.g[...], st.b[...] = g, b
+            y, cache = norm_forward(x, st, Mode.TRAIN)
+            grads = norm_backward(cache, up)
+            y_eval = norm_forward(x, st, Mode.EVAL)[0]
+            stats = [a for a in (st.running_mean, st.running_var) if a is not None]
+            return [y, cache.x_hat, cache.inv_std, *grads, y_eval, *stats]
+
+        across_threads(run)
+
+    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "float"])
+    def test_runtime_logits(self, tmp_path, across_threads, quantized):
+        graph = build_model("vgg-mini", 10, quant=QuantConfig() if quantized else None,
+                            seed=3)
+        graph.forward(RNG(83).normal(size=(8, 3, 32, 32)), Mode.TRAIN)  # running statistics
+        export.export(graph, tmp_path / "m.maqd")
+        model = import_model(tmp_path / "m.maqd")
+        x = RNG(84).normal(size=(24, 3, 32, 32)).astype(np.float32)
+        across_threads(lambda: [runtime_infer(model, x)])
+
+    def test_two_train_steps_are_bitwise_equal(self, monkeypatch, across_threads):
+        graph = build_model("vgg-mini", 10, quant=QuantConfig(), dtype=np.float32, seed=5)
+        x = RNG(85).normal(size=(24, 3, 32, 32)).astype(np.float32)
+        labels = RNG(86).integers(0, 10, size=24)
+
+        def step():
+            g = copy.deepcopy(graph)
+            loss, grad = training.combined_loss(g.forward(x, Mode.TRAIN), labels)
+            g.zero_grad()
+            g.backward(grad)
+            training.sgd_momentum_step(g.parameters(), training.OptimState(learning_rate=0.1))
+            return [np.float64(loss)] + [p.data for p in g.parameters()]
+
+        monkeypatch.setattr(parallel, "THREADS", max(2, parallel.THREADS))
+        first, second = step(), step()
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+        across_threads(step, counts=(2,))
+
+
+class TestMapParts:
+    def test_results_in_part_order(self, monkeypatch):
+        monkeypatch.setattr(parallel, "THREADS", 3)
+        assert parallel.map_parts(lambda p: p * p, range(50)) == [p * p for p in range(50)]
+
+    def test_a_part_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(parallel, "THREADS", 2)
+
+        def fn(p):
+            if p in (7, 30):
+                raise ValueError(f"part {p}")
+            return p
+
+        with pytest.raises(ValueError, match="part 7"):
+            parallel.map_parts(fn, range(40))
+        # the pool still serves later calls
+        assert parallel.map_parts(lambda p: p, range(10)) == list(range(10))
+
+    def test_small_work_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(parallel, "THREADS", 2)
+        ran_on = parallel.map_parts(lambda p: threading.get_ident(), range(8),
+                                    nbytes=parallel.SMALL_BYTES - 1)
+        assert set(ran_on) == {threading.get_ident()}
+        assert parallel.by_samples(100, parallel.SMALL_BYTES - 1) == [slice(0, 100)]
+
+    @pytest.mark.parametrize("cpus, has_setter", [({0}, True), ({0, 1}, False)],
+                             ids=["one_cpu", "no_blas_setter"])
+    def test_serial_without_a_second_cpu_or_the_blas_setter(self, monkeypatch, cpus,
+                                                              has_setter):
+        calls = []
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(parallel, "_blas_setter",
+                            lambda: calls.append if has_setter else None)
+        threads = parallel._thread_count()
+        assert threads == 1 and calls == []          # BLAS left alone
+        monkeypatch.setattr(parallel, "THREADS", threads)
+        ran_on = parallel.map_parts(lambda p: threading.get_ident(), range(8))
+        assert set(ran_on) == {threading.get_ident()}
+
+    def test_blas_is_set_to_one_thread_with_two_cpus(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(parallel, "_blas_setter", lambda: calls.append)
+        assert parallel._thread_count() == 2 and calls == [1]

@@ -436,3 +436,31 @@ class TestRebuiltInput:
                                        affine=(g, b))
         assert got.dtype == dtype and got.shape == shape
         np.testing.assert_array_equal(got, want)
+
+
+class TestPool:
+    """The surrogate's _CHUNK blocks and the activation quantizer's sample
+    slices run on parallel.THREADS threads; every result is bitwise the
+    one-thread result."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("affine", [False, True], ids=["plain", "affine"])
+    def test_surrogate(self, across_threads, dtype, affine):
+        rng = np.random.default_rng(33)
+        shape = (24, 16, 32, 32)
+        x_hat = rng.normal(size=shape).astype(dtype)
+        up = rng.normal(size=shape).astype(dtype)
+        gb = (rng.uniform(0.2, 2.0, size=16).astype(dtype),
+              rng.normal(0.3, 0.5, size=16).astype(dtype)) if affine else None
+        cfg = QuantConfig(m_w=15, m_a=8)
+        across_threads(lambda: [
+            quantize_tensor_backward(x_hat, up, QuantKind.ACTIVATION, cfg, affine=gb),
+            activation_surrogate_grad(x_hat, cfg.m_a, cfg.alpha, affine=gb)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_activation_quantizer(self, across_threads, dtype):
+        rng = np.random.default_rng(34)
+        a_hat = rng.uniform(-0.5, 1.5, size=(24, 16, 32, 32)).astype(dtype)
+        levels = np.sort(rng.uniform(0.0, 1.0, size=(7, 16)), axis=0).astype(dtype)
+        across_threads(lambda: [quantize_activation(a_hat, 8),
+                                quantize_activation(a_hat, 8, levels)])
