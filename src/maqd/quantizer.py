@@ -221,7 +221,12 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     dtype = _float_dtype(z)
+    # each threshold as the sum of two values of the dtype, so that z - b runs
+    # in the dtype (a float64 threshold makes numpy run a float32 pass in
+    # float64); the low part is 0 at float64 and then skipped
     b = thresholds(m_a)
+    b_hi = b.astype(dtype)
+    b_lo = (b - b_hi).astype(dtype)
     step = 1.0 / ((m_a - 1) * alpha)  # (z - b_m)/alpha - (z - b_{m+1})/alpha
     half_range = np.log(np.finfo(dtype).max) / 2
     # a chain spans at most all m_a - 1 thresholds; that test comes first,
@@ -259,12 +264,14 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
         tc.fill(0)
         for first in range(0, m_a - 1, chain):
             if affine is None:
-                np.subtract(zf[lo:lo + n], b[first], out=ec, casting="unsafe")
+                np.subtract(zf[lo:lo + n], b_hi[first], out=ec, casting="unsafe")
             else:
                 at = lo % cycle
                 np.multiply(zf[lo:lo + n], g_el[at:at + n], out=ec)
                 ec += b_el[at:at + n]
-                np.subtract(ec, b[first], out=ec, casting="unsafe")
+                ec -= b_hi[first]
+            if b_lo[first]:
+                ec -= b_lo[first]
             ec /= dtype.type(alpha)
             np.clip(ec, -half_range, half_range, out=ec)
             np.exp(ec, out=ec)
