@@ -35,7 +35,8 @@ float32 roundings.
 
 Weight standardization operates on an (out, fan_in) view of a weight
 tensor: each row is centered and divided by sqrt(fan_in)*std + eps (eps
-outside the square root).
+outside the square root). Its rows, reductions included, are independent,
+so they split over the pool's threads like samples.
 """
 
 from __future__ import annotations
@@ -261,30 +262,46 @@ class WSCache:
 
 def weight_standardize(w: np.ndarray, eps: float = 1e-10):
     """Per-row standardization of (out, fan_in) weights:
-    (W - mu) / (sqrt(fan_in) * sigma + eps). Returns (w_hat, cache)."""
+    (W - mu) / (sqrt(fan_in) * sigma + eps). Returns (w_hat, cache). The
+    rows are independent, so they split over the pool's threads."""
     if w.ndim != 2 or w.shape[1] < 1:
         raise ValueError(f"expected (out, fan_in) weights, got {w.shape}")
     fan_in = w.shape[1]
-    mu = np.mean(w, axis=1, keepdims=True, dtype=np.float64)
-    sigma = np.sqrt(np.mean(np.square(w.astype(np.float64) - mu), axis=1, keepdims=True))
-    denom = np.sqrt(fan_in) * sigma + eps
-    w_hat = ((w - mu) / denom).astype(w.dtype)
+    mu, sigma, denom = (np.empty((w.shape[0], 1)) for _ in range(3))
+    w_hat = np.empty(w.shape, w.dtype)
+
+    def rows(s):
+        mu[s] = np.mean(w[s], axis=1, keepdims=True, dtype=np.float64)
+        sigma[s] = np.sqrt(np.mean(np.square(w[s].astype(np.float64) - mu[s]), axis=1,
+                                   keepdims=True))
+        denom[s] = np.sqrt(fan_in) * sigma[s] + eps
+        w_hat[s] = (w[s] - mu[s]) / denom[s]
+
+    parallel.map_parts(rows, parallel.by_samples(w.shape[0], w.nbytes))
     cache = WSCache(w=w, mu=mu.astype(w.dtype), sigma=sigma.astype(w.dtype),
                     denom=denom.astype(w.dtype), fan_in=fan_in)
     return w_hat, cache
 
 
 def weight_standardize_backward(cache: WSCache, upstream: np.ndarray) -> np.ndarray:
-    """Exact gradient of the standardized weights w.r.t. the raw weights."""
-    w, mu, sigma, denom, fan_in = cache.w, cache.mu, cache.sigma, cache.denom, cache.fan_in
-    centered = w - mu
-    u_centered = upstream - np.mean(upstream, axis=1, keepdims=True, dtype=np.float64).astype(upstream.dtype)
-    # d denom / d w_i = sqrt(fan_in) * (w_i - mu) / (fan_in * sigma)
-    t = np.sum(upstream * centered, axis=1, keepdims=True, dtype=np.float64).astype(upstream.dtype)
-    safe_sigma = np.where(sigma > 0, sigma, 1.0)
-    sigma_term = np.where(
-        sigma > 0,
-        centered * (np.sqrt(fan_in) * t) / (fan_in * safe_sigma * denom ** 2),
-        0.0,
-    )
-    return (u_centered / denom - sigma_term).astype(w.dtype)
+    """Exact gradient of the standardized weights w.r.t. the raw weights,
+    row by row over the pool's threads."""
+    w, fan_in = cache.w, cache.fan_in
+    grad = np.empty(w.shape, w.dtype)
+
+    def rows(s):
+        mu, sigma, denom, up = cache.mu[s], cache.sigma[s], cache.denom[s], upstream[s]
+        centered = w[s] - mu
+        u_centered = up - np.mean(up, axis=1, keepdims=True, dtype=np.float64).astype(up.dtype)
+        # d denom / d w_i = sqrt(fan_in) * (w_i - mu) / (fan_in * sigma)
+        t = np.sum(up * centered, axis=1, keepdims=True, dtype=np.float64).astype(up.dtype)
+        safe_sigma = np.where(sigma > 0, sigma, 1.0)
+        sigma_term = np.where(
+            sigma > 0,
+            centered * (np.sqrt(fan_in) * t) / (fan_in * safe_sigma * denom ** 2),
+            0.0,
+        )
+        grad[s] = u_centered / denom - sigma_term
+
+    parallel.map_parts(rows, parallel.by_samples(w.shape[0], w.nbytes))
+    return grad

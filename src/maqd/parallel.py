@@ -33,13 +33,16 @@ import threading
 import numpy as np  # noqa: F401  (loads the OpenBLAS whose thread count is set)
 
 # Bytes of operand below which a kernel runs as one part on the calling
-# thread. The hand-off of a part to a helper costs tens of microseconds;
-# of 64 KB, 256 KB, 1 MB and 4 MB, 1 MB kept the 10-image training warm-up
-# within 5% of the serial one, and the batch-100 kernels' speed-ups.
+# thread: waking a helper takes about 60 us on a 2-vCPU VM. Timed on a
+# vgg-mini float32 train step plus EVAL forward, against one thread: with
+# 1 MB the 10-image step stayed within 2% (47.6 against 47.1 ms) and the
+# batch-100 step fell from 425 to 306 ms; 64 KB and 256 KB were within
+# noise of 1 MB, and 4 MB lost 8% on the batch-100 step.
 SMALL_BYTES = 1 << 20
 
-# Bytes of operand per part of an elementwise kernel: a part's few passes
-# run over data that stays in the core's cache.
+# Bytes of operand per part of an elementwise kernel, so that a part's
+# passes run over data that stays in the core's 2 MB L2 cache; 256 KB to
+# 2 MB timed within noise of each other on the same steps.
 PART_BYTES = 1 << 19
 
 
@@ -99,9 +102,9 @@ def _ensure_helpers(count: int) -> None:
 
 
 def _forget_helpers():  # a forked child has none of its parent's threads
+    global _inbox, _start_lock
     _helpers.clear()
-    global _inbox
-    _inbox = queue.SimpleQueue()
+    _inbox, _start_lock = queue.SimpleQueue(), threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_helpers)

@@ -13,10 +13,10 @@ cache; it multiplies by the upstream gradient inside each block, and so
 reads the saved input and the upstream gradient and writes the result once
 from main memory, whatever m_a is. Each threshold costs five passes over
 the cached block. The blocks are independent, so the result does not
-depend on the thread count. An activation that follows a normalization saves nothing of
-its own: its backward is given the norm's x_hat and per-channel (g, b), and
-rebuilds its input z = x_hat * g + b inside each block, which then holds
-whole channel planes.
+depend on the thread count. An activation that follows a normalization
+saves nothing of its own: its backward is given the norm's x_hat and
+per-channel (g, b), and rebuilds its input z = x_hat * g + b inside each
+block, which then holds whole channel planes.
 
 All functions accept scalars or numpy arrays and are pure.
 """

@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -11,7 +12,8 @@ from maqd.export import _run_conv, import_model, parity_check, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_model)
 from maqd.normalization import (Mode, NormKind, NormLayerState, norm_backward,
-                                norm_forward)
+                                norm_forward, weight_standardize,
+                                weight_standardize_backward)
 from maqd.quantizer import QuantConfig, activation_surrogate_grad
 from gradcheck import numeric_grad, rel_err
 
@@ -772,6 +774,20 @@ class TestPool:
 
         across_threads(run)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_standardization(self, across_threads, dtype):
+        rng = RNG(87)
+        w = rng.normal(size=(256, 2304)).astype(dtype)
+        w[3] = 0.5                                   # a constant row: sigma 0
+        up = rng.normal(size=w.shape).astype(dtype)
+
+        def run():
+            w_hat, cache = weight_standardize(w)
+            return [w_hat, cache.mu, cache.sigma, cache.denom,
+                    weight_standardize_backward(cache, up)]
+
+        across_threads(run)
+
     @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "float"])
     def test_runtime_logits(self, tmp_path, across_threads, quantized):
         graph = build_model("vgg-mini", 10, quant=QuantConfig() if quantized else None,
@@ -819,6 +835,34 @@ class TestMapParts:
             parallel.map_parts(fn, range(40))
         # the pool still serves later calls
         assert parallel.map_parts(lambda p: p, range(10)) == list(range(10))
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # more threads than CPUs, three callers sharing the helpers: every
+        # part runs exactly once and each caller gets its own results
+        monkeypatch.setattr(parallel, "THREADS", 4)
+        runs = [[0] * 300 for _ in range(3)]
+        wrong = []
+
+        def caller(k):
+            def part(p):
+                runs[k][p] += 1      # each (k, p) belongs to one part
+                return k, p
+
+            if parallel.map_parts(part, range(300)) != [(k, p) for p in range(300)]:
+                wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert wrong == [] and runs == [[1] * 300] * 3
 
     def test_small_work_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(parallel, "THREADS", 2)
