@@ -86,7 +86,8 @@ def _nbytes(obj) -> int:
 
 def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(n, c, h, w) -> (n*h*w, k*k*c) patch matrix of the stride-1 conv padded
-    by k // 2, whose output has x's extent; written into `out` when given.
+    by k // 2, whose output has x's extent; written into `out`, a
+    C-contiguous array of that shape, when one is given.
 
     Columns are tap-major: column (ki*k + kj)*c + ci holds input channel ci
     at kernel tap (ki, kj), so the matrix multiplies `_tap_major` weights.
@@ -191,9 +192,8 @@ def _weight_grad(x: np.ndarray, upstream: np.ndarray, k: int) -> np.ndarray:
         xb = x[b]
         cols = patches[:xb.shape[0] * h * w]
         g_b = g_cm[:, b].reshape(out_ch, -1)
-        gathers = min(parallel.THREADS, xb.shape[0], cols.nbytes // parallel.SMALL_BYTES)
         parallel.map_parts(lambda s: _im2col(xb[s], k, cols[s.start * h * w:s.stop * h * w]),
-                           parallel.even(xb.shape[0], max(1, gathers)))
+                           parallel.by_samples(xb.shape[0], cols.nbytes))
 
         def columns(j):
             if i == 0:

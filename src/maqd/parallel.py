@@ -19,8 +19,8 @@ reduction is ever split, so every result is bitwise the serial one.
 
 With one CPU, or without the BLAS setter, THREADS is 1: `map_parts` runs
 the parts in order on the calling thread, which is the same code path, and
-BLAS keeps its own thread count. A kernel whose work is below `SMALL_BYTES`
-runs as one part.
+BLAS keeps its own thread count. `by_samples` cuts an elementwise kernel's
+batch into parts, one part for an operand below `SMALL_BYTES`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import threading
 
 import numpy as np  # noqa: F401  (loads the OpenBLAS whose thread count is set)
 
-# Bytes of operand below which a kernel runs as one part on the calling
-# thread: waking a helper takes about 60 us on a 2-vCPU VM. Timed on a
+# Bytes of operand below which an elementwise kernel runs as one part on
+# the calling thread: waking a helper takes about 60 us on a 2-vCPU VM. Timed on a
 # vgg-mini float32 train step plus EVAL forward, against one thread: with
 # 1 MB the 10-image step stayed within 2% (47.6 against 47.1 ms) and the
 # batch-100 step fell from 425 to 306 ms; 64 KB and 256 KB were within
@@ -110,15 +110,12 @@ def _forget_helpers():  # a forked child has none of its parent's threads
 os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def map_parts(fn, parts, nbytes: int | None = None) -> list:
+def map_parts(fn, parts) -> list:
     """[fn(part) for part in parts], the parts run by the calling thread and
-    up to THREADS - 1 helpers at once (see the module docstring); on the
-    calling thread alone when `nbytes`, the size of the work's operand, is
-    below SMALL_BYTES."""
+    up to THREADS - 1 helpers at once (see the module docstring)."""
     parts = list(parts)
     n_helpers = min(THREADS, len(parts)) - 1
-    if (n_helpers < 1 or (nbytes is not None and nbytes < SMALL_BYTES)
-            or threading.current_thread() in _helpers):
+    if n_helpers < 1 or threading.current_thread() in _helpers:
         return [fn(p) for p in parts]
     _ensure_helpers(n_helpers)
     results = [None] * len(parts)

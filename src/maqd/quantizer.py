@@ -289,7 +289,7 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
             np.multiply(tc, uf[lo:lo + n], out=of[lo:lo + n], dtype=out_dtype,
                         casting="unsafe")
 
-    parallel.map_parts(run, range(0, zf.size, block), zf.nbytes)
+    parallel.map_parts(run, range(0, zf.size, block))
     return out
 
 

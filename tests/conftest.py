@@ -42,8 +42,8 @@ def across_threads(monkeypatch):
     real = parallel.map_parts
     ran_on = set()
 
-    def spy(fn, parts, nbytes=None):
-        return real(lambda p: ran_on.add(threading.get_ident()) or fn(p), parts, nbytes)
+    def spy(fn, parts):
+        return real(lambda p: ran_on.add(threading.get_ident()) or fn(p), parts)
 
     def check(run, counts=(2, 3)):
         monkeypatch.setattr(parallel, "map_parts", spy)

@@ -864,12 +864,14 @@ class TestMapParts:
         assert not any(t.is_alive() for t in callers)
         assert wrong == [] and runs == [[1] * 300] * 3
 
-    def test_small_work_runs_on_the_calling_thread(self, monkeypatch):
+    def test_small_work_runs_as_one_part_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(parallel, "THREADS", 2)
-        ran_on = parallel.map_parts(lambda p: threading.get_ident(), range(8),
-                                    nbytes=parallel.SMALL_BYTES - 1)
-        assert set(ran_on) == {threading.get_ident()}
-        assert parallel.by_samples(100, parallel.SMALL_BYTES - 1) == [slice(0, 100)]
+        parts = parallel.by_samples(100, parallel.SMALL_BYTES - 1)
+        assert parts == [slice(0, 100)]
+        assert parallel.map_parts(lambda p: threading.get_ident(), parts) == [
+            threading.get_ident()]
+        parts = parallel.by_samples(100, parallel.SMALL_BYTES)
+        assert len(parts) >= 2 and parts[0].start == 0 and parts[-1].stop == 100
 
     @pytest.mark.parametrize("cpus, has_setter", [({0}, True), ({0, 1}, False)],
                              ids=["one_cpu", "no_blas_setter"])
