@@ -2,11 +2,12 @@
 
 `os.sched_getaffinity(0)` gives the thread count, `THREADS`, once, at
 import; the calling thread is one of them, so the pool keeps THREADS - 1
-helper threads, started on first use. Before any helper runs, the OpenBLAS
-that numpy loaded is set to one thread (its `*openblas_set_num_threads*`
-setter, found through ctypes). A GEMM that runs its own BLAS threads next
-to a busy helper shares a CPU with it, which can multiply its time by
-about 20, so each GEMM runs on the one pool thread that calls it.
+helper threads, started on first use. With two or more CPUs, the import
+also sets the OpenBLAS that numpy loaded to one thread (its
+`*openblas_set_num_threads*` setter, found through ctypes). A GEMM that
+runs its own BLAS threads next to a busy helper shares a CPU with it,
+which can multiply its time by about 20, so each GEMM runs on the one
+pool thread that calls it.
 
 `map_parts(fn, parts)` runs `fn` on each of a kernel's independent parts:
 the caller and the helpers take the parts one at a time from a shared
@@ -14,8 +15,9 @@ iterator until none is left, so a thread that a busy CPU slows takes fewer
 of them. It returns the results in part order and re-raises in the caller
 the exception of the first part that raised. Callers cut their work so
 that each part computes exactly what the serial kernel computes on the
-same elements (rows of one GEMM, slices of an elementwise pass); no
-reduction is ever split, so every result is bitwise the serial one.
+same elements (rows or columns of one GEMM, slices of an elementwise
+pass); no reduction is ever split, so every result is bitwise the serial
+one.
 
 With one CPU, or without the BLAS setter, THREADS is 1: `map_parts` runs
 the parts in order on the calling thread, which is the same code path, and
@@ -33,11 +35,11 @@ import threading
 import numpy as np  # noqa: F401  (loads the OpenBLAS whose thread count is set)
 
 # Bytes of operand below which an elementwise kernel runs as one part on
-# the calling thread: waking a helper takes about 60 us on a 2-vCPU VM. Timed on a
-# vgg-mini float32 train step plus EVAL forward, against one thread: with
-# 1 MB the 10-image step stayed within 2% (47.6 against 47.1 ms) and the
-# batch-100 step fell from 425 to 306 ms; 64 KB and 256 KB were within
-# noise of 1 MB, and 4 MB lost 8% on the batch-100 step.
+# the calling thread: waking a helper takes about 60 us on a 2-vCPU VM.
+# Timed on a vgg-mini float32 train step plus EVAL forward, against one
+# thread: with 1 MB the 10-image step stayed within 2% (47.6 against
+# 47.1 ms) and the batch-100 step fell from 425 to 306 ms; 64 KB and
+# 256 KB were within noise of 1 MB, and 4 MB lost 8% on the batch-100 step.
 SMALL_BYTES = 1 << 20
 
 # Bytes of operand per part of an elementwise kernel, so that a part's
