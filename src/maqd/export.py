@@ -23,10 +23,11 @@ Every conv runs at stride 1, padded by kernel // 2, so that its output keeps
 its input's extent; its stride byte is always 1.
 
 Normalization layers are folded into per-channel affine constants from
-their running statistics, so the runtime never computes statistics; its
-EVAL forward is numerically equivalent to the trainer's. CONV_F weights and
-CONV_Q states come from the trainer's `Conv2d.effective_weight` run in
-float64; the runtime calls its `_conv`, `affine` and pooling kernels.
+their running statistics, so the runtime never computes statistics. CONV_F
+weights and CONV_Q states come from the trainer's `Conv2d.effective_weight`
+run in float64; the runtime calls its `_conv`, `affine` and pooling
+kernels, and computes the convs that read codes (below) as the trainer's
+EVAL forward does.
 
 `import_model` compiles the records in one walk. It nests each residual
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
@@ -51,9 +52,12 @@ fan_in * 2q * (m_a-1) * 4**p < 2**24 a float32 GEMM computes it exactly, in
 any order of accumulation; past that bound the same codes go through a
 float64 GEMM. The import binds that dtype to the ACT_Q's codes and to the
 conv's lattice, and binds the conv's divisor (m_a-1) * 2q; the conv divides
-its sums by it in float64, so the logits differ from the trainer's float64
-EVAL forward by float64 rounding alone. Every other ACT_Q emits float64
-values.
+its sums by it in float64. `quantizer.code_conv` holds this rule, and the
+trainer's EVAL forward applies it to the same ActQuant -> AvgPool2* ->
+quantized Conv2d runs, so a float64 trainer computes these convs bit for
+bit as the runtime does; the logits differ by the float64 rounding of the
+convs that read images or residual sums alone, which the trainer runs on
+values. Every other ACT_Q emits float64 values.
 
 Normalization costs no arithmetic at inference. The import folds each AFFINE
 that an ACT_Q reads directly, and the divide of a CONV_Q that feeds that
@@ -89,7 +93,8 @@ from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                       NormLayer, ReLU, ResidualBlock, _avg_pool2, _conv,
                       _global_avg_pool, _im2col, _tap_major)
 from .normalization import Mode, affine, fold_normalization
-from .quantizer import QScaleMode, QuantConfig, quantize_activation, round_half_away
+from .quantizer import (QScaleMode, QuantConfig, code_conv, lattice_states,
+                        quantize_activation, weight_lattice)
 
 MAGIC = b"MAQD"
 FORMAT_VERSION = 1
@@ -119,7 +124,7 @@ def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
     """Integer lattice states for a quantized conv, with the qscale used to
     decode them: value = clamp(state / qscale, -1, 1).
 
-    States are round_half_away(w_q * qscale) of the float64
+    States are `quantizer.lattice_states` of the float64
     `Conv2d.effective_weight` w_q: a lattice value k/qscale gives back k,
     a clip endpoint +-1 gives +-ceil(qscale), which fits in an int16.
     """
@@ -127,7 +132,7 @@ def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
         raise ValueError("conv layer is not weight-quantized")
     q = conv.quant.weight_qscale
     w_q = conv.effective_weight(np.float64)[0]
-    states = round_half_away(w_q * q).astype(np.int16)
+    states = lattice_states(w_q, q)
     # decode must reproduce the quantized weights exactly (at 64-bit)
     decoded = np.clip(states.astype(np.float64) / q, -1.0, 1.0)
     if not np.array_equal(decoded, w_q):
@@ -243,8 +248,7 @@ def _parse_op(r: _Reader) -> RuntimeOp:
                 raise ModelFormatError(f"{r.path}: CONV_Q qscale {qscale} at byte {qscale_at}: "
                                        f"2*qscale must be a positive integer")
             states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(shape)
-            # the lattice: weight values * 2q, integers
-            f.update(qscale=qscale, states=states, w=np.clip(2.0 * states, -two_q, two_q))
+            f.update(qscale=qscale, states=states, w=weight_lattice(states, qscale))
         else:
             f["w"] = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape)
     elif op.opcode == OP_AFFINE:
@@ -262,24 +266,18 @@ def _parse_op(r: _Reader) -> RuntimeOp:
     return op
 
 
-_F32_EXACT = 2 ** 24  # float32 holds every integer up to this magnitude
 _MAX_NESTING = 64  # residual blocks within residual blocks
 
 
 def _codes_reader(recs: list[RuntimeOp], i: int):
-    """(GEMM dtype, divisor, bound on |sum|) of the CONV_Q that reads the
-    ACT_Q record i through AP2s only, or None when no CONV_Q reads it. The
-    bound is fan_in * 2q * (m_a-1), a float that may be inf."""
+    """The `quantizer.CodeConv` of the CONV_Q that reads the ACT_Q record i
+    through AP2s only, or None when no CONV_Q reads it."""
     j = next((j for j in range(i + 1, len(recs)) if recs[j].opcode != OP_AP2), len(recs))
     if j == len(recs) or recs[j].opcode != OP_CONV_Q:
         return None
-    conv, top = recs[j].fields, recs[i].fields["m_a"] - 1
-    # the bound of the module docstring, in exact integers
-    bound = conv["in_ch"] * conv["kernel"] ** 2 * int(2 * conv["qscale"]) * top \
-        * 4 ** (j - i - 1)
-    divisor = 2.0 * conv["qscale"] * top
-    return (np.float32 if bound < _F32_EXACT else np.float64, divisor,
-            conv["in_ch"] * conv["kernel"] ** 2 * divisor)
+    conv = recs[j].fields
+    return code_conv(conv["in_ch"] * conv["kernel"] ** 2, conv["qscale"],
+                     recs[i].fields["m_a"], j - i - 1)
 
 
 # An AFFINE -> ACT_Q pair with at most this many thresholds per channel runs
@@ -310,18 +308,13 @@ class _Fold:
                                            and x.max(initial=-np.inf) <= self.domain[1])
 
 
-def _pipeline(x, m_a: int, divisor, scale, bias) -> np.ndarray:
+def _pipeline(x, m_a: int, divisor, scale, bias, codes=None) -> np.ndarray:
     """The unfolded pair on its input x: the CONV_Q divide (when divisor is
-    set), the AFFINE and the ACT_Q's quantizer; float64 values k/(m_a-1)."""
+    set), the AFFINE and the ACT_Q's quantizer; float64 values k/(m_a-1),
+    or the codes k in the dtype `codes`."""
     if divisor is not None:
         x = np.divide(x, divisor, dtype=np.float64)
-    return quantize_activation(affine(x, scale, bias), m_a)
-
-
-def _as_codes(v: np.ndarray, top: int, dtype) -> np.ndarray:
-    """The integer codes k of quantized values k/top, in the given dtype."""
-    v *= top  # in float64; the float32 cast snaps each code to k
-    return v.astype(np.float32).astype(dtype, copy=False)
+    return quantize_activation(x, m_a, codes=codes, affine=(scale, bias))
 
 
 def _keys(x: np.ndarray) -> np.ndarray:
@@ -385,8 +378,7 @@ def _fold(m_a: int, dtype, bound, divisor, scale, bias) -> _Fold | None:
     def reached(t):  # code(input of key d * t) >= k, by the unfolded kernels
         s = _floats(d * t, dtype).reshape(top, c, 1, 1)
         with np.errstate(over="ignore"):  # x * (m_a-1) may reach inf at the domain's ends
-            v = _pipeline(s, m_a, divisor, scale, bias)
-        return _as_codes(v, top, np.float32).reshape(top, c) >= k
+            return _pipeline(s, m_a, divisor, scale, bias, np.float32).reshape(top, c) >= k
 
     t_lo = np.broadcast_to(np.where(d > 0, lo_key, -hi_key), (top, c))
     t_hi = np.broadcast_to(np.where(d > 0, hi_key, -lo_key), (top, c))
@@ -447,15 +439,17 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
                 raise error(op, f"reads {reads} channels, its input has {c}")
             if conv:
                 c = f["out_ch"]
-                dtype, divisor, bound = codes or (np.float64, None, None)
+                dtype = codes.dtype if codes else np.float64
                 f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
             if code == OP_CONV_Q:
-                f["divisor"], f["bound"], codes = divisor or 2.0 * f["qscale"], bound, None
+                f["divisor"], f["bound"] = (codes.divisor, codes.bound) if codes \
+                    else (2.0 * f["qscale"], None)
+                codes = None
             elif code == OP_AFFINE:
                 f["folded"] = False
             elif code == OP_ACT_Q:
                 codes = _codes_reader(recs, i)
-                f["codes"] = codes[0] if codes else None
+                f["codes"] = codes.dtype if codes else None
                 f["fold"] = _fold_pair(ops, f["m_a"])
             elif code == OP_AP2:
                 down *= 2
@@ -562,11 +556,10 @@ def _run_act(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
         return k.astype(f["codes"]) if f["codes"] is not None else \
             np.divide(k, top, dtype=np.float64)
     try:
-        x = _pipeline(x, m_a, fold.divisor, fold.scale, fold.bias) if fold is not None \
-            else quantize_activation(x, m_a)
+        return _pipeline(x, m_a, fold.divisor, fold.scale, fold.bias, f["codes"]) \
+            if fold is not None else quantize_activation(x, m_a, codes=f["codes"])
     except ValueError as e:
         raise ValueError(f"ACT_Q record at byte {op.at}: {e}") from None
-    return x if f["codes"] is None else _as_codes(x, top, f["codes"])
 
 
 def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:

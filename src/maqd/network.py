@@ -39,6 +39,19 @@ cross-correlated with the weight flipped in both spatial axes, its in and
 out channels swapped. The export runs `Conv2d.effective_weight` in float64;
 its runtime calls the same conv, `affine`, 2x2 and global pooling kernels.
 
+The EVAL forward computes a quantized conv that reads an activation
+quantizer's output as the runtime does. `_link` finds each ActQuant ->
+AvgPool2* -> quantized Conv2d run of a layer list, the rule the import
+applies to ACT_Q -> AP2* -> CONV_Q, and gives its layers one
+`quantizer.CodeConv`. In EVAL the ActQuant then emits its codes k, not
+k/(m_a-1), with the EVAL affine of a BN or LBN norm it reads in the same
+pass unless a visitor is to see the norm's output; the pools pool the
+codes; and the conv multiplies them by the weight
+lattice clip(2*state, -2q, 2q) in the CodeConv's dtype, where every sum is
+exact, and divides by (m_a-1)*2q in float64. A visitor still sees values.
+TRAIN mode, float nets and convs that read images or residual sums run on
+values.
+
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
 """
@@ -50,11 +63,11 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from . import parallel
-from .normalization import (Mode, NormKind, NormLayerState, norm_backward,
-                            norm_forward, weight_standardize,
+from .normalization import (Mode, NormKind, NormLayerState, fold_normalization,
+                            norm_backward, norm_forward, weight_standardize,
                             weight_standardize_backward)
-from .quantizer import (QuantConfig, QuantKind, quantize_tensor_backward,
-                        quantize_tensor_forward)
+from .quantizer import (QuantConfig, QuantKind, code_conv, lattice_states,
+                        quantize_tensor_backward, quantize_tensor_forward, weight_lattice)
 
 
 @dataclass
@@ -219,9 +232,12 @@ def _col2im(upstream: np.ndarray, w2d: np.ndarray, k: int) -> np.ndarray:
 
 class _Leaf:
     """What a layer without sublayers shares: no parameters unless it says
-    otherwise, and a tape (`cache`) that is empty until a TRAIN forward."""
+    otherwise, a tape (`cache`) that is empty until a TRAIN forward, and
+    `codes`, the `quantizer.CodeConv` of the integer-code chain that `_link`
+    put the layer in, or None."""
 
     cache = None
+    codes = None
 
     def parameters(self) -> list[Param]:
         return []
@@ -279,10 +295,31 @@ class Conv2d(_Leaf):
             w2d, q_saved = quantize_tensor_forward(w2d, QuantKind.WEIGHT, self.quant), w2d
         return w2d, ws_cache, q_saved
 
-    def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: Mode, codes: bool = False) -> np.ndarray:
+        """The conv of x with the effective weight. With `codes` (the EVAL
+        walk of an integer-code chain, see `_link`), x holds activation
+        codes: the conv runs on them with the weight lattice in the dtype of
+        `self.codes`, exactly, and divides its sums by the divisor in
+        float64, in the weight's dtype."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
+        if codes:
+            q = self.quant.weight_qscale
+            lattice = weight_lattice(lattice_states(w2d, q), q)
+            w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
+            sums = _conv(x, w_tap, self.kernel, _im2col)
+            y = sums if sums.dtype == w2d.dtype else np.empty(sums.shape, w2d.dtype)
+            d = self.codes.divisor
+            # float64 carries over twice float32's precision, so rounding its
+            # quotient of two float32 values to float32 gives float32's own
+            # correctly rounded quotient: the float32 divide is the same
+            calc = np.float32 if y.dtype == sums.dtype == np.float32 and np.float32(d) == d \
+                else np.float64
+            parallel.map_parts(lambda s: np.divide(sums[s], d, out=y[s], dtype=calc,
+                                                   casting="unsafe"),
+                               parallel.by_samples(x.shape[0], sums.nbytes))
+            return y
         y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col)
         if mode is Mode.TRAIN:
             self.cache = (x, w2d, ws_cache, q_saved)
@@ -346,7 +383,15 @@ class ActQuant(_Leaf):
         self.cfg = cfg
         self.norm = None
 
-    def forward(self, x, mode):
+    def forward(self, x, mode, codes: bool = False, norm: NormLayer | None = None):
+        """The quantized values, in x's dtype. With `codes` (the EVAL walk of
+        an integer-code chain, see `_link`), the codes k instead, in the
+        dtype of `self.codes`; given its `norm`, x is that norm's input and
+        the norm's EVAL affine runs in the same pass."""
+        if codes:
+            return quantize_tensor_forward(
+                x, QuantKind.ACTIVATION, self.cfg, codes=self.codes.dtype,
+                affine=None if norm is None else fold_normalization(norm.state))
         if mode is Mode.TRAIN and self.norm is None:
             self.cache = x  # not copied: no layer writes into its input
         return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
@@ -423,14 +468,39 @@ class GlobalAvgPool(_Leaf):
 def _forward(layers: list, x: np.ndarray, mode: Mode, visit) -> np.ndarray:
     """Run `layers` in order on x; a residual block runs its branches through
     this same walk. `visit(layer, output)`, if given, sees every leaf's
-    output."""
+    output as values.
+
+    In EVAL each layer of an integer-code chain (`_link`) runs its codes
+    form: the ActQuant emits codes, and its pools pool them as they are, so
+    the conv reads codes. Without a visitor, the EVAL affine of a norm in
+    the chain runs in the ActQuant's code pass. A visitor sees the values of
+    the codes: k/(m_a-1) in the dtype the ActQuant read, bitwise the
+    quantizer's values, and their pools."""
+    shown = None  # with a visitor: the values of the codes that x holds
+    folded = None  # a norm whose affine the next ActQuant's code pass runs
     for layer in layers:
         if isinstance(layer, ResidualBlock):
             x = layer.forward(x, mode, visit)
-        else:
+            continue
+        chain = mode is Mode.EVAL and layer.codes is not None
+        if chain and isinstance(layer, NormLayer) and visit is None:
+            folded = layer
+            continue
+        dtype = x.dtype
+        if not chain or isinstance(layer, NormLayer):
             x = layer.forward(x, mode)
-            if visit is not None:
-                visit(layer, x)
+        elif isinstance(layer, ActQuant):
+            x, folded = layer.forward(x, mode, codes=True, norm=folded), None
+        else:
+            x = layer.forward(x, mode, codes=True)
+        if visit is not None:
+            if chain and isinstance(layer, ActQuant):
+                shown = np.divide(x, layer.cfg.m_a - 1, dtype=dtype)
+            elif shown is not None and isinstance(layer, AvgPool2):
+                shown = _avg_pool2(shown)
+            else:
+                shown = None
+            visit(layer, x if shown is None else shown)
     return x
 
 
@@ -444,10 +514,28 @@ def _backward(layers: list, g: np.ndarray) -> np.ndarray:
 def _link(layers: list) -> None:
     """Link each ActQuant of `layers` that directly follows a NormLayer to
     that norm, so that it reads the norm's tape instead of taping its
-    input."""
-    for prev, layer in zip(layers, layers[1:]):
-        if isinstance(layer, ActQuant) and isinstance(prev, NormLayer):
-            layer.norm = prev
+    input.
+
+    Each ActQuant -> AvgPool2* -> quantized Conv2d run of `layers` becomes
+    an integer-code chain, the rule that the export's import applies to
+    ACT_Q -> AP2* -> CONV_Q: the ActQuant and the conv share its
+    `quantizer.CodeConv`, and so does the ActQuant's norm unless it is LN,
+    whose EVAL statistics are per sample, so that its EVAL affine can run in
+    the ActQuant's code pass."""
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, ActQuant):
+            continue
+        if i and isinstance(layers[i - 1], NormLayer):
+            layer.norm = layers[i - 1]
+        j = next((j for j in range(i + 1, len(layers))
+                  if not isinstance(layers[j], AvgPool2)), len(layers))
+        conv = layers[j] if j < len(layers) else None
+        if isinstance(conv, Conv2d) and conv.quant is not None:
+            layer.codes = conv.codes = code_conv(conv.in_ch * conv.kernel ** 2,
+                                                 conv.quant.weight_qscale, layer.cfg.m_a,
+                                                 j - i - 1)
+            if layer.norm is not None and layer.norm.state.kind is not NormKind.LN:
+                layer.norm.codes = layer.codes
 
 
 class ResidualBlock:
@@ -501,7 +589,11 @@ class ModelGraph:
         return [l for l in self.all_layers() if isinstance(l, (ActQuant, ReLU))]
 
     def forward(self, x: np.ndarray, mode: Mode = Mode.TRAIN, visit=None) -> np.ndarray:
-        """The (n, num_classes) logits; `visit` sees each leaf's output."""
+        """The (n, num_classes) logits; `visit` sees each leaf's output, as
+        values. An EVAL forward runs each integer-code chain on codes (see
+        `_forward`), so its code-reading convs compute what the export's
+        runtime computes, and its logits differ from a walk on values by
+        float rounding alone."""
         x = _forward(self.layers, x, mode, visit)
         self._forward_done = mode is Mode.TRAIN
         return x

@@ -154,6 +154,26 @@ def map_parts(fn, parts) -> list:
     return results
 
 
+def map_parts_with(fn, parts, make) -> list:
+    """map_parts of fn(part, buffers), where no two parts that run at once
+    share their buffers: the caller makes one set, make(), per thread that
+    can run a part, so that the scratch comes from its own allocator arena
+    and stays in a core's cache from part to part."""
+    parts = list(parts)
+    free = queue.SimpleQueue()
+    for _ in range(min(THREADS, len(parts))):
+        free.put(make())
+
+    def run(part):
+        buffers = free.get()
+        try:
+            return fn(part, buffers)
+        finally:
+            free.put(buffers)
+
+    return map_parts(run, parts)
+
+
 def even(n: int, count: int) -> list[slice]:
     """range(n) cut into `count` consecutive slices of as even sizes as may be."""
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]

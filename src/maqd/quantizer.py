@@ -18,18 +18,24 @@ saves nothing of its own: its backward is given the norm's x_hat and
 per-channel (g, b), and rebuilds its input z = x_hat * g + b inside each
 block, which then holds whole channel planes.
 
+The activation quantizer can also emit its integer codes k instead of
+k/(m_a-1), for a quantized conv that reads them. `CodeConv` holds how such
+a conv computes exactly on integers, the one rule of the trainer's EVAL
+forward and of the export's runtime: the weight lattice, the GEMM dtype
+that keeps every sum exact, and the divisor.
+
 All functions accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
 
 import enum
-import queue
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import parallel
+from .normalization import _affine_into, _channels
 
 
 class QScaleMode(enum.Enum):
@@ -114,13 +120,22 @@ def quantize_weight(w_hat, cfg: QuantConfig):
     return scaled_round_clip(np.multiply(cfg.s, w_hat), cfg.weight_qscale, -1.0, 1.0)
 
 
-def quantize_activation(a_hat, m_a: int, thresholds=None):
+def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=None):
     """Quantize an activation onto the m_a-state lattice {0, ..., 1}.
 
     Equal to scaled_round_clip(a_hat, m_a - 1, 0, 1), computed in one buffer
     as floor(clip(a_hat * (m_a-1), 0, m_a-1) + 0.5) / (m_a-1): on the clipped,
     non-negative range, rounding half away from zero is floor(v + 0.5).
     Inputs in (-0.5/(m_a-1), 0] give +0.0, where scaled_round_clip gives -0.0.
+    The passes run in slices of samples on the pool's threads, each slice
+    checked to be finite first.
+
+    With `codes`, a float dtype, the result is instead the integer codes
+    k = value * (m_a-1) in that dtype: the same passes, in a_hat's dtype,
+    without the final divide. With `affine` = (scale, bias), two
+    per-channel vectors, a_hat is an (n, C, h, w) tensor and the quantizer's
+    input is a_hat * scale + bias, made slice by slice by the ops of the
+    normalization's `affine`, so bitwise its output, and never whole.
 
     With `thresholds`, an (m_a-1, C) array in a_hat's dtype, a_hat is an
     (n, C, h, w) tensor and the result is instead, per element, the number
@@ -142,22 +157,79 @@ def quantize_activation(a_hat, m_a: int, thresholds=None):
 
         parallel.map_parts(count_part, parallel.by_samples(a_hat.shape[0], a_hat.nbytes))
         return count
-    if not np.isfinite(np.add.reduce(a_hat, axis=None)):
-        _check_finite(a_hat, "quantizer input")  # the sum may overflow on finite input
     top = float(m_a - 1)
     a = np.atleast_1d(a_hat)
-    v = np.empty(a.shape, np.result_type(a, top))
+    dtype = np.result_type(a, top)  # of the passes
+    v = np.empty(a.shape, dtype if codes is None else codes)
+    if affine is not None:
+        scale, bias = (_channels(t, a.dtype) for t in affine)
+    parts = parallel.by_samples(a.shape[0], a.nbytes)
+    rows = max(s.stop - s.start for s in parts)
 
-    def run(s):
-        vs = v[s]
-        np.multiply(a[s], top, out=vs)
+    def run(s, scratch):
+        # the passes run in the result where its dtype is theirs
+        vs = v[s] if v.dtype == dtype else scratch[:s.stop - s.start]
+        z = a[s]
+        if affine is not None:
+            _affine_into(z, scale, bias, vs)
+            z = vs
+        if not np.isfinite(np.add.reduce(z, axis=None)):
+            _check_finite(z, "quantizer input")  # the sum may overflow on finite input
+        np.multiply(z, top, out=vs)
         np.clip(vs, 0.0, top, out=vs)
         vs += 0.5
-        np.floor(vs, out=vs)
-        vs /= top
+        np.floor(vs, out=v[s])
+        if codes is None:
+            vs /= top
 
-    parallel.map_parts(run, parallel.by_samples(a.shape[0], a.nbytes))
+    parallel.map_parts_with(run, parts, lambda: None if v.dtype == dtype
+                            else np.empty((rows,) + a.shape[1:], dtype))
     return v if np.ndim(a_hat) else v[0]
+
+
+# float32 holds every integer up to this magnitude
+_F32_EXACT = 1 << 24
+
+
+@dataclass(frozen=True)
+class CodeConv:
+    """How a quantized conv computes on integers when it reads an
+    activation quantizer's codes k (value k/(m_a-1)) through p 2x2 mean
+    pools. Its weights are the lattice integers 2q * w_q of
+    `weight_lattice` (2q = 2 * qscale), so each sum is an integer multiple
+    of 4**-p of magnitude at most `bound` = fan_in * 2q * (m_a-1). While
+    that bound times 4**p is below 2**24, a float32 GEMM computes every sum
+    exactly, in any order of accumulation; past it a float64 GEMM does.
+    `dtype` is the one the codes, the lattice and the GEMM take. A sum
+    divided by `divisor` = (m_a-1) * 2q in float64 is the conv's value."""
+
+    dtype: np.dtype
+    divisor: float
+    bound: float
+
+
+def code_conv(fan_in: int, qscale: float, m_a: int, pools: int) -> CodeConv:
+    """The CodeConv of a conv of `fan_in` inputs per output and weight
+    lattice scale `qscale` (2 * qscale an integer) that reads the codes of
+    an m_a-state quantizer through `pools` 2x2 mean pools."""
+    two_q, top = int(2 * qscale), m_a - 1
+    exact = fan_in * two_q * top * 4 ** pools < _F32_EXACT  # in exact integers
+    divisor = 2.0 * qscale * top
+    return CodeConv(np.dtype(np.float32 if exact else np.float64), divisor, fan_in * divisor)
+
+
+def lattice_states(w_q, qscale: float) -> np.ndarray:
+    """The int16 states round_half_away(w_q * qscale) of quantized weights
+    w_q: a lattice value k/qscale gives back k, a clip endpoint +-1 gives
+    +-ceil(qscale)."""
+    return round_half_away(w_q * qscale).astype(np.int16)
+
+
+def weight_lattice(states: np.ndarray, qscale: float) -> np.ndarray:
+    """The float64 integers 2q * value of weight states, 2q = 2 * qscale:
+    clip(2 * states, -2q, 2q)."""
+    two_q = 2.0 * qscale
+    return np.clip(2.0 * states, -two_q, two_q)
 
 
 def _float_dtype(z: np.ndarray):
@@ -246,19 +318,9 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
         cycle = z.shape[1] * plane
         g_el, b_el = (np.resize(np.repeat(v.astype(dtype, copy=False), plane), cycle + block)
                       for v in affine)
-    # one set of four scratch buffers per pool thread, made here
-    scratch = queue.SimpleQueue()
-    for _ in range(min(parallel.THREADS, -(-zf.size // block))):
-        scratch.put([np.empty(min(block, zf.size), dtype) for _ in range(4)])
 
-    def run(lo):
-        bufs = scratch.get()
-        try:
-            chunk(lo, *bufs)
-        finally:
-            scratch.put(bufs)
-
-    def chunk(lo, e, d, bump, total):
+    def chunk(lo, bufs):
+        e, d, bump, total = bufs
         n = min(block, zf.size - lo)
         ec, dc, bc, tc = e[:n], d[:n], bump[:n], total[:n]
         tc.fill(0)
@@ -289,18 +351,22 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
             np.multiply(tc, uf[lo:lo + n], out=of[lo:lo + n], dtype=out_dtype,
                         casting="unsafe")
 
-    parallel.map_parts(run, range(0, zf.size, block))
+    # four scratch buffers per pool thread, made here
+    parallel.map_parts_with(chunk, range(0, zf.size, block),
+                            lambda: [np.empty(min(block, zf.size), dtype) for _ in range(4)])
     return out
 
 
-def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig) -> np.ndarray:
+def quantize_tensor_forward(t: np.ndarray, kind: QuantKind, cfg: QuantConfig,
+                            codes=None, affine: tuple | None = None) -> np.ndarray:
     """Elementwise quantization of a tensor, in t's dtype. The surrogate
-    backward reads t itself, which the caller keeps."""
+    backward reads t itself, which the caller keeps. For an activation,
+    `codes` and `affine` are those of `quantize_activation`."""
     if kind is QuantKind.WEIGHT:
         q = quantize_weight(t, cfg)
     else:
-        q = quantize_activation(t, cfg.m_a)
-    return q.astype(t.dtype, copy=False)
+        q = quantize_activation(t, cfg.m_a, codes=codes, affine=affine)
+    return q.astype(t.dtype if codes is None else codes, copy=False)
 
 
 def quantize_tensor_backward(saved: np.ndarray, upstream: np.ndarray,

@@ -14,7 +14,7 @@ from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
 from maqd.normalization import (Mode, NormKind, NormLayerState, norm_backward,
                                 norm_forward, weight_standardize,
                                 weight_standardize_backward)
-from maqd.quantizer import QuantConfig, activation_surrogate_grad
+from maqd.quantizer import QuantConfig, activation_surrogate_grad, round_half_away
 from gradcheck import numeric_grad, rel_err
 
 RNG = lambda s=0: np.random.default_rng(s)
@@ -158,6 +158,49 @@ class TestConv2d:
         indicator = (np.abs(cfg.s * w) < 1).astype(float)
         np.testing.assert_allclose(conv.weight.grad.reshape(2, 1),
                                    grad_w_eff * indicator, atol=1e-12)
+
+
+def _code_oracle(conv, codes, pools, dtype):
+    """The EVAL output of a conv that reads the integer codes `codes` of an
+    m_a-state quantizer through `pools` 2x2 mean pools: the exact int64 sum
+    of the sum-pooled codes times the weight lattice clip(2*state, -2q, 2q)
+    over explicitly padded windows, scaled by 4**-pools (exact), divided
+    once by (m_a-1) * 2q in float64 and cast to dtype."""
+    for _ in range(pools):
+        codes = (codes[..., 0::2, 0::2] + codes[..., 0::2, 1::2]
+                 + codes[..., 1::2, 0::2] + codes[..., 1::2, 1::2])
+    q, k = conv.quant.weight_qscale, conv.kernel
+    two_q = int(2 * q)
+    states = round_half_away(conv.effective_weight()[0] * q).astype(np.int64)
+    lattice = np.clip(2 * states, -two_q, two_q).reshape(conv.out_ch, conv.in_ch, k, k)
+    xp = np.pad(codes, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    sums = np.einsum("nchwij,ocij->nohw", win, lattice)
+    divisor = float((conv.quant.m_a - 1) * two_q)
+    return (sums * 4.0 ** -pools / divisor).astype(dtype)
+
+
+def _eval_on_values(layers, x, outputs):
+    """Run `layers` one EVAL forward at a time on values from x, each
+    output equal to `outputs[id(layer)]`, what the graph's visitor saw,
+    but for a conv that reads codes: its output equals the int64 oracle on
+    the codes of the ActQuant before it, and the walk goes on from it.
+    Returns the last output."""
+    seen = []
+    for i, layer in enumerate(layers):
+        if isinstance(layer, Conv2d) and layer.codes is not None:
+            pools = next(p for p in range(i) if not isinstance(layers[i - 1 - p], AvgPool2))
+            act = layers[i - 1 - pools]
+            assert isinstance(act, ActQuant) and act.codes is layer.codes
+            codes = np.rint(seen[i - 1 - pools] * (act.cfg.m_a - 1)).astype(np.int64)
+            np.testing.assert_array_equal(outputs[id(layer)],
+                                          _code_oracle(layer, codes, pools, x.dtype))
+            x = outputs[id(layer)]
+        else:
+            x = layer.forward(x, Mode.EVAL)
+            np.testing.assert_array_equal(outputs[id(layer)], x)
+        seen.append(x)
+    return x
 
 
 def _blocked_case(kernel, dtype, seed, channels=16):
@@ -416,16 +459,16 @@ class TestBuilders:
             assert g.forward(x, Mode.EVAL).shape == (2, classes)
 
     def test_preact_block_is_branch_sum(self):
+        # each branch is its layers' EVAL forwards on values, but for the
+        # convs that read codes, which equal the int64 oracle
         g = build_model("preact-mini", 10, quant=QuantConfig())
         block = next(l for l in g.layers if isinstance(l, ResidualBlock))
         x = RNG(10).normal(size=(1, 3, 8, 8))
-        y = block.forward(x, Mode.EVAL)
-        ys = x
-        for l in block.s_branch:
-            ys = l.forward(ys, Mode.EVAL)
-        yf = x
-        for l in block.f_branch:
-            yf = l.forward(yf, Mode.EVAL)
+        outputs = {}
+        y = block.forward(x, Mode.EVAL, lambda layer, out: outputs.setdefault(id(layer), out))
+        np.testing.assert_array_equal(block.forward(x, Mode.EVAL), y)
+        ys = _eval_on_values(block.s_branch, x, outputs)
+        yf = _eval_on_values(block.f_branch, x, outputs)
         np.testing.assert_array_equal(y, ys + yf)
 
     def test_visit_sees_every_leaf_output_in_order(self):
@@ -435,14 +478,12 @@ class TestBuilders:
         logits = g.forward(x, Mode.EVAL, lambda layer, out: seen.append((layer, out)))
         assert [layer for layer, _ in seen] == g.all_layers()
         np.testing.assert_array_equal(seen[-1][1], logits)
+        np.testing.assert_array_equal(g.forward(x, Mode.EVAL), logits)
         block = g.layers[0]
         assert isinstance(block, ResidualBlock)
         outputs = {id(layer): out for layer, out in seen}
         for branch in (block.s_branch, block.f_branch):
-            y = x
-            for layer in branch:
-                y = layer.forward(y, Mode.EVAL)
-                np.testing.assert_array_equal(outputs[id(layer)], y)
+            _eval_on_values(branch, x, outputs)
 
     def test_preact_branches_end_with_norm(self):
         g = build_model("preact_resnet", 10, quant=QuantConfig())
@@ -467,6 +508,138 @@ class TestBuilders:
     def test_build_model_rejects_unknown(self):
         with pytest.raises(ValueError):
             build_model("resnet50", 10)
+
+
+# At the default s = 1/3 these seed-3 nets put about 0.5% of their weights
+# off state 0 (R_w), so a parity test would multiply almost only zeros; at
+# s = 3 about two thirds of them are off it.
+LIVE = QuantConfig(s=3.0)
+
+
+def _live(arch, dtype, hw=16, norm_kind=NormKind.LBN):
+    """A seed-3 `arch` on the live lattice, with running statistics from
+    one TRAIN forward."""
+    graph = build_model(arch, 10, quant=LIVE, seed=3, dtype=dtype, input_hw=hw,
+                        norm_kind=norm_kind)
+    graph.forward(RNG(90).normal(size=(8, 3, hw, hw)).astype(dtype), Mode.TRAIN)
+    return graph
+
+
+def _float64_twin(graph):
+    """A float64 copy of a graph: its parameters and running statistics,
+    what the export writes."""
+    twin = copy.deepcopy(graph)
+    for p in twin.parameters():
+        p.data = p.data.astype(np.float64)
+    for layer in twin.all_layers():
+        if isinstance(layer, NormLayer):
+            st = layer.state
+            for name in ("g", "b", "running_mean", "running_var"):
+                setattr(st, name, getattr(st, name).astype(np.float64))
+    return twin
+
+
+class TestCodesEval:
+    """In EVAL each ActQuant -> AvgPool2* -> quantized conv chain runs on
+    integer codes, as the export's runtime does."""
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm_kind", list(NormKind))
+    def test_code_convs_are_the_int64_oracle(self, arch, dtype, norm_kind):
+        # LN's EVAL statistics are per sample, so it runs on its own; BN
+        # and LBN run in their ActQuant's code pass
+        graph = _live(arch, dtype, norm_kind=norm_kind)
+        norms = [l for l in graph.all_layers() if isinstance(l, NormLayer)]
+        assert any(l.codes is not None for l in norms) == (norm_kind is not NormKind.LN)
+        assert training.compute_r_w(graph)[0] > 0.5
+        x = RNG(91).normal(size=(4, 3, 16, 16)).astype(dtype)
+        seen = []
+        logits = graph.forward(x, Mode.EVAL, lambda layer, out: seen.append((layer, out)))
+        np.testing.assert_array_equal(graph.forward(x, Mode.EVAL), logits)
+        layers = [layer for layer, _ in seen]
+        outputs = {id(layer): out for layer, out in seen}
+        readers = [l for l in layers if isinstance(l, Conv2d) and l.codes is not None]
+        # every quantized conv but the image and residual-sum readers
+        assert len(readers) == {"vgg-mini": 6, "preact-mini": 9}[arch]
+        assert all(out.dtype == dtype for out in outputs.values())
+        lists = [graph.layers] + [b for l in graph.layers if isinstance(l, ResidualBlock)
+                                  for b in (l.s_branch, l.f_branch)]
+        for layer_list in lists:
+            # from the first ActQuant on, on the visited output before it
+            start = next((i for i, l in enumerate(layer_list) if isinstance(l, ActQuant)), 0)
+            if start:
+                _eval_on_values(layer_list[start:], outputs[id(layer_list[start - 1])],
+                                outputs)
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_match_the_runtime(self, tmp_path, arch, dtype):
+        # the float64 copy of the graph is what the export writes
+        graph = _live(arch, dtype)
+        export.export(graph, tmp_path / "m.maqd")
+        model = import_model(tmp_path / "m.maqd")
+        x = RNG(92).normal(size=(16, 3, 16, 16)).astype(np.float32)
+        report = parity_check(_float64_twin(graph), model, x, batch_size=8)
+        assert report.max_abs_logit_diff < 1e-9
+        assert report.argmax_agreement == 1.0
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("visit", [None, lambda layer, out: None], ids=["plain", "visit"])
+    def test_a_nan_image_is_a_quantizer_error(self, arch, dtype, visit):
+        graph = _live(arch, dtype)
+        x = RNG(93).normal(size=(2, 3, 16, 16)).astype(dtype)
+        x[1, 0, 3, 3] = np.nan
+        with pytest.raises(ValueError, match="quantizer input must be finite"):
+            graph.forward(x, Mode.EVAL, visit)
+
+    @pytest.mark.parametrize("in_ch,kernel,pooled,dtype", [
+        (32, 3, False, np.float64), (32, 1, False, np.float32),
+        (16, 3, True, np.float64), (16, 3, False, np.float32)])
+    def test_trainer_and_runtime_pick_one_code_dtype(self, tmp_path, in_ch, kernel, pooled,
+                                                     dtype):
+        # 2q * (m_a-1) = 255 * 255, so fan_in * 2q * (m_a-1) * 4**p is
+        # >= 2**24 for fan_in 288, and for fan_in 144 only after a pool
+        cfg = QuantConfig(m_w=255, m_a=256)
+        rng = RNG(94)
+        conv = Conv2d(in_ch, 3, kernel, rng=rng, weight_standardized=False, quant=cfg)
+        conv.weight.data[...] = rng.normal(0.0, 4.0, size=conv.weight.data.shape)
+        act = ActQuant(cfg)
+        graph = ModelGraph([act, *([AvgPool2()] if pooled else []), conv, GlobalAvgPool()],
+                           "codes", 3, cfg, NormKind.LBN)
+        export.export(graph, tmp_path / "m.maqd")
+        model = import_model(tmp_path / "m.maqd")
+        act_op, conv_op = (op for op in model.ops if op.opcode in (export.OP_ACT_Q,
+                                                                   export.OP_CONV_Q))
+        assert act.codes.dtype == conv.codes.dtype == dtype
+        assert act_op.fields["codes"] == conv_op.fields["w"].dtype == dtype
+        codes = rng.integers(0, cfg.m_a, size=(2, in_ch, 6, 6))
+        codes[0] = cfg.m_a - 1  # one sample at the largest codes
+        images = codes / (cfg.m_a - 1)
+        outputs = {}
+        graph.forward(images, Mode.EVAL, lambda layer, out: outputs.setdefault(id(layer), out))
+        np.testing.assert_array_equal(outputs[id(conv)],
+                                      _code_oracle(conv, codes, int(pooled), np.float64))
+        report = parity_check(graph, model, images)
+        assert report.max_abs_logit_diff < 1e-9
+        assert report.argmax_agreement == 1.0
+
+    def test_train_mode_and_float_nets_read_values(self, monkeypatch):
+        graph = _live("vgg-mini", np.float64)
+        calls = []
+        forward = Conv2d.forward
+        monkeypatch.setattr(Conv2d, "forward",
+                            lambda self, x, mode, codes=False: calls.append(codes)
+                            or forward(self, x, mode, codes))
+        x = RNG(95).normal(size=(2, 3, 16, 16))
+        graph.forward(x, Mode.EVAL)
+        assert calls == [False] + [True] * 6
+        calls.clear()
+        graph.forward(x, Mode.TRAIN)
+        build_model("vgg-mini", 10, seed=3).forward(x, Mode.EVAL)
+        assert calls == [False] * 14
+        assert all(l.codes is None for l in build_model("cnn9-mini", 10).all_layers())
 
 
 class TestModelGradients:
@@ -797,6 +970,19 @@ class TestPool:
         model = import_model(tmp_path / "m.maqd")
         x = RNG(84).normal(size=(24, 3, 32, 32)).astype(np.float32)
         across_threads(lambda: [runtime_infer(model, x)])
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    def test_codes_eval_forward(self, across_threads, arch):
+        # the logits and every leaf output the visitor sees
+        graph = _live(arch, np.float64, hw=32)
+        x = RNG(89).normal(size=(24, 3, 32, 32))
+
+        def run():
+            seen = []
+            logits = graph.forward(x, Mode.EVAL, lambda layer, out: seen.append(out))
+            return [graph.forward(x, Mode.EVAL), logits, *seen]
+
+        across_threads(run)
 
     def test_two_train_steps_are_bitwise_equal(self, monkeypatch, across_threads):
         graph = build_model("vgg-mini", 10, quant=QuantConfig(), dtype=np.float32, seed=5)

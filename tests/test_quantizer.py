@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maqd import quantizer
+from maqd.normalization import affine
 from maqd.quantizer import (QScaleMode, QuantConfig, QuantKind,
                             activation_surrogate_grad, quantize_activation,
                             quantize_tensor_backward, quantize_tensor_forward,
@@ -157,6 +158,33 @@ class TestQuantizeActivation:
         x = np.full(4, np.finfo(np.float32).max, dtype=np.float32)
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(quantize_activation(x, 8), 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("codes", [np.float32, np.float64])
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "affine"])
+    def test_codes_are_the_values_states(self, dtype, codes, fused):
+        # the codes k, with a norm's affine in the same pass, are the states
+        # of the values k/(m_a-1) of the affine's output, in the codes'
+        # dtype; k/(m_a-1) in the input's dtype is bitwise those values
+        rng = np.random.default_rng(36)
+        x = rng.normal(0.4, 0.8, size=(3, 4, 5, 6)).astype(dtype)
+        x[0, 0, 0, :3] = (np.array([0.5, 1.5, 2.5]) / 7).astype(dtype)  # ties
+        scale, bias = rng.normal(size=4), rng.normal(0.3, 0.5, size=4)
+        values = quantize_activation(affine(x, scale, bias) if fused else x, 8)
+        k = quantize_activation(x, 8, codes=codes, affine=(scale, bias) if fused else None)
+        assert k.dtype == codes and values.dtype == dtype
+        np.testing.assert_array_equal(k, np.rint(values.astype(np.float64) * 7))
+        np.testing.assert_array_equal(np.divide(k, 7, dtype=dtype), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
+    def test_nonfinite_affine_output_rejected(self, bad):
+        # the check runs on the affine's output, which is never whole
+        x = np.full((2, 2, 3, 3), 0.25)
+        x[1, 1, 2, 2] = bad
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="quantizer input must be finite"):
+                quantize_activation(x, 8, codes=np.float32,
+                                    affine=(np.array([1.0, 10.0]), np.zeros(2)))
 
     @given(st.floats(-10, 10), st.integers(2, 16))
     def test_lattice_membership(self, a, m_a):
@@ -462,5 +490,8 @@ class TestPool:
         rng = np.random.default_rng(34)
         a_hat = rng.uniform(-0.5, 1.5, size=(24, 16, 32, 32)).astype(dtype)
         levels = np.sort(rng.uniform(0.0, 1.0, size=(7, 16)), axis=0).astype(dtype)
+        scale, bias = rng.normal(size=16), rng.normal(size=16)
         across_threads(lambda: [quantize_activation(a_hat, 8),
-                                quantize_activation(a_hat, 8, levels)])
+                                quantize_activation(a_hat, 8, levels),
+                                quantize_activation(a_hat, 8, codes=np.float32,
+                                                    affine=(scale, bias))])
