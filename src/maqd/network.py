@@ -46,10 +46,10 @@ applies to ACT_Q -> AP2* -> CONV_Q, and gives its layers one
 `quantizer.CodeConv`. In EVAL the ActQuant then emits its codes k, not
 k/(m_a-1), with the EVAL affine of a BN or LBN norm it reads in the same
 pass unless a visitor is to see the norm's output; the pools pool the
-codes; and the conv multiplies them by the weight
-lattice clip(2*state, -2q, 2q) in the CodeConv's dtype, where every sum is
-exact, and divides by (m_a-1)*2q in float64. A visitor still sees values.
-TRAIN mode, float nets and convs that read images or residual sums run on
+codes; and the conv multiplies them by the weight lattice
+clip(2*state, -2q, 2q) in the CodeConv's dtype, where every sum is exact,
+and divides by (m_a-1)*2q in float64. A visitor still sees values. TRAIN
+mode, float nets and convs that read images or residual sums run on
 values.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
