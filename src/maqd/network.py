@@ -29,15 +29,16 @@ does not depend on how many there are. No full-batch patch matrix is ever
 built. `_tap_major` puts the (out, c*k*k) weight rows in the same order;
 the weight itself, WS, the quantizer and the export format keep the
 canonical (out, c, k, k) layout. A TRAIN conv tapes its input and its
-effective weight with the WS and quantizer caches, and no patch matrix;
-its backward (`_weight_grad`) walks the `_blocks` of the input in reverse,
-rebuilds each block's patch matrix from the input, lets the threads split
-that block's GEMM by columns, and sums the weight gradient block by block,
-in the same order whatever the thread count. The input gradient, the
-conv's exact transpose, is `_conv` again (`_col2im`): the upstream
+effective weight with the WS and quantizer caches, and no patch matrix.
+Its backward (`_col2im`) is one pass over the `_blocks` of the upstream,
+blocks of whole samples fixed by bytes alone, each gathered and multiplied
+whole by one pool thread: the block's patch matrix of the upstream gives
+both the input gradient, the conv's exact transpose (the upstream
 cross-correlated with the weight flipped in both spatial axes, its in and
-out channels swapped. The export runs `Conv2d.effective_weight` in float64;
-its runtime calls the same conv, `affine`, 2x2 and global pooling kernels.
+out channels swapped), and the block's weight-gradient product with the
+block's input. The products are summed in block order, whatever the thread
+count. The export runs `Conv2d.effective_weight` in float64; its runtime
+calls the same conv, `affine`, 2x2 and global pooling kernels.
 
 The EVAL forward computes a quantized conv that reads an activation
 quantizer's output as the runtime does. `_link` finds each ActQuant ->
@@ -131,23 +132,27 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
 # patch matrix stays cache-resident through its GEMM. Of 1, 2, 4, 8 and 32 MB,
 # 4 MB gave the fastest vgg-mini batch-100 train step and EVAL forward on
 # 2 vCPU; cnn9-mini at batch 16 moved within 5%. The pool's threads share it:
-# each takes a part of _BLOCK_BYTES // parallel.THREADS at a time.
+# each forward part holds _BLOCK_BYTES // parallel.THREADS, and the backward
+# runs _BWD_IN_FLIGHT blocks of _BLOCK_BYTES // _BWD_IN_FLIGHT at a time.
 _BLOCK_BYTES = 1 << 22
+_BWD_IN_FLIGHT = 2
 
 # Multiply-adds below which a GEMM is not split across threads. OpenBLAS
 # hands a GEMM of up to 1e6 of them to its small-matrix kernels, which sum
 # in another order than its blocked kernels, so a part of a GEMM is bitwise
-# that GEMM's rows or columns only above that size; this leaves a margin.
+# that GEMM's rows only above that size; this leaves a margin.
 _MIN_PART_MACS = 1 << 21
 
 
-def _blocks(x_shape, itemsize: int, k: int) -> list[slice]:
-    """The weight gradient's blocks: consecutive slices of the batch, each
-    of as many samples as keep its patch matrix within _BLOCK_BYTES (at
-    least one). An empty batch is one empty block."""
-    n, c, h, w = x_shape
-    step = max(1, _BLOCK_BYTES // max(1, h * w * k * k * c * itemsize))
-    return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
+def _blocks(up_shape, itemsize: int, k: int) -> list[slice]:
+    """The backward's blocks: as few even slices of the batch as keep each
+    block's patch matrix of the (n, out, h, w) upstream within
+    _BLOCK_BYTES // _BWD_IN_FLIGHT (at least one sample). They depend on
+    bytes alone, not on the thread count. An empty batch is one empty
+    block."""
+    n, out_ch, h, w = up_shape
+    step = max(1, _BLOCK_BYTES // _BWD_IN_FLIGHT // max(1, h * w * k * k * out_ch * itemsize))
+    return parallel.even(n, max(1, -(-n // step)))
 
 
 def _conv_parts(x_shape, itemsize: int, k: int, out_ch: int) -> list[slice]:
@@ -183,51 +188,60 @@ def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col) -> np.ndarray:
     return y
 
 
-def _weight_grad(x: np.ndarray, upstream: np.ndarray, k: int) -> np.ndarray:
-    """The tap-major (out, k*k*c) weight gradient of the conv of x, given
-    the (n, out, h, w) output gradient.
+def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
+            input_grad: bool):
+    """Both gradients of the conv of x with the (out, c*k*k) weight w2d,
+    given the (n, out, h, w) output gradient: (input gradient, or None
+    without computing it when `input_grad` is false; the (out, c*k*k)
+    weight gradient).
 
-    It walks the `_blocks` of x in reverse. Each block's patch matrix is
-    gathered into one buffer of one block, its samples split over the
-    pool's threads; then the threads split the block's GEMM by columns: the
-    (out, n*h*w) channel-major copy of `upstream`, whose columns are the
-    patch matrix's rows, times a slice of the patch matrix's columns. The
-    blocks' products are summed last block first."""
+    Each of the `_blocks` is gathered and multiplied whole by one pool
+    thread, _BWD_IN_FLIGHT at a time, into buffers the caller makes. Its
+    patch matrix P of the upstream, gathered once, gives both:
+    - the input gradient's rows, P times the weight flipped in both spatial
+      axes with its in and out channels swapped: at stride 1 and padding
+      k // 2 the conv's transpose is that conv, and the rows are those of
+      one GEMM whatever the blocks;
+    - the block's weight-gradient product, the (c, rows) channel-major
+      block of x times P, whose column (ki, kj, o) holds the gradient of
+      weight [o, c, k-1-ki, k-1-kj].
+    The products are added to the gradient in block order, whatever the
+    thread count, each through a view in the canonical layout; those held
+    at once fill at most _BLOCK_BYTES, or one per block in flight."""
     n, c, h, w = x.shape
-    out_ch = upstream.shape[1]
-    g_cm = np.empty((out_ch, n, h, w), upstream.dtype)  # channel-major upstream
-    parallel.map_parts(lambda s: np.copyto(g_cm[:, s], upstream[s].transpose(1, 0, 2, 3)),
-                       parallel.by_samples(n, upstream.nbytes))
-    grad_tap = np.empty((out_ch, k * k * c), np.result_type(g_cm, x))
-    blocks = _blocks(x.shape, x.itemsize, k)
-    patches = np.empty((min(blocks[0].stop, n) * h * w, k * k * c), x.dtype)
-    for i, b in enumerate(reversed(blocks)):
-        xb = x[b]
-        cols = patches[:xb.shape[0] * h * w]
-        g_b = g_cm[:, b].reshape(out_ch, -1)
-        parallel.map_parts(lambda s: _im2col(xb[s], k, cols[s.start * h * w:s.stop * h * w]),
-                           parallel.by_samples(xb.shape[0], cols.nbytes))
-
-        def columns(j):
-            if i == 0:
-                grad_tap[:, j] = g_b @ cols[:, j]
-            else:
-                grad_tap[:, j] += g_b @ cols[:, j]
-
-        splits = min(parallel.THREADS, out_ch * cols.size // _MIN_PART_MACS)
-        parallel.map_parts(columns, parallel.even(cols.shape[1], max(1, splits)))
-    return grad_tap
-
-
-def _col2im(upstream: np.ndarray, w2d: np.ndarray, k: int) -> np.ndarray:
-    """Input gradient of the conv with the (out, c*k*k) weight w2d, given the
-    (n, out, h, w) output gradient. At stride 1 and padding k // 2 the
-    conv's transpose is the same conv with the weight flipped in both
-    spatial axes and its in and out channels swapped."""
     out_ch = w2d.shape[0]
-    c = w2d.shape[1] // (k * k)
-    w_flip = w2d.reshape(out_ch, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return _conv(upstream, _tap_major(w_flip.reshape(c, -1), out_ch, k), k, _im2col)
+    w_flip = _tap_major(w2d.reshape(out_ch, c, k, k)[:, :, ::-1, ::-1].transpose(
+        1, 0, 2, 3).reshape(c, -1), out_ch, k)
+    grad_x = np.empty(x.shape, np.result_type(upstream, w_flip)) if input_grad else None
+    blocks = _blocks(upstream.shape, upstream.itemsize, k)
+    rows = max(b.stop - b.start for b in blocks) * h * w
+    prod_dtype = np.result_type(x, upstream)
+    wave = max(_BWD_IN_FLIGHT, _BLOCK_BYTES // max(1, w2d.size * prod_dtype.itemsize))
+    prods = np.empty((min(wave, len(blocks)), c, k * k * out_ch), prod_dtype)
+
+    def make():
+        return (np.empty((rows, k * k * out_ch), upstream.dtype), np.empty(c * rows, x.dtype),
+                np.empty((rows, c), grad_x.dtype) if input_grad else None)
+
+    def run(i, buffers):
+        patches, x_cm, grad_rows = buffers
+        b = blocks[i]
+        m = b.stop - b.start
+        p = _im2col(upstream[b], k, patches[:m * h * w])
+        if input_grad:
+            grad_x[b] = np.matmul(p, w_flip.T, out=grad_rows[:m * h * w]).reshape(
+                m, h, w, c).transpose(0, 3, 1, 2)
+        x_cm = x_cm[:c * m * h * w].reshape(c, m, h, w)
+        x_cm[...] = x[b].transpose(1, 0, 2, 3)
+        np.matmul(x_cm.reshape(c, -1), p, out=prods[i % wave])
+
+    grad_w = np.zeros((out_ch, c, k, k), prod_dtype)
+    for lo in range(0, len(blocks), wave):
+        part = range(lo, min(lo + wave, len(blocks)))
+        parallel.map_parts_with(run, part, make, _BWD_IN_FLIGHT)
+        for i in part:
+            grad_w += prods[i % wave].reshape(c, k, k, out_ch)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    return grad_x, grad_w.reshape(out_ch, -1)
 
 
 class _Leaf:
@@ -327,18 +341,10 @@ class Conv2d(_Leaf):
 
     def backward(self, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the weight gradient; return the input gradient, or
-        None without computing it when `input_grad` is false.
-
-        The weight gradient is `_weight_grad`'s, from the taped input; the
-        input gradient is the one `_col2im` conv, run in parts like the
-        forward."""
+        None without computing it when `input_grad` is false. Both come from
+        the one `_col2im` pass over the upstream and the taped input."""
         x, w2d, ws_cache, q_saved = self._tape()
-        k = self.kernel
-        grad_tap = _weight_grad(x, upstream, k)
-        grad_x = _col2im(upstream, w2d, k) if input_grad else None
-        # grad_tap is tap-major (out, k*k*c); back to canonical (out, c*k*k)
-        grad_w2d = grad_tap.reshape(self.out_ch, -1, self.in_ch).transpose(
-            0, 2, 1).reshape(self.out_ch, -1)
+        grad_x, grad_w2d = _col2im(x, upstream, w2d, self.kernel, input_grad)
         if q_saved is not None:
             grad_w2d = quantize_tensor_backward(q_saved, grad_w2d, QuantKind.WEIGHT, self.quant)
         if ws_cache is not None:

@@ -15,9 +15,10 @@ iterator until none is left, so a thread that a busy CPU slows takes fewer
 of them. It returns the results in part order and re-raises in the caller
 the exception of the first part that raised. Callers cut their work so
 that each part computes exactly what the serial kernel computes on the
-same elements (rows or columns of one GEMM, slices of an elementwise
-pass); no reduction is ever split, so every result is bitwise the serial
-one.
+same elements (rows of one GEMM, slices of an elementwise pass). The one
+reduction that is split, the conv's weight gradient, is cut into blocks
+fixed by bytes, never by the thread count, whose products are added in
+one fixed order; so every result is bitwise the serial one.
 
 With one CPU, or without the BLAS setter, THREADS is 1: `map_parts` runs
 the parts in order on the calling thread, which is the same code path, and
@@ -112,11 +113,12 @@ def _forget_helpers():  # a forked child has none of its parent's threads
 os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def map_parts(fn, parts) -> list:
+def map_parts(fn, parts, threads: int | None = None) -> list:
     """[fn(part) for part in parts], the parts run by the calling thread and
-    up to THREADS - 1 helpers at once (see the module docstring)."""
+    up to THREADS - 1 helpers at once, or `threads` threads in all when
+    that is fewer (see the module docstring)."""
     parts = list(parts)
-    n_helpers = min(THREADS, len(parts)) - 1
+    n_helpers = min(THREADS, threads or THREADS, len(parts)) - 1
     if n_helpers < 1 or threading.current_thread() in _helpers:
         return [fn(p) for p in parts]
     _ensure_helpers(n_helpers)
@@ -154,14 +156,16 @@ def map_parts(fn, parts) -> list:
     return results
 
 
-def map_parts_with(fn, parts, make) -> list:
-    """map_parts of fn(part, buffers), where no two parts that run at once
-    share their buffers: the caller makes one set, make(), per thread that
-    can run a part, so that the scratch comes from its own allocator arena
-    and stays in a core's cache from part to part."""
+def map_parts_with(fn, parts, make, threads: int | None = None) -> list:
+    """map_parts of fn(part, buffers) on at most `threads` threads, where no
+    two parts that run at once share their buffers: the caller makes one
+    set, make(), per thread that can run a part, so that the scratch comes
+    from its own allocator arena and stays in a core's cache from part to
+    part."""
     parts = list(parts)
+    threads = min(THREADS, threads or THREADS, len(parts))
     free = queue.SimpleQueue()
-    for _ in range(min(THREADS, len(parts))):
+    for _ in range(threads):
         free.put(make())
 
     def run(part):
@@ -171,7 +175,7 @@ def map_parts_with(fn, parts, make) -> list:
         finally:
             free.put(buffers)
 
-    return map_parts(run, parts)
+    return map_parts(run, parts, threads)
 
 
 def even(n: int, count: int) -> list[slice]:

@@ -19,6 +19,7 @@ from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
 from maqd.normalization import Mode, NormKind, NormLayerState, \
     norm_forward, weight_standardize
 from maqd.quantizer import QScaleMode, QuantConfig, quantize_weight, round_half_away
+from maqd.training import compute_r_w
 
 CFG = QuantConfig(m_w=15, m_a=8)
 
@@ -727,15 +728,20 @@ class TestThresholdFold:
     @pytest.mark.parametrize("kind", [NormKind.LBN, NormKind.BN])
     @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
     @pytest.mark.parametrize("m_a", [2, 8, "crossover", "past-crossover"])
-    def test_logits_equal_the_unfolded_runtime(self, tmp_path, monkeypatch, arch, kind, m_a):
+    @pytest.mark.parametrize("s", [None, 3.0], ids=["default", "live"])
+    def test_logits_equal_the_unfolded_runtime(self, tmp_path, monkeypatch, arch, kind, m_a,
+                                               s):
         # vgg-mini: code sums (pooled codes included) and raw-image conv
         # sums; preact-mini: both heads of each residual block read float64
-        # sums, after a pool in front of its downsampling blocks
+        # sums, after a pool in front of its downsampling blocks. The default
+        # s leaves almost every weight at state 0; s = 3 moves most off it
         top = export_mod._FOLD_MAX_THRESHOLDS
         m_a = {"crossover": top + 1, "past-crossover": top + 2}.get(m_a, m_a)
-        cfg = QuantConfig(m_a=m_a)
+        cfg = QuantConfig(m_a=m_a) if s is None else QuantConfig(m_a=m_a, s=s)
         graph = build_model(arch, 4, quant=cfg, norm_kind=kind, in_channels=1, input_hw=8,
                             seed=m_a)
+        if s is not None:
+            assert compute_r_w(graph)[0] > 0.5
         _spread_affines(graph, seed=m_a)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
         folds = [op.fields["fold"] for _, op in _act_ops(model.ops)]

@@ -203,27 +203,37 @@ def _eval_on_values(layers, x, outputs):
     return x
 
 
-def _blocked_case(kernel, dtype, seed, channels=16):
-    """A conv of `channels` in and out channels and a batch spanning three
-    or more blocks of network._BLOCK_BYTES of patch matrix, the last one
-    ragged: square images of the extent that makes about three samples a
-    block. Returns the conv, the batch and the samples per block."""
+# At the default s = 1/3 these seed-3 nets put about 0.5% of their weights
+# off state 0 (R_w), so a parity test would multiply almost only zeros; at
+# s = 3 about two thirds of them are off it.
+LIVE = QuantConfig(s=3.0)
+
+
+def _blocked_case(kernel, dtype, seed, in_ch=16, out_ch=16, block=network._BLOCK_BYTES,
+                  samples=3):
+    """A conv of in_ch to out_ch channels and a batch spanning three or more
+    blocks of `block` bytes of patch matrix of its wider side, the last one
+    ragged: square images of the extent that makes about `samples` samples
+    a block. Returns the conv, the batch and the samples per block."""
     itemsize = np.dtype(dtype).itemsize
-    hw = math.isqrt(network._BLOCK_BYTES // (3 * kernel * kernel * channels * itemsize))
-    step = network._BLOCK_BYTES // (hw * hw * kernel * kernel * channels * itemsize)
+    channels = max(in_ch, out_ch)
+    hw = math.isqrt(block // (samples * kernel * kernel * channels * itemsize))
+    step = block // (hw * hw * kernel * kernel * channels * itemsize)
     n = 2 * step + max(1, step // 2)
     rng = RNG(seed)
-    conv = Conv2d(channels, channels, kernel, rng=rng, weight_standardized=False,
-                  dtype=dtype)
-    x = rng.normal(size=(n, channels, hw, hw)).astype(dtype)
+    conv = Conv2d(in_ch, out_ch, kernel, rng=rng, weight_standardized=False, dtype=dtype)
+    x = rng.normal(size=(n, in_ch, hw, hw)).astype(dtype)
     return conv, x, step
+
 
 
 def _one_shot(conv, x, up):
     """The whole-batch conv the blocked kernel replaces: one patch matrix of
     the whole batch and one GEMM each way. The input gradient's GEMM reads
     the patch matrix of the upstream and the flipped weight with in and out
-    channels swapped. Returns (y, grad_x, grad_w)."""
+    channels swapped. Returns (y, grad_x, grad_w), grad_w summed in float64:
+    a float32 GEMM over a whole batch's pixels is itself off by about 1e-6
+    of its largest entry."""
     k = conv.kernel
     n, c, h, w = x.shape
     w2d = conv.weight.data.reshape(conv.out_ch, -1)
@@ -231,7 +241,7 @@ def _one_shot(conv, x, up):
     y = (cols @ network._tap_major(w2d, c, k).T).reshape(
         n, h, w, conv.out_ch).transpose(0, 3, 1, 2)
     g2 = up.transpose(0, 2, 3, 1).reshape(-1, conv.out_ch)
-    grad_w = (np.ascontiguousarray(g2.T) @ cols).reshape(
+    grad_w = (np.ascontiguousarray(g2.T, np.float64) @ cols.astype(np.float64)).reshape(
         conv.out_ch, -1, c).transpose(0, 2, 1).reshape(conv.weight.data.shape)
     w_flip = conv.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
     grad_x = (network._im2col(up, k) @ network._tap_major(w_flip, conv.out_ch, k).T).reshape(
@@ -249,35 +259,82 @@ class TestBlockedConv:
     whose rows then differ in the last bit. The weight gradient sums the
     blocks' products in another order."""
 
+    @pytest.mark.parametrize("in_ch, out_ch", [(16, 16), (3, 16), (24, 8)])
     @pytest.mark.parametrize("kernel", [1, 3])
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-13)])
-    def test_matches_the_one_shot_conv(self, kernel, dtype, bound):
-        conv, x, step = _blocked_case(kernel, dtype, seed=40)
+    def test_matches_the_one_shot_conv(self, kernel, dtype, bound, in_ch, out_ch):
+        # in != out: a swap of the in and out axes of the flipped weight or
+        # of the weight gradient's layout shows
+        conv, x, step = _blocked_case(kernel, dtype, seed=40, in_ch=in_ch, out_ch=out_ch)
         assert x.shape[0] > 2 * step and x.shape[0] % step
         y = conv.forward(x, Mode.TRAIN)
         up = RNG(41).normal(size=y.shape).astype(dtype)
+        assert len(network._blocks(up.shape, up.itemsize, kernel)) >= 2
         conv.weight.zero_grad()
         grad_x = conv.backward(up)
         y_ref, grad_x_ref, grad_w_ref = _one_shot(conv, x, up)
         assert y.dtype == grad_x.dtype == dtype and y.flags.c_contiguous
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(conv.forward(x, Mode.EVAL), y_ref)
+        if dtype == np.float64 and in_ch == 3:
+            # the narrow float64 GEMM of the class docstring: its rows
+            # depend on the row count, so the blocks show in the last bit
+            np.testing.assert_allclose(grad_x, grad_x_ref, rtol=0,
+                                       atol=bound * np.max(np.abs(grad_x_ref)))
+        else:
+            np.testing.assert_array_equal(grad_x, grad_x_ref)
+        assert (np.max(np.abs(conv.weight.grad - grad_w_ref))
+                <= bound * np.max(np.abs(grad_w_ref)))
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-13)])
+    def test_backward_of_one_sample(self, kernel, dtype, bound):
+        conv, x, _ = _blocked_case(kernel, dtype, seed=49, in_ch=5, out_ch=7)
+        x = x[:1]
+        up = RNG(50).normal(size=conv.forward(x, Mode.TRAIN).shape).astype(dtype)
+        assert network._blocks(up.shape, up.itemsize, kernel) == [slice(0, 1)]
+        conv.weight.zero_grad()
+        grad_x = conv.backward(up)
+        _, grad_x_ref, grad_w_ref = _one_shot(conv, x, up)
         np.testing.assert_array_equal(grad_x, grad_x_ref)
         assert (np.max(np.abs(conv.weight.grad - grad_w_ref))
                 <= bound * np.max(np.abs(grad_w_ref)))
 
     @pytest.mark.parametrize("kernel", [1, 3])
-    @pytest.mark.parametrize("quantized", [True, False], ids=["conv_q", "conv_f"])
-    def test_runtime_parity(self, tmp_path, monkeypatch, kernel, quantized):
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_of_an_empty_batch(self, kernel, input_grad):
+        # one empty block: a zero weight gradient and an empty input gradient
+        conv = Conv2d(3, 5, kernel, rng=RNG(51), dtype=np.float32)
+        x = np.zeros((0, 3, 6, 7), np.float32)
+        y = conv.forward(x, Mode.TRAIN)
+        assert y.shape == (0, 5, 6, 7)
+        assert network._blocks(y.shape, y.itemsize, kernel) == [slice(0, 0)]
+        conv.weight.grad[...] = np.nan
+        conv.weight.zero_grad()
+        grad_x = conv.backward(y, input_grad)
+        assert not np.any(conv.weight.grad)
+        if input_grad:
+            assert grad_x.shape == x.shape and grad_x.dtype == np.float32
+        else:
+            assert grad_x is None
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("cfg", [QuantConfig(), LIVE, None],
+                             ids=["conv_q", "conv_q_live", "conv_f"])
+    def test_runtime_parity(self, tmp_path, monkeypatch, kernel, cfg):
         # a CONV_Q after an ACT_Q runs on float32 codes, a CONV_F on float64
-        # values; the batch spans three or more blocks of that dtype
-        cfg = QuantConfig()
+        # values; the batch spans three or more blocks of that dtype. The
+        # default lattice leaves most 3x3 weights at state 0, the live one
+        # few of them
+        quantized = cfg is not None
         _, x, step = _blocked_case(kernel, np.float32 if quantized else np.float64, seed=42)
         graph = ModelGraph(
             [ActQuant(cfg), Conv2d(16, 16, kernel, rng=RNG(43), quant=cfg)]
             if quantized else [Conv2d(16, 16, kernel, rng=RNG(43))],
-            "blocked", 16, cfg if quantized else None, NormKind.LBN)
+            "blocked", 16, cfg, NormKind.LBN)
         graph.layers.append(GlobalAvgPool())
+        if cfg is LIVE:
+            assert training.compute_r_w(graph)[0] > 0.5
         export.export(graph, tmp_path / "m.maqd")
         model = import_model(tmp_path / "m.maqd")
         gathers = []
@@ -301,10 +358,10 @@ class TestBlockedConv:
 
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_input_gradient_runs_in_blocks(self, monkeypatch, kernel):
-        # the weight gradient gathers views of the taped x; every other
-        # gather reads the upstream, in parts that run in any order on the
-        # pool's threads, each of at most _BLOCK_BYTES // THREADS of patch
-        # matrix
+        # both gradients come from one gather of the upstream per block, in
+        # blocks that run in any order on the pool's threads, each of at
+        # most _BLOCK_BYTES // _BWD_IN_FLIGHT of patch matrix; no gather
+        # reads the taped x
         conv, x, step = _blocked_case(kernel, np.float32, seed=47)
         up = RNG(48).normal(size=conv.forward(x, Mode.TRAIN).shape).astype(np.float32)
         gathers = []
@@ -312,15 +369,16 @@ class TestBlockedConv:
 
         def probe(*a):
             out = im2col(*a)
-            if not np.shares_memory(a[0], x):
-                gathers.append((a[0].shape[0], out.nbytes))
+            gathers.append((np.shares_memory(a[0], x), a[0].shape[0], out.nbytes))
             return out
 
         monkeypatch.setattr(network, "_im2col", probe)
         conv.backward(up)
-        blocks = [m for m, _ in gathers]
+        assert not any(reads_x for reads_x, _, _ in gathers)
+        blocks = [m for _, m, _ in gathers]
         assert len(blocks) >= 3 and sum(blocks) == x.shape[0]
-        assert all(nbytes <= network._BLOCK_BYTES // parallel.THREADS for _, nbytes in gathers)
+        assert all(nbytes <= network._BLOCK_BYTES // network._BWD_IN_FLIGHT
+                   for _, _, nbytes in gathers)
 
     def test_tape_is_the_input_and_one_block(self):
         # and the weight-sized effective weight; the whole batch's patch
@@ -333,9 +391,8 @@ class TestBlockedConv:
 
     def test_float32_train_step_memory_budget(self):
         # the forward's output, one block's patch matrix and its GEMM; the
-        # backward's channel-major upstream copy (weight gradient) or input
-        # gradient (the input-gradient conv), and one block's patch matrix
-        # and GEMM output at a time
+        # backward's input gradient, and the buffers of the blocks in
+        # flight, which hold one block of patch matrix between them
         conv, x, step = _blocked_case(3, np.float32, seed=45)
         block = step * network._im2col(x[:1], 3).nbytes
         up = RNG(46).normal(size=(x.shape[0], conv.out_ch) + x.shape[2:]).astype(np.float32)
@@ -510,12 +567,6 @@ class TestBuilders:
             build_model("resnet50", 10)
 
 
-# At the default s = 1/3 these seed-3 nets put about 0.5% of their weights
-# off state 0 (R_w), so a parity test would multiply almost only zeros; at
-# s = 3 about two thirds of them are off it.
-LIVE = QuantConfig(s=3.0)
-
-
 def _live(arch, dtype, hw=16, norm_kind=NormKind.LBN):
     """A seed-3 `arch` on the live lattice, with running statistics from
     one TRAIN forward."""
@@ -677,34 +728,38 @@ class TestModelGradients:
             assert rel_err(numeric_grad(loss, p.data), p.grad) < 1e-4, p.name
 
     def test_backward_skips_only_the_graph_input_gradient(self, monkeypatch):
-        # the same parameter gradients as the full layer-by-layer chain, with
-        # no col2im for the leading conv
+        # the same parameter gradients as the full layer-by-layer chain; the
+        # leading conv's backward is the one call that forms no input gradient
         g = build_model("vgg-mini", 10, seed=0)
         x = RNG(16).normal(size=(2, 3, 8, 8))
         up = RNG(17).normal(size=(2, 10))
-        shapes = []
+        calls = []
         col2im = network._col2im
         monkeypatch.setattr(network, "_col2im",
-                            lambda *a: shapes.append(a[1].shape) or col2im(*a))
+                            lambda *a: calls.append((a[2].shape, a[4])) or col2im(*a))
 
         def grads(backward):
             g.forward(x, Mode.TRAIN)
             g.zero_grad()
-            shapes.clear()
+            calls.clear()
             backward()
-            return [p.grad.copy() for p in g.parameters()], list(shapes)
+            return [p.grad.copy() for p in g.parameters()], list(calls)
 
         def chain():
             gr = up
             for layer in reversed(g.layers):
                 gr = layer.backward(gr)
 
-        full, full_shapes = grads(chain)
-        got, got_shapes = grads(lambda: g.backward(up))
+        full, full_calls = grads(chain)
+        got, got_calls = grads(lambda: g.backward(up))
         assert all(np.array_equal(a, b) for a, b in zip(full, got))
-        # the last col2im of the full chain is the leading conv's, the only
-        # one whose weight reads the 3 input channels
-        assert full_shapes[:-1] == got_shapes and full_shapes[-1] == (16, 3 * 9)
+        # the last call is the leading conv's, the only one whose weight
+        # reads the 3 input channels
+        assert len(full_calls) == len(g.conv_layers()) == len(got_calls)
+        assert full_calls[-1][0] == (16, 3 * 9)
+        assert [shape for shape, _ in got_calls] == [shape for shape, _ in full_calls]
+        assert all(flag for _, flag in full_calls)
+        assert [flag for _, flag in got_calls] == [True] * (len(got_calls) - 1) + [False]
 
     def test_backward_without_forward_raises(self):
         g = build_model("vgg-mini", 10, seed=0)
@@ -906,25 +961,34 @@ class TestTapeOnce:
 
 class TestPool:
     """The kernels run their parts on parallel.THREADS threads: rows of one
-    GEMM, columns of one GEMM or slices of an elementwise pass, never a
-    split reduction, so every result is bitwise the one-thread result."""
+    GEMM, slices of an elementwise pass, or blocks of the conv backward
+    whose weight-gradient products are summed in block order, never a
+    reduction cut by the thread count, so every result is bitwise the
+    one-thread result."""
 
     @pytest.mark.parametrize("kernel", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("blocks", ["one_block", "three_blocks"])
     def test_conv_forward_and_gradients(self, across_threads, kernel, dtype, blocks):
-        conv, x, step = _blocked_case(kernel, dtype, seed=80)
+        # 512 in channels and 128 out, 16 samples a backward block: a block
+        # of the upstream's patch matrix goes with four of x's, so that a
+        # one-block backward, which runs on one thread, follows forwards of
+        # several parts, long enough for the helpers to take some even on
+        # one CPU
+        block = network._BLOCK_BYTES // network._BWD_IN_FLIGHT
+        conv, x, step = _blocked_case(kernel, dtype, seed=80, in_ch=512, out_ch=128,
+                                      block=4 * block, samples=16)
         if blocks == "one_block":
             x = x[:step]
-        assert len(network._blocks(x.shape, x.itemsize, kernel)) == (
-            1 if blocks == "one_block" else 3)
         up = RNG(81).normal(size=(x.shape[0], conv.out_ch) + x.shape[2:]).astype(dtype)
+        assert len(network._blocks(up.shape, up.itemsize, kernel)) == (
+            1 if blocks == "one_block" else 3)
 
         def run():
             conv.weight.zero_grad()
             y = conv.forward(x, Mode.TRAIN)
             grad_x = conv.backward(up)
-            return y, grad_x, conv.weight.grad.copy()
+            return y, grad_x, conv.weight.grad.copy(), conv.forward(x, Mode.EVAL)
 
         across_threads(run)
 
@@ -961,10 +1025,12 @@ class TestPool:
 
         across_threads(run)
 
-    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "float"])
-    def test_runtime_logits(self, tmp_path, across_threads, quantized):
-        graph = build_model("vgg-mini", 10, quant=QuantConfig() if quantized else None,
-                            seed=3)
+    @pytest.mark.parametrize("quant", [QuantConfig(), LIVE, None],
+                             ids=["quantized", "quantized_live", "float"])
+    def test_runtime_logits(self, tmp_path, across_threads, quant):
+        graph = build_model("vgg-mini", 10, quant=quant, seed=3)
+        if quant is LIVE:
+            assert training.compute_r_w(graph)[0] > 0.5
         graph.forward(RNG(83).normal(size=(8, 3, 32, 32)), Mode.TRAIN)  # running statistics
         export.export(graph, tmp_path / "m.maqd")
         model = import_model(tmp_path / "m.maqd")
