@@ -132,8 +132,10 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
 # patch matrix stays cache-resident through its GEMM. Of 1, 2, 4, 8 and 32 MB,
 # 4 MB gave the fastest vgg-mini batch-100 train step and EVAL forward on
 # 2 vCPU; cnn9-mini at batch 16 moved within 5%. The pool's threads share it:
-# each forward part holds _BLOCK_BYTES // parallel.THREADS, and the backward
-# runs _BWD_IN_FLIGHT blocks of _BLOCK_BYTES // _BWD_IN_FLIGHT at a time.
+# each forward part holds _BLOCK_BYTES // parallel.THREADS. The backward's
+# blocks are sized by bytes alone, so that its weight-gradient sum does not
+# depend on the thread count: _BWD_IN_FLIGHT blocks of
+# _BLOCK_BYTES // _BWD_IN_FLIGHT run at a time, each within a core's 2 MB L2.
 _BLOCK_BYTES = 1 << 22
 _BWD_IN_FLIGHT = 2
 
