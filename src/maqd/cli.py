@@ -325,7 +325,9 @@ def _load_checkpoint(path, data: datasets.LabeledImageSet | None = None
                      ) -> network.ModelGraph:
     """The model a `checkpoint.npz` holds: built from its config, then each
     array written in place into the buffer of its key in `_state`, whose
-    keys, shapes and dtypes the file must match. Using it on `data` of
+    keys, shapes and dtypes the file must match. Every value must be
+    finite and every running variance non-negative; the error names the
+    key and the flat index of the first that is not. Using it on `data` of
     other class or channel counts is a usage error."""
     try:
         with zipfile.ZipFile(path) as archive:  # read() checks each member's CRC
@@ -355,6 +357,14 @@ def _load_checkpoint(path, data: datasets.LabeledImageSet | None = None
                 and have.dtype == want.dtype):
             raise CheckpointError(f"{path}: key {key!r} must be a {want.dtype} array "
                                   f"of shape {want.shape}")
+        bad = ~np.isfinite(have)
+        if key.startswith("running_var"):
+            bad |= have < 0
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            raise CheckpointError(f"{path}: key {key!r} holds {have.reshape(-1)[at]} at flat "
+                                  f"index {at}; values must be finite"
+                                  + (" and non-negative" if key.startswith("running_var") else ""))
         want[...] = have
     if data is not None:
         for key, value in [("class_count", data.class_count),

@@ -17,28 +17,35 @@ RuntimeError that names the layer.
 
 Every convolution is a 3x3 or 1x1 cross-correlation at stride 1, padded
 by k // 2 so that its output keeps its input's extent (the nets downsample
-with pooling). `_conv` computes it in parts of whole samples, run on the
-threads of the `parallel` pool, each part as many samples as keep its
-patch matrix within `_BLOCK_BYTES // parallel.THREADS`, so that the parts
-in flight hold about one block of patch matrix between them: per part,
-`_im2col` copies the samples into a zero-padded NHWC buffer and gathers
-each output pixel's window in (ki, kj, c) order, so every kernel tap
-copies a contiguous run of channels, and one GEMM with the tap-major weight
-gives the part's output. The parts are rows of one GEMM, so the output
-does not depend on how many there are. No full-batch patch matrix is ever
-built. `_tap_major` puts the (out, c*k*k) weight rows in the same order;
-the weight itself, WS, the quantizer and the export format keep the
-canonical (out, c, k, k) layout. A TRAIN conv tapes its input and its
-effective weight with the WS and quantizer caches, and no patch matrix.
-Its backward (`_col2im`) is one pass over the `_blocks` of the upstream,
-blocks of whole samples fixed by bytes alone, each gathered and multiplied
-whole by one pool thread: the block's patch matrix of the upstream gives
-both the input gradient, the conv's exact transpose (the upstream
-cross-correlated with the weight flipped in both spatial axes, its in and
-out channels swapped), and the block's weight-gradient product with the
-block's input. The products are summed in block order, whatever the thread
-count. The export runs `Conv2d.effective_weight` in float64; its runtime
-calls the same conv, `affine`, 2x2 and global pooling kernels.
+with pooling). Activations are channels-last from the first conv to the
+head: their memory holds NHWC rows, one pixel's channels contiguous, while
+their shape stays the logical (n, c, h, w). `_conv` writes that layout
+whatever its input's, and every other kernel keeps its input's layout, so
+no layer transposes an activation. `_conv` computes in parts of whole
+samples, run on the threads of the `parallel` pool, each part as many
+samples as keep its patch matrix within `_BLOCK_BYTES // parallel.THREADS`,
+so that the parts in flight hold about one block of patch matrix between
+them: per part, `_im2col` copies the samples' NHWC rows into a zero-padded
+buffer, a contiguous copy, and gathers each output pixel's window in
+(ki, kj, c) order, so every kernel tap copies a contiguous run of channels
+(a 1x1 patch matrix is the rows themselves), and one GEMM with the
+tap-major weight writes the part's NHWC rows of the output. The parts are
+rows of one GEMM, so the output does not depend on how many there are. No
+full-batch patch matrix is ever built. `_tap_major` puts the (out, c*k*k)
+weight rows in the same order; the weight itself, WS, the quantizer and
+the export format keep the canonical (out, c, k, k) layout. A TRAIN conv
+tapes its input and its effective weight with the WS and quantizer caches,
+and no patch matrix. Its backward (`_col2im`) is one pass over the
+`_blocks` of the upstream, blocks of whole samples fixed by bytes alone,
+each gathered and multiplied whole by one pool thread: the block's patch
+matrix of the upstream gives both the input gradient's NHWC rows, the
+conv's exact transpose (the upstream cross-correlated with the weight
+flipped in both spatial axes, its in and out channels swapped), and the
+block's weight-gradient product, the block's NHWC rows of the input,
+transposed, times that patch matrix. The products are summed in block
+order, whatever the thread count. The export runs `Conv2d.effective_weight`
+in float64; its runtime calls the same conv, `affine`, 2x2 and global
+pooling kernels, so its activations are channels-last too.
 
 The EVAL forward computes a quantized conv that reads an activation
 quantizer's output as the runtime does. `_link` finds each ActQuant ->
@@ -64,8 +71,8 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from . import parallel
-from .normalization import (Mode, NormKind, NormLayerState, fold_normalization,
-                            norm_backward, norm_forward, weight_standardize,
+from .normalization import (Mode, NormKind, NormLayerState, empty_in, fold_normalization,
+                            memory_order, norm_backward, norm_forward, weight_standardize,
                             weight_standardize_backward)
 from .quantizer import (QuantConfig, QuantKind, code_conv, lattice_states,
                         quantize_tensor_backward, quantize_tensor_forward, weight_lattice)
@@ -100,23 +107,25 @@ def _nbytes(obj) -> int:
 
 def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """(n, c, h, w) -> (n*h*w, k*k*c) patch matrix of the stride-1 conv padded
-    by k // 2, whose output has x's extent; written into `out`, a
-    C-contiguous array of that shape, when one is given.
+    by k // 2, whose output has x's extent.
 
     Columns are tap-major: column (ki*k + kj)*c + ci holds input channel ci
     at kernel tap (ki, kj), so the matrix multiplies `_tap_major` weights.
-    The input is copied once into a zero-padded NHWC buffer; a 1x1 patch
-    matrix is that buffer itself.
+    A 3x3 patch matrix is written into `out`, a C-contiguous array of that
+    shape, when one is given: x's NHWC rows are copied once into a
+    zero-padded buffer, a contiguous copy from channels-last x, and each
+    output pixel's window is gathered from it. A 1x1 patch matrix is x's
+    NHWC rows themselves, a view of channels-last x (a C-order x is copied).
     """
     n, c, h, w = x.shape
     pad = k // 2
+    rows = x.transpose(0, 2, 3, 1)
+    if not pad:
+        return rows.reshape(n * h * w, c)
     if out is None:
         out = np.empty((n * h * w, k * k * c), dtype=x.dtype)
-    if not pad:
-        out.reshape(n, h, w, c)[...] = x.transpose(0, 2, 3, 1)
-        return out
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    xp[:, pad:pad + h, pad:pad + w] = rows
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     out.reshape(n, h, w, k, k, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
     return out
@@ -176,37 +185,40 @@ def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col) -> np.ndarray:
     """Cross-correlation of (n, c, h, w) x with the tap-major (out, k*k*c)
     matrix w_tap at stride 1 and padding k // 2, one part of `_conv_parts`
     at a time on each pool thread: the part's patch matrix from `im2col`
-    (the caller's `_im2col`) times w_tap. The parts are rows of one GEMM,
-    so the output does not depend on them. Returns the (n, out, h, w)
-    output."""
+    (the caller's `_im2col`) times w_tap, written straight into the part's
+    NHWC rows of the output. The parts are rows of one GEMM, so the output
+    does not depend on them. Returns the (n, out, h, w) output,
+    channels-last whatever x's layout."""
     n, _, h, w = x.shape
     out_ch = w_tap.shape[0]
-    y = np.empty((n, out_ch, h, w), dtype=np.result_type(x, w_tap))
+    y = np.empty((n * h * w, out_ch), dtype=np.result_type(x, w_tap))
 
     def run(b):
-        y[b] = (im2col(x[b], k) @ w_tap.T).reshape(-1, h, w, out_ch).transpose(0, 3, 1, 2)
+        np.matmul(im2col(x[b], k), w_tap.T, out=y[b.start * h * w:b.stop * h * w])
 
     parallel.map_parts(run, _conv_parts(x.shape, x.itemsize, k, out_ch))
-    return y
+    return y.reshape(n, h, w, out_ch).transpose(0, 3, 1, 2)
 
 
 def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
             input_grad: bool):
     """Both gradients of the conv of x with the (out, c*k*k) weight w2d,
-    given the (n, out, h, w) output gradient: (input gradient, or None
-    without computing it when `input_grad` is false; the (out, c*k*k)
-    weight gradient).
+    given the (n, out, h, w) output gradient: (the channels-last input
+    gradient, or None without computing it when `input_grad` is false; the
+    (out, c*k*k) weight gradient).
 
     Each of the `_blocks` is gathered and multiplied whole by one pool
     thread, _BWD_IN_FLIGHT at a time, into buffers the caller makes. Its
     patch matrix P of the upstream, gathered once, gives both:
-    - the input gradient's rows, P times the weight flipped in both spatial
-      axes with its in and out channels swapped: at stride 1 and padding
-      k // 2 the conv's transpose is that conv, and the rows are those of
-      one GEMM whatever the blocks;
-    - the block's weight-gradient product, the (c, rows) channel-major
-      block of x times P, whose column (ki, kj, o) holds the gradient of
-      weight [o, c, k-1-ki, k-1-kj].
+    - the input gradient's NHWC rows, P times the weight flipped in both
+      spatial axes with its in and out channels swapped, written straight
+      into the gradient: at stride 1 and padding k // 2 the conv's
+      transpose is that conv, and the rows are those of one GEMM whatever
+      the blocks;
+    - the block's weight-gradient product, the block's NHWC rows of x,
+      transposed, times P, whose column (ki, kj, o) holds the gradient of
+      weight [o, c, k-1-ki, k-1-kj]. The rows are a view of channels-last
+      x (a C-order x, the graph input, is copied).
     The products are added to the gradient in block order, whatever the
     thread count, each through a view in the canonical layout; those held
     at once fill at most _BLOCK_BYTES, or one per block in flight."""
@@ -214,28 +226,23 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     out_ch = w2d.shape[0]
     w_flip = _tap_major(w2d.reshape(out_ch, c, k, k)[:, :, ::-1, ::-1].transpose(
         1, 0, 2, 3).reshape(c, -1), out_ch, k)
-    grad_x = np.empty(x.shape, np.result_type(upstream, w_flip)) if input_grad else None
+    grad_x = np.empty((n * h * w, c), np.result_type(upstream, w_flip)) if input_grad else None
     blocks = _blocks(upstream.shape, upstream.itemsize, k)
     rows = max(b.stop - b.start for b in blocks) * h * w
     prod_dtype = np.result_type(x, upstream)
     wave = max(_BWD_IN_FLIGHT, _BLOCK_BYTES // max(1, w2d.size * prod_dtype.itemsize))
     prods = np.empty((min(wave, len(blocks)), c, k * k * out_ch), prod_dtype)
 
-    def make():
-        return (np.empty((rows, k * k * out_ch), upstream.dtype), np.empty(c * rows, x.dtype),
-                np.empty((rows, c), grad_x.dtype) if input_grad else None)
+    def make():  # a 1x1 patch matrix is a view of the upstream: no rows
+        return np.empty((rows if k > 1 else 0, k * k * out_ch), upstream.dtype)
 
-    def run(i, buffers):
-        patches, x_cm, grad_rows = buffers
+    def run(i, patches):
         b = blocks[i]
-        m = b.stop - b.start
-        p = _im2col(upstream[b], k, patches[:m * h * w])
+        r = slice(b.start * h * w, b.stop * h * w)
+        p = _im2col(upstream[b], k, patches[:r.stop - r.start])
         if input_grad:
-            grad_x[b] = np.matmul(p, w_flip.T, out=grad_rows[:m * h * w]).reshape(
-                m, h, w, c).transpose(0, 3, 1, 2)
-        x_cm = x_cm[:c * m * h * w].reshape(c, m, h, w)
-        x_cm[...] = x[b].transpose(1, 0, 2, 3)
-        np.matmul(x_cm.reshape(c, -1), p, out=prods[i % wave])
+            np.matmul(p, w_flip.T, out=grad_x[r])
+        np.matmul(x[b].transpose(0, 2, 3, 1).reshape(-1, c).T, p, out=prods[i % wave])
 
     grad_w = np.zeros((out_ch, c, k, k), prod_dtype)
     for lo in range(0, len(blocks), wave):
@@ -243,6 +250,8 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
         parallel.map_parts_with(run, part, make, _BWD_IN_FLIGHT)
         for i in part:
             grad_w += prods[i % wave].reshape(c, k, k, out_ch)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    if input_grad:
+        grad_x = grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
     return grad_x, grad_w.reshape(out_ch, -1)
 
 
@@ -325,7 +334,7 @@ class Conv2d(_Leaf):
             lattice = weight_lattice(lattice_states(w2d, q), q)
             w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
             sums = _conv(x, w_tap, self.kernel, _im2col)
-            y = sums if sums.dtype == w2d.dtype else np.empty(sums.shape, w2d.dtype)
+            y = sums if sums.dtype == w2d.dtype else np.empty_like(sums, w2d.dtype)
             d = self.codes.divisor
             # float64 carries over twice float32's precision, so rounding its
             # quotient of two float32 values to float32 gives float32's own
@@ -444,9 +453,8 @@ class AvgPool2(_Leaf):
         return y
 
     def backward(self, upstream):
-        n, c, h, w = self._tape()
         quarter = upstream * 0.25
-        g = np.empty((n, c, h, w), dtype=upstream.dtype)
+        g = np.empty_like(upstream, shape=self._tape())  # in upstream's layout
         for i in (0, 1):
             for j in (0, 1):
                 g[..., i::2, j::2] = quarter
@@ -454,21 +462,26 @@ class AvgPool2(_Leaf):
 
 
 def _global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> (n, c) spatial mean, summed in float64, in x's dtype."""
-    return np.mean(x, axis=(2, 3), dtype=np.float64).astype(x.dtype, copy=False)
+    """(n, c, h, w) -> (n, c) spatial mean, summed in float64 over each
+    plane in C order whatever x's layout (a channels-last x, the head
+    conv's few channels, is copied), in x's dtype."""
+    return np.mean(np.ascontiguousarray(x), axis=(2, 3),
+                   dtype=np.float64).astype(x.dtype, copy=False)
 
 
 class GlobalAvgPool(_Leaf):
-    """Mean over all spatial positions; flattens (n, c, h, w) -> (n, c)."""
+    """Mean over all spatial positions; flattens (n, c, h, w) -> (n, c). The
+    backward's gradient takes the forward input's layout."""
 
     def forward(self, x, mode):
         if mode is Mode.TRAIN:
-            self.cache = x.shape
+            self.cache = x.shape, memory_order(x)
         return _global_avg_pool(x)
 
     def backward(self, upstream):
-        n, c, h, w = self._tape()
-        g = np.empty((n, c, h, w), dtype=upstream.dtype)
+        shape, order = self._tape()
+        h, w = shape[2:]
+        g = empty_in(order, shape, upstream.dtype)
         g[...] = (upstream / (h * w))[:, :, None, None]
         return g
 

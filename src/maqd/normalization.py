@@ -13,9 +13,22 @@ LN recomputes per-sample statistics at eval time. Variances use the
 population convention (divide by count).
 
 The kernels make the fewest whole-tensor passes and no float64 copy of
-their input. Every reduction accumulates in float64 (`dtype=np.float64`)
-over the input's own dtype, over the whole tensor on the calling thread;
-the elementwise passes between the reductions run in slices of samples on
+their input, and their outputs keep their input's memory layout: C order,
+or channels-last (NHWC rows), which the network keeps from its first conv
+to its head. Per-channel operands (g and b, the folded scale and bias,
+BN's mean and inv_std) are `_tile`s: on channels-last memory one sample
+in the input's layout, so that a ufunc's inner loop runs over a whole
+sample rather than one pixel's channels. Every reduction accumulates in
+float64 over the input's own dtype. LN's and LBN's are np.mean over the
+whole tensor on the calling thread, which walks it in memory order. BN's
+channel sums (its statistics, and every kind's grad_b and grad_g) are
+`_channel_sums`: np.sum on C order; on channels-last memory, per sample,
+ones times its (h*w, C) rows cast to float64 in blocks, one GEMV, and the
+samples added in order, within (n + h*w) * 2**-53 of the sum of |x| of the
+exact sum. So a C-order input and its channels-last copy differ by float64
+summation order alone, which at float32 the final rounding hides on the
+tested tensors; at float64 they agree within 1e-14 relative. The
+elementwise passes between the reductions run in slices of samples on
 the threads of the `parallel` pool, each slice taking all of a stage's
 passes while it is in cache, so the results do not depend on the thread
 count. The TRAIN forward takes the mean, squares
@@ -119,14 +132,90 @@ def fold_normalization(st: NormLayerState) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(scale, (c,)).copy(), np.broadcast_to(bias, (c,)).copy()
 
 
-def _channels(v: np.ndarray, dtype) -> np.ndarray:
-    """A (C,) vector as a (1, C, 1, 1) broadcast operand of the given dtype."""
-    return v.astype(dtype, copy=False).reshape(1, -1, 1, 1)
+def memory_order(x: np.ndarray) -> tuple:
+    """x's axes from the largest stride to the smallest, ties in axis order:
+    (0, 1, 2, 3) for a C-order (n, c, h, w) array, (0, 2, 3, 1) for a
+    channels-last one, whose memory holds NHWC rows."""
+    return tuple(sorted(range(x.ndim), key=lambda i: -abs(x.strides[i])))
+
+
+def empty_in(order, shape, dtype) -> np.ndarray:
+    """An empty array of `shape` whose memory holds its axes in `order` (see
+    `memory_order`)."""
+    return np.empty([shape[i] for i in order], dtype).transpose(np.argsort(order))
+
+
+def _tile(v, like: np.ndarray, dtype=None) -> np.ndarray:
+    """A per-channel vector v as an operand of the (n, C, h, w) tensor
+    `like`, in `dtype` (like's by default). Where the channels are like's
+    innermost axis in memory (channels-last), a (1, C, 1, 1) operand would
+    end a ufunc's inner loop at every pixel: there v is tiled into one
+    sample in like's layout, and the loop runs over whole samples. Where
+    they are not (C order), v broadcasts along contiguous planes as it is."""
+    v = np.asarray(v).astype(dtype or like.dtype, copy=False).reshape(1, -1, 1, 1)
+    if v.size == 1 or memory_order(like)[-1] != 1:
+        return v
+    t = np.empty_like(like, dtype=v.dtype, shape=(1,) + like.shape[1:])
+    t[...] = v
+    return t
+
+
+# Bytes of float64 NHWC rows that `_channel_sums` casts and sums at a time.
+_SUM_BYTES = 1 << 18
+
+
+def _channel_sums(x: np.ndarray) -> np.ndarray:
+    """The (C,) float64 sums of an (n, C, h, w) tensor over (n, h, w).
+
+    On channels-last memory a reduction over the outer axes would run one
+    inner loop per pixel. There each sample's sums are ones(h*w) times its
+    (h*w, C) NHWC rows, one GEMV, on a few samples at a time (_SUM_BYTES)
+    cast to float64 in a buffer of each pool thread, and the samples' sums
+    are added in sample order, so the result does not depend on the thread
+    count. Any other layout takes np.sum. The two orders differ by float64
+    rounding alone: each sum is within (n + h*w) * 2**-53 of the sum of the
+    channel's |x| of the exact one."""
+    n, c, h, w = x.shape
+    if memory_order(x)[-1] != 1 or x.flags.c_contiguous:
+        return np.sum(x, axis=(0, 2, 3), dtype=np.float64)
+    rows = x.transpose(0, 2, 3, 1).reshape(n, h * w, c)
+    sums = np.empty((n, c))
+    ones = np.ones(h * w)
+    step = max(1, _SUM_BYTES // max(1, rows[:1].size * 8))
+
+    def run(s, buf):
+        for i in range(s.start, s.stop, step):
+            j = min(i + step, s.stop)
+            b = buf[:j - i]
+            b[...] = rows[i:j]
+            np.matmul(ones, b, out=sums[i:j])
+
+    parallel.map_parts_with(run, parallel.by_samples(n, x.nbytes),
+                            lambda: np.empty((min(step, n), h * w, c)))
+    return sums.sum(axis=0)
+
+
+def _mean(x: np.ndarray, kind: NormKind, dtype) -> np.ndarray:
+    """The mean of x over the kind's axes, summed in float64, in `dtype`,
+    with x's dimensions: (1, C, 1, 1) for BN, from `_channel_sums`;
+    (n, 1, 1, 1) for LN and (1, 1, 1, 1) for LBN, from np.mean, which walks
+    x in memory order."""
+    if kind is NormKind.BN:
+        mean = (_channel_sums(x) / (x.size // x.shape[1])).reshape(1, -1, 1, 1)
+    else:
+        mean = np.mean(x, axis=_REDUCE_AXES[kind], keepdims=True, dtype=np.float64)
+    return mean.astype(dtype)
 
 
 def _per_sample(v: np.ndarray, s: slice) -> np.ndarray:
     """The rows s of a statistic with one row per sample (LN's), else v."""
     return v[s] if v.shape[0] > 1 else v
+
+
+def _operand(stat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A statistic of `_mean` as an operand of x: BN's per-channel one as a
+    `_tile`, a per-sample or whole-tensor one as it is."""
+    return _tile(stat, x) if stat.shape[1] > 1 else stat
 
 
 def _affine_into(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, out: np.ndarray):
@@ -135,10 +224,11 @@ def _affine_into(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, out: np.nda
 
 
 def affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x * scale + bias per channel of (n, c, h, w) x, in x's dtype, in two
-    passes, split by samples over the pool's threads."""
-    scale, bias = _channels(scale, x.dtype), _channels(bias, x.dtype)
-    y = np.empty(x.shape, np.result_type(x, scale))
+    """x * scale + bias per channel of (n, c, h, w) x, in x's dtype and
+    layout, in two passes with the vectors as `_tile`s, split by samples
+    over the pool's threads."""
+    scale, bias = _tile(scale, x), _tile(bias, x)
+    y = np.empty_like(x)
     parallel.map_parts(lambda s: _affine_into(x[s], scale, bias, y[s]),
                        parallel.by_samples(x.shape[0], x.nbytes))
     return y
@@ -165,62 +255,63 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     if mode is Mode.EVAL and st.kind is not NormKind.LN:
         return affine(x, *fold_normalization(st)), None
 
-    axes = _REDUCE_AXES[st.kind]
+    kind = st.kind
     parts = parallel.by_samples(x.shape[0], x.nbytes)
-    mean = np.mean(x, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
-    x_hat = np.empty(x.shape, x.dtype)  # (x - mean)**2 first, then x_hat
+    mean = _mean(x, kind, x.dtype)
+    mean_op = _operand(mean, x)
+    x_hat = np.empty_like(x)  # (x - mean)**2 first, then x_hat
 
     def squares(s):
-        np.subtract(x[s], _per_sample(mean, s), out=x_hat[s])
+        np.subtract(x[s], _per_sample(mean_op, s), out=x_hat[s])
         np.square(x_hat[s], out=x_hat[s])
 
     parallel.map_parts(squares, parts)
-    var = np.mean(x_hat, axis=axes, keepdims=True, dtype=np.float64).astype(x.dtype)
-    if mode is Mode.TRAIN and st.kind is not NormKind.LN:
+    var = _mean(x_hat, kind, x.dtype)
+    if mode is Mode.TRAIN and kind is not NormKind.LN:
         r = st.ema_rate
         # in place: the statistics stay the arrays `create` made (checkpoints alias them)
         st.running_mean[...] = (1 - r) * st.running_mean + r * mean.squeeze()
         st.running_var[...] = (1 - r) * st.running_var + r * var.squeeze()
     inv_std = 1.0 / np.sqrt(var + st.eps)
-    g, b = _channels(st.g, x.dtype), _channels(st.b, x.dtype)
-    y = np.empty(x.shape, x.dtype)
+    inv_op = _operand(inv_std, x)
+    g, b = _tile(st.g, x), _tile(st.b, x)
+    y = np.empty_like(x)
 
     def normalize(s):
-        np.subtract(x[s], _per_sample(mean, s), out=x_hat[s])
-        x_hat[s] *= _per_sample(inv_std, s)
+        np.subtract(x[s], _per_sample(mean_op, s), out=x_hat[s])
+        x_hat[s] *= _per_sample(inv_op, s)
         _affine_into(x_hat[s], g, b, y[s])
 
     parallel.map_parts(normalize, parts)
     if mode is Mode.TRAIN:
-        return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, b=st.b, kind=st.kind)
+        return y, NormCache(x_hat=x_hat, inv_std=inv_std, g=st.g, b=st.b, kind=kind)
     return y, None
 
 
 def norm_backward(cache: NormCache, upstream: np.ndarray):
     """Exact gradients through a TRAIN-mode forward, including the dependence
-    of the statistics on the input. Returns (grad_x, grad_g, grad_b)."""
+    of the statistics on the input. Returns (grad_x, grad_g, grad_b); grad_x
+    in x_hat's layout."""
     if cache is None:
         raise ValueError("norm_backward requires a TRAIN-mode cache")
     x_hat, inv_std, g = cache.x_hat, cache.inv_std, cache.g
     dtype = upstream.dtype
     parts = parallel.by_samples(x_hat.shape[0], x_hat.nbytes)
-    grad_b = np.sum(upstream, axis=(0, 2, 3), dtype=np.float64)
-    t = np.empty(x_hat.shape, np.result_type(upstream, x_hat))
+    grad_b = _channel_sums(upstream)
+    t = np.empty_like(x_hat, dtype=np.result_type(upstream, x_hat))
     parallel.map_parts(lambda s: np.multiply(upstream[s], x_hat[s], out=t[s]), parts)
-    grad_g = np.sum(t, axis=(0, 2, 3), dtype=np.float64)
-    grad_x = np.empty(x_hat.shape, np.result_type(upstream, dtype))
+    grad_g = _channel_sums(t)
+    grad_x = np.empty_like(x_hat, dtype=dtype)
 
     if cache.kind is NormKind.LN:
-        axes = _REDUCE_AXES[NormKind.LN]
-        g_c = _channels(g, dtype)
+        g_c = _tile(g, x_hat, dtype)
 
         def d_xhat(s):
             np.multiply(upstream[s], g_c, out=grad_x[s])
             np.multiply(grad_x[s], x_hat[s], out=t[s])
 
         parallel.map_parts(d_xhat, parts)
-        m1 = np.mean(grad_x, axis=axes, keepdims=True, dtype=np.float64).astype(dtype)
-        m2 = np.mean(t, axis=axes, keepdims=True, dtype=np.float64).astype(dtype)
+        m1, m2 = _mean(grad_x, NormKind.LN, dtype), _mean(t, NormKind.LN, dtype)
 
         def combine(s):
             np.multiply(x_hat[s], m2[s], out=t[s])
@@ -239,7 +330,7 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
             count = x_hat.size
             m1, m2 = g64 @ grad_b / count, g64 @ grad_g / count
         inv = inv_std.astype(np.float64).reshape(-1)
-        c2, c1, c3 = (_channels(inv * v, dtype) for v in (m2, m1, g64))
+        c2, c1, c3 = (_tile(inv * v, x_hat, dtype) for v in (m2, m1, g64))
 
         def combine(s):
             np.multiply(x_hat[s], c2, out=t[s])

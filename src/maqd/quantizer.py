@@ -13,10 +13,16 @@ cache; it multiplies by the upstream gradient inside each block, and so
 reads the saved input and the upstream gradient and writes the result once
 from main memory, whatever m_a is. Each threshold costs five passes over
 the cached block. The blocks are independent, so the result does not
-depend on the thread count. An activation that follows a normalization
-saves nothing of its own: its backward is given the norm's x_hat and
-per-channel (g, b), and rebuilds its input z = x_hat * g + b inside each
-block, which then holds whole channel planes.
+depend on the thread count. Every tensor is walked in its memory order,
+and every output keeps its input's layout, C order or channels-last (NHWC
+rows). An activation that follows a normalization saves nothing of its
+own: its backward is given the norm's x_hat and per-channel (g, b), and
+rebuilds its input z = x_hat * g + b inside each block, which then holds
+whole pixels on channels-last memory (whole channel planes on C order), so
+that g and b repeat in it from its start. The quantizer's per-channel
+operands (an affine's scale and bias, the runtime's thresholds) are
+`normalization._tile`s, one sample in the input's layout on channels-last
+memory.
 
 The activation quantizer can also emit its integer codes k instead of
 k/(m_a-1), for a quantized conv that reads them. `CodeConv` holds how such
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .normalization import _affine_into, _channels
+from .normalization import _affine_into, _tile, empty_in, memory_order
 
 
 class QScaleMode(enum.Enum):
@@ -128,7 +134,7 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
     non-negative range, rounding half away from zero is floor(v + 0.5).
     Inputs in (-0.5/(m_a-1), 0] give +0.0, where scaled_round_clip gives -0.0.
     The passes run in slices of samples on the pool's threads, each slice
-    checked to be finite first.
+    checked to be finite first. Every result keeps a_hat's memory layout.
 
     With `codes`, a float dtype, the result is instead the integer codes
     k = value * (m_a-1) in that dtype: the same passes, in a_hat's dtype,
@@ -147,12 +153,13 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
     if m_a < 2:
         raise ValueError(f"m_a must be >= 2, got {m_a}")
     if thresholds is not None:
-        count = np.zeros(a_hat.shape, np.min_scalar_type(m_a - 1))
-        reached = np.empty(a_hat.shape, bool)
+        count = np.zeros_like(a_hat, dtype=np.min_scalar_type(m_a - 1))
+        reached = np.empty_like(a_hat, dtype=bool)
+        tiles = [_tile(t, a_hat, thresholds.dtype) for t in thresholds]
 
         def count_part(s):
-            for t in thresholds:
-                np.greater_equal(a_hat[s], t.reshape(1, -1, 1, 1), out=reached[s])
+            for t in tiles:
+                np.greater_equal(a_hat[s], t, out=reached[s])
                 count[s] += reached[s].view(np.uint8)
 
         parallel.map_parts(count_part, parallel.by_samples(a_hat.shape[0], a_hat.nbytes))
@@ -160,9 +167,9 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
     top = float(m_a - 1)
     a = np.atleast_1d(a_hat)
     dtype = np.result_type(a, top)  # of the passes
-    v = np.empty(a.shape, dtype if codes is None else codes)
+    v = np.empty_like(a, dtype=dtype if codes is None else codes)
     if affine is not None:
-        scale, bias = (_channels(t, a.dtype) for t in affine)
+        scale, bias = (_tile(t, a) for t in affine)
     parts = parallel.by_samples(a.shape[0], a.nbytes)
     rows = max(s.stop - s.start for s in parts)
 
@@ -183,7 +190,7 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
             vs /= top
 
     parallel.map_parts_with(run, parts, lambda: None if v.dtype == dtype
-                            else np.empty((rows,) + a.shape[1:], dtype))
+                            else np.empty_like(a, dtype, shape=(rows,) + a.shape[1:]))
     return v if np.ndim(a_hat) else v[0]
 
 
@@ -264,10 +271,16 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     """Sum over thresholds of d/dz sigma_alpha(z - b_m); strictly positive.
     Times `upstream`, in upstream's dtype, when one is given.
 
+    The result has a_hat's memory layout: every operand is flattened in
+    a_hat's memory order (an upstream in another layout is copied).
+
     With `affine` = (g, b), two per-channel vectors, a_hat is a norm's
-    (n, c, ...) x_hat and z = a_hat * g + b over axis 1. Each block is then
-    whole channel planes, and z is rebuilt in it by the two ufunc calls of
-    the normalization's `affine` kernel (multiply by g, add b, in a_hat's
+    (n, c, ...) x_hat and z = a_hat * g + b over axis 1. In memory order g
+    and b repeat with the period of the axes from the channel axis inwards:
+    c elements on channels-last memory, c planes on C order. Each block is
+    then whole periods, so that one pattern of a block of g and b, built by
+    broadcast, serves every block; z is rebuilt in it by the two ufunc calls
+    of the normalization's `affine` kernel (multiply by g, add b, in a_hat's
     dtype), so it is bitwise the norm's output; no full-size z is made.
 
     Each bump is sigma'_alpha(x) = E / (1 + E) / (1 + E) / alpha with
@@ -306,18 +319,25 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
     chain = m_a - 1 if step * (m_a - 1) <= half_range / 2 else int(half_range / 2 // step) + 1
     ratio = dtype.type(np.exp(-step))
     out_dtype = dtype if upstream is None else upstream.dtype
-    out = np.empty(z.shape, out_dtype)
-    zf, of = z.reshape(-1), out.reshape(-1)  # a strided z or upstream is copied
-    uf = None if upstream is None else upstream.reshape(-1)
+    # every operand flattened in z's memory order: out is made in it, and a
+    # z or upstream that is not contiguous in it is copied
+    order = memory_order(z)
+    out = empty_in(order, z.shape, out_dtype)
+    zf, of = (t.transpose(order).reshape(-1) for t in (z, out))
+    uf = None if upstream is None else upstream.transpose(order).reshape(-1)
     block = _CHUNK
     if affine is not None:
-        plane = max(1, int(np.prod(z.shape[2:])))
-        block = max(1, _CHUNK // plane) * plane
-        # g and b per element over the channel cycle of c planes and then one
-        # block: the block starting at plane p reads them from plane p % c on
-        cycle = z.shape[1] * plane
-        g_el, b_el = (np.resize(np.repeat(v.astype(dtype, copy=False), plane), cycle + block)
-                      for v in affine)
+        # g and b repeat with the period of the axes from the channel axis
+        # inwards in memory order: c elements on channels-last memory, c
+        # planes on C-order. A block is whole periods, so each block reads
+        # them from one pattern of block elements, made by broadcast
+        inner = order[order.index(1):]
+        period = max(1, int(np.prod([z.shape[i] for i in inner])))
+        block = max(1, _CHUNK // period) * period
+        g_el, b_el = (np.broadcast_to(
+            v.astype(dtype, copy=False).reshape([-1 if i == 1 else 1 for i in inner]),
+            (block // period,) + tuple(z.shape[i] for i in inner)).reshape(-1)
+            for v in affine)
 
     def chunk(lo, bufs):
         e, d, bump, total = bufs
@@ -328,9 +348,8 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
             if affine is None:
                 np.subtract(zf[lo:lo + n], b_hi[first], out=ec, casting="unsafe")
             else:
-                at = lo % cycle
-                np.multiply(zf[lo:lo + n], g_el[at:at + n], out=ec)
-                ec += b_el[at:at + n]
+                np.multiply(zf[lo:lo + n], g_el[:n], out=ec)
+                ec += b_el[:n]
                 ec -= b_hi[first]
             if b_lo[first]:
                 ec -= b_lo[first]

@@ -135,8 +135,8 @@ def compute_r_w(graph: ModelGraph):
 def compute_r_a(output: np.ndarray) -> float:
     """R_a count of one activation layer's output on a batch: the sum over
     the batch's samples of each sample's non-zero output fraction."""
-    out = output.reshape(output.shape[0], -1)
-    return (np.count_nonzero(out, axis=1) / out.shape[1]).sum()
+    axes = tuple(range(1, output.ndim))  # in any layout, without a copy
+    return (np.count_nonzero(output, axis=axes) / output[0].size).sum()
 
 
 @dataclass

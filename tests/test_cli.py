@@ -372,6 +372,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{path}: {message}"):
             cli._load_checkpoint(path)
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("key, index, value, rule", [
+        ("param0", 5, np.nan, "finite"),
+        ("running_var0", 0, -1.0, "finite and non-negative")], ids=["nan_param", "negative_var"])
+    def test_bad_values_are_2_and_name_the_file_and_key(self, tmp_path, capsys, command,
+                                                        key, index, value, rule):
+        path = tmp_path / "checkpoint.npz"
+        write_checkpoint(path)
+        with np.load(path) as f:
+            arrays = dict(f)
+        arrays[key].reshape(-1)[index] = value
+        np.savez(path, **arrays)
+        args = {"eval": ["eval", "--dataset", "blobs", "--checkpoint", str(path)],
+                "export": ["export", "--checkpoint", str(path),
+                           "--out", str(tmp_path / "m.maqd")]}[command]
+        assert main(args) == 2
+        assert (f"error: {path}: key {key!r} holds {value} at flat index {index}; "
+                f"values must be {rule}\n") == capsys.readouterr().err
+        assert not (tmp_path / "m.maqd").exists()
+
     def test_eval_with_a_three_channel_checkpoint_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "checkpoint.npz"
         write_checkpoint(path, in_channels=3)

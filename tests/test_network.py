@@ -16,6 +16,7 @@ from maqd.normalization import (Mode, NormKind, NormLayerState, norm_backward,
                                 weight_standardize_backward)
 from maqd.quantizer import QuantConfig, activation_surrogate_grad, round_half_away
 from gradcheck import numeric_grad, rel_err
+from layout import channels_last, is_c_order, is_channels_last
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -273,7 +274,7 @@ class TestBlockedConv:
         conv.weight.zero_grad()
         grad_x = conv.backward(up)
         y_ref, grad_x_ref, grad_w_ref = _one_shot(conv, x, up)
-        assert y.dtype == grad_x.dtype == dtype and y.flags.c_contiguous
+        assert y.dtype == grad_x.dtype == dtype and y.transpose(0, 2, 3, 1).flags.c_contiguous
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(conv.forward(x, Mode.EVAL), y_ref)
         if dtype == np.float64 and in_ch == 3:
@@ -1143,3 +1144,97 @@ class TestMapParts:
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(parallel, "_blas_setter", lambda: calls.append)
         assert parallel._thread_count() == 2 and calls == [1]
+
+
+def _arrays(obj):
+    """The ndarrays of a tape: an array, a tuple of them, or a dataclass."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for o in obj for a in _arrays(o)]
+    if hasattr(obj, "__dataclass_fields__"):
+        return [a for v in vars(obj).values() for a in _arrays(v)]
+    return []
+
+
+class TestLayout:
+    """Activations stay channels-last from the first conv to the head: the
+    conv writes its GEMMs into NHWC rows whatever its input's layout, and
+    every other kernel keeps its input's. A C-order input and its
+    channels-last copy give bitwise the same values."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv(self, kernel, dtype):
+        conv, x, _ = _blocked_case(kernel, dtype, seed=90, in_ch=24, out_ch=8)
+        up = RNG(91).normal(size=(x.shape[0], 8) + x.shape[2:]).astype(dtype)
+        assert len(network._blocks(up.shape, up.itemsize, kernel)) >= 2
+        out = []
+        for layout in (np.asarray, channels_last):
+            conv.weight.zero_grad()
+            y = conv.forward(layout(x), Mode.TRAIN)
+            grad_x = conv.backward(layout(up))
+            y_eval = conv.forward(layout(x), Mode.EVAL)
+            assert all(is_channels_last(a) for a in (y, grad_x, y_eval))
+            out.append((y, grad_x, y_eval, conv.weight.grad.copy()))
+        for a, b in zip(*out):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", [AvgPool2, GlobalAvgPool])
+    def test_pool(self, layer, dtype):
+        x = RNG(92).normal(size=(6, 5, 8, 12)).astype(dtype)
+        out = []
+        for layout in (np.asarray, channels_last):
+            pool = layer()
+            y = pool.forward(layout(x), Mode.TRAIN)
+            up = RNG(93).normal(size=y.shape).astype(dtype)
+            out.append((y, pool.backward(layout(up) if up.ndim == 4 else up)))
+        (y, g), (y_cl, g_cl) = out
+        assert is_c_order(y) and is_c_order(g) and is_channels_last(g_cl)
+        assert y.ndim == 2 or is_channels_last(y_cl)
+        np.testing.assert_array_equal(y, y_cl)
+        np.testing.assert_array_equal(g, g_cl)
+
+    @pytest.mark.parametrize("arch, quant, norm_kind", [
+        ("vgg-mini", QuantConfig(), NormKind.LBN),
+        ("preact-mini", QuantConfig(), NormKind.LBN),
+        ("cnn9-mini", None, NormKind.BN)])
+    def test_activations_stay_channels_last(self, monkeypatch, arch, quant, norm_kind):
+        # A tensor with other than the input's 3 channels comes after a conv:
+        # whatever a visitor sees, a TRAIN tape holds, a leaf backward
+        # receives or returns, or an EVAL code pass gathers must then be
+        # channels-last, so that no kernel transposes it. The first convs
+        # read the image, or in preact-mini the first block's activations
+        # of it.
+        graph = build_model(arch, 10, quant=quant, norm_kind=norm_kind, seed=3,
+                            dtype=np.float32, input_hw=16)
+        x = RNG(94).normal(size=(4, 3, 16, 16)).astype(np.float32)
+        labels = np.arange(4)
+
+        def after_a_conv(a):
+            return a.ndim == 4 and a.shape[1] != 3
+
+        seen = []
+        visit = lambda layer, out: seen.append(out)
+        _, grad = training.combined_loss(graph.forward(x, Mode.TRAIN, visit), labels)
+        taped = [a for layer in graph.all_layers() for a in _arrays(layer.cache)]
+        grads = []  # every leaf backward's upstream and input gradient
+        for layer in graph.all_layers():
+            def backward(up, *args, _backward=layer.backward, **kwargs):
+                g = _backward(up, *args, **kwargs)
+                grads.extend(_arrays([up, g]))
+                return g
+            monkeypatch.setattr(layer, "backward", backward)
+        graph.backward(grad)
+        graph.forward(x, Mode.EVAL, visit)
+        gathered = []
+        im2col = network._im2col
+        monkeypatch.setattr(network, "_im2col",
+                            lambda x, *a: gathered.append(x) or im2col(x, *a))
+        graph.forward(x, Mode.EVAL)  # the code pass that runs norms in the ActQuant
+        for name, arrays in [("visited", seen), ("taped", taped), ("gradients", grads),
+                             ("gathered", gathered)]:
+            later = [a for a in arrays if after_a_conv(a)]
+            assert later, name
+            assert all(is_channels_last(a) for a in later), name

@@ -1,13 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maqd import export
-from maqd.normalization import (Mode, NormKind, NormLayerState,
+from maqd import export, normalization
+from maqd.normalization import (Mode, NormKind, NormLayerState, affine,
                                 fold_normalization, norm_backward, norm_forward,
                                 weight_standardize, weight_standardize_backward)
 from gradcheck import numeric_grad, rel_err
+from layout import channels_last, is_c_order, is_channels_last
 
 ALL_KINDS = [NormKind.BN, NormKind.LN, NormKind.LBN]
 
@@ -384,3 +386,80 @@ class TestWeightStandardizeBackward:
         _, cache = weight_standardize(w)
         g = weight_standardize_backward(cache, up)
         assert rel_err(numeric_grad(loss, w), g) < 1e-5
+
+
+# more than parallel.SMALL_BYTES at float32, so the kernels run in parts,
+# and several _SUM_BYTES steps of samples
+LAYOUT_SHAPE = (20, 16, 32, 32)
+
+
+class TestLayout:
+    """A C-order input and its channels-last copy give the same values, and
+    each output keeps its input's layout. At float32 every value is bitwise
+    the same. At float64 the statistics' sums differ by summation order (np.mean
+    walks memory order; BN's channel sums are a GEMV on channels-last
+    memory), so the values agree within 1e-14 of the largest (measured
+    here: at most 9.1e-16)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_affine(self, dtype):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=LAYOUT_SHAPE).astype(dtype)
+        scale, bias = rng.normal(size=(2, LAYOUT_SHAPE[1]))
+        y, y_cl = affine(x, scale, bias), affine(channels_last(x), scale, bias)
+        assert is_c_order(y) and is_channels_last(y_cl) and y.dtype == y_cl.dtype == dtype
+        np.testing.assert_array_equal(y, y_cl)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_norm(self, kind, dtype):
+        rng = np.random.default_rng(61)
+        x = (2 * rng.normal(size=LAYOUT_SHAPE) + 0.5).astype(dtype)
+        up = rng.normal(size=LAYOUT_SHAPE).astype(dtype)
+        out = []
+        for layout in (np.asarray, channels_last):
+            st = NormLayerState.create(kind, LAYOUT_SHAPE[1], dtype=dtype)
+            st.g[:] = np.random.default_rng(62).normal(size=LAYOUT_SHAPE[1])
+            y, cache = norm_forward(layout(x), st, Mode.TRAIN)
+            grads = norm_backward(cache, layout(up))
+            y_eval, _ = norm_forward(layout(x), st, Mode.EVAL)
+            out.append((y, cache.x_hat, grads[0], y_eval, *grads[1:]))
+        for i, (a, b) in enumerate(zip(*out)):
+            if a.ndim == 4:
+                assert is_c_order(a) and is_channels_last(b)
+            assert a.dtype == b.dtype == dtype
+            if dtype == np.float32:
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("shape", [LAYOUT_SHAPE, (3, 5, 6, 4), (2, 7, 1, 1)])
+    def test_channel_sums_within_the_stated_bound(self, shape):
+        # on channels-last memory the BN channel sums are a GEMV per sample
+        # and a sum over samples: within (n + h*w) * 2**-53 of the sum of
+        # the channel's |x| of the exact sum
+        x = np.random.default_rng(63).normal(1.0, 3.0, size=shape)
+        n, c, h, w = shape
+        got = normalization._channel_sums(channels_last(x))
+        for ch in range(c):
+            values = x[:, ch].ravel()
+            exact = math.fsum(values)
+            assert abs(got[ch] - exact) <= (n + h * w) * 2.0 ** -53 * np.sum(np.abs(values))
+        # a C-order x takes np.sum, as before
+        np.testing.assert_array_equal(normalization._channel_sums(x),
+                                      np.sum(x, axis=(0, 2, 3), dtype=np.float64))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_channels_last_is_bitwise_across_threads(self, across_threads, kind):
+        # the channel sums' GEMVs run in parts of samples on the pool
+        rng = np.random.default_rng(64)
+        shape = (24,) + LAYOUT_SHAPE[1:]
+        x = channels_last(rng.normal(size=shape).astype(np.float32))
+        up = channels_last(rng.normal(size=shape).astype(np.float32))
+
+        def run():
+            st = NormLayerState.create(kind, shape[1], dtype=np.float32)
+            y, cache = norm_forward(x, st, Mode.TRAIN)
+            return [y, *norm_backward(cache, up), normalization._channel_sums(x)]
+
+        across_threads(run)

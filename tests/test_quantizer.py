@@ -11,6 +11,7 @@ from maqd.quantizer import (QScaleMode, QuantConfig, QuantKind,
                             quantize_weight, scaled_round_clip, thresholds,
                             weight_surrogate_grad)
 from gradcheck import scaled_sigmoid
+from layout import channels_last, is_c_order, is_channels_last
 
 CFG3_HALF = QuantConfig(m_w=3, m_a=4, qscale_mode=QScaleMode.HALF_MW)
 CFG3_HALF_M1 = QuantConfig(m_w=3, m_a=4, qscale_mode=QScaleMode.HALF_MW_MINUS_ONE)
@@ -495,3 +496,55 @@ class TestPool:
                                 quantize_activation(a_hat, 8, levels),
                                 quantize_activation(a_hat, 8, codes=np.float32,
                                                     affine=(scale, bias))])
+
+
+class TestLayout:
+    """A C-order input and its channels-last copy give bitwise the same
+    values, and each output keeps its input's layout. On channels-last
+    memory the surrogate's blocks are whole pixels, g and b repeating with
+    period c; the per-channel operands of the quantizer are tiles of one
+    sample."""
+
+    SHAPE = (20, 16, 32, 32)   # more than parallel.SMALL_BYTES at float32
+
+    @staticmethod
+    def _both(fn, *tensors):
+        a = fn(*tensors)
+        b = fn(*(channels_last(t) for t in tensors))
+        assert is_c_order(a) and is_channels_last(b) and a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+        return a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_quantize_activation(self, dtype):
+        rng = np.random.default_rng(70)
+        a_hat = rng.uniform(-0.5, 1.5, size=self.SHAPE).astype(dtype)
+        levels = np.sort(rng.uniform(0.0, 1.0, size=(7, 16)), axis=0).astype(dtype)
+        scale, bias = rng.normal(size=16), rng.normal(size=16)
+        self._both(lambda a: quantize_activation(a, 8), a_hat)
+        self._both(lambda a: quantize_activation(a, 8, codes=np.float32), a_hat)
+        self._both(lambda a: quantize_activation(a, 8, affine=(scale, bias)), a_hat)
+        self._both(lambda a: quantize_activation(a, 8, codes=np.float32,
+                                                 affine=(scale, bias)), a_hat)
+        counts = self._both(lambda a: quantize_activation(a, 8, levels), a_hat)
+        assert counts.dtype == np.uint8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("affine", [False, True], ids=["plain", "affine"])
+    @pytest.mark.parametrize("chunk", [None, 200], ids=["chunk", "small_chunk"])
+    def test_surrogate(self, monkeypatch, dtype, affine, chunk):
+        # a chunk of 200 elements: 12 pixels of 16 channels a block on
+        # channels-last memory, one whole plane on C-order
+        if chunk is not None:
+            monkeypatch.setattr(quantizer, "_CHUNK", chunk)
+        rng = np.random.default_rng(71)
+        shape = self.SHAPE if chunk is None else (3, 16, 8, 8)
+        x_hat = rng.normal(size=shape).astype(dtype)
+        up = rng.normal(size=shape).astype(dtype)
+        gb = (rng.uniform(0.2, 2.0, size=16).astype(dtype),
+              rng.normal(0.3, 0.5, size=16).astype(dtype)) if affine else None
+        cfg = QuantConfig(m_w=15, m_a=8)
+        self._both(lambda z, u: quantize_tensor_backward(z, u, QuantKind.ACTIVATION, cfg,
+                                                         affine=gb), x_hat, up)
+        self._both(lambda z: activation_surrogate_grad(z, cfg.m_a, cfg.alpha, affine=gb),
+                   x_hat)
