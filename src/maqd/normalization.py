@@ -23,11 +23,15 @@ float64 over the input's own dtype. LN's and LBN's are np.mean over the
 whole tensor on the calling thread, which walks it in memory order. BN's
 channel sums (its statistics, and every kind's grad_b and grad_g) are
 `_channel_sums`: np.sum on C order; on channels-last memory, per sample,
-ones times its (h*w, C) rows cast to float64 in blocks, one GEMV, and the
-samples added in order, within (n + h*w) * 2**-53 of the sum of |x| of the
-exact sum. So a C-order input and its channels-last copy differ by float64
-summation order alone, which at float32 the final rounding hides on the
-tested tensors; at float64 they agree within 1e-14 relative. The
+ones times its (h*w, C) rows, one float64 GEMV (`_sums_into`: float64
+rows as they are, others cast in blocks), and the samples added in order,
+within (n + h*w) * 2**-53 of the sum of |x| of the exact sum. There the
+variance's sums and the backward's are taken inside the pass that forms
+their operand, slice by slice while it is in cache, so they add no pass
+and no wait for the pool's threads of their own. So a C-order input and
+its channels-last copy differ by float64 summation order alone, which at
+float32 the final rounding hides on the tested tensors; at float64 they
+agree within 1e-14 relative. The
 elementwise passes between the reductions run in slices of samples on
 the threads of the `parallel` pool, each slice taking all of a stage's
 passes while it is in cache, so the results do not depend on the thread
@@ -160,8 +164,42 @@ def _tile(v, like: np.ndarray, dtype=None) -> np.ndarray:
     return t
 
 
-# Bytes of float64 NHWC rows that `_channel_sums` casts and sums at a time.
+# Bytes of float64 NHWC rows that `_sums_into` casts and sums at a time.
 _SUM_BYTES = 1 << 18
+
+
+def _rows(x: np.ndarray) -> np.ndarray | None:
+    """The (n, h*w, C) NHWC rows of a channels-last (n, C, h, w) x, a view;
+    None for any other layout, and for one that is C order too."""
+    n, c, h, w = x.shape
+    if memory_order(x)[-1] != 1 or x.flags.c_contiguous:
+        return None
+    return x.transpose(0, 2, 3, 1).reshape(n, h * w, c)
+
+
+def _sum_buffer(*rows: np.ndarray) -> np.ndarray | None:
+    """The float64 buffer of one pool thread for `_sums_into` on rows of
+    one shape; None where all are float64, which need none."""
+    if all(r.dtype == np.float64 for r in rows):
+        return None
+    step = max(1, _SUM_BYTES // max(1, rows[0][:1].size * 8))
+    return np.empty((min(step, rows[0].shape[0]),) + rows[0].shape[1:])
+
+
+def _sums_into(rows: np.ndarray, s: slice, buf: np.ndarray, sums: np.ndarray):
+    """sums[i] = ones(h*w) times rows[i], one float64 GEMV per sample, for
+    the samples i of s: float64 rows as they are, others cast into `buf` a
+    few samples at a time."""
+    ones = np.ones(rows.shape[1])
+    if rows.dtype == np.float64:
+        np.matmul(ones, rows[s], out=sums[s])
+        return
+    step = buf.shape[0]
+    for i in range(s.start, s.stop, step):
+        j = min(i + step, s.stop)
+        b = buf[:j - i]
+        b[...] = rows[i:j]
+        np.matmul(ones, b, out=sums[i:j])
 
 
 def _channel_sums(x: np.ndarray) -> np.ndarray:
@@ -169,39 +207,31 @@ def _channel_sums(x: np.ndarray) -> np.ndarray:
 
     On channels-last memory a reduction over the outer axes would run one
     inner loop per pixel. There each sample's sums are ones(h*w) times its
-    (h*w, C) NHWC rows, one GEMV, on a few samples at a time (_SUM_BYTES)
-    cast to float64 in a buffer of each pool thread, and the samples' sums
-    are added in sample order, so the result does not depend on the thread
-    count. Any other layout takes np.sum. The two orders differ by float64
-    rounding alone: each sum is within (n + h*w) * 2**-53 of the sum of the
-    channel's |x| of the exact one."""
-    n, c, h, w = x.shape
-    if memory_order(x)[-1] != 1 or x.flags.c_contiguous:
+    (h*w, C) NHWC rows, one GEMV (`_sums_into`), in slices of samples on
+    the pool's threads, and the samples' sums are added in sample order,
+    so the result does not depend on the thread count. Any other layout
+    takes np.sum. The two orders differ by float64 rounding alone: each sum
+    is within (n + h*w) * 2**-53 of the sum of the channel's |x| of the
+    exact one."""
+    rows = _rows(x)
+    if rows is None:
         return np.sum(x, axis=(0, 2, 3), dtype=np.float64)
-    rows = x.transpose(0, 2, 3, 1).reshape(n, h * w, c)
-    sums = np.empty((n, c))
-    ones = np.ones(h * w)
-    step = max(1, _SUM_BYTES // max(1, rows[:1].size * 8))
-
-    def run(s, buf):
-        for i in range(s.start, s.stop, step):
-            j = min(i + step, s.stop)
-            b = buf[:j - i]
-            b[...] = rows[i:j]
-            np.matmul(ones, b, out=sums[i:j])
-
-    parallel.map_parts_with(run, parallel.by_samples(n, x.nbytes),
-                            lambda: np.empty((min(step, n), h * w, c)))
+    sums = np.empty((x.shape[0], x.shape[1]))
+    parallel.map_parts_with(lambda s, buf: _sums_into(rows, s, buf, sums),
+                            parallel.by_samples(x.shape[0], x.nbytes),
+                            lambda: _sum_buffer(rows))
     return sums.sum(axis=0)
 
 
-def _mean(x: np.ndarray, kind: NormKind, dtype) -> np.ndarray:
+def _mean(x: np.ndarray, kind: NormKind, dtype, sample_sums=None) -> np.ndarray:
     """The mean of x over the kind's axes, summed in float64, in `dtype`,
-    with x's dimensions: (1, C, 1, 1) for BN, from `_channel_sums`;
-    (n, 1, 1, 1) for LN and (1, 1, 1, 1) for LBN, from np.mean, which walks
-    x in memory order."""
+    with x's dimensions: (1, C, 1, 1) for BN, from `_channel_sums`, or from
+    `sample_sums`, the (n, C) sums `_sums_into` already took of
+    channels-last x; (n, 1, 1, 1) for LN and (1, 1, 1, 1) for LBN, from
+    np.mean, which walks x in memory order."""
     if kind is NormKind.BN:
-        mean = (_channel_sums(x) / (x.size // x.shape[1])).reshape(1, -1, 1, 1)
+        sums = _channel_sums(x) if sample_sums is None else sample_sums.sum(axis=0)
+        mean = (sums / (x.size // x.shape[1])).reshape(1, -1, 1, 1)
     else:
         mean = np.mean(x, axis=_REDUCE_AXES[kind], keepdims=True, dtype=np.float64)
     return mean.astype(dtype)
@@ -260,13 +290,20 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     mean = _mean(x, kind, x.dtype)
     mean_op = _operand(mean, x)
     x_hat = np.empty_like(x)  # (x - mean)**2 first, then x_hat
+    # BN on channels-last memory takes each slice's sample sums of the
+    # squares in the pass that forms them, while the slice is in cache
+    sq_rows = _rows(x_hat) if kind is NormKind.BN else None
+    sq_sums = None if sq_rows is None else np.empty(x.shape[:2])
 
-    def squares(s):
+    def squares(s, buf):
         np.subtract(x[s], _per_sample(mean_op, s), out=x_hat[s])
         np.square(x_hat[s], out=x_hat[s])
+        if sq_sums is not None:
+            _sums_into(sq_rows, s, buf, sq_sums)
 
-    parallel.map_parts(squares, parts)
-    var = _mean(x_hat, kind, x.dtype)
+    parallel.map_parts_with(squares, parts,
+                            lambda: None if sq_rows is None else _sum_buffer(sq_rows))
+    var = _mean(x_hat, kind, x.dtype, sq_sums)
     if mode is Mode.TRAIN and kind is not NormKind.LN:
         r = st.ema_rate
         # in place: the statistics stay the arrays `create` made (checkpoints alias them)
@@ -297,10 +334,24 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
     x_hat, inv_std, g = cache.x_hat, cache.inv_std, cache.g
     dtype = upstream.dtype
     parts = parallel.by_samples(x_hat.shape[0], x_hat.nbytes)
-    grad_b = _channel_sums(upstream)
     t = np.empty_like(x_hat, dtype=np.result_type(upstream, x_hat))
-    parallel.map_parts(lambda s: np.multiply(upstream[s], x_hat[s], out=t[s]), parts)
-    grad_g = _channel_sums(t)
+    up_rows, t_rows = _rows(upstream), _rows(t)
+    if up_rows is None or t_rows is None:
+        grad_b = _channel_sums(upstream)
+        parallel.map_parts(lambda s: np.multiply(upstream[s], x_hat[s], out=t[s]), parts)
+        grad_g = _channel_sums(t)
+    else:
+        # channels-last: each slice's sample sums of upstream and t are
+        # taken in the pass that forms t, while the slice is in cache
+        sums_b, sums_g = np.empty((2,) + x_hat.shape[:2])
+
+        def product(s, buf):
+            np.multiply(upstream[s], x_hat[s], out=t[s])
+            _sums_into(up_rows, s, buf, sums_b)
+            _sums_into(t_rows, s, buf, sums_g)
+
+        parallel.map_parts_with(product, parts, lambda: _sum_buffer(up_rows, t_rows))
+        grad_b, grad_g = sums_b.sum(axis=0), sums_g.sum(axis=0)
     grad_x = np.empty_like(x_hat, dtype=dtype)
 
     if cache.kind is NormKind.LN:

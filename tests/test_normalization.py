@@ -449,6 +449,30 @@ class TestLayout:
         np.testing.assert_array_equal(normalization._channel_sums(x),
                                       np.sum(x, axis=(0, 2, 3), dtype=np.float64))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sums_inside_a_pass_are_the_channel_sums(self, dtype):
+        # on channels-last memory BN's variance sums and every kind's grad_b
+        # and grad_g are taken slice by slice inside the pass that forms
+        # their operand: bitwise `_channel_sums` of that operand
+        rng = np.random.default_rng(65)
+        x = channels_last((2 * rng.normal(size=LAYOUT_SHAPE) + 0.5).astype(dtype))
+        up = channels_last(rng.normal(size=LAYOUT_SHAPE).astype(dtype))
+        count = x.size // x.shape[1]
+
+        def channel_mean(t):
+            return (normalization._channel_sums(t) / count).astype(dtype).reshape(1, -1, 1, 1)
+
+        for kind in ALL_KINDS:
+            st = NormLayerState.create(kind, LAYOUT_SHAPE[1], dtype=dtype)
+            _, cache = norm_forward(x, st, Mode.TRAIN)
+            _, grad_g, grad_b = norm_backward(cache, up)
+            np.testing.assert_array_equal(grad_b, normalization._channel_sums(up).astype(dtype))
+            np.testing.assert_array_equal(
+                grad_g, normalization._channel_sums(up * cache.x_hat).astype(dtype))
+            if kind is NormKind.BN:
+                var = channel_mean(np.square(x - channel_mean(x)))
+                np.testing.assert_array_equal(cache.inv_std, 1.0 / np.sqrt(var + st.eps))
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_channels_last_is_bitwise_across_threads(self, across_threads, kind):
         # the channel sums' GEMVs run in parts of samples on the pool
