@@ -430,7 +430,8 @@ def _cmd_norm_bench(cfg, args):
     rows = training.norm_comparison_experiment(
         train_set, test_set,
         batch_sizes=args.batch_sizes, variants=args.variants,
-        epochs=cfg.epochs, base_lr_at_128=cfg.lr, weight_decay=cfg.weight_decay,
+        epochs=cfg.epochs, base_lr_at_128=cfg.lr, loss_cfg=cfg.loss_config(),
+        momentum=cfg.momentum, weight_decay=cfg.weight_decay, augment=cfg.augment,
         seeds=args.seeds,
         arch=cfg.architecture,
         metrics_max_samples=cfg.metrics_max_samples or None,

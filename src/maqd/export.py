@@ -32,10 +32,12 @@ EVAL forward does.
 `import_model` compiles the records in one walk. It nests each residual
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
 channels, the downsampling and whether GAP has flattened the activation, and
-binds each op's arguments. A ModelFormatError naming the record's byte
-rejects a conv whose kernel is not 1 or 3, whose stride byte is not 1,
-or with 0 channels; an ACT_Q with m_a < 2; a conv or AFFINE whose channels are
-not its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
+binds each op's arguments. A ModelFormatError naming its byte rejects an
+AFFINE scale or bias or a CONV_F weight that is not finite (the export
+refuses to write one), and one naming the record's byte rejects a conv
+whose kernel is not 1 or 3, whose stride byte is not 1, or with 0
+channels; an ACT_Q with m_a < 2; a conv or AFFINE whose channels are not
+its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
 branches that end in different channels, downsampling or flattening; an
 unbalanced residual marker; residual blocks nested deeper than 64; and a
 stream that does not end in (class_count) logits. The runtime then checks
@@ -75,10 +77,9 @@ sums of images, residual sums, images) it is the widest interval on which
 every channel's affine is finite; the runtime checks each batch against it
 and runs the pair unfolded for a batch outside it. So a NaN, an inf or an
 overflowing input fails as it does unfolded, with a ValueError naming the
-ACT_Q record's byte. A pair stays unfolded when its scale or bias is not
-finite, when its affine overflows on code sums, or when it has more than
-_FOLD_MAX_THRESHOLDS (16) thresholds, past which the compares cost more
-than the arithmetic they replace.
+ACT_Q record's byte. A pair stays unfolded when its affine overflows on
+code sums, or when it has more than _FOLD_MAX_THRESHOLDS (16) thresholds,
+past which the compares cost more than the arithmetic they replace.
 """
 
 from __future__ import annotations
@@ -160,28 +161,38 @@ def _record(opcode: int, payload: bytes = b"") -> bytes:
     return struct.pack("<BI", opcode, len(payload)) + payload
 
 
-def _conv_record(conv: Conv2d) -> bytes:
+def _finite(name: str, what: str, v: np.ndarray) -> np.ndarray:
+    """v; a non-finite element, which the import refuses, is a ValueError."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"cannot export {name}: its {what} is {v.flat[bad[0]]} "
+                         f"at index {bad[0]}")
+    return v
+
+
+def _conv_record(conv: Conv2d, name: str) -> bytes:
     head = struct.pack("<HHBB", conv.out_ch, conv.in_ch, conv.kernel, conv.stride)
     if conv.quant is not None:
         states, q = weight_states(conv)
         payload = head + struct.pack("<d", q) + states.astype("<i2").tobytes()
         return _record(OP_CONV_Q, payload)
-    w2d = conv.effective_weight(np.float64)[0]
+    w2d = _finite(name, "float weight", conv.effective_weight(np.float64)[0])
     return _record(OP_CONV_F, head + w2d.astype("<f8").tobytes())
 
 
 _BARE_OPS = {ReLU: OP_RELU, AvgPool2: OP_AP2, GlobalAvgPool: OP_GAP}
 
 
-def _records(layers) -> list[bytes]:
-    return [rec for layer in layers for rec in _layer_records(layer)]
+def _records(layers, names: dict) -> list[bytes]:
+    return [rec for layer in layers for rec in _layer_records(layer, names)]
 
 
-def _layer_records(layer) -> list[bytes]:
+def _layer_records(layer, names: dict) -> list[bytes]:
     if isinstance(layer, Conv2d):
-        return [_conv_record(layer)]
+        return [_conv_record(layer, names[id(layer)])]
     if isinstance(layer, NormLayer):
-        scale, bias = fold_normalization(layer.state)
+        scale, bias = (_finite(names[id(layer)], f"folded affine {what}", v)
+                       for what, v in zip(("scale", "bias"), fold_normalization(layer.state)))
         payload = struct.pack("<H", scale.size) + scale.astype("<f8").tobytes() \
             + bias.astype("<f8").tobytes()
         return [_record(OP_AFFINE, payload)]
@@ -190,15 +201,18 @@ def _layer_records(layer) -> list[bytes]:
     if type(layer) in _BARE_OPS:
         return [_record(_BARE_OPS[type(layer)])]
     if isinstance(layer, ResidualBlock):
-        return [_record(OP_RES_BEGIN), *_records(layer.s_branch), _record(OP_RES_SEP),
-                *_records(layer.f_branch), _record(OP_RES_END)]
+        return [_record(OP_RES_BEGIN), *_records(layer.s_branch, names), _record(OP_RES_SEP),
+                *_records(layer.f_branch, names), _record(OP_RES_END)]
     raise TypeError(f"cannot export layer of type {type(layer).__name__}")
 
 
 def export(graph: ModelGraph, path) -> None:
     """Serialize a trained graph; import(export(g)) reproduces all runtime
-    parameters bitwise."""
-    records = _records(graph.layers)
+    parameters bitwise. A folded affine or float conv weight that is not
+    finite is a ValueError naming its layer, by its place in
+    `graph.all_layers()`, and writes no file."""
+    names = {id(l): f"layer {i} ({type(l).__name__})" for i, l in enumerate(graph.all_layers())}
+    records = _records(graph.layers, names)
     arch_bytes = graph.arch.encode("ascii")
     header = MAGIC + struct.pack("<H", FORMAT_VERSION)
     header += struct.pack("<B", len(arch_bytes)) + arch_bytes
@@ -231,6 +245,17 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _take_finite(r: _Reader, n: int, what: str) -> np.ndarray:
+    """The next n f64 of r; a non-finite one is a ModelFormatError."""
+    at = r.offset
+    v = np.frombuffer(r.take(8 * n), dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ModelFormatError(f"{r.path}: {what} {v[bad[0]]} at byte {at + 8 * bad[0]}: "
+                               f"must be finite")
+    return v
+
+
 def _parse_op(r: _Reader) -> RuntimeOp:
     at = r.offset
     opcode, length = r.unpack("<BI")
@@ -250,11 +275,11 @@ def _parse_op(r: _Reader) -> RuntimeOp:
             states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(shape)
             f.update(qscale=qscale, states=states, w=weight_lattice(states, qscale))
         else:
-            f["w"] = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape)
+            f["w"] = _take_finite(r, n, "CONV_F weight").reshape(shape)
     elif op.opcode == OP_AFFINE:
         (c,) = r.unpack("<H")
-        f.update(channels=c, scale=np.frombuffer(r.take(8 * c), dtype="<f8"),
-                 bias=np.frombuffer(r.take(8 * c), dtype="<f8"))
+        f.update(channels=c, scale=_take_finite(r, c, "AFFINE scale"),
+                 bias=_take_finite(r, c, "AFFINE bias"))
     elif op.opcode == OP_ACT_Q:
         (f["m_a"],) = r.unpack("<H")
     elif op.opcode not in (OP_RELU, OP_AP2, OP_GAP, OP_RES_BEGIN, OP_RES_SEP, OP_RES_END):
@@ -345,12 +370,12 @@ def _first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _fold(m_a: int, dtype, bound, divisor, scale, bias) -> _Fold | None:
     """The pair's fold, or None where it does not apply: more than
-    _FOLD_MAX_THRESHOLDS thresholds, a non-finite scale or bias, or code sums
-    (|input| <= bound) that the affine overflows. The input has the given
-    dtype; bound is None for a float64 input that is not a code sum."""
+    _FOLD_MAX_THRESHOLDS thresholds, or code sums (|input| <= bound) that
+    the affine overflows (the import refuses a non-finite scale or bias).
+    The input has the given dtype; bound is None for a float64 input that
+    is not a code sum."""
     top, c = m_a - 1, scale.size
-    if top > _FOLD_MAX_THRESHOLDS or not (np.all(np.isfinite(scale))
-                                          and np.all(np.isfinite(bias))):
+    if top > _FOLD_MAX_THRESHOLDS:
         return None
 
     def finite(s):  # the affine of inputs s, one per channel in axis 1

@@ -51,14 +51,15 @@ The EVAL forward computes a quantized conv that reads an activation
 quantizer's output as the runtime does. `_link` finds each ActQuant ->
 AvgPool2* -> quantized Conv2d run of a layer list, the rule the import
 applies to ACT_Q -> AP2* -> CONV_Q, and gives its layers one
-`quantizer.CodeConv`. In EVAL the ActQuant then emits its codes k, not
-k/(m_a-1), with the EVAL affine of a BN or LBN norm it reads in the same
-pass unless a visitor is to see the norm's output; the pools pool the
-codes; and the conv multiplies them by the weight lattice
-clip(2*state, -2q, 2q) in the CodeConv's dtype, where every sum is exact,
-and divides by (m_a-1)*2q in float64. A visitor still sees values. TRAIN
-mode, float nets and convs that read images or residual sums run on
-values.
+`quantizer.CodeConv`. Each of them picks its EVAL form from that alone:
+the ActQuant emits its codes k, not k/(m_a-1), and runs the EVAL affine
+of a BN or LBN norm it reads in the same pass, that norm emitting its
+input unchanged; the pools pool the codes; and the conv multiplies them by
+the weight lattice clip(2*state, -2q, 2q) in the CodeConv's dtype, where
+every sum is exact, and divides by (m_a-1)*2q in float64. So every leaf
+is `forward(x, mode)`, and a visitor sees what each leaf emits, codes on
+a chain. TRAIN mode, float nets and convs that read images or residual
+sums run on values.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -143,8 +144,8 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
 # 2 vCPU; cnn9-mini at batch 16 moved within 5%. The pool's threads share it:
 # each forward part holds _BLOCK_BYTES // parallel.THREADS. The backward's
 # blocks are sized by bytes alone, so that its weight-gradient sum does not
-# depend on the thread count: _BWD_IN_FLIGHT blocks of
-# _BLOCK_BYTES // _BWD_IN_FLIGHT run at a time, each within a core's 2 MB L2.
+# depend on the thread count: each holds _BLOCK_BYTES // _BWD_IN_FLIGHT of
+# patch matrix, within a core's 2 MB L2.
 _BLOCK_BYTES = 1 << 22
 _BWD_IN_FLIGHT = 2
 
@@ -208,8 +209,8 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     (out, c*k*k) weight gradient).
 
     Each of the `_blocks` is gathered and multiplied whole by one pool
-    thread, _BWD_IN_FLIGHT at a time, into buffers the caller makes. Its
-    patch matrix P of the upstream, gathered once, gives both:
+    thread, into the patch buffer that the thread makes once. Its patch
+    matrix P of the upstream, gathered once, gives both:
     - the input gradient's NHWC rows, P times the weight flipped in both
       spatial axes with its in and out channels swapped, written straight
       into the gradient: at stride 1 and padding k // 2 the conv's
@@ -221,7 +222,7 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
       x (a C-order x, the graph input, is copied).
     The products are added to the gradient in block order, whatever the
     thread count, each through a view in the canonical layout; those held
-    at once fill at most _BLOCK_BYTES, or one per block in flight."""
+    at once fill at most _BLOCK_BYTES, or one per pool thread."""
     n, c, h, w = x.shape
     out_ch = w2d.shape[0]
     w_flip = _tap_major(w2d.reshape(out_ch, c, k, k)[:, :, ::-1, ::-1].transpose(
@@ -230,7 +231,7 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     blocks = _blocks(upstream.shape, upstream.itemsize, k)
     rows = max(b.stop - b.start for b in blocks) * h * w
     prod_dtype = np.result_type(x, upstream)
-    wave = max(_BWD_IN_FLIGHT, _BLOCK_BYTES // max(1, w2d.size * prod_dtype.itemsize))
+    wave = max(parallel.THREADS, _BLOCK_BYTES // max(1, w2d.size * prod_dtype.itemsize))
     prods = np.empty((min(wave, len(blocks)), c, k * k * out_ch), prod_dtype)
 
     def make():  # a 1x1 patch matrix is a view of the upstream: no rows
@@ -247,7 +248,7 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     grad_w = np.zeros((out_ch, c, k, k), prod_dtype)
     for lo in range(0, len(blocks), wave):
         part = range(lo, min(lo + wave, len(blocks)))
-        parallel.map_parts_with(run, part, make, _BWD_IN_FLIGHT)
+        parallel.map_parts(run, part, make)
         for i in part:
             grad_w += prods[i % wave].reshape(c, k, k, out_ch)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
     if input_grad:
@@ -320,16 +321,15 @@ class Conv2d(_Leaf):
             w2d, q_saved = quantize_tensor_forward(w2d, QuantKind.WEIGHT, self.quant), w2d
         return w2d, ws_cache, q_saved
 
-    def forward(self, x: np.ndarray, mode: Mode, codes: bool = False) -> np.ndarray:
-        """The conv of x with the effective weight. With `codes` (the EVAL
-        walk of an integer-code chain, see `_link`), x holds activation
-        codes: the conv runs on them with the weight lattice in the dtype of
-        `self.codes`, exactly, and divides its sums by the divisor in
-        float64, in the weight's dtype."""
+    def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
+        """The conv of x with the effective weight. In EVAL, a conv of an
+        integer-code chain (see `_link`) reads codes: it runs on them with
+        the weight lattice in the dtype of `self.codes`, exactly, and
+        divides its sums by the divisor in float64, in the weight's dtype."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
-        if codes:
+        if mode is Mode.EVAL and self.codes is not None:
             q = self.quant.weight_qscale
             lattice = weight_lattice(lattice_states(w2d, q), q)
             w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
@@ -365,7 +365,8 @@ class Conv2d(_Leaf):
 
 
 class NormLayer(_Leaf):
-    """Wraps a NormLayerState as a graph node."""
+    """Wraps a NormLayerState as a graph node. In EVAL a norm of an
+    integer-code chain (`_link`) emits its input: its ActQuant folds it."""
 
     def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
         self.state = NormLayerState.create(kind, channels, dtype=dtype)
@@ -376,6 +377,8 @@ class NormLayer(_Leaf):
         return [self.g, self.b]
 
     def forward(self, x, mode):
+        if mode is Mode.EVAL and self.codes is not None:
+            return x
         y, cache = norm_forward(x, self.state, mode)
         if mode is Mode.TRAIN:
             self.cache = cache
@@ -400,15 +403,16 @@ class ActQuant(_Leaf):
         self.cfg = cfg
         self.norm = None
 
-    def forward(self, x, mode, codes: bool = False, norm: NormLayer | None = None):
-        """The quantized values, in x's dtype. With `codes` (the EVAL walk of
-        an integer-code chain, see `_link`), the codes k instead, in the
-        dtype of `self.codes`; given its `norm`, x is that norm's input and
-        the norm's EVAL affine runs in the same pass."""
-        if codes:
+    def forward(self, x, mode):
+        """The quantized values, in x's dtype. In EVAL, an ActQuant of an
+        integer-code chain (see `_link`) emits the codes k instead, in the
+        dtype of `self.codes`; when its norm is in the chain too, x is that
+        norm's input and the norm's EVAL affine runs in the same pass."""
+        if mode is Mode.EVAL and self.codes is not None:
+            folded = self.norm is not None and self.norm.codes is not None
             return quantize_tensor_forward(
                 x, QuantKind.ACTIVATION, self.cfg, codes=self.codes.dtype,
-                affine=None if norm is None else fold_normalization(norm.state))
+                affine=fold_normalization(self.norm.state) if folded else None)
         if mode is Mode.TRAIN and self.norm is None:
             self.cache = x  # not copied: no layer writes into its input
         return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
@@ -489,39 +493,14 @@ class GlobalAvgPool(_Leaf):
 def _forward(layers: list, x: np.ndarray, mode: Mode, visit) -> np.ndarray:
     """Run `layers` in order on x; a residual block runs its branches through
     this same walk. `visit(layer, output)`, if given, sees every leaf's
-    output as values.
-
-    In EVAL each layer of an integer-code chain (`_link`) runs its codes
-    form: the ActQuant emits codes, and its pools pool them as they are, so
-    the conv reads codes. Without a visitor, the EVAL affine of a norm in
-    the chain runs in the ActQuant's code pass. A visitor sees the values of
-    the codes: k/(m_a-1) in the dtype the ActQuant read, bitwise the
-    quantizer's values, and their pools."""
-    shown = None  # with a visitor: the values of the codes that x holds
-    folded = None  # a norm whose affine the next ActQuant's code pass runs
+    output."""
     for layer in layers:
         if isinstance(layer, ResidualBlock):
             x = layer.forward(x, mode, visit)
             continue
-        chain = mode is Mode.EVAL and layer.codes is not None
-        if chain and isinstance(layer, NormLayer) and visit is None:
-            folded = layer
-            continue
-        dtype = x.dtype
-        if not chain or isinstance(layer, NormLayer):
-            x = layer.forward(x, mode)
-        elif isinstance(layer, ActQuant):
-            x, folded = layer.forward(x, mode, codes=True, norm=folded), None
-        else:
-            x = layer.forward(x, mode, codes=True)
+        x = layer.forward(x, mode)
         if visit is not None:
-            if chain and isinstance(layer, ActQuant):
-                shown = np.divide(x, layer.cfg.m_a - 1, dtype=dtype)
-            elif shown is not None and isinstance(layer, AvgPool2):
-                shown = _avg_pool2(shown)
-            else:
-                shown = None
-            visit(layer, x if shown is None else shown)
+            visit(layer, x)
     return x
 
 
@@ -610,11 +589,11 @@ class ModelGraph:
         return [l for l in self.all_layers() if isinstance(l, (ActQuant, ReLU))]
 
     def forward(self, x: np.ndarray, mode: Mode = Mode.TRAIN, visit=None) -> np.ndarray:
-        """The (n, num_classes) logits; `visit` sees each leaf's output, as
-        values. An EVAL forward runs each integer-code chain on codes (see
-        `_forward`), so its code-reading convs compute what the export's
-        runtime computes, and its logits differ from a walk on values by
-        float rounding alone."""
+        """The (n, num_classes) logits; `visit` sees each leaf's output. An
+        EVAL forward runs each integer-code chain on codes (see `_link`), so
+        its code-reading convs compute what the export's runtime computes,
+        and its logits differ from a walk on values by float rounding
+        alone."""
         x = _forward(self.layers, x, mode, visit)
         self._forward_done = mode is Mode.TRAIN
         return x

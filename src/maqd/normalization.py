@@ -217,9 +217,8 @@ def _channel_sums(x: np.ndarray) -> np.ndarray:
     if rows is None:
         return np.sum(x, axis=(0, 2, 3), dtype=np.float64)
     sums = np.empty((x.shape[0], x.shape[1]))
-    parallel.map_parts_with(lambda s, buf: _sums_into(rows, s, buf, sums),
-                            parallel.by_samples(x.shape[0], x.nbytes),
-                            lambda: _sum_buffer(rows))
+    parallel.map_parts(lambda s, buf: _sums_into(rows, s, buf, sums),
+                       parallel.by_samples(x.shape[0], x.nbytes), lambda: _sum_buffer(rows))
     return sums.sum(axis=0)
 
 
@@ -301,8 +300,8 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
         if sq_sums is not None:
             _sums_into(sq_rows, s, buf, sq_sums)
 
-    parallel.map_parts_with(squares, parts,
-                            lambda: None if sq_rows is None else _sum_buffer(sq_rows))
+    parallel.map_parts(squares, parts,
+                       lambda: None if sq_rows is None else _sum_buffer(sq_rows))
     var = _mean(x_hat, kind, x.dtype, sq_sums)
     if mode is Mode.TRAIN and kind is not NormKind.LN:
         r = st.ema_rate
@@ -350,7 +349,7 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
             _sums_into(up_rows, s, buf, sums_b)
             _sums_into(t_rows, s, buf, sums_g)
 
-        parallel.map_parts_with(product, parts, lambda: _sum_buffer(up_rows, t_rows))
+        parallel.map_parts(product, parts, lambda: _sum_buffer(up_rows, t_rows))
         grad_b, grad_g = sums_b.sum(axis=0), sums_g.sum(axis=0)
     grad_x = np.empty_like(x_hat, dtype=dtype)
 

@@ -9,16 +9,18 @@ runs its own BLAS threads next to a busy helper shares a CPU with it,
 which can multiply its time by about 20, so each GEMM runs on the one
 pool thread that calls it.
 
-`map_parts(fn, parts)` runs `fn` on each of a kernel's independent parts:
-the caller and the helpers take the parts one at a time from a shared
-iterator until none is left, so a thread that a busy CPU slows takes fewer
-of them. It returns the results in part order and re-raises in the caller
-the exception of the first part that raised. Callers cut their work so
-that each part computes exactly what the serial kernel computes on the
-same elements (rows of one GEMM, slices of an elementwise pass). The one
-reduction that is split, the conv's weight gradient, is cut into blocks
-fixed by bytes, never by the thread count, whose products are added in
-one fixed order; so every result is bitwise the serial one.
+`map_parts(fn, parts, make=None)` runs `fn` on each of a kernel's
+independent parts: the caller and the helpers take the parts one at a time
+from a shared iterator until none is left, so a thread that a busy CPU
+slows takes fewer of them. A kernel that needs scratch passes `make`, and
+each thread that runs a part makes its own once. `map_parts` returns the
+results in part order and re-raises in the caller the exception of the
+first part that raised. Callers cut their work so that each part computes
+exactly what the serial kernel computes on the same elements (rows of one
+GEMM, slices of an elementwise pass). The one reduction that is split, the
+conv's weight gradient, is cut into blocks fixed by bytes, never by the
+thread count, whose products are added in one fixed order; so every result
+is bitwise the serial one.
 
 With one CPU, or without the BLAS setter, THREADS is 1: `map_parts` runs
 the parts in order on the calling thread, which is the same code path, and
@@ -113,14 +115,18 @@ def _forget_helpers():  # a forked child has none of its parent's threads
 os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def map_parts(fn, parts, threads: int | None = None) -> list:
+def map_parts(fn, parts, make=None) -> list:
     """[fn(part) for part in parts], the parts run by the calling thread and
-    up to THREADS - 1 helpers at once, or `threads` threads in all when
-    that is fewer (see the module docstring)."""
+    up to THREADS - 1 helpers at once (see the module docstring). With
+    `make`, fn(part, scratch) instead: each thread that runs a part calls
+    make() once, before its first part, so no two parts that run at once
+    share a scratch, which comes from the thread's own allocator arena and
+    stays in its core's cache from part to part."""
     parts = list(parts)
-    n_helpers = min(THREADS, threads or THREADS, len(parts)) - 1
+    n_helpers = min(THREADS, len(parts)) - 1
     if n_helpers < 1 or threading.current_thread() in _helpers:
-        return [fn(p) for p in parts]
+        scratch = (make(),) if make is not None and parts else ()
+        return [fn(p, *scratch) for p in parts]
     _ensure_helpers(n_helpers)
     results = [None] * len(parts)
     errors = []
@@ -129,6 +135,7 @@ def map_parts(fn, parts, threads: int | None = None) -> list:
     done = queue.SimpleQueue()
 
     def work():
+        scratch = ()  # (make(),) from this thread's first part on
         while not errors:
             with lock:
                 item = next(todo, None)
@@ -136,7 +143,9 @@ def map_parts(fn, parts, threads: int | None = None) -> list:
                 return
             i, part = item
             try:
-                results[i] = fn(part)
+                if make is not None and not scratch:
+                    scratch = (make(),)
+                results[i] = fn(part, *scratch)
             except BaseException as exc:  # re-raised in the caller
                 errors.append((i, exc))
 
@@ -154,28 +163,6 @@ def map_parts(fn, parts, threads: int | None = None) -> list:
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return results
-
-
-def map_parts_with(fn, parts, make, threads: int | None = None) -> list:
-    """map_parts of fn(part, buffers) on at most `threads` threads, where no
-    two parts that run at once share their buffers: the caller makes one
-    set, make(), per thread that can run a part, so that the scratch comes
-    from its own allocator arena and stays in a core's cache from part to
-    part."""
-    parts = list(parts)
-    threads = min(THREADS, threads or THREADS, len(parts))
-    free = queue.SimpleQueue()
-    for _ in range(threads):
-        free.put(make())
-
-    def run(part):
-        buffers = free.get()
-        try:
-            return fn(part, buffers)
-        finally:
-            free.put(buffers)
-
-    return map_parts(run, parts, threads)
 
 
 def even(n: int, count: int) -> list[slice]:

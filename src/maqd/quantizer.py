@@ -189,8 +189,8 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
         if codes is None:
             vs /= top
 
-    parallel.map_parts_with(run, parts, lambda: None if v.dtype == dtype
-                            else np.empty_like(a, dtype, shape=(rows,) + a.shape[1:]))
+    parallel.map_parts(run, parts, lambda: None if v.dtype == dtype
+                       else np.empty_like(a, dtype, shape=(rows,) + a.shape[1:]))
     return v if np.ndim(a_hat) else v[0]
 
 
@@ -370,9 +370,9 @@ def activation_surrogate_grad(a_hat, m_a: int, alpha: float,
             np.multiply(tc, uf[lo:lo + n], out=of[lo:lo + n], dtype=out_dtype,
                         casting="unsafe")
 
-    # four scratch buffers per pool thread, made here
-    parallel.map_parts_with(chunk, range(0, zf.size, block),
-                            lambda: [np.empty(min(block, zf.size), dtype) for _ in range(4)])
+    # four scratch buffers, made by each pool thread that runs a chunk
+    parallel.map_parts(chunk, range(0, zf.size, block),
+                       lambda: [np.empty(min(block, zf.size), dtype) for _ in range(4)])
     return out
 
 

@@ -151,8 +151,9 @@ def evaluate(graph: ModelGraph, data: LabeledImageSet, loss_cfg: LossConfig,
              batch_size: int = 100, max_samples: int | None = None) -> EvalResult:
     """One EVAL-mode pass: mean loss, accuracy and R_a. R_a per activation
     layer is the mean over samples of that sample's non-zero output fraction,
-    read by the forward's visitor; the pooled value is the element-count
-    weighted mean over layers."""
+    read by the forward's visitor (from codes on an integer-code chain, each
+    non-zero exactly where its value is); the pooled value is the
+    element-count weighted mean over layers."""
     images, labels = data.images, data.labels
     if max_samples is not None:
         images, labels = images[:max_samples], labels[:max_samples]
@@ -311,8 +312,10 @@ def norm_comparison_experiment(train_set: LabeledImageSet, test_set: LabeledImag
                                *, batch_sizes: list[int],
                                variants: list[str] = ("LBN+WS", "LBN", "BN+WS", "BN"),
                                epochs: int = 10, base_lr_at_128: float = 1e-2,
+                               loss_cfg: LossConfig = LossConfig(),
+                               momentum: float = OptimState.momentum,
                                weight_decay: float = OptimState.weight_decay,
-                               seeds: list[int] = (42,),
+                               augment: bool = False, seeds: list[int] = (42,),
                                arch: str = "cnn9-mini", dtype=np.float32,
                                metrics_max_samples: int | None = 1000,
                                progress=None) -> list[NormBenchRow]:
@@ -329,9 +332,10 @@ def norm_comparison_experiment(train_set: LabeledImageSet, test_set: LabeledImag
                                     norm_kind=kind, use_ws=use_ws, seed=seed,
                                     dtype=dtype, in_channels=train_set.images.shape[1])
                 lr = scaled_lr_for_batch(base_lr_at_128, bs)
-                log = train(graph, train_set, test_set, epochs=epochs,
-                            batch_size=bs, base_lr=lr, weight_decay=weight_decay,
-                            seed=seed, metrics_max_samples=metrics_max_samples)
+                log = train(graph, train_set, test_set, epochs=epochs, batch_size=bs,
+                            loss_cfg=loss_cfg, base_lr=lr, momentum=momentum,
+                            weight_decay=weight_decay, seed=seed, augment=augment,
+                            metrics_max_samples=metrics_max_samples)
                 nb = min(bs, train_set.images.shape[0])
                 peak = measure_step_bytes(graph, train_set.images[:nb],
                                           train_set.labels[:nb])

@@ -42,8 +42,8 @@ def across_threads(monkeypatch):
     real = parallel.map_parts
     ran_on = set()
 
-    def spy(fn, parts, *threads):
-        return real(lambda p: ran_on.add(threading.get_ident()) or fn(p), parts, *threads)
+    def spy(fn, parts, make=None):
+        return real(lambda *args: ran_on.add(threading.get_ident()) or fn(*args), parts, make)
 
     def check(run, counts=(2, 3)):
         monkeypatch.setattr(parallel, "map_parts", spy)

@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from maqd import cli
+from maqd import cli, training
 from maqd.cli import CheckpointError, RunConfig, UsageError, main, parse_config
 from maqd.export import OP_ACT_Q, export, import_model
 from maqd.network import (ARCHITECTURES, Conv2d, GlobalAvgPool, ModelGraph, NormLayer,
@@ -564,6 +564,24 @@ class TestSweep:
         assert "skipping completed cell" not in capsys.readouterr().out
         assert (cell / "model.maqd").exists()
         assert (cell / "summary.json").exists()
+
+
+class TestNormBenchFlags:
+    @pytest.mark.parametrize("flags,want", [
+        ([], (OptimState.momentum, training.LossConfig.gamma, True)),
+        (["--momentum", "0.5", "--gamma", "0.25", "--no-augment"], (0.5, 0.25, False))],
+        ids=["defaults", "set"])
+    def test_train_gets_momentum_gamma_and_augment(self, tmp_path, monkeypatch, flags, want):
+        seen = []
+        real = training.train
+        monkeypatch.setattr(training, "train", lambda *a, **kw: seen.append(
+            (kw["momentum"], kw["loss_cfg"].gamma, kw["augment"])) or real(*a, **kw))
+        args = ["norm-bench", "--dataset", "blobs", "--architecture", "cnn9-mini",
+                "--epochs", "0", "--out-dir", str(tmp_path), "--batch-sizes", "8",
+                "--variants", "LBN", "--train-subset", "16", "--metrics-max-samples", "16",
+                *flags]
+        assert main(args) == 0
+        assert seen == [want]
 
 
 @pytest.mark.slow

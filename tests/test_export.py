@@ -262,6 +262,24 @@ class TestRoundTrip:
         gap = 5
         assert path.stat().st_size == header + conv1 + affine + act + ap2 + conv2 + gap
 
+    @pytest.mark.parametrize("bad", ["running_var", "b", "weight"])
+    def test_non_finite_parameter_refuses_export(self, tmp_path, bad):
+        # a file the import would refuse is never written
+        quant = None if bad == "weight" else CFG
+        graph = tiny_graph(quant=quant)
+        norm, conv = graph.layers[1], graph.layers[4]
+        if bad == "weight":
+            conv.weight.data[1, 1] = np.nan
+            match = r"layer 4 \(Conv2d\): its float weight is nan at index 2"
+        else:
+            getattr(norm.state, bad)[...] = np.inf if bad == "b" else np.nan
+            what = "bias is inf" if bad == "b" else "scale is nan"
+            match = rf"layer 1 \(NormLayer\): its folded affine {what} at index 0"
+        path = tmp_path / "m.maqd"
+        with pytest.raises(ValueError, match=match):
+            export(graph, path)
+        assert not path.exists()
+
     def test_ln_graph_refuses_export(self, tmp_path):
         graph = tiny_graph(norm_kind=NormKind.LN)
         warm_up(graph)
@@ -346,6 +364,23 @@ class TestValidation:
         struct.pack_into("<d", data, qscale_at, qscale)
         path.write_bytes(bytes(data))
         with pytest.raises(ModelFormatError, match=rf"qscale {qscale} at byte {qscale_at}"):
+            import_model(path)
+
+    @pytest.mark.parametrize("field,bad", [("scale", np.nan), ("bias", -np.inf),
+                                           ("weight", np.inf)])
+    def test_non_finite_f64_names_its_byte(self, tmp_path, field, bad):
+        # the first bad value of three channels' scale, bias or 1x1 weights
+        values = np.array([0.5, bad, bad])
+        if field == "weight":
+            record = rec(OP_CONV_F, struct.pack("<HHBB", 3, 1, 1, 1) + values.tobytes())
+            head, what = 5 + 6, "CONV_F weight"
+        else:
+            scale, bias = (values, np.zeros(3)) if field == "scale" else (np.ones(3), values)
+            record = rec(OP_AFFINE, struct.pack("<H", 3) + scale.tobytes() + bias.tobytes())
+            head, what = 5 + 2 + (24 if field == "bias" else 0), f"AFFINE {field}"
+        path, (at,) = write_stream(tmp_path, [record], class_count=3)
+        with pytest.raises(ModelFormatError,
+                           match=rf"{what} {bad} at byte {at + head + 8}: must be finite"):
             import_model(path)
 
     def test_record_length_mismatch(self, tmp_path):
@@ -868,16 +903,21 @@ class TestFoldEdges:
     def test_damaged_affine_or_act_q_runs_as_unfolded(self, tmp_path, monkeypatch, layout,
                                                       scale, bias, m_a):
         head, in_ch = self.LAYOUTS[layout]
-        path, _ = write_stream(tmp_path, [
+        path, offsets = write_stream(tmp_path, [
             *head, rec(OP_AFFINE, struct.pack("<H", 2) + np.array([scale, 0.75]).tobytes()
                        + np.array([bias, -0.25]).tobytes()),
             rec(OP_ACT_Q, struct.pack("<H", m_a)), conv_q(2, 2, seed=1), rec(OP_GAP)])
+        if not (np.isfinite(scale) and np.isfinite(bias)):
+            # no runtime runs it: the import names the byte of the bad value
+            at = offsets[len(head)] + 7 + (0 if not np.isfinite(scale) else 16)
+            with pytest.raises(ModelFormatError, match=f"at byte {at}: must be finite"):
+                import_model(path)
+            return
         start = time.perf_counter()
         model = import_model(path)
         assert time.perf_counter() - start < 1.0
         (_, act), *_ = reversed(list(_act_ops(model.ops)))
-        folds = np.isfinite(scale) and np.isfinite(bias) and m_a == 8
-        assert (act.fields["fold"] is not None) == folds
+        assert (act.fields["fold"] is not None) == (m_a == 8)
         oracle = _unfolded(monkeypatch, path)
         rng = np.random.default_rng(43)
         for images in (rng.normal(size=(2, in_ch, 4, 4)), rng.normal(size=(2, in_ch, 4, 4))

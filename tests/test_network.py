@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import sys
 import threading
@@ -181,26 +182,35 @@ def _code_oracle(conv, codes, pools, dtype):
     return (sums * 4.0 ** -pools / divisor).astype(dtype)
 
 
-def _eval_on_values(layers, x, outputs):
-    """Run `layers` one EVAL forward at a time on values from x, each
-    output equal to `outputs[id(layer)]`, what the graph's visitor saw,
-    but for a conv that reads codes: its output equals the int64 oracle on
-    the codes of the ActQuant before it, and the walk goes on from it.
-    Returns the last output."""
+def _leaf_walk(layers, x, outputs):
+    """Run `layers` one leaf EVAL forward at a time from x, each output
+    bitwise `outputs[id(layer)]`, what the graph's visitor saw. A conv that
+    reads codes also equals the int64 oracle on the codes that the ActQuant
+    before it emitted. Returns the last output."""
     seen = []
     for i, layer in enumerate(layers):
+        x = layer.forward(x, Mode.EVAL)
+        assert x.dtype == outputs[id(layer)].dtype
+        np.testing.assert_array_equal(outputs[id(layer)], x)
         if isinstance(layer, Conv2d) and layer.codes is not None:
             pools = next(p for p in range(i) if not isinstance(layers[i - 1 - p], AvgPool2))
             act = layers[i - 1 - pools]
             assert isinstance(act, ActQuant) and act.codes is layer.codes
-            codes = np.rint(seen[i - 1 - pools] * (act.cfg.m_a - 1)).astype(np.int64)
-            np.testing.assert_array_equal(outputs[id(layer)],
-                                          _code_oracle(layer, codes, pools, x.dtype))
-            x = outputs[id(layer)]
+            codes = seen[i - 1 - pools]
+            np.testing.assert_array_equal(codes, np.rint(codes))
+            np.testing.assert_array_equal(x, _code_oracle(layer, codes.astype(np.int64), pools,
+                                                          layer.weight.data.dtype))
+        seen.append(x)
+    return x
+
+
+def _manual_eval(layers, x):
+    """Each leaf's EVAL forward in turn, a residual block's branches summed."""
+    for layer in layers:
+        if isinstance(layer, ResidualBlock):
+            x = _manual_eval(layer.s_branch, x) + _manual_eval(layer.f_branch, x)
         else:
             x = layer.forward(x, Mode.EVAL)
-            np.testing.assert_array_equal(outputs[id(layer)], x)
-        seen.append(x)
     return x
 
 
@@ -516,16 +526,16 @@ class TestBuilders:
             assert g.forward(x, Mode.EVAL).shape == (2, classes)
 
     def test_preact_block_is_branch_sum(self):
-        # each branch is its layers' EVAL forwards on values, but for the
-        # convs that read codes, which equal the int64 oracle
+        # each branch is its leaves' EVAL forwards, and its convs that read
+        # codes equal the int64 oracle
         g = build_model("preact-mini", 10, quant=QuantConfig())
         block = next(l for l in g.layers if isinstance(l, ResidualBlock))
         x = RNG(10).normal(size=(1, 3, 8, 8))
         outputs = {}
         y = block.forward(x, Mode.EVAL, lambda layer, out: outputs.setdefault(id(layer), out))
         np.testing.assert_array_equal(block.forward(x, Mode.EVAL), y)
-        ys = _eval_on_values(block.s_branch, x, outputs)
-        yf = _eval_on_values(block.f_branch, x, outputs)
+        ys = _leaf_walk(block.s_branch, x, outputs)
+        yf = _leaf_walk(block.f_branch, x, outputs)
         np.testing.assert_array_equal(y, ys + yf)
 
     def test_visit_sees_every_leaf_output_in_order(self):
@@ -540,7 +550,7 @@ class TestBuilders:
         assert isinstance(block, ResidualBlock)
         outputs = {id(layer): out for layer, out in seen}
         for branch in (block.s_branch, block.f_branch):
-            _eval_on_values(branch, x, outputs)
+            _leaf_walk(branch, x, outputs)
 
     def test_preact_branches_end_with_norm(self):
         g = build_model("preact_resnet", 10, quant=QuantConfig())
@@ -613,15 +623,58 @@ class TestCodesEval:
         readers = [l for l in layers if isinstance(l, Conv2d) and l.codes is not None]
         # every quantized conv but the image and residual-sum readers
         assert len(readers) == {"vgg-mini": 6, "preact-mini": 9}[arch]
-        assert all(out.dtype == dtype for out in outputs.values())
+        # codes, and their pools, in the CodeConv's dtype; all else in the net's
+        code_dtype = None
+        for layer, out in seen:
+            if isinstance(layer, ActQuant) and layer.codes is not None:
+                code_dtype = layer.codes.dtype
+            elif not isinstance(layer, AvgPool2):
+                code_dtype = None
+            assert out.dtype == (code_dtype or dtype)
         lists = [graph.layers] + [b for l in graph.layers if isinstance(l, ResidualBlock)
                                   for b in (l.s_branch, l.f_branch)]
         for layer_list in lists:
             # from the first ActQuant on, on the visited output before it
             start = next((i for i, l in enumerate(layer_list) if isinstance(l, ActQuant)), 0)
             if start:
-                _eval_on_values(layer_list[start:], outputs[id(layer_list[start - 1])],
-                                outputs)
+                _leaf_walk(layer_list[start:], outputs[id(layer_list[start - 1])], outputs)
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("norm_kind", list(NormKind))
+    def test_leaf_walk_is_the_graph_forward(self, arch, norm_kind):
+        graph = _live(arch, np.float32, norm_kind=norm_kind)
+        x = RNG(96).normal(size=(4, 3, 16, 16)).astype(np.float32)
+        logits = _manual_eval(graph.layers, x)
+        np.testing.assert_array_equal(graph.forward(x, Mode.EVAL), logits)
+        np.testing.assert_array_equal(graph.forward(x, Mode.EVAL, lambda l, o: None), logits)
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm_kind", [NormKind.BN, NormKind.LBN])
+    def test_fused_codes_are_the_quantizer_of_the_norm_output(self, arch, dtype, norm_kind):
+        # a chain norm emits its input, and its ActQuant's one pass gives the
+        # codes of the quantizer on the norm's own EVAL output
+        graph = _live(arch, dtype, norm_kind=norm_kind)
+        x = RNG(97).normal(size=(4, 3, 16, 16)).astype(dtype)
+        seen = []
+        graph.forward(x, Mode.EVAL, lambda layer, out: seen.append((layer, out)))
+        fused = 0
+        for (norm, x_in), (act, codes) in zip(seen, seen[1:]):
+            if not (isinstance(act, ActQuant) and act.norm is norm and norm.codes is not None):
+                continue
+            fused += 1
+            assert x_in is norm.forward(x_in, Mode.EVAL)
+            values = norm_forward(x_in, norm.state, Mode.EVAL)[0]
+            top = act.cfg.m_a - 1
+            np.testing.assert_array_equal(
+                codes, quantizer.quantize_activation(values, act.cfg.m_a, codes=codes.dtype))
+            q = quantizer.quantize_activation(values, act.cfg.m_a)
+            np.testing.assert_array_equal(np.divide(codes, top, dtype=dtype), q)
+            # k/7 * 7 rounds back to k in float32 and float64 (not so for
+            # every m_a - 1: k/13 * 13 need not at float32)
+            assert top == 7
+            np.testing.assert_array_equal(q * top, codes)
+        assert fused == {"vgg-mini": 6, "preact-mini": 9}[arch]
 
     @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -677,12 +730,13 @@ class TestCodesEval:
         assert report.argmax_agreement == 1.0
 
     def test_train_mode_and_float_nets_read_values(self, monkeypatch):
+        # whether each conv multiplies the integer weight lattice (codes)
+        # or the weight values
         graph = _live("vgg-mini", np.float64)
         calls = []
-        forward = Conv2d.forward
-        monkeypatch.setattr(Conv2d, "forward",
-                            lambda self, x, mode, codes=False: calls.append(codes)
-                            or forward(self, x, mode, codes))
+        conv = network._conv
+        monkeypatch.setattr(network, "_conv", lambda x, w, *a: calls.append(
+            bool(np.array_equal(w, np.rint(w)))) or conv(x, w, *a))
         x = RNG(95).normal(size=(2, 3, 16, 16))
         graph.forward(x, Mode.EVAL)
         assert calls == [False] + [True] * 6
@@ -691,6 +745,9 @@ class TestCodesEval:
         build_model("vgg-mini", 10, seed=3).forward(x, Mode.EVAL)
         assert calls == [False] * 14
         assert all(l.codes is None for l in build_model("cnn9-mini", 10).all_layers())
+        leaves = (Conv2d, NormLayer, ActQuant, ReLU, AvgPool2, GlobalAvgPool)
+        assert all(list(inspect.signature(c.forward).parameters) == ["self", "x", "mode"]
+                   for c in leaves)
 
 
 class TestModelGradients:
@@ -1087,6 +1144,39 @@ class TestMapParts:
             parallel.map_parts(fn, range(40))
         # the pool still serves later calls
         assert parallel.map_parts(lambda p: p, range(10)) == list(range(10))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_each_thread_makes_one_scratch_before_its_first_part(self, monkeypatch, threads):
+        # more threads than CPUs under fast switching: no two parts that run
+        # at once share a scratch, and each thread that ran a part made one
+        monkeypatch.setattr(parallel, "THREADS", threads)
+        made, users, clashes = [], {}, []
+
+        def make():
+            scratch = {"busy": False}
+            made.append((threading.get_ident(), scratch))  # kept alive: ids stay unique
+            return scratch
+
+        def part(p, scratch):
+            if scratch["busy"]:
+                clashes.append(p)
+            scratch["busy"] = True
+            users.setdefault(id(scratch), set()).add(threading.get_ident())
+            sum(range(500))
+            scratch["busy"] = False
+            return p
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert parallel.map_parts(part, range(300), make) == list(range(300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert clashes == []
+        makers = [t for t, _ in made]
+        assert len(makers) == len(set(makers)) <= threads
+        assert sorted(users) == sorted(id(s) for _, s in made)
+        assert all(len(u) == 1 for u in users.values())
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
         # more threads than CPUs, three callers sharing the helpers: every
