@@ -383,7 +383,7 @@ def _cmd_train(cfg, args):
 def _cmd_eval(cfg, args):
     _, test_set = _load_dataset(cfg)
     res = training.evaluate(_load_checkpoint(args.checkpoint, test_set), test_set,
-                            cfg.loss_config())
+                            cfg.loss_config(), cfg.batch_size)
     print(json.dumps({"test_loss": res.loss, "test_acc": res.acc, "r_a": res.r_a}))
     return 0
 

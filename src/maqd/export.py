@@ -91,7 +91,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
-                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _conv,
+                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _code_divide, _conv,
                       _global_avg_pool, _im2col, _tap_major)
 from .normalization import Mode, affine, fold_normalization
 from .quantizer import (QScaleMode, QuantConfig, code_conv, lattice_states,
@@ -338,7 +338,7 @@ def _pipeline(x, m_a: int, divisor, scale, bias, codes=None) -> np.ndarray:
     set), the AFFINE and the ACT_Q's quantizer; float64 values k/(m_a-1),
     or the codes k in the dtype `codes`."""
     if divisor is not None:
-        x = np.divide(x, divisor, dtype=np.float64)
+        x = _code_divide(x, divisor, np.float64)
     return quantize_activation(x, m_a, codes=codes, affine=(scale, bias))
 
 
@@ -379,7 +379,7 @@ def _fold(m_a: int, dtype, bound, divisor, scale, bias) -> _Fold | None:
         return None
 
     def finite(s):  # the affine of inputs s, one per channel in axis 1
-        x = s if divisor is None else np.divide(s, divisor, dtype=np.float64)
+        x = s if divisor is None else _code_divide(s, divisor, np.float64)
         with np.errstate(over="ignore"):
             return np.isfinite(affine(x.reshape(-1, c, 1, 1), scale, bias)).reshape(s.shape)
 
@@ -593,7 +593,7 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         if code == OP_CONV_Q:
             x = _run_conv(op, x)
             if f["divisor"] is not None:  # else the ACT_Q's fold reads the sums
-                x = np.divide(x, f["divisor"], dtype=np.float64)
+                x = _code_divide(x, f["divisor"], np.float64)
         elif code == OP_CONV_F:
             x = _run_conv(op, x)
         elif code == OP_AFFINE:

@@ -256,6 +256,22 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     return grad_x, grad_w.reshape(out_ch, -1)
 
 
+def _code_divide(sums: np.ndarray, divisor: float, dtype) -> np.ndarray:
+    """A code conv's sums divided by its divisor in float64, a new array in
+    `dtype` and the sums' layout, split by samples over the pool's threads.
+    The trainer's EVAL conv and the runtime's CONV_Q share it."""
+    y = np.empty_like(sums, dtype)
+    # float64 carries over twice float32's precision, so rounding its
+    # quotient of two float32 values to float32 gives float32's own
+    # correctly rounded quotient: the float32 divide is the same
+    calc = np.float32 if y.dtype == sums.dtype == np.float32 and np.float32(divisor) == divisor \
+        else np.float64
+    parallel.map_parts(lambda s: np.divide(sums[s], divisor, out=y[s], dtype=calc,
+                                           casting="unsafe"),
+                       parallel.by_samples(sums.shape[0], sums.nbytes))
+    return y
+
+
 class _Leaf:
     """What a layer without sublayers shares: no parameters unless it says
     otherwise, a tape (`cache`) that is empty until a TRAIN forward, and
@@ -325,7 +341,8 @@ class Conv2d(_Leaf):
         """The conv of x with the effective weight. In EVAL, a conv of an
         integer-code chain (see `_link`) reads codes: it runs on them with
         the weight lattice in the dtype of `self.codes`, exactly, and
-        divides its sums by the divisor in float64, in the weight's dtype."""
+        divides its sums by the divisor in float64, in the weight's dtype
+        (`_code_divide`)."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
@@ -334,17 +351,7 @@ class Conv2d(_Leaf):
             lattice = weight_lattice(lattice_states(w2d, q), q)
             w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
             sums = _conv(x, w_tap, self.kernel, _im2col)
-            y = sums if sums.dtype == w2d.dtype else np.empty_like(sums, w2d.dtype)
-            d = self.codes.divisor
-            # float64 carries over twice float32's precision, so rounding its
-            # quotient of two float32 values to float32 gives float32's own
-            # correctly rounded quotient: the float32 divide is the same
-            calc = np.float32 if y.dtype == sums.dtype == np.float32 and np.float32(d) == d \
-                else np.float64
-            parallel.map_parts(lambda s: np.divide(sums[s], d, out=y[s], dtype=calc,
-                                                   casting="unsafe"),
-                               parallel.by_samples(x.shape[0], sums.nbytes))
-            return y
+            return _code_divide(sums, self.codes.divisor, w2d.dtype)
         y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col)
         if mode is Mode.TRAIN:
             self.cache = (x, w2d, ws_cache, q_saved)
@@ -599,9 +606,11 @@ class ModelGraph:
         return x
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        """Accumulate every parameter's gradient. The gradient of the graph
-        input is not formed: no caller uses it, so a leading conv skips its
-        col2im."""
+        """Accumulate every parameter's gradient. No caller uses the
+        gradient of the graph input: a leading conv skips its col2im and does
+        not form it, but a leading ResidualBlock (the preact nets) does, each
+        branch-head norm's backward forming an input-sized gradient that the
+        block sums, and the sum is dropped."""
         if not self._forward_done:
             raise RuntimeError("backward requires a preceding TRAIN-mode forward")
         first, *rest = self.layers

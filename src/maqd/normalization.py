@@ -19,36 +19,40 @@ to its head. Per-channel operands (g and b, the folded scale and bias,
 BN's mean and inv_std) are `_tile`s: on channels-last memory one sample
 in the input's layout, so that a ufunc's inner loop runs over a whole
 sample rather than one pixel's channels. Every reduction accumulates in
-float64 over the input's own dtype. LN's and LBN's are np.mean over the
-whole tensor on the calling thread, which walks it in memory order. BN's
-channel sums (its statistics, and every kind's grad_b and grad_g) are
-`_channel_sums`: np.sum on C order; on channels-last memory, per sample,
-ones times its (h*w, C) rows, one float64 GEMV (`_sums_into`: float64
-rows as they are, others cast in blocks), and the samples added in order,
-within (n + h*w) * 2**-53 of the sum of |x| of the exact sum. There the
-variance's sums and the backward's are taken inside the pass that forms
-their operand, slice by slice while it is in cache, so they add no pass
-and no wait for the pool's threads of their own. So a C-order input and
-its channels-last copy differ by float64 summation order alone, which at
-float32 the final rounding hides on the tested tensors; at float64 they
-agree within 1e-14 relative. The
-elementwise passes between the reductions run in slices of samples on
-the threads of the `parallel` pool, each slice taking all of a stage's
-passes while it is in cache, so the results do not depend on the thread
-count. The TRAIN forward takes the mean, squares
-x - mean in place for the variance, then builds x_hat in place: x_hat is
-the saved buffer, `affine(x_hat, g, b)` the output. EVAL for BN and LBN is
-`affine` with the constants of `fold_normalization`, which the export writes
-and its runtime's AFFINE applies. The BN and LBN backward reduce
-grad_b = sum(upstream) and grad_g = sum(upstream * x_hat) per channel,
-derive the statistics' terms m1 = g.grad_b / count and m2 = g.grad_g / count
-from them (per channel for BN, one dot product for LBN), and form
-grad_x = inv_std * (g * upstream - m1 - m2 * x_hat) in four passes over two
-buffers. LN takes its per-sample means of g * upstream and of
-g * upstream * x_hat directly. At float64 the TRAIN forward is bitwise the
-two-pass formula (x - mean) * inv_std * g + b with statistics from a float64
-copy; at float32 the variance sums float32 squares, a difference of a few
-float32 roundings.
+float64 over the input's own dtype. LN's and LBN's statistics are np.mean
+over the whole tensor on the calling thread, which walks it in memory
+order. Every other sum is a per-channel one (BN's statistics, every
+kind's grad_b and grad_g), taken per sample by `_sums_into`, where the
+one layout choice is made: on channels-last memory ones times the
+sample's (h*w, C) rows, one float64 GEMV, within (n + h*w) * 2**-53 of
+the sum of |x| of the exact sum; on any other layout np.sum over the
+sample's planes. The samples' sums are added in sample order, which on C
+order is bitwise np.sum over (0, 2, 3) where C > 1. Except for BN's mean,
+which has no pass of its own to ride in (`_channel_sums`), the sums are
+taken inside the pass that forms their operand, slice by slice while it
+is in cache, so they add no pass and no wait for the pool's threads of
+their own. So a C-order input and its channels-last copy differ by
+float64 summation order alone, which at float32 the final rounding hides
+on the tested tensors; at float64 they agree within 1e-14 relative. The
+elementwise passes run in slices of samples on the threads of the
+`parallel` pool, each slice taking all of a stage's passes while it is in
+cache, so the results do not depend on the thread count.
+
+The TRAIN forward takes the mean, squares x - mean in place for the
+variance, then builds x_hat in place: x_hat is the saved buffer,
+`affine(x_hat, g, b)` the output. EVAL for BN and LBN is `affine` with
+the constants of `fold_normalization`, which the export writes and its
+runtime's AFFINE applies. The backward of every kind forms
+t = upstream * x_hat and, in the same pass, each sample's sums of
+upstream and t, whose sums over samples are grad_b and grad_g. It derives
+the statistics' terms m1 = mean(g * upstream) and
+m2 = mean(g * upstream * x_hat) from those sums (per channel for BN, one
+dot product with g for LBN, one per sample for LN) and forms
+grad_x = inv_std * (g * upstream - m1 - m2 * x_hat) in one more pass of
+four operations over two buffers. At float64 the TRAIN forward is bitwise
+the two-pass formula (x - mean) * inv_std * g + b with statistics from a
+float64 copy; at float32 the variance sums float32 squares, a difference
+of a few float32 roundings.
 
 Weight standardization operates on an (out, fan_in) view of a weight
 tensor: each row is centered and divided by sqrt(fan_in)*std + eps (eps
@@ -168,30 +172,31 @@ def _tile(v, like: np.ndarray, dtype=None) -> np.ndarray:
 _SUM_BYTES = 1 << 18
 
 
-def _rows(x: np.ndarray) -> np.ndarray | None:
-    """The (n, h*w, C) NHWC rows of a channels-last (n, C, h, w) x, a view;
-    None for any other layout, and for one that is C order too."""
+def _sum_buffer(*xs: np.ndarray) -> np.ndarray | None:
+    """The float64 buffer of one pool thread for `_sums_into` on (n, C, h, w)
+    tensors of one shape: a few samples' (h*w, C) rows; None where all are
+    float64, which need none."""
+    if all(x.dtype == np.float64 for x in xs):
+        return None
+    n, c, h, w = xs[0].shape
+    step = max(1, _SUM_BYTES // max(1, c * h * w * 8))
+    return np.empty((min(step, n), h * w, c))
+
+
+def _sums_into(x: np.ndarray, s: slice, buf: np.ndarray | None, sums: np.ndarray):
+    """sums[i] = the (C,) float64 sums over (h, w) of sample i of the
+    (n, C, h, w) tensor x, for the samples i of s. On channels-last memory a
+    reduction over the outer axes would run one inner loop per pixel: there
+    each sample's sums are ones(h*w) times its (h*w, C) NHWC rows, one
+    float64 GEMV, float64 rows as they are, others cast into `buf` a few
+    samples at a time. Any other layout takes np.sum over the planes."""
     n, c, h, w = x.shape
     if memory_order(x)[-1] != 1 or x.flags.c_contiguous:
-        return None
-    return x.transpose(0, 2, 3, 1).reshape(n, h * w, c)
-
-
-def _sum_buffer(*rows: np.ndarray) -> np.ndarray | None:
-    """The float64 buffer of one pool thread for `_sums_into` on rows of
-    one shape; None where all are float64, which need none."""
-    if all(r.dtype == np.float64 for r in rows):
-        return None
-    step = max(1, _SUM_BYTES // max(1, rows[0][:1].size * 8))
-    return np.empty((min(step, rows[0].shape[0]),) + rows[0].shape[1:])
-
-
-def _sums_into(rows: np.ndarray, s: slice, buf: np.ndarray, sums: np.ndarray):
-    """sums[i] = ones(h*w) times rows[i], one float64 GEMV per sample, for
-    the samples i of s: float64 rows as they are, others cast into `buf` a
-    few samples at a time."""
-    ones = np.ones(rows.shape[1])
-    if rows.dtype == np.float64:
+        np.sum(x[s], axis=(2, 3), dtype=np.float64, out=sums[s])
+        return
+    rows = x.transpose(0, 2, 3, 1).reshape(n, h * w, c)
+    ones = np.ones(h * w)
+    if x.dtype == np.float64:
         np.matmul(ones, rows[s], out=sums[s])
         return
     step = buf.shape[0]
@@ -203,31 +208,25 @@ def _sums_into(rows: np.ndarray, s: slice, buf: np.ndarray, sums: np.ndarray):
 
 
 def _channel_sums(x: np.ndarray) -> np.ndarray:
-    """The (C,) float64 sums of an (n, C, h, w) tensor over (n, h, w).
-
-    On channels-last memory a reduction over the outer axes would run one
-    inner loop per pixel. There each sample's sums are ones(h*w) times its
-    (h*w, C) NHWC rows, one GEMV (`_sums_into`), in slices of samples on
-    the pool's threads, and the samples' sums are added in sample order,
-    so the result does not depend on the thread count. Any other layout
-    takes np.sum. The two orders differ by float64 rounding alone: each sum
-    is within (n + h*w) * 2**-53 of the sum of the channel's |x| of the
-    exact one."""
-    rows = _rows(x)
-    if rows is None:
-        return np.sum(x, axis=(0, 2, 3), dtype=np.float64)
-    sums = np.empty((x.shape[0], x.shape[1]))
-    parallel.map_parts(lambda s, buf: _sums_into(rows, s, buf, sums),
-                       parallel.by_samples(x.shape[0], x.nbytes), lambda: _sum_buffer(rows))
+    """The (C,) float64 sums of an (n, C, h, w) tensor over (n, h, w): each
+    sample's sums (`_sums_into`), in slices of samples on the pool's
+    threads, added in sample order, so the result does not depend on the
+    thread count. On C order with C > 1 that is bitwise np.sum over
+    (0, 2, 3) (with C = 1 numpy sums the whole array pairwise); on
+    channels-last memory each sum is within (n + h*w) * 2**-53 of the sum
+    of the channel's |x| of the exact one."""
+    sums = np.empty(x.shape[:2])
+    parallel.map_parts(lambda s, buf: _sums_into(x, s, buf, sums),
+                       parallel.by_samples(x.shape[0], x.nbytes), lambda: _sum_buffer(x))
     return sums.sum(axis=0)
 
 
 def _mean(x: np.ndarray, kind: NormKind, dtype, sample_sums=None) -> np.ndarray:
     """The mean of x over the kind's axes, summed in float64, in `dtype`,
     with x's dimensions: (1, C, 1, 1) for BN, from `_channel_sums`, or from
-    `sample_sums`, the (n, C) sums `_sums_into` already took of
-    channels-last x; (n, 1, 1, 1) for LN and (1, 1, 1, 1) for LBN, from
-    np.mean, which walks x in memory order."""
+    `sample_sums`, the (n, C) sums `_sums_into` already took of x;
+    (n, 1, 1, 1) for LN and (1, 1, 1, 1) for LBN, from np.mean, which walks
+    x in memory order."""
     if kind is NormKind.BN:
         sums = _channel_sums(x) if sample_sums is None else sample_sums.sum(axis=0)
         mean = (sums / (x.size // x.shape[1])).reshape(1, -1, 1, 1)
@@ -241,10 +240,13 @@ def _per_sample(v: np.ndarray, s: slice) -> np.ndarray:
     return v[s] if v.shape[0] > 1 else v
 
 
-def _operand(stat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A statistic of `_mean` as an operand of x: BN's per-channel one as a
-    `_tile`, a per-sample or whole-tensor one as it is."""
-    return _tile(stat, x) if stat.shape[1] > 1 else stat
+def _operand(stat: np.ndarray, x: np.ndarray, dtype=None) -> np.ndarray:
+    """A statistic with x's dimensions as an operand of x, in `dtype` (x's
+    by default): a per-channel one (BN's) as a `_tile`, one with a row per
+    sample (LN's) or one value as it is."""
+    if stat.shape[0] == 1:
+        return _tile(stat, x, dtype)
+    return stat.astype(dtype or x.dtype, copy=False)
 
 
 def _affine_into(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, out: np.ndarray):
@@ -289,19 +291,17 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     mean = _mean(x, kind, x.dtype)
     mean_op = _operand(mean, x)
     x_hat = np.empty_like(x)  # (x - mean)**2 first, then x_hat
-    # BN on channels-last memory takes each slice's sample sums of the
-    # squares in the pass that forms them, while the slice is in cache
-    sq_rows = _rows(x_hat) if kind is NormKind.BN else None
-    sq_sums = None if sq_rows is None else np.empty(x.shape[:2])
+    # BN takes each slice's sample sums of the squares in the pass that
+    # forms them, while the slice is in cache
+    sq_sums = np.empty(x.shape[:2]) if kind is NormKind.BN else None
 
     def squares(s, buf):
         np.subtract(x[s], _per_sample(mean_op, s), out=x_hat[s])
         np.square(x_hat[s], out=x_hat[s])
         if sq_sums is not None:
-            _sums_into(sq_rows, s, buf, sq_sums)
+            _sums_into(x_hat, s, buf, sq_sums)
 
-    parallel.map_parts(squares, parts,
-                       lambda: None if sq_rows is None else _sum_buffer(sq_rows))
+    parallel.map_parts(squares, parts, lambda: None if sq_sums is None else _sum_buffer(x_hat))
     var = _mean(x_hat, kind, x.dtype, sq_sums)
     if mode is Mode.TRAIN and kind is not NormKind.LN:
         r = st.ema_rate
@@ -334,59 +334,39 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
     dtype = upstream.dtype
     parts = parallel.by_samples(x_hat.shape[0], x_hat.nbytes)
     t = np.empty_like(x_hat, dtype=np.result_type(upstream, x_hat))
-    up_rows, t_rows = _rows(upstream), _rows(t)
-    if up_rows is None or t_rows is None:
-        grad_b = _channel_sums(upstream)
-        parallel.map_parts(lambda s: np.multiply(upstream[s], x_hat[s], out=t[s]), parts)
-        grad_g = _channel_sums(t)
+    # each slice's sample sums of upstream and t are taken in the pass that
+    # forms t, while the slice is in cache
+    sums_b, sums_g = np.empty((2,) + x_hat.shape[:2])
+
+    def product(s, buf):
+        np.multiply(upstream[s], x_hat[s], out=t[s])
+        _sums_into(upstream, s, buf, sums_b)
+        _sums_into(t, s, buf, sums_g)
+
+    parallel.map_parts(product, parts, lambda: _sum_buffer(upstream, t))
+    grad_b, grad_g = sums_b.sum(axis=0), sums_g.sum(axis=0)
+    # m1 = mean(g * upstream) and m2 = mean(g * upstream * x_hat) over the
+    # reduction axes, from the sums: per channel for BN, one dot product for
+    # LBN, one per sample for LN; then
+    # grad_x = inv_std * (g * upstream - m1 - m2 * x_hat).
+    g64 = g.astype(np.float64)
+    if cache.kind is NormKind.BN:
+        m1, m2 = g64 * grad_b, g64 * grad_g
+    elif cache.kind is NormKind.LBN:
+        m1, m2 = g64 @ grad_b, g64 @ grad_g
     else:
-        # channels-last: each slice's sample sums of upstream and t are
-        # taken in the pass that forms t, while the slice is in cache
-        sums_b, sums_g = np.empty((2,) + x_hat.shape[:2])
-
-        def product(s, buf):
-            np.multiply(upstream[s], x_hat[s], out=t[s])
-            _sums_into(up_rows, s, buf, sums_b)
-            _sums_into(t_rows, s, buf, sums_g)
-
-        parallel.map_parts(product, parts, lambda: _sum_buffer(up_rows, t_rows))
-        grad_b, grad_g = sums_b.sum(axis=0), sums_g.sum(axis=0)
+        m1, m2 = sums_b @ g64, sums_g @ g64
+    count = x_hat.size // inv_std.size
+    inv = inv_std.astype(np.float64)
+    m1, m2 = (np.reshape(m / count, inv.shape) for m in (m1, m2))
+    c2, c1, c3 = (_operand(inv * v, x_hat, dtype) for v in (m2, m1, g64.reshape(1, -1, 1, 1)))
     grad_x = np.empty_like(x_hat, dtype=dtype)
 
-    if cache.kind is NormKind.LN:
-        g_c = _tile(g, x_hat, dtype)
-
-        def d_xhat(s):
-            np.multiply(upstream[s], g_c, out=grad_x[s])
-            np.multiply(grad_x[s], x_hat[s], out=t[s])
-
-        parallel.map_parts(d_xhat, parts)
-        m1, m2 = _mean(grad_x, NormKind.LN, dtype), _mean(t, NormKind.LN, dtype)
-
-        def combine(s):
-            np.multiply(x_hat[s], m2[s], out=t[s])
-            grad_x[s] -= m1[s]
-            grad_x[s] -= t[s]
-            grad_x[s] *= inv_std[s]
-    else:
-        # m1 = mean(g * upstream) and m2 = mean(g * upstream * x_hat) over
-        # the reduction axes, from the two channel sums; then
-        # grad_x = inv_std * (g * upstream - m1 - m2 * x_hat).
-        g64 = g.astype(np.float64)
-        if cache.kind is NormKind.BN:
-            count = x_hat.size // g.size
-            m1, m2 = g64 * grad_b / count, g64 * grad_g / count
-        else:
-            count = x_hat.size
-            m1, m2 = g64 @ grad_b / count, g64 @ grad_g / count
-        inv = inv_std.astype(np.float64).reshape(-1)
-        c2, c1, c3 = (_tile(inv * v, x_hat, dtype) for v in (m2, m1, g64))
-
-        def combine(s):
-            np.multiply(x_hat[s], c2, out=t[s])
-            t[s] += c1
-            np.multiply(upstream[s], c3, out=grad_x[s])
-            grad_x[s] -= t[s]
+    def combine(s):
+        np.multiply(x_hat[s], _per_sample(c2, s), out=t[s])
+        t[s] += _per_sample(c1, s)
+        np.multiply(upstream[s], _per_sample(c3, s), out=grad_x[s])
+        grad_x[s] -= t[s]
 
     parallel.map_parts(combine, parts)
     return grad_x, grad_g.astype(g.dtype), grad_b.astype(g.dtype)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 from dataclasses import asdict, fields
 
@@ -582,6 +583,27 @@ class TestNormBenchFlags:
                 *flags]
         assert main(args) == 0
         assert seen == [want]
+
+
+class TestEvalBatchSize:
+    @pytest.mark.parametrize("flags,want", [([], 100), (["--batch-size", "7"], 7)],
+                             ids=["default", "set"])
+    def test_evaluate_gets_the_batch_size(self, tmp_path, monkeypatch, capsys, flags, want):
+        path = tmp_path / "checkpoint.npz"
+        write_checkpoint(path)
+        seen = []
+        real = training.evaluate
+
+        def spy(*args, **kw):
+            call = inspect.signature(real).bind(*args, **kw)
+            call.apply_defaults()
+            seen.append(call.arguments["batch_size"])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(training, "evaluate", spy)
+        assert main(["eval", "--dataset", "blobs", "--checkpoint", str(path), *flags]) == 0
+        assert seen == [want]
+        assert 0.0 <= json.loads(capsys.readouterr().out)["test_acc"] <= 1.0
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maqd.export as export_mod
+import maqd.network as network_mod
 from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
                          OP_CONV_F, OP_CONV_Q, OP_GAP, OP_RELU, OP_RES_BEGIN,
                          OP_RES_END, OP_RES_SEP, ModelFormatError, export,
@@ -683,6 +684,29 @@ class TestIntegerCodeRuntime:
                         op.fields["qscale"], kernel)
         assert x.dtype == y.dtype == np.float32
         np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(np.float32))
+
+    def test_trainer_and_runtime_share_the_code_divide(self, tmp_path, monkeypatch):
+        graph = _quantized_stack(CFG, 5, 4, 3, False, seed=37)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        assert export_mod._code_divide is network_mod._code_divide
+        seen = []
+        real = network_mod._code_divide
+
+        def spy(sums, divisor, dtype):
+            seen.append((sums.dtype, divisor, np.dtype(dtype)))
+            return real(sums, divisor, dtype)
+
+        monkeypatch.setattr(network_mod, "_code_divide", spy)
+        monkeypatch.setattr(export_mod, "_code_divide", spy)
+        images = np.random.default_rng(38).integers(0, CFG.m_a, size=(2, 5, 6, 6)) / (CFG.m_a - 1)
+        graph.forward(images, Mode.EVAL)
+        assert len(seen) == 1  # the trainer's conv
+        runtime_infer(model, images)
+        # the runtime's CONV_Q: the same float32 code sums and divisor
+        call = (np.float32, graph.conv_layers()[0].codes.divisor, np.float64)
+        assert seen == [call, call]
 
     @pytest.mark.parametrize("in_ch,kernel,pooled,dtype", [
         (32, 3, False, np.float64), (32, 1, False, np.float32),

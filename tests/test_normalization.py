@@ -435,7 +435,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("shape", [LAYOUT_SHAPE, (3, 5, 6, 4), (2, 7, 1, 1)])
     def test_channel_sums_within_the_stated_bound(self, shape):
-        # on channels-last memory the BN channel sums are a GEMV per sample
+        # on channels-last memory the channel sums are a GEMV per sample
         # and a sum over samples: within (n + h*w) * 2**-53 of the sum of
         # the channel's |x| of the exact sum
         x = np.random.default_rng(63).normal(1.0, 3.0, size=shape)
@@ -445,18 +445,20 @@ class TestLayout:
             values = x[:, ch].ravel()
             exact = math.fsum(values)
             assert abs(got[ch] - exact) <= (n + h * w) * 2.0 ** -53 * np.sum(np.abs(values))
-        # a C-order x takes np.sum, as before
+        # on C order the per-sample plane sums, added in sample order, are
+        # bitwise np.sum over (0, 2, 3)
         np.testing.assert_array_equal(normalization._channel_sums(x),
                                       np.sum(x, axis=(0, 2, 3), dtype=np.float64))
 
+    @pytest.mark.parametrize("layout", [np.asarray, channels_last], ids=["c", "cl"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sums_inside_a_pass_are_the_channel_sums(self, dtype):
-        # on channels-last memory BN's variance sums and every kind's grad_b
-        # and grad_g are taken slice by slice inside the pass that forms
-        # their operand: bitwise `_channel_sums` of that operand
+    def test_sums_inside_a_pass_are_the_channel_sums(self, dtype, layout):
+        # BN's variance sums and every kind's grad_b and grad_g are taken
+        # slice by slice inside the pass that forms their operand: bitwise
+        # `_channel_sums` of that operand
         rng = np.random.default_rng(65)
-        x = channels_last((2 * rng.normal(size=LAYOUT_SHAPE) + 0.5).astype(dtype))
-        up = channels_last(rng.normal(size=LAYOUT_SHAPE).astype(dtype))
+        x = layout((2 * rng.normal(size=LAYOUT_SHAPE) + 0.5).astype(dtype))
+        up = layout(rng.normal(size=LAYOUT_SHAPE).astype(dtype))
         count = x.size // x.shape[1]
 
         def channel_mean(t):
@@ -473,13 +475,14 @@ class TestLayout:
                 var = channel_mean(np.square(x - channel_mean(x)))
                 np.testing.assert_array_equal(cache.inv_std, 1.0 / np.sqrt(var + st.eps))
 
+    @pytest.mark.parametrize("layout", [np.asarray, channels_last], ids=["c", "cl"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_channels_last_is_bitwise_across_threads(self, across_threads, kind):
-        # the channel sums' GEMVs run in parts of samples on the pool
+    def test_bitwise_across_threads(self, across_threads, kind, layout):
+        # the per-sample sums run in parts of samples on the pool
         rng = np.random.default_rng(64)
         shape = (24,) + LAYOUT_SHAPE[1:]
-        x = channels_last(rng.normal(size=shape).astype(np.float32))
-        up = channels_last(rng.normal(size=shape).astype(np.float32))
+        x = layout(rng.normal(size=shape).astype(np.float32))
+        up = layout(rng.normal(size=shape).astype(np.float32))
 
         def run():
             st = NormLayerState.create(kind, shape[1], dtype=np.float32)
