@@ -402,6 +402,8 @@ def _cmd_infer(cfg, args):
     if model.class_count != test_set.class_count:
         raise UsageError(f"the model's class_count is {model.class_count}, "
                          f"the data's {test_set.class_count}")
+    if test_set.images.shape[0] == 0:
+        raise ValueError("empty test set")
     logits = []
     for start in range(0, test_set.images.shape[0], cfg.batch_size):
         logits.append(export_mod.runtime_infer(

@@ -621,10 +621,13 @@ class ParityReport:
 
 def parity_check(graph: ModelGraph, model: RuntimeModel, images: np.ndarray,
                  batch_size: int = 100) -> ParityReport:
-    """Compare trainer EVAL logits with runtime logits on the same images."""
+    """Compare trainer EVAL logits with runtime logits on the same images;
+    no images is a ValueError."""
+    n = images.shape[0]
+    if n == 0:
+        raise ValueError("parity check on no images")
     max_diff = 0.0
     agree = 0
-    n = images.shape[0]
     for start in range(0, n, batch_size):
         xb = images[start:start + batch_size]
         ref = graph.forward(xb, Mode.EVAL).astype(np.float64)

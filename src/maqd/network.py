@@ -21,31 +21,31 @@ with pooling). Activations are channels-last from the first conv to the
 head: their memory holds NHWC rows, one pixel's channels contiguous, while
 their shape stays the logical (n, c, h, w). `_conv` writes that layout
 whatever its input's, and every other kernel keeps its input's layout, so
-no layer transposes an activation. `_conv` computes in parts of whole
-samples, run on the threads of the `parallel` pool, each part as many
-samples as keep its patch matrix within `_BLOCK_BYTES // parallel.THREADS`,
-so that the parts in flight hold about one block of patch matrix between
-them: per part, `_im2col` copies the samples' NHWC rows into a zero-padded
-buffer, a contiguous copy, and gathers each output pixel's window in
-(ki, kj, c) order, so every kernel tap copies a contiguous run of channels
-(a 1x1 patch matrix is the rows themselves), and one GEMM with the
-tap-major weight writes the part's NHWC rows of the output. The parts are
-rows of one GEMM, so the output does not depend on how many there are. No
-full-batch patch matrix is ever built. `_tap_major` puts the (out, c*k*k)
-weight rows in the same order; the weight itself, WS, the quantizer and
-the export format keep the canonical (out, c, k, k) layout. A TRAIN conv
-tapes its input and its effective weight with the WS and quantizer caches,
-and no patch matrix. Its backward (`_col2im`) is one pass over the
-`_blocks` of the upstream, blocks of whole samples fixed by bytes alone,
-each gathered and multiplied whole by one pool thread: the block's patch
-matrix of the upstream gives both the input gradient's NHWC rows, the
-conv's exact transpose (the upstream cross-correlated with the weight
-flipped in both spatial axes, its in and out channels swapped), and the
-block's weight-gradient product, the block's NHWC rows of the input,
-transposed, times that patch matrix. The products are summed in block
-order, whatever the thread count. The export runs `Conv2d.effective_weight`
-in float64; its runtime calls the same conv, `affine`, 2x2 and global
-pooling kernels, so its activations are channels-last too.
+no layer transposes an activation but the global pooling, which copies
+the head conv's few output channels to C order. Both directions of a conv
+run on `_blocks`, blocks of whole samples fixed by bytes alone, about 2 MB
+of patch matrix each, never by the thread count: each block is gathered
+and multiplied whole by one pool thread, into the patch buffer that the
+thread makes once per `map_parts` call; no full-batch patch matrix is
+ever built. `_im2col` copies a block's NHWC rows into a zero-padded buffer, a
+contiguous copy, and gathers each output pixel's window in (ki, kj, c)
+order, so every kernel tap copies a contiguous run of channels (a 1x1
+patch matrix is the rows themselves). Forward (`_conv`), one GEMM of the
+block's patch matrix of x with the tap-major weight writes the block's
+NHWC rows of the output; the blocks are rows of one GEMM. `_tap_major`
+puts the (out, c*k*k) weight rows in that order; the weight itself, WS,
+the quantizer and the export format keep the canonical (out, c, k, k)
+layout. A TRAIN conv tapes its input and its effective weight with the WS
+and quantizer caches, and no patch matrix. Backward (`_col2im`), the
+block's patch matrix of the upstream gives both the input gradient's NHWC
+rows, the conv's exact transpose (the upstream cross-correlated with the
+weight flipped in both spatial axes, its in and out channels swapped),
+and the block's weight-gradient product, the block's NHWC rows of the
+input, transposed, times that patch matrix. The products are summed in
+block order. So no result depends on the thread count. The export runs
+`Conv2d.effective_weight` in float64; its runtime calls the same conv,
+`affine`, 2x2 and global pooling kernels, so its activations are
+channels-last too.
 
 The EVAL forward computes a quantized conv that reads an activation
 quantizer's output as the runtime does. `_link` finds each ActQuant ->
@@ -106,25 +106,23 @@ def _nbytes(obj) -> int:
     return 0
 
 
-def _im2col(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """(n, c, h, w) -> (n*h*w, k*k*c) patch matrix of the stride-1 conv padded
     by k // 2, whose output has x's extent.
 
     Columns are tap-major: column (ki*k + kj)*c + ci holds input channel ci
     at kernel tap (ki, kj), so the matrix multiplies `_tap_major` weights.
     A 3x3 patch matrix is written into `out`, a C-contiguous array of that
-    shape, when one is given: x's NHWC rows are copied once into a
-    zero-padded buffer, a contiguous copy from channels-last x, and each
-    output pixel's window is gathered from it. A 1x1 patch matrix is x's
-    NHWC rows themselves, a view of channels-last x (a C-order x is copied).
+    shape: x's NHWC rows are copied once into a zero-padded buffer, a
+    contiguous copy from channels-last x, and each output pixel's window is
+    gathered from it. A 1x1 patch matrix is x's NHWC rows themselves, a
+    view of channels-last x (a C-order x is copied); `out` goes unused.
     """
     n, c, h, w = x.shape
     pad = k // 2
     rows = x.transpose(0, 2, 3, 1)
     if not pad:
         return rows.reshape(n * h * w, c)
-    if out is None:
-        out = np.empty((n * h * w, k * k * c), dtype=x.dtype)
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = rows
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -138,66 +136,57 @@ def _tap_major(w2d: np.ndarray, c: int, k: int) -> np.ndarray:
     return w2d.reshape(-1, c, k * k).transpose(0, 2, 1).reshape(w2d.shape[0], -1)
 
 
-# Bytes of patch matrix per block of samples, small enough that a block's
-# patch matrix stays cache-resident through its GEMM. Of 1, 2, 4, 8 and 32 MB,
-# 4 MB gave the fastest vgg-mini batch-100 train step and EVAL forward on
-# 2 vCPU; cnn9-mini at batch 16 moved within 5%. The pool's threads share it:
-# each forward part holds _BLOCK_BYTES // parallel.THREADS. The backward's
-# blocks are sized by bytes alone, so that its weight-gradient sum does not
-# depend on the thread count: each holds _BLOCK_BYTES // _BWD_IN_FLIGHT of
-# patch matrix, within a core's 2 MB L2.
+# A conv block holds _BLOCK_BYTES // _BWD_IN_FLIGHT = 2 MB of patch matrix,
+# within a core's 2 MB L2, so that it stays cache-resident through its
+# GEMMs; the backward holds at most _BLOCK_BYTES of weight-gradient products
+# at once. Of 1, 2, 4, 8 and 32 MB of patch matrix shared by the two threads
+# of a 2-vCPU VM, 4 MB gave the fastest vgg-mini batch-100 train step and
+# EVAL forward; cnn9-mini at batch 16 moved within 5%. The blocks depend on
+# bytes alone, so no result depends on the thread count, which only sets
+# how many blocks are in flight at once.
 _BLOCK_BYTES = 1 << 22
 _BWD_IN_FLIGHT = 2
 
-# Multiply-adds below which a GEMM is not split across threads. OpenBLAS
-# hands a GEMM of up to 1e6 of them to its small-matrix kernels, which sum
-# in another order than its blocked kernels, so a part of a GEMM is bitwise
-# that GEMM's rows only above that size; this leaves a margin.
-_MIN_PART_MACS = 1 << 21
 
-
-def _blocks(up_shape, itemsize: int, k: int) -> list[slice]:
-    """The backward's blocks: as few even slices of the batch as keep each
-    block's patch matrix of the (n, out, h, w) upstream within
+def _blocks(shape, itemsize: int, k: int) -> list[slice]:
+    """The blocks of a conv on the (n, ch, h, w) operand whose patch matrix
+    is gathered, x forward and the upstream backward: as few even slices of
+    the batch as keep each block's patch matrix within
     _BLOCK_BYTES // _BWD_IN_FLIGHT (at least one sample). They depend on
     bytes alone, not on the thread count. An empty batch is one empty
     block."""
-    n, out_ch, h, w = up_shape
-    step = max(1, _BLOCK_BYTES // _BWD_IN_FLIGHT // max(1, h * w * k * k * out_ch * itemsize))
+    n, ch, h, w = shape
+    step = max(1, _BLOCK_BYTES // _BWD_IN_FLIGHT // max(1, h * w * k * k * ch * itemsize))
     return parallel.even(n, max(1, -(-n // step)))
 
 
-def _conv_parts(x_shape, itemsize: int, k: int, out_ch: int) -> list[slice]:
-    """The forward's parts: as few even slices of the batch as keep each
-    part's patch matrix within _BLOCK_BYTES // parallel.THREADS (at least
-    one sample), so that the parts in flight hold one block between them. A
-    batch that fits one part is split into one part per thread, as far as
-    each keeps _MIN_PART_MACS."""
-    n, c, h, w = x_shape
-    per_sample = h * w * k * k * c
-    step = max(1, _BLOCK_BYTES // parallel.THREADS // max(1, per_sample * itemsize))
-    count = max(1, -(-n // step))
-    if count < parallel.THREADS:
-        count = max(count, min(parallel.THREADS, n * per_sample * out_ch // _MIN_PART_MACS))
-    return parallel.even(n, count)
+def _patch_buffer(x: np.ndarray, blocks: list[slice], k: int):
+    """The `make` of a pool thread's patch buffer for `_im2col` on the
+    `blocks` of x: room for the largest block's patch matrix; no rows for a
+    1x1 conv, whose patch matrix is a view of x."""
+    n, c, h, w = x.shape
+    rows = max(b.stop - b.start for b in blocks) * h * w if k > 1 else 0
+    return lambda: np.empty((rows, k * k * c), x.dtype)
 
 
 def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col) -> np.ndarray:
     """Cross-correlation of (n, c, h, w) x with the tap-major (out, k*k*c)
-    matrix w_tap at stride 1 and padding k // 2, one part of `_conv_parts`
-    at a time on each pool thread: the part's patch matrix from `im2col`
-    (the caller's `_im2col`) times w_tap, written straight into the part's
-    NHWC rows of the output. The parts are rows of one GEMM, so the output
-    does not depend on them. Returns the (n, out, h, w) output,
+    matrix w_tap at stride 1 and padding k // 2, one of the `_blocks` of x
+    at a time on each pool thread: the block's patch matrix, gathered by
+    `im2col` (the caller's `_im2col`) into the thread's patch buffer, times
+    w_tap, written straight into the block's NHWC rows of the output. The
+    blocks are rows of one GEMM. Returns the (n, out, h, w) output,
     channels-last whatever x's layout."""
     n, _, h, w = x.shape
     out_ch = w_tap.shape[0]
     y = np.empty((n * h * w, out_ch), dtype=np.result_type(x, w_tap))
+    blocks = _blocks(x.shape, x.itemsize, k)
 
-    def run(b):
-        np.matmul(im2col(x[b], k), w_tap.T, out=y[b.start * h * w:b.stop * h * w])
+    def run(b, patches):
+        r = slice(b.start * h * w, b.stop * h * w)
+        np.matmul(im2col(x[b], k, patches[:r.stop - r.start]), w_tap.T, out=y[r])
 
-    parallel.map_parts(run, _conv_parts(x.shape, x.itemsize, k, out_ch))
+    parallel.map_parts(run, blocks, _patch_buffer(x, blocks, k))
     return y.reshape(n, h, w, out_ch).transpose(0, 3, 1, 2)
 
 
@@ -208,8 +197,8 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     gradient, or None without computing it when `input_grad` is false; the
     (out, c*k*k) weight gradient).
 
-    Each of the `_blocks` is gathered and multiplied whole by one pool
-    thread, into the patch buffer that the thread makes once. Its patch
+    Each of the `_blocks` of the upstream is gathered and multiplied whole
+    by one pool thread, into the thread's patch buffer. Its patch
     matrix P of the upstream, gathered once, gives both:
     - the input gradient's NHWC rows, P times the weight flipped in both
       spatial axes with its in and out channels swapped, written straight
@@ -229,13 +218,10 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
         1, 0, 2, 3).reshape(c, -1), out_ch, k)
     grad_x = np.empty((n * h * w, c), np.result_type(upstream, w_flip)) if input_grad else None
     blocks = _blocks(upstream.shape, upstream.itemsize, k)
-    rows = max(b.stop - b.start for b in blocks) * h * w
     prod_dtype = np.result_type(x, upstream)
     wave = max(parallel.THREADS, _BLOCK_BYTES // max(1, w2d.size * prod_dtype.itemsize))
     prods = np.empty((min(wave, len(blocks)), c, k * k * out_ch), prod_dtype)
-
-    def make():  # a 1x1 patch matrix is a view of the upstream: no rows
-        return np.empty((rows if k > 1 else 0, k * k * out_ch), upstream.dtype)
+    make = _patch_buffer(upstream, blocks, k)
 
     def run(i, patches):
         b = blocks[i]

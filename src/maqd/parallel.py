@@ -15,17 +15,21 @@ from a shared iterator until none is left, so a thread that a busy CPU
 slows takes fewer of them. A kernel that needs scratch passes `make`, and
 each thread that runs a part makes its own once. `map_parts` returns the
 results in part order and re-raises in the caller the exception of the
-first part that raised. Callers cut their work so that each part computes
-exactly what the serial kernel computes on the same elements (rows of one
-GEMM, slices of an elementwise pass). The one reduction that is split, the
-conv's weight gradient, is cut into blocks fixed by bytes, never by the
-thread count, whose products are added in one fixed order; so every result
-is bitwise the serial one.
+first part that raised.
+
+Every kernel cuts its work into parts by bytes alone, never by the thread
+count: `by_samples` cuts an elementwise kernel's batch into slices of
+about PART_BYTES, and the conv cuts its batch into blocks of about 2 MB of
+patch matrix (`network._blocks`). Each part computes exactly what the
+serial kernel computes on the same elements (rows of one GEMM, slices of
+an elementwise pass); the one reduction that is split, the conv's weight
+gradient, adds its blocks' products in one fixed order. The thread count
+only sets how many threads take the parts, so every result is the same
+at any thread count by construction.
 
 With one CPU, or without the BLAS setter, THREADS is 1: `map_parts` runs
-the parts in order on the calling thread, which is the same code path, and
-BLAS keeps its own thread count. `by_samples` cuts an elementwise kernel's
-batch into parts, one part for an operand below `SMALL_BYTES`.
+the same parts in order on the calling thread, and BLAS keeps its own
+thread count.
 """
 
 from __future__ import annotations
@@ -37,17 +41,14 @@ import threading
 
 import numpy as np  # noqa: F401  (loads the OpenBLAS whose thread count is set)
 
-# Bytes of operand below which an elementwise kernel runs as one part on
-# the calling thread: waking a helper takes about 60 us on a 2-vCPU VM.
-# Timed on a vgg-mini float32 train step plus EVAL forward, against one
-# thread: with 1 MB the 10-image step stayed within 2% (47.6 against
-# 47.1 ms) and the batch-100 step fell from 425 to 306 ms; 64 KB and
-# 256 KB were within noise of 1 MB, and 4 MB lost 8% on the batch-100 step.
-SMALL_BYTES = 1 << 20
-
-# Bytes of operand per part of an elementwise kernel, so that a part's
-# passes run over data that stays in the core's 2 MB L2 cache; 256 KB to
-# 2 MB timed within noise of each other on the same steps.
+# Bytes of operand per slice of an elementwise kernel, so that a slice's
+# passes run over data that stays in the core's 2 MB L2 cache; an operand
+# below twice this runs as one slice on the calling thread, as waking a
+# helper takes about 60 us on a 2-vCPU VM. Timed on a vgg-mini float32 train
+# step plus EVAL forward on 2 vCPU, against one thread: with a 1 MB floor
+# for a split the 10-image step stayed within 2% (47.6 against 47.1 ms) and
+# the batch-100 step fell from 425 to 306 ms; 256 KB to 2 MB slices timed
+# within noise of each other, and a 4 MB floor lost 8% on the batch-100 step.
 PART_BYTES = 1 << 19
 
 
@@ -172,8 +173,6 @@ def even(n: int, count: int) -> list[slice]:
 
 def by_samples(n: int, nbytes: int) -> list[slice]:
     """Even slices of a batch of n samples for an elementwise kernel whose
-    operand is `nbytes`: one per PART_BYTES of it and at least THREADS, or
-    one slice when the operand is below SMALL_BYTES or THREADS is 1."""
-    if THREADS < 2 or nbytes < SMALL_BYTES or n < 2:
-        return [slice(0, n)]
-    return even(n, min(n, max(THREADS, nbytes // PART_BYTES)))
+    operand is `nbytes`: one per PART_BYTES of it, at least one and at most
+    n. They depend on bytes alone, not on the thread count."""
+    return even(n, max(1, min(n, nbytes // PART_BYTES)))

@@ -233,20 +233,31 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_train,n_test,split", [(0, 3, "train"), (6, 0, "test")])
-    def test_empty_mnist_split_is_2_and_names_it(self, tmp_path, capsys, n_train, n_test,
-                                                 split):
-        # 0-image idx files load; training refuses them before its first step
+    @pytest.mark.parametrize("command,n_train,n_test,split", [
+        ("train", 0, 3, "train"), ("train", 6, 0, "test"), ("eval", 6, 0, "test"),
+        ("infer", 6, 0, "test"), ("infer_checkpoint", 6, 0, "test")])
+    def test_empty_mnist_split_is_2_and_names_it(self, tmp_path, capsys, monkeypatch, command,
+                                                 n_train, n_test, split):
+        # 0-image idx files load; each command refuses them before its
+        # first step or batch
         for stem, n in (("train", n_train), ("t10k", n_test)):
             write_idx_images(tmp_path / f"{stem}-images-idx3-ubyte",
                              np.zeros((n, 28, 28), np.uint8))
             write_idx_labels(tmp_path / f"{stem}-labels-idx1-ubyte", np.zeros(n, np.uint8))
         out = tmp_path / "out"
-        assert main(["train", "--dataset", "mnist", "--data-dir", str(tmp_path),
-                     "--architecture", "vgg-mini", "--epochs", "1",
-                     "--out-dir", str(out)]) == 2
+        checkpoint = tmp_path / "checkpoint.npz"
+        export(write_checkpoint(checkpoint, class_count=10), tmp_path / "m.maqd")
+        batches = []
+        monkeypatch.setattr(cli.export_mod, "runtime_infer", lambda *a: batches.append(a))
+        args = {"train": ["train", "--architecture", "vgg-mini", "--epochs", "1",
+                          "--out-dir", str(out)],
+                "eval": ["eval", "--checkpoint", str(checkpoint)],
+                "infer": ["infer", "--model", str(tmp_path / "m.maqd")],
+                "infer_checkpoint": ["infer", "--model", str(tmp_path / "m.maqd"),
+                                     "--checkpoint", str(checkpoint)]}[command]
+        assert main(args + ["--dataset", "mnist", "--data-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: empty {split} set\n"
-        assert not (out / "checkpoint.npz").exists()
+        assert not (out / "checkpoint.npz").exists() and not batches
 
     def test_sweep_checks_every_cell_before_the_first_runs(self, tmp_path, capsys):
         out = tmp_path / "out"

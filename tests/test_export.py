@@ -588,6 +588,13 @@ class TestRuntimeParity:
         with pytest.raises(ValueError, match="channels"):
             runtime_infer(model, np.zeros((1, 3, 8, 8)))
 
+    def test_parity_check_on_no_images_is_a_value_error(self, tmp_path):
+        graph = tiny_graph()
+        warm_up(graph)
+        export(graph, tmp_path / "m.maqd")
+        with pytest.raises(ValueError, match="no images"):
+            parity_check(graph, import_model(tmp_path / "m.maqd"), np.zeros((0, 1, 8, 8)))
+
 
 class TestRuntimeShapeErrors:
     @pytest.mark.parametrize("c", [1, 3], ids=["broadcasting", "mismatched"])

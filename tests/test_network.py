@@ -237,6 +237,12 @@ def _blocked_case(kernel, dtype, seed, in_ch=16, out_ch=16, block=network._BLOCK
     return conv, x, step
 
 
+def _patches(x, k):
+    """x's whole patch matrix, gathered by `network._im2col` into a new
+    buffer."""
+    n, c, h, w = x.shape
+    return network._im2col(x, k, np.empty((n * h * w, k * k * c), x.dtype))
+
 
 def _one_shot(conv, x, up):
     """The whole-batch conv the blocked kernel replaces: one patch matrix of
@@ -248,27 +254,28 @@ def _one_shot(conv, x, up):
     k = conv.kernel
     n, c, h, w = x.shape
     w2d = conv.weight.data.reshape(conv.out_ch, -1)
-    cols = network._im2col(x, k)
+    cols = _patches(x, k)
     y = (cols @ network._tap_major(w2d, c, k).T).reshape(
         n, h, w, conv.out_ch).transpose(0, 3, 1, 2)
     g2 = up.transpose(0, 2, 3, 1).reshape(-1, conv.out_ch)
     grad_w = (np.ascontiguousarray(g2.T, np.float64) @ cols.astype(np.float64)).reshape(
         conv.out_ch, -1, c).transpose(0, 2, 1).reshape(conv.weight.data.shape)
     w_flip = conv.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    grad_x = (network._im2col(up, k) @ network._tap_major(w_flip, conv.out_ch, k).T).reshape(
+    grad_x = (_patches(up, k) @ network._tap_major(w_flip, conv.out_ch, k).T).reshape(
         n, h, w, c).transpose(0, 3, 1, 2)
     return y, grad_x, grad_w
 
 
 class TestBlockedConv:
-    """The conv runs one block of samples at a time, a block's patch matrix
-    being about network._BLOCK_BYTES. The blocks must not show in the
-    forward or the input gradient: their values are rows of the same GEMMs
-    as the one-shot conv's. That holds as far as the BLAS computes a GEMM
-    row the same way whatever the row count: OpenBLAS on AVX-512 does not
-    for some small or narrow float64 GEMMs (3 input channels, for one),
-    whose rows then differ in the last bit. The weight gradient sums the
-    blocks' products in another order."""
+    """Both directions of the conv run one of `network._blocks` at a time,
+    a block's patch matrix being at most
+    network._BLOCK_BYTES // network._BWD_IN_FLIGHT. The blocks must not
+    show in the forward or the input gradient: their values are rows of the
+    same GEMMs as the one-shot conv's. That holds as far as the BLAS
+    computes a GEMM row the same way whatever the row count: OpenBLAS on
+    AVX-512 does not for some small or narrow float64 GEMMs (3 input
+    channels, for one), whose rows then differ in the last bit. The weight
+    gradient sums the blocks' products in another order."""
 
     @pytest.mark.parametrize("in_ch, out_ch", [(16, 16), (3, 16), (24, 8)])
     @pytest.mark.parametrize("kernel", [1, 3])
@@ -360,11 +367,12 @@ class TestBlockedConv:
         report = parity_check(graph, model, images, batch_size=images.shape[0])
         assert report.max_abs_logit_diff < 1e-9
         assert report.argmax_agreement == 1.0
-        # the parts run in any order on the pool's threads; together they
-        # gather every sample once, each at most its share of one block
+        # the blocks run in any order on the pool's threads; together they
+        # gather every sample once, each at most one block of patch matrix
         blocks = [m for m, _ in gathers]
         assert len(blocks) >= 3 and sum(blocks) == x.shape[0]
-        assert all(nbytes <= network._BLOCK_BYTES // parallel.THREADS for _, nbytes in gathers)
+        assert all(nbytes <= network._BLOCK_BYTES // network._BWD_IN_FLIGHT
+                   for _, nbytes in gathers)
 
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_input_gradient_runs_in_blocks(self, monkeypatch, kernel):
@@ -395,7 +403,7 @@ class TestBlockedConv:
         # matrix would be 2.3 blocks here
         conv, x, step = _blocked_case(3, np.float32, seed=44)
         conv.forward(x, Mode.TRAIN)
-        per_sample = network._im2col(x[:1], 3).nbytes
+        per_sample = _patches(x[:1], 3).nbytes
         w2d = conv.effective_weight()[0]
         assert conv.cache_nbytes() <= x.nbytes + step * per_sample + w2d.nbytes
 
@@ -404,7 +412,7 @@ class TestBlockedConv:
         # backward's input gradient, and the buffers of the blocks in
         # flight, which hold one block of patch matrix between them
         conv, x, step = _blocked_case(3, np.float32, seed=45)
-        block = step * network._im2col(x[:1], 3).nbytes
+        block = step * _patches(x[:1], 3).nbytes
         up = RNG(46).normal(size=(x.shape[0], conv.out_ch) + x.shape[2:]).astype(np.float32)
         conv.forward(x, Mode.TRAIN)
         conv.backward(up)
@@ -1017,11 +1025,10 @@ class TestTapeOnce:
 
 
 class TestPool:
-    """The kernels run their parts on parallel.THREADS threads: rows of one
-    GEMM, slices of an elementwise pass, or blocks of the conv backward
-    whose weight-gradient products are summed in block order, never a
-    reduction cut by the thread count, so every result is bitwise the
-    one-thread result."""
+    """The kernels run their parts on parallel.THREADS threads, parts fixed
+    by bytes alone: the conv's blocks, rows of one GEMM forward and, in the
+    backward, weight-gradient products summed in block order, and slices of
+    an elementwise pass. So every result is bitwise the one-thread result."""
 
     @pytest.mark.parametrize("kernel", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1048,6 +1055,37 @@ class TestPool:
             return y, grad_x, conv.weight.grad.copy(), conv.forward(x, Mode.EVAL)
 
         across_threads(run)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv_forward_blocks_are_fixed_by_bytes(self, monkeypatch, across_threads,
+                                                    kernel):
+        # a batch of one block and one of three: at every thread count the
+        # forward gathers each of the `_blocks` of x once, whole
+        # (512 out channels: blocks long enough for a helper to take one)
+        conv, x, step = _blocked_case(kernel, np.float32, seed=90, in_ch=512, out_ch=512,
+                                      block=network._BLOCK_BYTES // network._BWD_IN_FLIGHT)
+        batches = [x[:step], x]
+        blocks = [network._blocks(b.shape, b.itemsize, kernel) for b in batches]
+        assert [len(b) for b in blocks] == [1, 3]
+        gathered = []
+        im2col = network._im2col
+
+        def probe(xb, *a):
+            start = (xb.ctypes.data - x.ctypes.data) // x.strides[0]
+            gathered.append(slice(start, start + xb.shape[0]))
+            return im2col(xb, *a)
+
+        monkeypatch.setattr(network, "_im2col", probe)
+
+        def run():
+            ys = []
+            for b, want in zip(batches, blocks):
+                gathered.clear()
+                ys.append(conv.forward(b, Mode.EVAL))
+                assert sorted(gathered, key=lambda s: s.start) == want
+            return ys
+
+        across_threads(run, counts=(2, 3, 4))
 
     @pytest.mark.parametrize("kind", list(NormKind))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1207,13 +1245,26 @@ class TestMapParts:
         assert wrong == [] and runs == [[1] * 300] * 3
 
     def test_small_work_runs_as_one_part_on_the_calling_thread(self, monkeypatch):
+        # below two PART_BYTES an operand is one slice
         monkeypatch.setattr(parallel, "THREADS", 2)
-        parts = parallel.by_samples(100, parallel.SMALL_BYTES - 1)
+        parts = parallel.by_samples(100, 2 * parallel.PART_BYTES - 1)
         assert parts == [slice(0, 100)]
         assert parallel.map_parts(lambda p: threading.get_ident(), parts) == [
             threading.get_ident()]
-        parts = parallel.by_samples(100, parallel.SMALL_BYTES)
-        assert len(parts) >= 2 and parts[0].start == 0 and parts[-1].stop == 100
+        parts = parallel.by_samples(100, 2 * parallel.PART_BYTES)
+        assert parts == [slice(0, 50), slice(50, 100)]
+
+    @pytest.mark.parametrize("n, parts", [(0, 0), (1, 64), (3, 64), (100, 1), (100, 2),
+                                          (100, 5), (100, 64), (100, 200)])
+    def test_sample_slices_are_fixed_by_bytes(self, monkeypatch, n, parts):
+        # one slice per PART_BYTES, at least one and at most n, whatever
+        # the thread count
+        nbytes = parts * parallel.PART_BYTES + 7
+        slices = []
+        for threads in (1, 4):
+            monkeypatch.setattr(parallel, "THREADS", threads)
+            slices.append(parallel.by_samples(n, nbytes))
+        assert slices[0] == slices[1] == parallel.even(n, max(1, min(n, parts)))
 
     @pytest.mark.parametrize("cpus, has_setter", [({0}, True), ({0, 1}, False)],
                              ids=["one_cpu", "no_blas_setter"])

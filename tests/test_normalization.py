@@ -388,7 +388,7 @@ class TestWeightStandardizeBackward:
         assert rel_err(numeric_grad(loss, w), g) < 1e-5
 
 
-# more than parallel.SMALL_BYTES at float32, so the kernels run in parts,
+# more than two parallel.PART_BYTES at float32, so the kernels run in parts,
 # and several _SUM_BYTES steps of samples
 LAYOUT_SHAPE = (20, 16, 32, 32)
 

@@ -505,7 +505,7 @@ class TestLayout:
     period c; the per-channel operands of the quantizer are tiles of one
     sample."""
 
-    SHAPE = (20, 16, 32, 32)   # more than parallel.SMALL_BYTES at float32
+    SHAPE = (20, 16, 32, 32)   # more than two parallel.PART_BYTES at float32
 
     @staticmethod
     def _both(fn, *tensors):
