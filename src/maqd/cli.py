@@ -292,6 +292,9 @@ def _state(graph: network.ModelGraph) -> dict[str, np.ndarray]:
     return state
 
 
+_LN_UNFOLDED = "LN recomputes statistics per sample and cannot be folded into the runtime"
+
+
 def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
     out_dir = Path(out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,8 +315,7 @@ def _run_train(cfg: RunConfig, out_dir: Path | None = None) -> Path:
     np.savez(out_dir / "checkpoint.npz", config=json.dumps({**asdict(cfg), **dims}),
              **_state(graph))
     if graph.norm_kind is NormKind.LN:
-        print("skipped model.maqd: LN recomputes statistics per sample and "
-              "cannot be folded into the runtime")
+        print(f"skipped model.maqd: {_LN_UNFOLDED}")
     else:
         export_mod.export(graph, out_dir / "model.maqd")
     # Last: a sweep takes the summary as the sign that the cell is complete.
@@ -394,11 +396,26 @@ def _cmd_export(cfg, args):
     return 0
 
 
+def _check_checkpoint_of(graph: network.ModelGraph, model: export_mod.RuntimeModel):
+    """A checkpoint of another network than the model's is a usage error."""
+    quant = ["(off)" if q is None else f"(m_w {q.m_w}, m_a {q.m_a}, qscale_mode "
+             f"{q.qscale_mode.value}, s {q.s}, alpha {q.alpha})"
+             for q in (graph.quant, model.quant)]
+    for what, have, want in [("architecture", graph.arch, model.arch), ("quantizer", *quant)]:
+        if have != want:
+            raise UsageError(f"the checkpoint's {what} is {have}, the model's {want}")
+    if graph.norm_kind is NormKind.LN:
+        raise UsageError(f"the checkpoint's norm is ln, the model's a folded bn or lbn: "
+                         f"{_LN_UNFOLDED}")
+
+
 def _cmd_infer(cfg, args):
     model = export_mod.import_model(args.model)
     _, test_set = _load_dataset(cfg)
-    # every mismatch with the data is refused before a batch runs
+    # every mismatch with the data or the model is refused before a batch runs
     graph = _load_checkpoint(args.checkpoint, test_set) if args.checkpoint else None
+    if graph is not None:
+        _check_checkpoint_of(graph, model)
     if model.class_count != test_set.class_count:
         raise UsageError(f"the model's class_count is {model.class_count}, "
                          f"the data's {test_set.class_count}")

@@ -25,9 +25,10 @@ its input's extent; its stride byte is always 1.
 Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics. CONV_F
 weights and CONV_Q states come from the trainer's `Conv2d.effective_weight`
-run in float64; the runtime calls its `_conv`, `affine` and pooling
-kernels, and computes the convs that read codes (below) as the trainer's
-EVAL forward does.
+run in float64. For every op the runtime runs the kernel of the trainer's
+EVAL forward (its `_conv`, `affine`, pooling and `quantize_activation`), so
+for a float64 graph on float64 images its logits are bitwise
+`graph.forward(images, Mode.EVAL)`.
 
 `import_model` compiles the records in one walk. It nests each residual
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
@@ -41,45 +42,41 @@ its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
 branches that end in different channels, downsampling or flattening; an
 unbalanced residual marker; residual blocks nested deeper than 64; and a
 stream that does not end in (class_count) logits. The runtime then checks
-only the shape of its input, and the range of a folded pair's float64 input
-(below).
+only the shape of its input.
 
-The runtime computes quantized convs on integers. After an ACT_Q that a
-CONV_Q reads (through AP2s only) the activation is its codes k in 0..m_a-1
-(value k/(m_a-1)), and a CONV_Q weight is the lattice integer
-clip(2*state, -2q, 2q) with 2q = 2*qscale (value lattice/2q), so each conv
-sum is an integer, or after p 2x2 pools an integer multiple of 4**-p. Its
-magnitude is at most fan_in * 2q * (m_a-1), so while
-fan_in * 2q * (m_a-1) * 4**p < 2**24 a float32 GEMM computes it exactly, in
-any order of accumulation; past that bound the same codes go through a
-float64 GEMM. The import binds that dtype to the ACT_Q's codes and to the
-conv's lattice, and binds the conv's divisor (m_a-1) * 2q; the conv divides
-its sums by it in float64. `quantizer.code_conv` holds this rule, and the
-trainer's EVAL forward applies it to the same ActQuant -> AvgPool2* ->
-quantized Conv2d runs, so a float64 trainer computes these convs bit for
-bit as the runtime does; the logits differ by the float64 rounding of the
-convs that read images or residual sums alone, which the trainer runs on
-values. Every other ACT_Q emits float64 values.
+A CONV_Q that reads an ACT_Q's codes k in 0..m_a-1 (value k/(m_a-1))
+through AP2s only computes on integers, as the trainer's EVAL forward does
+on the same ActQuant -> AvgPool2* -> quantized Conv2d runs: its weight is
+the lattice integer clip(2*state, -2q, 2q) with 2q = 2*qscale (value
+lattice/2q), so each sum is an integer, or after p 2x2 pools an integer
+multiple of 4**-p, of magnitude at most fan_in * 2q * (m_a-1). While that
+bound times 4**p is below 2**24 a float32 GEMM computes every sum exactly,
+in any order of accumulation; past it a float64 GEMM does. The import
+binds that dtype to the codes and the lattice, and binds the divisor
+(m_a-1) * 2q, by which the conv divides its sums in float64; the rule is
+`quantizer.code_conv`'s. A CONV_Q that reads values (images, residual
+sums) binds its weights clamp(state/qscale, -1, 1), bitwise the float64
+effective weight, and divides nothing. An ACT_Q that no CONV_Q reads emits
+float64 values.
 
-Normalization costs no arithmetic at inference. The import folds each AFFINE
-that an ACT_Q reads directly, and the divide of a CONV_Q that feeds that
-AFFINE directly, into m_a-1 thresholds per channel. Each step from the
-pair's input to its code (the divide, x * scale + bias, the quantizer)
-rounds monotonically, so the code is the number of thresholds the input
-reaches: T_k[c] is the least value of the input's dtype whose unfolded code
-is at least k. A channel with scale < 0 counts the other way, and one with
-scale 0 has a constant code. The import finds each T_k by bisection over
-the ordered bit patterns of that dtype, each probe running the unfolded
-kernels, so the compares give the unfolded codes bit for bit on the probed
-domain. For code sums that domain is |sum| <= fan_in * 2q * (m_a-1), which
-holds by construction. For a float64 input that is not a code sum (the conv
-sums of images, residual sums, images) it is the widest interval on which
-every channel's affine is finite; the runtime checks each batch against it
-and runs the pair unfolded for a batch outside it. So a NaN, an inf or an
-overflowing input fails as it does unfolded, with a ValueError naming the
-ACT_Q record's byte. A pair stays unfolded when its affine overflows on
-code sums, or when it has more than _FOLD_MAX_THRESHOLDS (16) thresholds,
-past which the compares cost more than the arithmetic they replace.
+An ACT_Q runs the AFFINE that it reads directly in its quantizer pass,
+`quantize_activation(x, m_a, codes=..., affine=(scale, bias))`, as the
+trainer's ActQuant on a chain does; that AFFINE runs no pass of its own.
+Where the AFFINE reads a code-reading CONV_Q's sums, the import folds the
+conv's divide, the affine and the quantizer into m_a-1 thresholds per
+channel on the sums. Each of those steps rounds monotonically, so the code
+is the number of thresholds the sum reaches: T_k[c] is the least value of
+the sums' dtype whose unfolded code is at least k. A channel with scale < 0
+counts the other way, and one with scale 0 has a constant code. The import
+finds each T_k by bisection over the ordered bit patterns of the dtype
+with |sum| <= fan_in * 2q * (m_a-1), each probe running the unfolded
+kernels, so the compares give the unfolded codes bit for bit on every sum
+the conv can emit, and code sums are finite by construction. A pair stays
+unfolded when its affine overflows on code sums, or when it has more than
+_FOLD_MAX_THRESHOLDS (16) thresholds, about where the compares stop
+beating the arithmetic they replace. A quantizer input that is NaN, inf or
+overflows (only on image-conv sums, residual sums or images) raises a
+ValueError naming the ACT_Q record's byte.
 """
 
 from __future__ import annotations
@@ -93,8 +90,8 @@ import numpy as np
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                       NormLayer, ReLU, ResidualBlock, _avg_pool2, _code_divide, _conv,
                       _global_avg_pool, _im2col, _tap_major)
-from .normalization import Mode, affine, fold_normalization
-from .quantizer import (QScaleMode, QuantConfig, code_conv, lattice_states,
+from .normalization import Mode, _tile, affine, fold_normalization
+from .quantizer import (CodeConv, QScaleMode, QuantConfig, code_conv, lattice_states,
                         quantize_activation, weight_lattice)
 
 MAGIC = b"MAQD"
@@ -135,10 +132,14 @@ def weight_states(conv: Conv2d) -> tuple[np.ndarray, float]:
     w_q = conv.effective_weight(np.float64)[0]
     states = lattice_states(w_q, q)
     # decode must reproduce the quantized weights exactly (at 64-bit)
-    decoded = np.clip(states.astype(np.float64) / q, -1.0, 1.0)
-    if not np.array_equal(decoded, w_q):
+    if not np.array_equal(_decode(states, q), w_q):
         raise AssertionError("state encoding does not reproduce forward weights")
     return states, q
+
+
+def _decode(states: np.ndarray, q: float) -> np.ndarray:
+    """The float64 weights clamp(state / qscale, -1, 1) of CONV_Q states."""
+    return np.clip(states.astype(np.float64) / q, -1.0, 1.0)
 
 
 @dataclass
@@ -272,8 +273,7 @@ def _parse_op(r: _Reader) -> RuntimeOp:
             if not (np.isfinite(two_q) and two_q >= 1 and two_q == int(two_q)):
                 raise ModelFormatError(f"{r.path}: CONV_Q qscale {qscale} at byte {qscale_at}: "
                                        f"2*qscale must be a positive integer")
-            states = np.frombuffer(r.take(2 * n), dtype="<i2").reshape(shape)
-            f.update(qscale=qscale, states=states, w=weight_lattice(states, qscale))
+            f.update(qscale=qscale, states=np.frombuffer(r.take(2 * n), "<i2").reshape(shape))
         else:
             f["w"] = _take_finite(r, n, "CONV_F weight").reshape(shape)
     elif op.opcode == OP_AFFINE:
@@ -305,41 +305,24 @@ def _codes_reader(recs: list[RuntimeOp], i: int):
                      recs[i].fields["m_a"], j - i - 1)
 
 
-# An AFFINE -> ACT_Q pair with at most this many thresholds per channel runs
-# as that many compares; one with more runs unfolded. On a (100, 16, 32, 32)
-# float32 map of conv sums (2 vCPU), 7, 16 and 31 compares with the codes'
-# cast took 6.6, 14.7 and 27.1 ms, against 20 ms for the divide, affine,
-# quantizer and cast they replace; compares on float64 inputs take about
-# 1.4 times as long.
+# An AFFINE -> ACT_Q pair on code sums with at most this many thresholds per
+# channel runs as that many compares; one with more runs unfolded: the
+# divide, then one fused affine and quantizer pass. On a (100, 16, 32, 32)
+# channels-last float32 map of code sums (2 vCPU, medians of 60, two runs),
+# 7, 16 and 31 compares with the codes' cast took 3.1-3.6, 5.1-6.1 and
+# 8.7-9.8 ms, against 4.7-5.8 ms for the divide and the fused pass, which
+# also makes a float64 map; on float64 sums the compares take about twice
+# as long.
 _FOLD_MAX_THRESHOLDS = 16
 
 
 @dataclass
 class _Fold:
-    """An AFFINE -> ACT_Q pair, and the CONV_Q divide in front of it, as
-    compares on the pair's input (see the module docstring)."""
+    """An AFFINE -> ACT_Q pair on a code-reading CONV_Q's sums, with that
+    conv's divide, as compares on the sums (see the module docstring)."""
 
-    thresholds: np.ndarray  # (m_a-1, C) in the input's dtype: code = #{x >= t}
+    thresholds: np.ndarray  # (m_a-1, C) in the sums' dtype: code = #{x >= t}
     flip: np.ndarray | None  # (1, C, 1, 1): code = m_a-1 - #{x >= t} where set
-    domain: tuple | None  # (lo, hi): the input range the fold holds on; None: any sum
-    divisor: float | None  # the folded CONV_Q's, None when an AFFINE reads the input
-    scale: np.ndarray
-    bias: np.ndarray
-
-    def holds_on(self, x: np.ndarray) -> bool:
-        """Whether every element of x (none, when x is empty) is in the domain;
-        a NaN is not."""
-        return self.domain is None or bool(self.domain[0] <= x.min(initial=np.inf)
-                                           and x.max(initial=-np.inf) <= self.domain[1])
-
-
-def _pipeline(x, m_a: int, divisor, scale, bias, codes=None) -> np.ndarray:
-    """The unfolded pair on its input x: the CONV_Q divide (when divisor is
-    set), the AFFINE and the ACT_Q's quantizer; float64 values k/(m_a-1),
-    or the codes k in the dtype `codes`."""
-    if divisor is not None:
-        x = _code_divide(x, divisor, np.float64)
-    return quantize_activation(x, m_a, codes=codes, affine=(scale, bias))
 
 
 def _keys(x: np.ndarray) -> np.ndarray:
@@ -368,69 +351,58 @@ def _first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
 
 
-def _fold(m_a: int, dtype, bound, divisor, scale, bias) -> _Fold | None:
-    """The pair's fold, or None where it does not apply: more than
-    _FOLD_MAX_THRESHOLDS thresholds, or code sums (|input| <= bound) that
-    the affine overflows (the import refuses a non-finite scale or bias).
-    The input has the given dtype; bound is None for a float64 input that
-    is not a code sum."""
+def _fold(m_a: int, sums: CodeConv, scale, bias) -> _Fold | None:
+    """The fold of the pair on the sums of a code-reading CONV_Q, or None
+    where it does not apply: more than _FOLD_MAX_THRESHOLDS thresholds, or
+    an affine that overflows on the sums (the import refuses a non-finite
+    scale or bias)."""
     top, c = m_a - 1, scale.size
     if top > _FOLD_MAX_THRESHOLDS:
         return None
 
-    def finite(s):  # the affine of inputs s, one per channel in axis 1
-        x = s if divisor is None else _code_divide(s, divisor, np.float64)
-        with np.errstate(over="ignore"):
-            return np.isfinite(affine(x.reshape(-1, c, 1, 1), scale, bias)).reshape(s.shape)
+    def code(keys):  # the unfolded code of the sums of the given keys, channel in axis 1
+        s = _floats(keys, sums.dtype)
+        x = _code_divide(s.reshape(-1, c, 1, 1), sums.divisor, np.float64)
+        with np.errstate(over="ignore"):  # x * (m_a-1) may reach inf at the ends
+            return quantize_activation(x, m_a, codes=np.float32,
+                                       affine=(scale, bias)).reshape(keys.shape)
 
-    if bound is not None:  # code sums: exact, with |sum| <= bound
-        lo, hi = np.array([-bound, bound], dtype)
-        if not finite(np.repeat([[lo], [hi]], c, axis=1)).all():
-            return None
-        domain = None
-    else:  # the widest interval on which every channel's affine is finite
-        big = np.full((2, c), _keys(np.array(np.finfo(dtype).max, dtype)))
-        side = np.array([[1], [-1]])  # the positive and the negative inputs
-        bad = lambda t: ~finite(_floats(side * t, dtype))
-        ends = np.where(bad(big), _first(bad, np.zeros_like(big), big) - 1, big).min(axis=1)
-        lo, hi = _floats(np.array([-ends[1], ends[0]]), dtype)
-        domain = (lo, hi)
-    lo_key, hi_key = _keys(np.array([lo, hi], dtype))
-    # channel sign d: the code rises with d * key(input)
+    # |sum| <= bound, and the affine is monotone: finite at both ends, finite on all
+    t_lo, t_hi = (np.full((top, c), key) for key in
+                  _keys(np.array([-sums.bound, sums.bound], sums.dtype)))
+    try:
+        code(np.stack([t_lo[0], t_hi[0]]))
+    except ValueError:
+        return None
+    # channel sign d: the code rises with d * key(sum)
     d = np.where(scale < 0, -1, 1)
     k = np.arange(1, top + 1).reshape(-1, 1)
-
-    def reached(t):  # code(input of key d * t) >= k, by the unfolded kernels
-        s = _floats(d * t, dtype).reshape(top, c, 1, 1)
-        with np.errstate(over="ignore"):  # x * (m_a-1) may reach inf at the domain's ends
-            return _pipeline(s, m_a, divisor, scale, bias, np.float32).reshape(top, c) >= k
-
-    t_lo = np.broadcast_to(np.where(d > 0, lo_key, -hi_key), (top, c))
-    t_hi = np.broadcast_to(np.where(d > 0, hi_key, -lo_key), (top, c))
+    reached = lambda t: code(d * t) >= k  # code(sum of key d * t) >= k
     # d > 0: code >= k from key t on; d < 0: code < k (flipped) from key 1 - t on
     t = _first(reached, t_lo, t_hi)
-    out = _floats(np.where(d > 0, t, 1 - t), dtype)
-    never = d * np.inf  # the threshold no input reaches, flipped where d < 0
-    out = np.where(reached(t_lo), -never, np.where(reached(t_hi), out, never)).astype(dtype)
+    out = _floats(np.where(d > 0, t, 1 - t), sums.dtype)
+    never = d * np.inf  # the threshold no sum reaches, flipped where d < 0
+    out = np.where(reached(t_lo), -never, np.where(reached(t_hi), out, never)).astype(sums.dtype)
     flip = (d < 0).reshape(1, c, 1, 1)
-    return _Fold(out, flip if flip.any() else None, domain, divisor, scale, bias)
+    return _Fold(out, flip if flip.any() else None)
 
 
-def _fold_pair(ops: list[RuntimeOp], m_a: int) -> _Fold | None:
-    """Fold the AFFINE that ends the bound ops, if any, and the CONV_Q that
-    feeds it directly, into the ACT_Q that follows them; see `_fold`."""
+def _read_affine(ops: list[RuntimeOp], m_a: int):
+    """(the (scale, bias) of the AFFINE that ends the bound ops, or None;
+    the pair's fold, or None). The ACT_Q that follows the ops runs that
+    AFFINE in its quantizer pass; the pair folds where the AFFINE reads a
+    code-reading CONV_Q's sums (see `_fold`), and that conv then emits its
+    sums."""
     if not ops or ops[-1].opcode != OP_AFFINE:
-        return None
-    feed = ops[-2].fields if len(ops) > 1 and ops[-2].opcode == OP_CONV_Q else None
-    dtype, bound, divisor = (feed["w"].dtype, feed["bound"], feed["divisor"]) if feed \
-        else (np.float64, None, None)
+        return None, None
     aff = ops[-1].fields
-    fold = _fold(m_a, dtype, bound, divisor, aff["scale"], aff["bias"])
+    aff["read"] = True
+    feed = ops[-2].fields if len(ops) > 1 and ops[-2].opcode == OP_CONV_Q else None
+    fold = _fold(m_a, feed["code_conv"], aff["scale"], aff["bias"]) \
+        if feed and feed["code_conv"] else None
     if fold is not None:
-        aff["folded"] = True
-        if feed:
-            feed["divisor"] = None  # the conv emits its sums
-    return fold
+        feed["divisor"] = None
+    return (aff["scale"], aff["bias"]), fold
 
 
 def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
@@ -462,20 +434,21 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
             reads = f.get("in_ch", f.get("channels", c))  # what a conv or AFFINE reads
             if reads != c:
                 raise error(op, f"reads {reads} channels, its input has {c}")
+            if code == OP_CONV_Q:  # on codes, the weight lattice; on values, the weights
+                f["w"] = weight_lattice(f["states"], f["qscale"]) if codes \
+                    else _decode(f["states"], f["qscale"])
+                f["code_conv"], f["divisor"] = codes, codes.divisor if codes else None
             if conv:
                 c = f["out_ch"]
                 dtype = codes.dtype if codes else np.float64
                 f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
-            if code == OP_CONV_Q:
-                f["divisor"], f["bound"] = (codes.divisor, codes.bound) if codes \
-                    else (2.0 * f["qscale"], None)
                 codes = None
             elif code == OP_AFFINE:
-                f["folded"] = False
+                f["read"] = False
             elif code == OP_ACT_Q:
                 codes = _codes_reader(recs, i)
                 f["codes"] = codes.dtype if codes else None
-                f["fold"] = _fold_pair(ops, f["m_a"])
+                f["affine"], f["fold"] = _read_affine(ops, f["m_a"])
             elif code == OP_AP2:
                 down *= 2
             elif code == OP_GAP:
@@ -551,9 +524,10 @@ def import_model(path) -> RuntimeModel:
 
 def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     """Cross-correlation of x, in the conv's dtype, with its bound tap-major
-    matrix: a CONV_Q's integer lattice (so the result is in units of
-    1/(2*qscale)) or a CONV_F's weights. It is the trainer's blocked conv,
-    building each block's patch matrix with this module's `_im2col`."""
+    matrix: a code-reading CONV_Q's integer lattice (so the result is in
+    units of 1/(2*qscale)), or the weights of another CONV_Q or a CONV_F.
+    It is the trainer's blocked conv, building each block's patch matrix
+    with this module's `_im2col`."""
     return _conv(x, op.fields["w"], op.fields["kernel"], _im2col)
 
 
@@ -568,21 +542,22 @@ def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
 
 
 def _run_act(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
-    """An ACT_Q: compares on the raw input of a folded pair whose input lies
-    in its fold's domain, else the unfolded arithmetic. A quantizer input
-    that is not finite raises a ValueError naming the record's byte."""
+    """An ACT_Q: compares on the code sums of a folded pair, else the
+    quantizer, which runs the AFFINE that the ACT_Q reads in its pass. A
+    quantizer input that is not finite raises a ValueError naming the
+    record's byte."""
     f, fold = op.fields, op.fields["fold"]
     m_a, top = f["m_a"], f["m_a"] - 1
-    if fold is not None and fold.holds_on(x):
+    if fold is not None:
         k = quantize_activation(x, m_a, fold.thresholds)
-        if fold.flip is not None:
-            k = np.where(fold.flip, top - k, k)
+        if fold.flip is not None:  # top - k there, as k * -1 + top in k's wrapping uints
+            k *= _tile(np.where(fold.flip, -1, 1), k)
+            k += _tile(np.where(fold.flip, top, 0), k)
         # k / top in float64 is bitwise the quantizer's value
         return k.astype(f["codes"]) if f["codes"] is not None else \
             np.divide(k, top, dtype=np.float64)
     try:
-        return _pipeline(x, m_a, fold.divisor, fold.scale, fold.bias, f["codes"]) \
-            if fold is not None else quantize_activation(x, m_a, codes=f["codes"])
+        return quantize_activation(x, m_a, codes=f["codes"], affine=f["affine"])
     except ValueError as e:
         raise ValueError(f"ACT_Q record at byte {op.at}: {e}") from None
 
@@ -592,12 +567,12 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         code, f = op.opcode, op.fields
         if code == OP_CONV_Q:
             x = _run_conv(op, x)
-            if f["divisor"] is not None:  # else the ACT_Q's fold reads the sums
+            if f["divisor"] is not None:  # else values, or sums that a fold reads
                 x = _code_divide(x, f["divisor"], np.float64)
         elif code == OP_CONV_F:
             x = _run_conv(op, x)
         elif code == OP_AFFINE:
-            if not f["folded"]:
+            if not f["read"]:  # else its ACT_Q runs it
                 x = affine(x, f["scale"], f["bias"])
         elif code == OP_ACT_Q:
             x = _run_act(op, x)

@@ -146,9 +146,10 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
     With `thresholds`, an (m_a-1, C) array in a_hat's dtype, a_hat is an
     (n, C, h, w) tensor and the result is instead, per element, the number
     of k with a_hat >= thresholds[k, c], in the smallest unsigned integer
-    dtype that holds m_a - 1. The export's runtime binds thresholds that
-    make this count the code its folded pipeline would give; no finiteness
-    check runs, as the runtime checks its own input's range.
+    dtype that holds m_a - 1. The export's runtime binds thresholds only
+    on a code conv's sums, exact and finite by construction, that make
+    this count the code of the divide, affine and quantizer they fold; no
+    finiteness check runs.
     """
     if m_a < 2:
         raise ValueError(f"m_a must be >= 2, got {m_a}")

@@ -20,14 +20,15 @@ from test_datasets import DAMAGE, write_damaged, write_idx_images, write_idx_lab
 BLOBS_DIMS = {"class_count": 4, "in_channels": 1, "input_hw": 8}
 
 
-def write_checkpoint(path, class_count=4, in_channels=1):
-    """A checkpoint as `maqd train` writes it, of a blobs vgg-mini run that
-    stopped before its first step."""
-    cfg = RunConfig("train", architecture="vgg-mini", dataset="blobs")
+def write_checkpoint(path, class_count=4, in_channels=1, **run):
+    """A checkpoint as `maqd train` writes it, of a blobs vgg-mini run (or
+    one with the RunConfig fields `run`) that stopped before its first
+    step."""
+    cfg = RunConfig("train", **{"architecture": "vgg-mini", "dataset": "blobs", **run})
     dims = {**BLOBS_DIMS, "class_count": class_count, "in_channels": in_channels}
     graph = build_model(cfg.architecture, class_count, quant=cfg.quant_config(),
-                        seed=cfg.seed, dtype=np.float32, in_channels=in_channels,
-                        input_hw=dims["input_hw"])
+                        norm_kind=NormKind(cfg.norm), seed=cfg.seed, dtype=np.float32,
+                        in_channels=in_channels, input_hw=dims["input_hw"])
     np.savez(path, config=json.dumps({**asdict(cfg), **dims}), **cli._state(graph))
     return graph
 
@@ -418,6 +419,29 @@ class TestCheckpoint:
         assert main(["infer", "--dataset", "blobs", "--model", str(tmp_path / "m.maqd"),
                      "--checkpoint", str(path)]) == 2
         assert "error: the checkpoint's class_count is 3, the data's 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run,message", [
+        ({"architecture": "preact-mini", "norm": "ln"},
+         "the checkpoint's architecture is preact-mini, the model's vgg-mini"),
+        ({"m_a": 4}, "the checkpoint's quantizer is (m_w 15, m_a 4, qscale_mode half_mw, "
+                     "s 0.3333333333333333, alpha 0.25), the model's (m_w 15, m_a 8, "
+                     "qscale_mode half_mw, s 0.3333333333333333, alpha 0.25)"),
+        ({"quantize": False}, "the checkpoint's quantizer is (off), the model's (m_w 15"),
+        ({"norm": "ln"}, "the checkpoint's norm is ln, the model's a folded bn or lbn: "
+                         "LN recomputes statistics per sample and cannot be folded")],
+        ids=["architecture", "quantizer", "float", "ln"])
+    def test_infer_with_a_checkpoint_of_another_network_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, run, message):
+        # a vgg-mini LBN model; refused before the runtime runs a batch
+        path = tmp_path / "m.maqd"
+        export(write_checkpoint(tmp_path / "model.npz"), path)
+        write_checkpoint(tmp_path / "checkpoint.npz", **run)
+        batches = []
+        monkeypatch.setattr(cli.export_mod, "runtime_infer", lambda *a: batches.append(a))
+        assert main(["infer", "--dataset", "blobs", "--model", str(path),
+                     "--checkpoint", str(tmp_path / "checkpoint.npz")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not batches
 
     def test_infer_with_a_three_class_model_is_a_usage_error(self, tmp_path, capsys,
                                                              monkeypatch):

@@ -546,9 +546,15 @@ class TestRuntimeParity:
         assert report.samples == 12
         assert report.max_abs_logit_diff < 1e-9
         assert report.argmax_agreement == 1.0
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      graph.forward(images, Mode.EVAL))
 
-    def test_residual_stack(self, tmp_path):
-        graph = build_model("preact-mini", 4, quant=CFG, in_channels=1,
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    @pytest.mark.parametrize("cfg", [CFG, QuantConfig(s=3.0)], ids=["default", "live"])
+    def test_residual_stack(self, tmp_path, kind, cfg):
+        # the heads of each residual block and the head conv read residual
+        # sums; the live lattice moves most weights off state 0
+        graph = build_model("preact-mini", 4, quant=cfg, norm_kind=kind, in_channels=1,
                             input_hw=8, seed=8)
         warm_up(graph, hw=8)
         path = tmp_path / "m.maqd"
@@ -558,6 +564,8 @@ class TestRuntimeParity:
         report = parity_check(graph, model, images)
         assert report.max_abs_logit_diff < 1e-9
         assert report.argmax_agreement == 1.0
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      graph.forward(images, Mode.EVAL))
 
     def test_non_quantized_parity(self, tmp_path):
         graph = build_model("vgg-mini", 5, quant=None, in_channels=1, seed=10)
@@ -568,6 +576,49 @@ class TestRuntimeParity:
         images = np.random.default_rng(11).normal(size=(6, 1, 8, 8))
         report = parity_check(graph, model, images)
         assert report.max_abs_logit_diff < 1e-9
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      graph.forward(images, Mode.EVAL))
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    def test_thresholds_only_on_code_sums(self, tmp_path, monkeypatch, arch):
+        # vgg-mini: the first pair reads image-conv sums, the other 5 code
+        # sums; preact-mini: the two heads of each block read residual sums,
+        # its 3 mid-branch pairs code sums, and the head conv residual sums
+        graph = build_model(arch, 4, quant=CFG, in_channels=1, input_hw=8, seed=12)
+        warm_up(graph, hw=8)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        on_sums = {id(act) for *_, act in _code_sum_pairs(model.ops)}
+        acts = [act for _, act in _act_ops(model.ops)]
+        assert (len(on_sums), len(acts)) == {"vgg-mini": (5, 6), "preact-mini": (3, 9)}[arch]
+        assert [act.fields["fold"] is not None for act in acts] == \
+            [id(act) in on_sums for act in acts]
+        unread, value_convs = [], []
+        for ops in _spans(model.ops):
+            for i, op in enumerate(ops):
+                if op.opcode == OP_AFFINE and not (i + 1 < len(ops)
+                                                   and ops[i + 1].opcode == OP_ACT_Q):
+                    unread.append(op)
+                if op.opcode == OP_CONV_Q and not _reads_codes(ops, i):
+                    value_convs.append(op)
+        assert len(unread) == {"vgg-mini": 0, "preact-mini": 6}[arch]
+        # a CONV_Q on values runs on the trainer's float64 weights and divides nothing
+        assert len(value_convs) == 1
+        for op in value_convs:
+            f = op.fields
+            assert f["divisor"] is None
+            decoded = np.clip(f["states"] / f["qscale"], -1.0, 1.0)
+            np.testing.assert_array_equal(f["w"], _tap_major(decoded, f["in_ch"], f["kernel"]))
+        # the runtime's `affine` runs exactly the AFFINEs no ACT_Q reads
+        seen = []
+        real = export_mod.affine
+        monkeypatch.setattr(export_mod, "affine",
+                            lambda x, scale, bias: seen.append(id(scale)) or real(x, scale, bias))
+        images = np.random.default_rng(13).normal(size=(3, 1, 8, 8))
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      graph.forward(images, Mode.EVAL))
+        assert sorted(seen) == sorted(id(op.fields["scale"]) for op in unread)
 
     @pytest.mark.parametrize("codes,bad", [
         ([OP_RES_BEGIN], 0), ([OP_RES_BEGIN, OP_RES_SEP], 0), ([OP_RES_BEGIN, OP_RES_END], 0),
@@ -767,6 +818,36 @@ def _act_ops(ops):
         prev = op
 
 
+def _reads_codes(ops, i):
+    """Whether the op i of a span reads an ACT_Q's codes through AP2s only."""
+    j = i - 1
+    while j >= 0 and ops[j].opcode == OP_AP2:
+        j -= 1
+    return j >= 0 and ops[j].opcode == OP_ACT_Q
+
+
+def _code_sum_pairs(ops):
+    """(CONV_Q, AFFINE, ACT_Q) of each bound ACT_Q that reads an AFFINE that
+    reads the sums of a CONV_Q that reads codes, in order, residual
+    branches included."""
+    for i, op in enumerate(ops):
+        if op.opcode == OP_ACT_Q and i >= 2 and ops[i - 1].opcode == OP_AFFINE \
+                and ops[i - 2].opcode == OP_CONV_Q and _reads_codes(ops, i - 2):
+            yield ops[i - 2], ops[i - 1], op
+        if op.opcode == OP_RES_BEGIN:
+            yield from _code_sum_pairs(op.fields["s"])
+            yield from _code_sum_pairs(op.fields["f"])
+
+
+def _spans(ops):
+    """Each span of bound ops: the top level, then every residual branch."""
+    yield ops
+    for op in ops:
+        if op.opcode == OP_RES_BEGIN:
+            yield from _spans(op.fields["s"])
+            yield from _spans(op.fields["f"])
+
+
 def _spread_affines(graph, seed):
     """Give every norm random running statistics and per-channel (g, b),
     with about 15% of g zero and some negative, so that folds compare both
@@ -782,9 +863,9 @@ def _spread_affines(graph, seed):
 
 
 class TestThresholdFold:
-    """Each AFFINE -> ACT_Q pair with at most _FOLD_MAX_THRESHOLDS
-    thresholds runs as compares on its input; the oracle is the same file
-    imported with the fold off."""
+    """Each AFFINE -> ACT_Q pair on the sums of a CONV_Q that reads codes,
+    with at most _FOLD_MAX_THRESHOLDS thresholds, runs as compares on the
+    sums; the oracle is the same file imported with the fold off."""
 
     def _folded_and_oracle(self, tmp_path, monkeypatch, graph):
         path = tmp_path / "m.maqd"
@@ -799,8 +880,9 @@ class TestThresholdFold:
                                                s):
         # vgg-mini: code sums (pooled codes included) and raw-image conv
         # sums; preact-mini: both heads of each residual block read float64
-        # sums, after a pool in front of its downsampling blocks. The default
-        # s leaves almost every weight at state 0; s = 3 moves most off it
+        # sums, after a pool in front of its downsampling blocks. Only the
+        # pairs on code sums fold. The default s leaves almost every weight
+        # at state 0; s = 3 moves most off it
         top = export_mod._FOLD_MAX_THRESHOLDS
         m_a = {"crossover": top + 1, "past-crossover": top + 2}.get(m_a, m_a)
         cfg = QuantConfig(m_a=m_a) if s is None else QuantConfig(m_a=m_a, s=s)
@@ -812,11 +894,14 @@ class TestThresholdFold:
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
         folds = [op.fields["fold"] for _, op in _act_ops(model.ops)]
         assert all(op.fields["fold"] is None for _, op in _act_ops(oracle.ops))
+        on_sums = {id(act) for *_, act in _code_sum_pairs(model.ops)}
+        assert on_sums
         if m_a - 1 > top:
             assert not any(folds)
         else:
-            assert all(folds)  # every ACT_Q of these nets follows an AFFINE
-            assert any(f.flip is not None for f in folds)
+            assert [f is not None for f in folds] == \
+                [id(op) in on_sums for _, op in _act_ops(model.ops)]
+            assert any(f.flip is not None for f in folds if f is not None)
         images = np.random.default_rng(m_a).normal(0.0, 2.0, size=(5, 1, 8, 8))
         np.testing.assert_array_equal(runtime_infer(model, images),
                                       runtime_infer(oracle, images))
@@ -841,7 +926,6 @@ class TestThresholdFold:
         (_, first), (_, second) = _act_ops(model.ops)
         assert first.fields["fold"] is None  # no AFFINE in front of it
         assert second.fields["fold"].thresholds.dtype == dtype
-        assert second.fields["fold"].domain is None  # code sums need no check
         codes = rng.integers(0, cfg.m_a, size=(3, in_ch, 6, 6))
         codes[0] = cfg.m_a - 1
         images = codes / (cfg.m_a - 1)
@@ -855,7 +939,8 @@ class TestThresholdFold:
         _spread_affines(graph, seed=38)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
         ((_, act),) = _act_ops(model.ops)
-        assert act.fields["codes"] is None and act.fields["fold"] is not None
+        # the pair reads image-conv sums, which no fold takes
+        assert act.fields["codes"] is None and act.fields["fold"] is None
         images = rng.normal(0.0, 2.0, size=(4, 1, 6, 6))
         np.testing.assert_array_equal(runtime_infer(model, images),
                                       runtime_infer(oracle, images))
@@ -865,25 +950,18 @@ class TestThresholdFold:
         graph = build_model(arch, 4, quant=CFG, in_channels=1, input_hw=8, seed=39)
         _spread_affines(graph, seed=39)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        pairs = list(zip(_act_ops(model.ops), _act_ops(oracle.ops)))
-        for ((aff, act), (oracle_aff, oracle_act)), feed in zip(pairs, self._feeds(model)):
-            fold = act.fields["fold"]
-            t = fold.thresholds.T[:, :, None]  # (C, m_a-1, 1)
-            t = np.where(np.isfinite(t), t, 0)  # no input reaches +-inf
+        pairs = list(zip(_code_sum_pairs(model.ops), _code_sum_pairs(oracle.ops)))
+        assert pairs
+        for (_, aff, act), (oracle_conv, oracle_aff, oracle_act) in pairs:
+            t = act.fields["fold"].thresholds.T[:, :, None]  # (C, m_a-1, 1)
+            t = np.where(np.isfinite(t), t, 0)  # no sum reaches +-inf
             x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)], 2)
             x = x.reshape(1, x.shape[0], -1, 1)
-            if fold.domain is not None:
-                x = np.clip(x, *fold.domain)
-            oracle_in = x if feed is None else np.divide(x, feed, dtype=np.float64)
+            # the oracle's CONV_Q divides its sums
+            oracle_in = np.divide(x, oracle_conv.fields["divisor"], dtype=np.float64)
             np.testing.assert_array_equal(
                 export_mod._run_ops([aff, act], x),
                 export_mod._run_ops([oracle_aff, oracle_act], oracle_in))
-
-    @staticmethod
-    def _feeds(model):
-        """The divisor that each folded pair took from its CONV_Q, or None."""
-        for _, act in _act_ops(model.ops):
-            yield act.fields["fold"].divisor
 
     def test_thresholds_are_monotone_in_k(self, tmp_path, monkeypatch):
         # rising where the code rises with the input, falling where it
@@ -891,7 +969,7 @@ class TestThresholdFold:
         graph = build_model("vgg-mini", 4, quant=CFG, in_channels=1, seed=41)
         _spread_affines(graph, seed=41)
         model, _ = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        for _, act in _act_ops(model.ops):
+        for *_, act in _code_sum_pairs(model.ops):
             fold = act.fields["fold"]
             t = fold.thresholds
             if fold.flip is not None:
@@ -948,7 +1026,8 @@ class TestFoldEdges:
         model = import_model(path)
         assert time.perf_counter() - start < 1.0
         (_, act), *_ = reversed(list(_act_ops(model.ops)))
-        assert (act.fields["fold"] is not None) == (m_a == 8)
+        # only code sums fold
+        assert (act.fields["fold"] is not None) == (layout == "code-sums" and m_a == 8)
         oracle = _unfolded(monkeypatch, path)
         rng = np.random.default_rng(43)
         for images in (rng.normal(size=(2, in_ch, 4, 4)), rng.normal(size=(2, in_ch, 4, 4))
@@ -962,17 +1041,25 @@ class TestFoldEdges:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
     @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
     def test_non_finite_quantizer_input_names_its_record(self, tmp_path, bad, folded):
+        # "folded": the net's pairs on code sums fold; the first ACT_Q reads
+        # image-conv sums, which never fold
         cfg = QuantConfig(m_a=8 if folded else export_mod._FOLD_MAX_THRESHOLDS + 2)
         graph = build_model("vgg-mini", 4, quant=cfg, in_channels=1, seed=44, use_ws=False)
-        for conv in graph.conv_layers():  # states far from 0, so a 1e308 pixel overflows
+        for conv in graph.conv_layers():  # states far from 0, at the clip endpoints
             conv.weight.data *= 10
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        ((_, act), *_) = _act_ops(model.ops)
-        assert (act.fields["fold"] is not None) == folded
+        acts = [act for _, act in _act_ops(model.ops)]
+        assert acts[0].fields["fold"] is None
+        assert any(act.fields["fold"] is not None for act in acts) == folded
         assert runtime_infer(model, np.zeros((0, 1, 8, 8))).shape == (0, 4)
         images = np.random.default_rng(45).normal(size=(2, 1, 8, 8))
-        images[1, 0, 3, 3] = bad
-        assert _outcome(model, images) == \
-            f"ACT_Q record at byte {act.at}: quantizer input must be finite"
+        if bad == 1e308:  # weights are at most 1: a whole image of 1e308 overflows the sums
+            images[1] = bad
+        else:
+            images[1, 0, 3, 3] = bad
+        message = "quantizer input must be finite"
+        with pytest.raises(ValueError, match=message), np.errstate(all="ignore"):
+            graph.forward(images, Mode.EVAL)  # as in the trainer
+        assert _outcome(model, images) == f"ACT_Q record at byte {acts[0].at}: {message}"
