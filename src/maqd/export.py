@@ -26,9 +26,9 @@ Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics. CONV_F
 weights and CONV_Q states come from the trainer's `Conv2d.effective_weight`
 run in float64. For every op the runtime runs the kernel of the trainer's
-EVAL forward (its `_conv`, `affine`, pooling and `quantize_activation`), so
-for a float64 graph on float64 images its logits are bitwise
-`graph.forward(images, Mode.EVAL)`.
+EVAL forward (its `_conv`, `affine`, pooling, `quantize_activation` and
+residual `_block_end`), so for a float64 graph on float64 images its
+logits are bitwise `graph.forward(images, Mode.EVAL)`.
 
 `import_model` compiles the records in one walk. It nests each residual
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
@@ -72,11 +72,22 @@ finds each T_k by bisection over the ordered bit patterns of the dtype
 with |sum| <= fan_in * 2q * (m_a-1), each probe running the unfolded
 kernels, so the compares give the unfolded codes bit for bit on every sum
 the conv can emit, and code sums are finite by construction. A pair stays
-unfolded when its affine overflows on code sums, or when it has more than
-_FOLD_MAX_THRESHOLDS (16) thresholds, about where the compares stop
-beating the arithmetic they replace. A quantizer input that is NaN, inf or
-overflows (only on image-conv sums, residual sums or images) raises a
-ValueError naming the ACT_Q record's byte.
+unfolded on float64 sums, when its affine overflows on code sums, or when
+it has more than _FOLD_MAX_THRESHOLDS (16) thresholds: there the compares
+do not beat the arithmetic they replace. A quantizer input that is NaN,
+inf or overflows (only on image-conv sums, residual sums or images) raises
+a ValueError naming the ACT_Q record's byte.
+
+A residual block whose two branches each end in a conv and an AFFINE (a
+BN or LBN preact block, quantized or float) ends in one pass, as the
+trainer's `ResidualBlock` does: the import marks its RES_BEGIN with the
+operands of `network._block_end`, those two convs emit their sums (a
+CONV_Q on codes divides nothing) and those two AFFINEs run no pass of
+their own, and the block's output is s_sums * a_s + f_sums * a_f +
+(b_s + b_f) per channel in float64, with a = scale / divisor for a CONV_Q
+on codes and a = scale for a conv on values. So quantized preact-mini runs
+no AFFINE and no code divide at all: its other AFFINEs run in ACT_Qs'
+passes or folds.
 """
 
 from __future__ import annotations
@@ -88,8 +99,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
-                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _code_divide, _conv,
-                      _global_avg_pool, _im2col, _tap_major)
+                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _block_end, _code_divide,
+                      _conv, _end_operands, _global_avg_pool, _im2col, _tap_major)
 from .normalization import Mode, _tile, affine, fold_normalization
 from .quantizer import (CodeConv, QScaleMode, QuantConfig, code_conv, lattice_states,
                         quantize_activation, weight_lattice)
@@ -305,14 +316,14 @@ def _codes_reader(recs: list[RuntimeOp], i: int):
                      recs[i].fields["m_a"], j - i - 1)
 
 
-# An AFFINE -> ACT_Q pair on code sums with at most this many thresholds per
-# channel runs as that many compares; one with more runs unfolded: the
-# divide, then one fused affine and quantizer pass. On a (100, 16, 32, 32)
-# channels-last float32 map of code sums (2 vCPU, medians of 60, two runs),
-# 7, 16 and 31 compares with the codes' cast took 3.1-3.6, 5.1-6.1 and
-# 8.7-9.8 ms, against 4.7-5.8 ms for the divide and the fused pass, which
-# also makes a float64 map; on float64 sums the compares take about twice
-# as long.
+# An AFFINE -> ACT_Q pair on float32 code sums with at most this many
+# thresholds per channel runs as that many compares; one with more runs
+# unfolded: the divide, then one fused affine and quantizer pass. On a
+# (100, 16, 32, 32) channels-last float32 map of code sums (2 vCPU, medians
+# of 60, two runs), 7, 16 and 31 compares with the codes' cast took 3.1-3.6,
+# 5.1-6.1 and 8.7-9.8 ms, against 4.7-5.8 ms for the divide and the fused
+# pass, which also makes a float64 map. On float64 sums, 7 compares took
+# 6.0-6.3 ms against 4.7-5.0 ms, so float64 sums never fold.
 _FOLD_MAX_THRESHOLDS = 16
 
 
@@ -353,11 +364,11 @@ def _first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _fold(m_a: int, sums: CodeConv, scale, bias) -> _Fold | None:
     """The fold of the pair on the sums of a code-reading CONV_Q, or None
-    where it does not apply: more than _FOLD_MAX_THRESHOLDS thresholds, or
-    an affine that overflows on the sums (the import refuses a non-finite
-    scale or bias)."""
+    where it does not apply: float64 sums, more than _FOLD_MAX_THRESHOLDS
+    thresholds, or an affine that overflows on the sums (the import refuses
+    a non-finite scale or bias)."""
     top, c = m_a - 1, scale.size
-    if top > _FOLD_MAX_THRESHOLDS:
+    if sums.dtype != np.float32 or top > _FOLD_MAX_THRESHOLDS:
         return None
 
     def code(keys):  # the unfolded code of the sums of the given keys, channel in axis 1
@@ -403,6 +414,27 @@ def _read_affine(ops: list[RuntimeOp], m_a: int):
     if fold is not None:
         feed["divisor"] = None
     return (aff["scale"], aff["bias"]), fold
+
+
+def _fold_ends(s_ops: list[RuntimeOp], f_ops: list[RuntimeOp]):
+    """The `_end_operands` of a residual block whose bound branches both end
+    in a conv and an AFFINE, as `network.ResidualBlock` folds a block whose
+    branches end in a conv and a BN or LBN norm: those CONV_Qs then emit
+    their sums and those AFFINEs run no pass of their own, and the block
+    ends in one `_block_end` pass. None for any other block."""
+    ends = [ops[-2:] for ops in (s_ops, f_ops)]
+    if not all(len(e) == 2 and e[0].opcode in (OP_CONV_Q, OP_CONV_F)
+               and e[1].opcode == OP_AFFINE for e in ends):
+        return None
+    operands = []
+    for conv, aff in ends:
+        aff.fields["read"] = True
+        codes = conv.fields.get("code_conv")
+        if conv.opcode == OP_CONV_Q:
+            conv.fields["divisor"] = None
+        operands.append((aff.fields["scale"], aff.fields["bias"],
+                         codes.divisor if codes else None))
+    return _end_operands(*operands)
 
 
 def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
@@ -466,6 +498,7 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
                     raise error(op, f"residual branches end in (channels, downsampling, "
                                     f"flat) {ends[0]} and {ends[1]}")
                 c, down, flat = ends[0]
+                f["end"] = _fold_ends(f["s"], f["f"])
             ops.append(op)
             i += 1
         return ops, i, (c, down, flat)
@@ -567,12 +600,12 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         code, f = op.opcode, op.fields
         if code == OP_CONV_Q:
             x = _run_conv(op, x)
-            if f["divisor"] is not None:  # else values, or sums that a fold reads
+            if f["divisor"] is not None:  # else values, or sums a fold or block end reads
                 x = _code_divide(x, f["divisor"], np.float64)
         elif code == OP_CONV_F:
             x = _run_conv(op, x)
         elif code == OP_AFFINE:
-            if not f["read"]:  # else its ACT_Q runs it
+            if not f["read"]:  # else its ACT_Q or its block's end runs it
                 x = affine(x, f["scale"], f["bias"])
         elif code == OP_ACT_Q:
             x = _run_act(op, x)
@@ -583,7 +616,8 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         elif code == OP_GAP:
             x = _global_avg_pool(x)
         else:  # OP_RES_BEGIN
-            x = _run_ops(f["s"], x) + _run_ops(f["f"], x)
+            s, fb = _run_ops(f["s"], x), _run_ops(f["f"], x)
+            x = s + fb if f["end"] is None else _block_end(s, fb, f["end"], np.float64)
     return x
 
 

@@ -61,6 +61,16 @@ is `forward(x, mode)`, and a visitor sees what each leaf emits, codes on
 a chain. TRAIN mode, float nets and convs that read images or residual
 sums run on values.
 
+A residual block whose two branches each end in a conv and a BN or LBN
+norm (every block of the preact nets but LN's) ends in one EVAL pass, the
+rule the import applies to a RES_BEGIN whose branches end in a conv and an
+AFFINE: the two convs emit their sums (code sums undivided), the two norms
+emit their input, and the block's `_block_end` writes
+s_sums * a_s + f_sums * a_f + (b_s + b_f) per channel in float64, with
+a = scale / divisor for a conv on codes and a = scale for one on values,
+from the norms' `fold_normalization` constants (`_end_operands`). That one
+pass replaces two divides, two affines and their sum.
+
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
 """
@@ -72,9 +82,9 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from . import parallel
-from .normalization import (Mode, NormKind, NormLayerState, empty_in, fold_normalization,
-                            memory_order, norm_backward, norm_forward, weight_standardize,
-                            weight_standardize_backward)
+from .normalization import (Mode, NormKind, NormLayerState, _tile, empty_in,
+                            fold_normalization, memory_order, norm_backward, norm_forward,
+                            weight_standardize, weight_standardize_backward)
 from .quantizer import (QuantConfig, QuantKind, code_conv, lattice_states,
                         quantize_tensor_backward, quantize_tensor_forward, weight_lattice)
 
@@ -258,14 +268,59 @@ def _code_divide(sums: np.ndarray, divisor: float, dtype) -> np.ndarray:
     return y
 
 
+def _end_operands(s_end, f_end):
+    """The per-channel float64 (a_s, a_f, bias) of `_block_end` from the ends
+    of a residual block's two branches, each (scale, bias, divisor): the
+    float64 constants of its norm's `fold_normalization` (the export's
+    AFFINE) and the divisor of the code sums of the conv in front of it, or
+    None where that conv runs on values. a = scale / divisor, or scale;
+    bias = b_s + b_f. The trainer's EVAL block and the runtime's RES_BEGIN
+    share it."""
+    a_s, a_f = (scale if divisor is None else scale / divisor
+                for scale, _, divisor in (s_end, f_end))
+    return a_s, a_f, s_end[1] + f_end[1]
+
+
+def _block_end(s_sums: np.ndarray, f_sums: np.ndarray, operands, dtype) -> np.ndarray:
+    """The end of a residual block in one pass:
+    s_sums * a_s + f_sums * a_f + bias per channel, the `_end_operands`, in
+    float64, a new array in `dtype` and the sums' layout. It replaces each
+    branch's code divide and norm affine and their sum. It runs in slices of
+    samples on the pool's threads, each with a float64 scratch in the
+    output's layout. The trainer's EVAL block and the runtime's RES_BEGIN
+    share it."""
+    y = np.empty_like(s_sums, dtype)
+    a_s, a_f, bias = (_tile(v, y, np.float64) for v in operands)
+    parts = parallel.by_samples(y.shape[0], y.nbytes)
+    rows = max(s.stop - s.start for s in parts)
+    wide = y.dtype == np.float64  # else the sum runs in a second float64 scratch
+
+    def run(s, scratch):
+        m = s.stop - s.start
+        total = y[s] if wide else scratch[1][:m]
+        np.multiply(s_sums[s], a_s, out=total)
+        np.multiply(f_sums[s], a_f, out=scratch[0][:m])
+        total += scratch[0][:m]
+        total += bias
+        if not wide:
+            y[s] = total
+
+    parallel.map_parts(run, parts, lambda: [np.empty_like(y, np.float64, shape=(
+        rows,) + y.shape[1:]) for _ in range(1 if wide else 2)])
+    return y
+
+
 class _Leaf:
     """What a layer without sublayers shares: no parameters unless it says
-    otherwise, a tape (`cache`) that is empty until a TRAIN forward, and
+    otherwise, a tape (`cache`) that is empty until a TRAIN forward,
     `codes`, the `quantizer.CodeConv` of the integer-code chain that `_link`
-    put the layer in, or None."""
+    put the layer in, or None, and `block_end`, whether the layer is the conv
+    or the norm that ends a branch of a residual block whose EVAL end runs
+    as one `_block_end` pass."""
 
     cache = None
     codes = None
+    block_end = False
 
     def parameters(self) -> list[Param]:
         return []
@@ -328,7 +383,8 @@ class Conv2d(_Leaf):
         integer-code chain (see `_link`) reads codes: it runs on them with
         the weight lattice in the dtype of `self.codes`, exactly, and
         divides its sums by the divisor in float64, in the weight's dtype
-        (`_code_divide`)."""
+        (`_code_divide`), unless it is a `block_end`, whose sums its block's
+        end pass reads."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
@@ -337,7 +393,7 @@ class Conv2d(_Leaf):
             lattice = weight_lattice(lattice_states(w2d, q), q)
             w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
             sums = _conv(x, w_tap, self.kernel, _im2col)
-            return _code_divide(sums, self.codes.divisor, w2d.dtype)
+            return sums if self.block_end else _code_divide(sums, self.codes.divisor, w2d.dtype)
         y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col)
         if mode is Mode.TRAIN:
             self.cache = (x, w2d, ws_cache, q_saved)
@@ -359,7 +415,9 @@ class Conv2d(_Leaf):
 
 class NormLayer(_Leaf):
     """Wraps a NormLayerState as a graph node. In EVAL a norm of an
-    integer-code chain (`_link`) emits its input: its ActQuant folds it."""
+    integer-code chain (`_link`) emits its input, which its ActQuant's pass
+    normalizes; so does a `block_end` norm, which its block's end pass
+    folds."""
 
     def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
         self.state = NormLayerState.create(kind, channels, dtype=dtype)
@@ -370,15 +428,15 @@ class NormLayer(_Leaf):
         return [self.g, self.b]
 
     def forward(self, x, mode):
-        if mode is Mode.EVAL and self.codes is not None:
+        if mode is Mode.EVAL and (self.codes is not None or self.block_end):
             return x
         y, cache = norm_forward(x, self.state, mode)
         if mode is Mode.TRAIN:
             self.cache = cache
         return y
 
-    def backward(self, upstream):
-        grad_x, grad_g, grad_b = norm_backward(self._tape(), upstream)
+    def backward(self, upstream, input_grad: bool = True):
+        grad_x, grad_g, grad_b = norm_backward(self._tape(), upstream, input_grad)
         self.g.grad += grad_g
         self.b.grad += grad_b
         return grad_x
@@ -497,10 +555,13 @@ def _forward(layers: list, x: np.ndarray, mode: Mode, visit) -> np.ndarray:
     return x
 
 
-def _backward(layers: list, g: np.ndarray) -> np.ndarray:
-    """Compose the backwards of `layers` in reverse order on g."""
-    for layer in reversed(layers):
-        g = layer.backward(g)
+def _backward(layers: list, g: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    """Compose the backwards of `layers` in reverse order on g. Without
+    `input_grad` no caller reads the result: a leading conv, norm or
+    residual block is told so and does not form its input gradient."""
+    for i in reversed(range(len(layers))):
+        skip = not (i or input_grad) and isinstance(layers[0], (Conv2d, NormLayer, ResidualBlock))
+        g = layers[i].backward(g, input_grad=False) if skip else layers[i].backward(g)
     return g
 
 
@@ -531,20 +592,54 @@ def _link(layers: list) -> None:
                 layer.norm.codes = layer.codes
 
 
+def _folds_end(branch: list) -> bool:
+    """Whether a residual branch ends in a conv and a BN or LBN norm."""
+    return len(branch) > 1 and isinstance(branch[-2], Conv2d) and \
+        isinstance(branch[-1], NormLayer) and branch[-1].state.kind is not NormKind.LN
+
+
+def _branch_end(branch: list):
+    """The (scale, bias, divisor) of `_end_operands` of a branch that
+    `_folds_end`."""
+    conv, norm = branch[-2:]
+    return (*fold_normalization(norm.state), None if conv.codes is None else conv.codes.divisor)
+
+
 class ResidualBlock:
-    """Sum of two pre-activation branches evaluated on the same input."""
+    """Sum of two pre-activation branches evaluated on the same input.
+    Where both end in a conv and a BN or LBN norm, those four layers are
+    `block_end`s and the EVAL block ends in one `_block_end` pass (see the
+    module docstring)."""
 
     def __init__(self, s_branch: list, f_branch: list):
         self.s_branch = s_branch
         self.f_branch = f_branch
         _link(s_branch)
         _link(f_branch)
+        self.folds_end = _folds_end(s_branch) and _folds_end(f_branch)
+        for layer in s_branch[-2:] + f_branch[-2:] if self.folds_end else ():
+            layer.block_end = True
 
     def forward(self, x, mode, visit=None):
-        return _forward(self.s_branch, x, mode, visit) + _forward(self.f_branch, x, mode, visit)
+        return self.join(x, _forward(self.s_branch, x, mode, visit),
+                         _forward(self.f_branch, x, mode, visit), mode)
 
-    def backward(self, upstream):
-        return _backward(self.s_branch, upstream) + _backward(self.f_branch, upstream)
+    def join(self, x, s, f, mode):
+        """The block's output on x from its branches' outputs s and f: their
+        sum; in EVAL where the block `folds_end`, their `_block_end`, in the
+        dtype of x and the two convs' weights."""
+        if mode is Mode.EVAL and self.folds_end:
+            ends = (self.s_branch, self.f_branch)
+            dtype = np.result_type(x.dtype, *(b[-2].weight.data.dtype for b in ends))
+            return _block_end(s, f, _end_operands(*map(_branch_end, ends)), dtype)
+        return s + f
+
+    def backward(self, upstream, input_grad: bool = True):
+        """The input gradient, or None without forming it when `input_grad`
+        is false: the branches' heads then skip theirs too."""
+        s = _backward(self.s_branch, upstream, input_grad)
+        f = _backward(self.f_branch, upstream, input_grad)
+        return s + f if input_grad else None
 
 
 def _walk(layers):
@@ -593,18 +688,12 @@ class ModelGraph:
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Accumulate every parameter's gradient. No caller uses the
-        gradient of the graph input: a leading conv skips its col2im and does
-        not form it, but a leading ResidualBlock (the preact nets) does, each
-        branch-head norm's backward forming an input-sized gradient that the
-        block sums, and the sum is dropped."""
+        gradient of the graph input, so none is formed: a leading conv skips
+        its input-gradient GEMM, and a leading ResidualBlock (the preact
+        nets) has its branch-head norms skip their combine pass."""
         if not self._forward_done:
             raise RuntimeError("backward requires a preceding TRAIN-mode forward")
-        first, *rest = self.layers
-        g = _backward(rest, grad_logits)
-        if isinstance(first, Conv2d):
-            first.backward(g, input_grad=False)
-        else:
-            first.backward(g)
+        _backward(self.layers, grad_logits, input_grad=False)
         self._forward_done = False
 
     def zero_grad(self):

@@ -49,7 +49,8 @@ the statistics' terms m1 = mean(g * upstream) and
 m2 = mean(g * upstream * x_hat) from those sums (per channel for BN, one
 dot product with g for LBN, one per sample for LN) and forms
 grad_x = inv_std * (g * upstream - m1 - m2 * x_hat) in one more pass of
-four operations over two buffers. At float64 the TRAIN forward is bitwise
+four operations over two buffers, which a caller that reads no grad_x
+(`input_grad=False`) skips. At float64 the TRAIN forward is bitwise
 the two-pass formula (x - mean) * inv_std * g + b with statistics from a
 float64 copy; at float32 the variance sums float32 squares, a difference
 of a few float32 roundings.
@@ -324,10 +325,11 @@ def norm_forward(x: np.ndarray, st: NormLayerState, mode: Mode):
     return y, None
 
 
-def norm_backward(cache: NormCache, upstream: np.ndarray):
+def norm_backward(cache: NormCache, upstream: np.ndarray, input_grad: bool = True):
     """Exact gradients through a TRAIN-mode forward, including the dependence
     of the statistics on the input. Returns (grad_x, grad_g, grad_b); grad_x
-    in x_hat's layout."""
+    in x_hat's layout, or None without its combine pass when `input_grad` is
+    false."""
     if cache is None:
         raise ValueError("norm_backward requires a TRAIN-mode cache")
     x_hat, inv_std, g = cache.x_hat, cache.inv_std, cache.g
@@ -345,6 +347,8 @@ def norm_backward(cache: NormCache, upstream: np.ndarray):
 
     parallel.map_parts(product, parts, lambda: _sum_buffer(upstream, t))
     grad_b, grad_g = sums_b.sum(axis=0), sums_g.sum(axis=0)
+    if not input_grad:
+        return None, grad_g.astype(g.dtype), grad_b.astype(g.dtype)
     # m1 = mean(g * upstream) and m2 = mean(g * upstream * x_hat) over the
     # reduction axes, from the sums: per channel for BN, one dot product for
     # LBN, one per sample for LN; then

@@ -427,9 +427,10 @@ class TestCheckpoint:
                      "s 0.3333333333333333, alpha 0.25), the model's (m_w 15, m_a 8, "
                      "qscale_mode half_mw, s 0.3333333333333333, alpha 0.25)"),
         ({"quantize": False}, "the checkpoint's quantizer is (off), the model's (m_w 15"),
+        ({"quantize_head": False}, "the checkpoint's conv 6 is CONV_F, the model's CONV_Q"),
         ({"norm": "ln"}, "the checkpoint's norm is ln, the model's a folded bn or lbn: "
                          "LN recomputes statistics per sample and cannot be folded")],
-        ids=["architecture", "quantizer", "float", "ln"])
+        ids=["architecture", "quantizer", "float", "head", "ln"])
     def test_infer_with_a_checkpoint_of_another_network_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch, run, message):
         # a vgg-mini LBN model; refused before the runtime runs a batch

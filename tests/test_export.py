@@ -602,6 +602,7 @@ class TestRuntimeParity:
                     unread.append(op)
                 if op.opcode == OP_CONV_Q and not _reads_codes(ops, i):
                     value_convs.append(op)
+        # preact-mini: the AFFINE that ends each branch, which its block's end reads
         assert len(unread) == {"vgg-mini": 0, "preact-mini": 6}[arch]
         # a CONV_Q on values runs on the trainer's float64 weights and divides nothing
         assert len(value_convs) == 1
@@ -610,7 +611,7 @@ class TestRuntimeParity:
             assert f["divisor"] is None
             decoded = np.clip(f["states"] / f["qscale"], -1.0, 1.0)
             np.testing.assert_array_equal(f["w"], _tap_major(decoded, f["in_ch"], f["kernel"]))
-        # the runtime's `affine` runs exactly the AFFINEs no ACT_Q reads
+        # the runtime's `affine` runs none: an ACT_Q or a block's end reads each
         seen = []
         real = export_mod.affine
         monkeypatch.setattr(export_mod, "affine",
@@ -618,7 +619,34 @@ class TestRuntimeParity:
         images = np.random.default_rng(13).normal(size=(3, 1, 8, 8))
         np.testing.assert_array_equal(runtime_infer(model, images),
                                       graph.forward(images, Mode.EVAL))
-        assert sorted(seen) == sorted(id(op.fields["scale"]) for op in unread)
+        assert seen == []
+
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    @pytest.mark.parametrize("cfg", [CFG, QuantConfig(s=3.0), None],
+                             ids=["default", "live", "float"])
+    def test_block_ends_run_in_one_pass(self, tmp_path, monkeypatch, kind, cfg):
+        # every branch ends in a conv and an AFFINE: the convs emit their
+        # sums, and each block ends in one pass, with no affine or code
+        # divide; a float net's other AFFINEs feed a RELU and run as before
+        graph = build_model("preact-mini", 4, quant=cfg, norm_kind=kind, in_channels=1,
+                            input_hw=8, seed=14)
+        warm_up(graph, hw=8)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        blocks = [op for ops in _spans(model.ops) for op in ops if op.opcode == OP_RES_BEGIN]
+        assert len(blocks) == 3 and all(op.fields["end"] is not None for op in blocks)
+        branch_ends = {id(op.fields[b][-1].fields["scale"]) for op in blocks for b in "sf"}
+        calls = {"affine": [], "_code_divide": [], "_block_end": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(export_mod, name, lambda *a, seen=seen, real=getattr(
+                export_mod, name): seen.append(id(a[1])) or real(*a))
+        images = np.random.default_rng(15).normal(size=(5, 1, 8, 8))
+        logits = runtime_infer(model, images)
+        assert len(calls["_block_end"]) == 3 and calls["_code_divide"] == []
+        assert len(calls["affine"]) == (0 if cfg else 9)
+        assert not branch_ends & set(calls["affine"])
+        np.testing.assert_array_equal(logits, graph.forward(images, Mode.EVAL))
 
     @pytest.mark.parametrize("codes,bad", [
         ([OP_RES_BEGIN], 0), ([OP_RES_BEGIN, OP_RES_SEP], 0), ([OP_RES_BEGIN, OP_RES_END], 0),
@@ -925,7 +953,13 @@ class TestThresholdFold:
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
         (_, first), (_, second) = _act_ops(model.ops)
         assert first.fields["fold"] is None  # no AFFINE in front of it
-        assert second.fields["fold"].thresholds.dtype == dtype
+        # float32 sums fold; on float64 sums the compares are slower than the
+        # divide and the fused pass they replace
+        fold = second.fields["fold"]
+        if dtype == np.float32:
+            assert fold.thresholds.dtype == np.float32
+        else:
+            assert fold is None
         codes = rng.integers(0, cfg.m_a, size=(3, in_ch, 6, 6))
         codes[0] = cfg.m_a - 1
         images = codes / (cfg.m_a - 1)

@@ -162,12 +162,13 @@ class TestConv2d:
                                    grad_w_eff * indicator, atol=1e-12)
 
 
-def _code_oracle(conv, codes, pools, dtype):
+def _code_oracle(conv, codes, pools, dtype, divide=True):
     """The EVAL output of a conv that reads the integer codes `codes` of an
     m_a-state quantizer through `pools` 2x2 mean pools: the exact int64 sum
     of the sum-pooled codes times the weight lattice clip(2*state, -2q, 2q)
     over explicitly padded windows, scaled by 4**-pools (exact), divided
-    once by (m_a-1) * 2q in float64 and cast to dtype."""
+    once by (m_a-1) * 2q in float64 unless `divide` is false, and cast to
+    dtype."""
     for _ in range(pools):
         codes = (codes[..., 0::2, 0::2] + codes[..., 0::2, 1::2]
                  + codes[..., 1::2, 0::2] + codes[..., 1::2, 1::2])
@@ -178,7 +179,7 @@ def _code_oracle(conv, codes, pools, dtype):
     xp = np.pad(codes, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     sums = np.einsum("nchwij,ocij->nohw", win, lattice)
-    divisor = float((conv.quant.m_a - 1) * two_q)
+    divisor = float((conv.quant.m_a - 1) * two_q) if divide else 1.0
     return (sums * 4.0 ** -pools / divisor).astype(dtype)
 
 
@@ -186,7 +187,8 @@ def _leaf_walk(layers, x, outputs):
     """Run `layers` one leaf EVAL forward at a time from x, each output
     bitwise `outputs[id(layer)]`, what the graph's visitor saw. A conv that
     reads codes also equals the int64 oracle on the codes that the ActQuant
-    before it emitted. Returns the last output."""
+    before it emitted, its sums undivided in the codes' dtype where it ends
+    a branch whose block folds its end. Returns the last output."""
     seen = []
     for i, layer in enumerate(layers):
         x = layer.forward(x, Mode.EVAL)
@@ -198,17 +200,20 @@ def _leaf_walk(layers, x, outputs):
             assert isinstance(act, ActQuant) and act.codes is layer.codes
             codes = seen[i - 1 - pools]
             np.testing.assert_array_equal(codes, np.rint(codes))
+            dtype = layer.codes.dtype if layer.block_end else layer.weight.data.dtype
             np.testing.assert_array_equal(x, _code_oracle(layer, codes.astype(np.int64), pools,
-                                                          layer.weight.data.dtype))
+                                                          dtype, divide=not layer.block_end))
         seen.append(x)
     return x
 
 
 def _manual_eval(layers, x):
-    """Each leaf's EVAL forward in turn, a residual block's branches summed."""
+    """Each leaf's EVAL forward in turn, a residual block's branches joined
+    by the block."""
     for layer in layers:
         if isinstance(layer, ResidualBlock):
-            x = _manual_eval(layer.s_branch, x) + _manual_eval(layer.f_branch, x)
+            x = layer.join(x, _manual_eval(layer.s_branch, x), _manual_eval(layer.f_branch, x),
+                           Mode.EVAL)
         else:
             x = layer.forward(x, Mode.EVAL)
     return x
@@ -533,18 +538,30 @@ class TestBuilders:
             x = RNG(9).normal(size=(2, 3, 32, 32)).astype(np.float32)
             assert g.forward(x, Mode.EVAL).shape == (2, classes)
 
-    def test_preact_block_is_branch_sum(self):
+    @pytest.mark.parametrize("quant", [LIVE, None], ids=["quantized", "float"])
+    def test_preact_block_is_branch_sum(self, quant):
         # each branch is its leaves' EVAL forwards, and its convs that read
-        # codes equal the int64 oracle
-        g = build_model("preact-mini", 10, quant=QuantConfig())
+        # codes equal the int64 oracle; the block's one end pass is, up to
+        # rounding, the sum of each branch's conv values normalized
+        g = build_model("preact-mini", 10, quant=quant, seed=3, input_hw=8)
+        g.forward(RNG(90).normal(size=(8, 3, 8, 8)), Mode.TRAIN)
         block = next(l for l in g.layers if isinstance(l, ResidualBlock))
-        x = RNG(10).normal(size=(1, 3, 8, 8))
+        assert block.folds_end
+        x = RNG(10).normal(size=(2, 3, 8, 8))
         outputs = {}
         y = block.forward(x, Mode.EVAL, lambda layer, out: outputs.setdefault(id(layer), out))
         np.testing.assert_array_equal(block.forward(x, Mode.EVAL), y)
         ys = _leaf_walk(block.s_branch, x, outputs)
         yf = _leaf_walk(block.f_branch, x, outputs)
-        np.testing.assert_array_equal(y, ys + yf)
+        np.testing.assert_array_equal(y, block.join(x, ys, yf, Mode.EVAL))
+        branches = []
+        for branch, sums in ((block.s_branch, ys), (block.f_branch, yf)):
+            conv, norm = branch[-2:]
+            np.testing.assert_array_equal(sums, outputs[id(conv)])  # the norm emits them
+            values = sums.astype(np.float64) / (1.0 if conv.codes is None else conv.codes.divisor)
+            branches.append(norm_forward(values, norm.state, Mode.EVAL)[0])
+        np.testing.assert_allclose(y, branches[0] + branches[1], rtol=0,
+                                   atol=1e-14 * np.max(np.abs(y)))
 
     def test_visit_sees_every_leaf_output_in_order(self):
         g = build_model("preact-mini", 10, quant=QuantConfig())
@@ -631,14 +648,18 @@ class TestCodesEval:
         readers = [l for l in layers if isinstance(l, Conv2d) and l.codes is not None]
         # every quantized conv but the image and residual-sum readers
         assert len(readers) == {"vgg-mini": 6, "preact-mini": 9}[arch]
-        # codes, and their pools, in the CodeConv's dtype; all else in the net's
+        # codes, their pools and the sums of a code conv that ends a branch
+        # (which its norm emits; the block's end pass makes values) in the
+        # CodeConv's dtype; all else in the net's
         code_dtype = None
         for layer, out in seen:
-            if isinstance(layer, ActQuant) and layer.codes is not None:
+            if layer.codes is not None and (isinstance(layer, ActQuant) or layer.block_end):
                 code_dtype = layer.codes.dtype
-            elif not isinstance(layer, AvgPool2):
+            elif not (isinstance(layer, AvgPool2) or layer.block_end):
                 code_dtype = None
             assert out.dtype == (code_dtype or dtype)
+            if isinstance(layer, NormLayer) and layer.block_end:
+                code_dtype = None
         lists = [graph.layers] + [b for l in graph.layers if isinstance(l, ResidualBlock)
                                   for b in (l.s_branch, l.f_branch)]
         for layer_list in lists:
@@ -825,6 +846,48 @@ class TestModelGradients:
         assert [shape for shape, _ in got_calls] == [shape for shape, _ in full_calls]
         assert all(flag for _, flag in full_calls)
         assert [flag for _, flag in got_calls] == [True] * (len(got_calls) - 1) + [False]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_leading_residual_block_forms_no_input_gradient(self, monkeypatch, dtype):
+        # the same parameter gradients as the full layer-by-layer chain; the
+        # leading block's two branch-head norms are the only norm backwards
+        # that form no input gradient
+        g = build_model("preact-mini", 10, quant=QuantConfig(), seed=0, dtype=dtype,
+                        input_hw=8)
+        x = RNG(18).normal(size=(2, 3, 8, 8)).astype(dtype)
+        up = RNG(19).normal(size=(2, 10)).astype(dtype)
+        block = g.layers[0]
+        heads = (block.s_branch[0], block.f_branch[0])
+        calls = []
+        real = network.norm_backward
+
+        def spy(cache, upstream, *flag):
+            grads = real(cache, upstream, *flag)
+            calls.append((any(cache is head.cache for head in heads), grads[0] is None))
+            return grads
+
+        monkeypatch.setattr(network, "norm_backward", spy)
+
+        def grads(backward):
+            g.forward(x, Mode.TRAIN)
+            g.zero_grad()
+            calls.clear()
+            backward()
+            return [p.grad.copy() for p in g.parameters()], list(calls)
+
+        def chain():
+            gr = up
+            for layer in reversed(g.layers):
+                gr = layer.backward(gr)
+
+        full, full_calls = grads(chain)
+        got, got_calls = grads(lambda: g.backward(up))
+        assert all(np.array_equal(a, b) for a, b in zip(full, got))
+        assert len(full_calls) == len(got_calls) == 15
+        assert not any(skipped for _, skipped in full_calls)
+        assert [head for head, _ in got_calls] == [head for head, _ in full_calls]
+        assert all(head == skipped for head, skipped in got_calls)
+        assert sum(head for head, _ in got_calls) == 2
 
     def test_backward_without_forward_raises(self):
         g = build_model("vgg-mini", 10, seed=0)

@@ -197,7 +197,8 @@ class TestSparsityMetrics:
         def walk(layers, x):
             for layer in layers:
                 if isinstance(layer, ResidualBlock):
-                    x = walk(layer.s_branch, x) + walk(layer.f_branch, x)
+                    x = layer.join(x, walk(layer.s_branch, x), walk(layer.f_branch, x),
+                                   Mode.EVAL)
                 else:
                     x = layer.forward(x, Mode.EVAL)
                     if isinstance(layer, ActQuant):
