@@ -26,9 +26,10 @@ Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics. CONV_F
 weights and CONV_Q states come from the trainer's `Conv2d.effective_weight`
 run in float64. For every op the runtime runs the kernel of the trainer's
-EVAL forward (its `_conv`, `affine`, pooling, `quantize_activation` and
-residual `_block_end`), so for a float64 graph on float64 images its
-logits are bitwise `graph.forward(images, Mode.EVAL)`.
+EVAL forward (its `_conv` and its epilogue, `affine`, pooling,
+`quantize_activation` and residual `_block_end`), so for a float64 graph
+on float64 images its logits are bitwise `graph.forward(images,
+Mode.EVAL)`.
 
 `import_model` compiles the records in one walk. It nests each residual
 block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
@@ -88,6 +89,13 @@ their own, and the block's output is s_sums * a_s + f_sums * a_f +
 on codes and a = scale for a conv on values. So quantized preact-mini runs
 no AFFINE and no code divide at all: its other AFFINEs run in ACT_Qs'
 passes or folds.
+
+Every other AFFINE runs in one pass with the RELU that directly follows it
+(`_fuse`), as the trainer's `network._link` binds a BN or LBN norm and its
+ReLU: a CONV_F or a CONV_Q on values directly in front of it runs both on
+each block of its output (`_conv`'s epilogue), else the AFFINE runs the
+RELU in its `affine` pass. Those AFFINEs and RELUs run no pass of their
+own, so float cnn9-mini runs no AFFINE and no RELU at all.
 """
 
 from __future__ import annotations
@@ -437,6 +445,27 @@ def _fold_ends(s_ops: list[RuntimeOp], f_ops: list[RuntimeOp]):
     return _end_operands(*operands)
 
 
+def _fuse(ops: list[RuntimeOp]) -> None:
+    """Bind each AFFINE of the bound ops that no ACT_Q or block end reads to
+    one pass with the RELU that directly follows it, as `network._link` does
+    a BN or LBN norm and its ReLU: a CONV_F or a CONV_Q on values directly
+    in front of it runs both on its blocks (the conv's "epilogue"), else the
+    AFFINE runs the RELU in its `affine` pass ("relu"). Each AFFINE and RELU
+    that a conv or an AFFINE runs is marked "read"."""
+    for i, op in enumerate(ops):
+        f = op.fields
+        if op.opcode != OP_AFFINE or f["read"]:
+            continue
+        relu = i + 1 < len(ops) and ops[i + 1].opcode == OP_RELU
+        if relu:
+            ops[i + 1].fields["read"] = True
+        conv = ops[i - 1].fields if i and ops[i - 1].opcode in (OP_CONV_Q, OP_CONV_F) else None
+        if conv is not None and not conv.get("code_conv"):
+            conv["epilogue"], f["read"] = (f["scale"], f["bias"], relu), True
+        else:
+            f["relu"] = relu
+
+
 def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
     """The one walk of `import_model` over the parsed records; returns (bound
     ops, input channel count). The input has the channels of the first conv
@@ -471,11 +500,14 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
                     else _decode(f["states"], f["qscale"])
                 f["code_conv"], f["divisor"] = codes, codes.divisor if codes else None
             if conv:
+                f["epilogue"] = None
                 c = f["out_ch"]
                 dtype = codes.dtype if codes else np.float64
                 f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
                 codes = None
             elif code == OP_AFFINE:
+                f["read"], f["relu"] = False, False
+            elif code == OP_RELU:
                 f["read"] = False
             elif code == OP_ACT_Q:
                 codes = _codes_reader(recs, i)
@@ -499,6 +531,8 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
                                     f"flat) {ends[0]} and {ends[1]}")
                 c, down, flat = ends[0]
                 f["end"] = _fold_ends(f["s"], f["f"])
+                _fuse(f["s"])
+                _fuse(f["f"])
             ops.append(op)
             i += 1
         return ops, i, (c, down, flat)
@@ -506,6 +540,7 @@ def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
     ops, i, (c, _, flat) = span(0, in_ch, 1, False, 0)
     if i < len(recs):
         raise error(recs[i], "malformed residual block: no RES_BEGIN opens it")
+    _fuse(ops)
     if not flat or c != class_count:
         raise ModelFormatError(f"{path}: the stream ends at byte {end} in {c} channels"
                                f"{'' if flat else ' before GAP'}, not {class_count} logits")
@@ -558,10 +593,12 @@ def import_model(path) -> RuntimeModel:
 def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     """Cross-correlation of x, in the conv's dtype, with its bound tap-major
     matrix: a code-reading CONV_Q's integer lattice (so the result is in
-    units of 1/(2*qscale)), or the weights of another CONV_Q or a CONV_F.
-    It is the trainer's blocked conv, building each block's patch matrix
-    with this module's `_im2col`."""
-    return _conv(x, op.fields["w"], op.fields["kernel"], _im2col)
+    units of 1/(2*qscale)), or the weights of another CONV_Q or a CONV_F,
+    with its "epilogue" (see `_fuse`) on each block. It is the trainer's
+    blocked conv, building each block's patch matrix with this module's
+    `_im2col`."""
+    f = op.fields
+    return _conv(x, f["w"], f["kernel"], _im2col, f["epilogue"])
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
@@ -605,12 +642,13 @@ def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
         elif code == OP_CONV_F:
             x = _run_conv(op, x)
         elif code == OP_AFFINE:
-            if not f["read"]:  # else its ACT_Q or its block's end runs it
-                x = affine(x, f["scale"], f["bias"])
+            if not f["read"]:  # else its ACT_Q, its conv or its block's end runs it
+                x = affine(x, f["scale"], f["bias"], f["relu"])
         elif code == OP_ACT_Q:
             x = _run_act(op, x)
         elif code == OP_RELU:
-            x = np.maximum(x, 0.0)
+            if not f["read"]:  # else its conv or its AFFINE runs it
+                x = np.maximum(x, 0.0)
         elif code == OP_AP2:
             x = _avg_pool2(x)
         elif code == OP_GAP:

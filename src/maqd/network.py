@@ -43,9 +43,9 @@ weight flipped in both spatial axes, its in and out channels swapped),
 and the block's weight-gradient product, the block's NHWC rows of the
 input, transposed, times that patch matrix. The products are summed in
 block order. So no result depends on the thread count. The export runs
-`Conv2d.effective_weight` in float64; its runtime calls the same conv,
-`affine`, 2x2 and global pooling kernels, so its activations are
-channels-last too.
+`Conv2d.effective_weight` in float64; its runtime calls the same conv
+(with its epilogue), `affine`, 2x2 and global pooling kernels, so its
+activations are channels-last too.
 
 The EVAL forward computes a quantized conv that reads an activation
 quantizer's output as the runtime does. `_link` finds each ActQuant ->
@@ -71,6 +71,15 @@ a = scale / divisor for a conv on codes and a = scale for one on values,
 from the norms' `fold_normalization` constants (`_end_operands`). That one
 pass replaces two divides, two affines and their sum.
 
+A float net's BN and LBN norms cost no pass of their own in EVAL either,
+the rule the import applies to an AFFINE -> RELU? that no ACT_Q or block
+end reads (`_link`): a conv on values directly in front of such a norm
+runs the norm's `fold_normalization` affine, and the ReLU after it, on
+each block of its output on the pool thread that computed it (`_conv`'s
+epilogue), and a norm -> ReLU pair with no such conv in front (a float
+preact branch head) runs as one `affine` pass with the ReLU in it. That
+norm and that ReLU emit their input.
+
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
 """
@@ -82,9 +91,9 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from . import parallel
-from .normalization import (Mode, NormKind, NormLayerState, _tile, empty_in,
-                            fold_normalization, memory_order, norm_backward, norm_forward,
-                            weight_standardize, weight_standardize_backward)
+from .normalization import (Mode, NormKind, NormLayerState, _affine_into, _tile, affine,
+                            empty_in, fold_normalization, memory_order, norm_backward,
+                            norm_forward, weight_standardize, weight_standardize_backward)
 from .quantizer import (QuantConfig, QuantKind, code_conv, lattice_states,
                         quantize_tensor_backward, quantize_tensor_forward, weight_lattice)
 
@@ -179,25 +188,36 @@ def _patch_buffer(x: np.ndarray, blocks: list[slice], k: int):
     return lambda: np.empty((rows, k * k * c), x.dtype)
 
 
-def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col) -> np.ndarray:
+def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col, epilogue=None) -> np.ndarray:
     """Cross-correlation of (n, c, h, w) x with the tap-major (out, k*k*c)
     matrix w_tap at stride 1 and padding k // 2, one of the `_blocks` of x
     at a time on each pool thread: the block's patch matrix, gathered by
     `im2col` (the caller's `_im2col`) into the thread's patch buffer, times
     w_tap, written straight into the block's NHWC rows of the output. The
-    blocks are rows of one GEMM. Returns the (n, out, h, w) output,
-    channels-last whatever x's layout."""
+    blocks are rows of one GEMM. An `epilogue` (scale, bias, relu), the
+    (out,) constants of a folded norm and whether a ReLU follows it, runs on
+    the block's rows in place while they are in cache, on the same thread:
+    rows * scale + bias, then max(., 0) where relu, in the output's dtype,
+    with the vectors as `_tile`s (`normalization._affine_into`, the kernel
+    of `affine`). Returns the (n, out, h, w) output, channels-last whatever
+    x's layout."""
     n, _, h, w = x.shape
     out_ch = w_tap.shape[0]
     y = np.empty((n * h * w, out_ch), dtype=np.result_type(x, w_tap))
     blocks = _blocks(x.shape, x.itemsize, k)
+    out = y.reshape(n, h, w, out_ch).transpose(0, 3, 1, 2)
+    if epilogue is not None:
+        scale, bias, relu = epilogue
+        scale, bias = _tile(scale, out), _tile(bias, out)
 
     def run(b, patches):
         r = slice(b.start * h * w, b.stop * h * w)
         np.matmul(im2col(x[b], k, patches[:r.stop - r.start]), w_tap.T, out=y[r])
+        if epilogue is not None:
+            _affine_into(out[b], scale, bias, out[b], relu)
 
     parallel.map_parts(run, blocks, _patch_buffer(x, blocks, k))
-    return y.reshape(n, h, w, out_ch).transpose(0, 3, 1, 2)
+    return out
 
 
 def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
@@ -314,13 +334,17 @@ class _Leaf:
     """What a layer without sublayers shares: no parameters unless it says
     otherwise, a tape (`cache`) that is empty until a TRAIN forward,
     `codes`, the `quantizer.CodeConv` of the integer-code chain that `_link`
-    put the layer in, or None, and `block_end`, whether the layer is the conv
+    put the layer in, or None, `block_end`, whether the layer is the conv
     or the norm that ends a branch of a residual block whose EVAL end runs
-    as one `_block_end` pass."""
+    as one `_block_end` pass, `relu`, whether the layer's EVAL pass also
+    runs the ReLU that follows it, and `fused`, whether a layer before it
+    runs its EVAL pass (see `_link`), so that it emits its input."""
 
     cache = None
     codes = None
     block_end = False
+    relu = False
+    fused = False
 
     def parameters(self) -> list[Param]:
         return []
@@ -347,6 +371,7 @@ class Conv2d(_Leaf):
     """
 
     stride = 1  # of every conv; the export writes it as the record's stride byte
+    norm = None  # the NormLayer whose EVAL affine runs in this conv's blocks (`_link`)
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, *,
                  rng: np.random.Generator, weight_standardized: bool = True,
@@ -384,7 +409,9 @@ class Conv2d(_Leaf):
         the weight lattice in the dtype of `self.codes`, exactly, and
         divides its sums by the divisor in float64, in the weight's dtype
         (`_code_divide`), unless it is a `block_end`, whose sums its block's
-        end pass reads."""
+        end pass reads. In EVAL a conv on values with a `norm` runs that
+        norm's folded affine, and the ReLU after it where `relu`, on each
+        block of its output (`_conv`'s epilogue)."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
@@ -394,7 +421,10 @@ class Conv2d(_Leaf):
             w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
             sums = _conv(x, w_tap, self.kernel, _im2col)
             return sums if self.block_end else _code_divide(sums, self.codes.divisor, w2d.dtype)
-        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col)
+        epilogue = None
+        if mode is Mode.EVAL and self.norm is not None:
+            epilogue = (*fold_normalization(self.norm.state), self.relu)
+        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col, epilogue)
         if mode is Mode.TRAIN:
             self.cache = (x, w2d, ws_cache, q_saved)
         return y
@@ -417,7 +447,8 @@ class NormLayer(_Leaf):
     """Wraps a NormLayerState as a graph node. In EVAL a norm of an
     integer-code chain (`_link`) emits its input, which its ActQuant's pass
     normalizes; so does a `block_end` norm, which its block's end pass
-    folds."""
+    folds, and a `fused` one, which the conv before it applies. A BN or LBN
+    norm with `relu` runs the ReLU after it in its EVAL affine's pass."""
 
     def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
         self.state = NormLayerState.create(kind, channels, dtype=dtype)
@@ -428,8 +459,10 @@ class NormLayer(_Leaf):
         return [self.g, self.b]
 
     def forward(self, x, mode):
-        if mode is Mode.EVAL and (self.codes is not None or self.block_end):
+        if mode is Mode.EVAL and (self.codes is not None or self.block_end or self.fused):
             return x
+        if mode is Mode.EVAL and self.relu:
+            return affine(x, *fold_normalization(self.state), True)
         y, cache = norm_forward(x, self.state, mode)
         if mode is Mode.TRAIN:
             self.cache = cache
@@ -479,7 +512,12 @@ class ActQuant(_Leaf):
 
 
 class ReLU(_Leaf):
+    """max(x, 0). In EVAL a `fused` ReLU emits its input: the pass of the
+    conv or norm before it ran it."""
+
     def forward(self, x, mode):
+        if mode is Mode.EVAL and self.fused:
+            return x
         if mode is Mode.TRAIN:
             self.cache = x > 0
         return np.maximum(x, 0.0)
@@ -575,7 +613,14 @@ def _link(layers: list) -> None:
     ACT_Q -> AP2* -> CONV_Q: the ActQuant and the conv share its
     `quantizer.CodeConv`, and so does the ActQuant's norm unless it is LN,
     whose EVAL statistics are per sample, so that its EVAL affine can run in
-    the ActQuant's code pass."""
+    the ActQuant's code pass.
+
+    Each other BN or LBN norm that no ActQuant reads and that is no
+    `block_end` runs its EVAL affine, with the ReLU that directly follows
+    it, in one pass, the rule the import applies to an AFFINE -> RELU?
+    that no ACT_Q or block end reads: in the blocks of a conv on values
+    directly in front of it (the conv's `norm`, `_conv`'s epilogue), else
+    in its own `affine`. That norm and that ReLU are then `fused`."""
     for i, layer in enumerate(layers):
         if not isinstance(layer, ActQuant):
             continue
@@ -590,6 +635,19 @@ def _link(layers: list) -> None:
                                                  j - i - 1)
             if layer.norm is not None and layer.norm.state.kind is not NormKind.LN:
                 layer.norm.codes = layer.codes
+    for i, norm in enumerate(layers):
+        after = layers[i + 1] if i + 1 < len(layers) else None
+        if not isinstance(norm, NormLayer) or norm.state.kind is NormKind.LN \
+                or norm.block_end or isinstance(after, ActQuant):
+            continue
+        relu = isinstance(after, ReLU)
+        if relu:
+            after.fused = True
+        conv = layers[i - 1] if i else None
+        if isinstance(conv, Conv2d) and conv.codes is None:
+            conv.norm, conv.relu, norm.fused = norm, relu, True
+        else:
+            norm.relu = relu
 
 
 def _folds_end(branch: list) -> bool:
@@ -614,11 +672,11 @@ class ResidualBlock:
     def __init__(self, s_branch: list, f_branch: list):
         self.s_branch = s_branch
         self.f_branch = f_branch
-        _link(s_branch)
-        _link(f_branch)
         self.folds_end = _folds_end(s_branch) and _folds_end(f_branch)
         for layer in s_branch[-2:] + f_branch[-2:] if self.folds_end else ():
             layer.block_end = True
+        _link(s_branch)
+        _link(f_branch)
 
     def forward(self, x, mode, visit=None):
         return self.join(x, _forward(self.s_branch, x, mode, visit),

@@ -250,18 +250,25 @@ def _operand(stat: np.ndarray, x: np.ndarray, dtype=None) -> np.ndarray:
     return stat.astype(dtype or x.dtype, copy=False)
 
 
-def _affine_into(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, out: np.ndarray):
+def _affine_into(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, out: np.ndarray,
+                 relu: bool = False):
+    """out = x * scale + bias, then max(out, 0) where `relu`, in out's
+    dtype; out may be x. The one elementwise kernel of a folded norm: the
+    TRAIN normalize, `affine` and a conv's EVAL epilogue run it."""
     np.multiply(x, scale, out=out)
     out += bias
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
 
-def affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x * scale + bias per channel of (n, c, h, w) x, in x's dtype and
-    layout, in two passes with the vectors as `_tile`s, split by samples
-    over the pool's threads."""
+def affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, relu: bool = False) -> np.ndarray:
+    """x * scale + bias per channel of (n, c, h, w) x, then the ReLU where
+    `relu`, in x's dtype and layout, with the vectors as `_tile`s, split by
+    samples over the pool's threads, each slice taking every step while it
+    is in cache."""
     scale, bias = _tile(scale, x), _tile(bias, x)
     y = np.empty_like(x)
-    parallel.map_parts(lambda s: _affine_into(x[s], scale, bias, y[s]),
+    parallel.map_parts(lambda s: _affine_into(x[s], scale, bias, y[s], relu),
                        parallel.by_samples(x.shape[0], x.nbytes))
     return y
 
@@ -397,10 +404,10 @@ def weight_standardize(w: np.ndarray, eps: float = 1e-10):
 
     def rows(s):
         mu[s] = np.mean(w[s], axis=1, keepdims=True, dtype=np.float64)
-        sigma[s] = np.sqrt(np.mean(np.square(w[s].astype(np.float64) - mu[s]), axis=1,
-                                   keepdims=True))
+        centered = np.subtract(w[s], mu[s], dtype=np.float64)
+        sigma[s] = np.sqrt(np.mean(np.square(centered), axis=1, keepdims=True))
         denom[s] = np.sqrt(fan_in) * sigma[s] + eps
-        w_hat[s] = (w[s] - mu[s]) / denom[s]
+        np.divide(centered, denom[s], out=w_hat[s], casting="unsafe")
 
     parallel.map_parts(rows, parallel.by_samples(w.shape[0], w.nbytes))
     cache = WSCache(w=w, mu=mu.astype(w.dtype), sigma=sigma.astype(w.dtype),

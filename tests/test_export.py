@@ -627,7 +627,8 @@ class TestRuntimeParity:
     def test_block_ends_run_in_one_pass(self, tmp_path, monkeypatch, kind, cfg):
         # every branch ends in a conv and an AFFINE: the convs emit their
         # sums, and each block ends in one pass, with no affine or code
-        # divide; a float net's other AFFINEs feed a RELU and run as before
+        # divide; a float net's other AFFINEs feed a RELU: its 3 mid-branch
+        # pairs run in their convs' blocks, its 6 branch heads in `affine`
         graph = build_model("preact-mini", 4, quant=cfg, norm_kind=kind, in_channels=1,
                             input_hw=8, seed=14)
         warm_up(graph, hw=8)
@@ -644,9 +645,55 @@ class TestRuntimeParity:
         images = np.random.default_rng(15).normal(size=(5, 1, 8, 8))
         logits = runtime_infer(model, images)
         assert len(calls["_block_end"]) == 3 and calls["_code_divide"] == []
-        assert len(calls["affine"]) == (0 if cfg else 9)
+        assert len(calls["affine"]) == (0 if cfg else 6)
         assert not branch_ends & set(calls["affine"])
         np.testing.assert_array_equal(logits, graph.forward(images, Mode.EVAL))
+
+    @pytest.mark.parametrize("arch", ["cnn9-mini", "preact-mini"])
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_convs_run_their_affine_and_relu(self, tmp_path, monkeypatch, arch, kind,
+                                                   dtype):
+        # a CONV_F's blocks run the AFFINE and the RELU after it, and an
+        # AFFINE -> RELU pair with no conv in front (a preact branch head)
+        # runs as one affine pass: no RELU runs a pass of its own, and the
+        # logits are bitwise the unfused runtime's and the float64 trainer's
+        graph = build_model(arch, 4, quant=None, norm_kind=kind, in_channels=1, input_hw=8,
+                            seed=16, dtype=dtype)
+        warm_up(graph, hw=8)
+        _spread_affines(graph, seed=17)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        spans = list(_spans(model.ops))
+        epilogues = [op for ops in spans for op in ops if op.opcode == OP_CONV_F
+                     and op.fields["epilogue"] is not None]
+        heads = [op for ops in spans for op in ops if op.opcode == OP_AFFINE
+                 and not op.fields["read"]]
+        assert (len(epilogues), len(heads)) == {"cnn9-mini": (8, 0), "preact-mini": (3, 6)}[arch]
+        assert all(op.fields["relu"] for op in heads)
+        assert all(op.fields["read"] for ops in spans for op in ops if op.opcode == OP_RELU)
+        images = np.random.default_rng(18).normal(size=(5, 1, 8, 8))
+        calls = []
+        real = export_mod.affine
+        monkeypatch.setattr(export_mod, "affine", lambda *a: calls.append(a) or real(*a))
+
+        class NoMaximum:  # the module's numpy, whose maximum a RELU pass would call
+            def __getattr__(self, name):
+                assert name != "maximum", "a RELU ran a pass of its own"
+                return getattr(np, name)
+
+        monkeypatch.setattr(export_mod, "np", NoMaximum())
+        logits = runtime_infer(model, images)
+        monkeypatch.undo()
+        assert len(calls) == len(heads)
+        monkeypatch.setattr(export_mod, "_fuse", lambda ops: None)
+        np.testing.assert_array_equal(logits, runtime_infer(import_model(path), images))
+        trainer = graph.forward(images.astype(dtype), Mode.EVAL)
+        if dtype == np.float64:
+            np.testing.assert_array_equal(logits, trainer)
+        else:
+            assert (np.argmax(logits, axis=1) == np.argmax(trainer, axis=1)).all()
 
     @pytest.mark.parametrize("codes,bad", [
         ([OP_RES_BEGIN], 0), ([OP_RES_BEGIN, OP_RES_SEP], 0), ([OP_RES_BEGIN, OP_RES_END], 0),

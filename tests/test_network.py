@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maqd import export, network, parallel, quantizer, training
+from maqd import datasets, export, network, parallel, quantizer, training
 from maqd.export import _run_conv, import_model, parity_check, runtime_infer
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
                           NormLayer, ReLU, ResidualBlock, build_model)
@@ -777,6 +777,117 @@ class TestCodesEval:
         leaves = (Conv2d, NormLayer, ActQuant, ReLU, AvgPool2, GlobalAvgPool)
         assert all(list(inspect.signature(c.forward).parameters) == ["self", "x", "mode"]
                    for c in leaves)
+
+
+def _unfused_eval(layers, x, relu_outputs):
+    """A float net's EVAL forward one unfused pass per leaf: each conv's GEMM
+    alone (`_conv` with no epilogue), each norm's `norm_forward`, each
+    ReLU's np.maximum; a branch-end norm emits its input and its block joins
+    the branches in its one end pass. Appends each ReLU's output to
+    `relu_outputs`, in `all_layers` order."""
+    for layer in layers:
+        if isinstance(layer, ResidualBlock):
+            s = _unfused_eval(layer.s_branch, x, relu_outputs)
+            x = layer.join(x, s, _unfused_eval(layer.f_branch, x, relu_outputs), Mode.EVAL)
+        elif isinstance(layer, Conv2d):
+            w_tap = network._tap_major(layer.effective_weight()[0], layer.in_ch, layer.kernel)
+            x = network._conv(x, w_tap, layer.kernel, network._im2col)
+        elif isinstance(layer, NormLayer):
+            x = x if layer.block_end else norm_forward(x, layer.state, Mode.EVAL)[0]
+        elif isinstance(layer, ReLU):
+            x = np.maximum(x, 0.0)
+            relu_outputs.append(x)
+        else:
+            x = layer.forward(x, Mode.EVAL)
+    return x
+
+
+def _float_net(arch, kind, dtype, hw=16):
+    """A seed-3 float `arch` with spread running statistics and (g, b), some
+    g zero or negative, so that the ReLUs cut every layer."""
+    graph = build_model(arch, 10, quant=None, norm_kind=kind, seed=3, dtype=dtype,
+                        input_hw=hw)
+    graph.forward(RNG(80).normal(size=(8, 3, hw, hw)).astype(dtype), Mode.TRAIN)
+    rng = RNG(81)
+    for norm in (l for l in graph.all_layers() if isinstance(l, NormLayer)):
+        st = norm.state
+        st.g[...] = rng.normal(size=st.g.shape) * (rng.uniform(size=st.g.shape) > 0.15)
+        st.b[...] = rng.normal(0.0, 0.5, size=st.b.shape)
+        st.running_mean[...] = rng.normal(0.0, 0.2, size=st.running_mean.shape)
+        st.running_var[...] = rng.uniform(0.5, 3.0, size=st.running_var.shape)
+    return graph
+
+
+class TestFloatEpilogue:
+    """In EVAL a float conv runs the folded affine of the BN or LBN norm
+    after it, and the ReLU after that, on each block of its output; a norm
+    -> ReLU pair with no conv in front runs as one `affine` pass."""
+
+    @pytest.mark.parametrize("arch", ["cnn9-mini", "preact-mini"])
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_and_r_a_are_the_unfused_walk(self, arch, kind, dtype):
+        graph = _float_net(arch, kind, dtype)
+        x = RNG(82).normal(size=(5, 3, 16, 16)).astype(dtype)
+        relu_outputs = []
+        want = _unfused_eval(graph.layers, x, relu_outputs)
+        logits = graph.forward(x, Mode.EVAL)
+        assert logits.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(logits, want)
+        data = datasets.LabeledImageSet(images=x, labels=np.arange(5), class_count=10)
+        result = training.evaluate(graph, data, training.LossConfig())
+        per_layer = [training.compute_r_a(out) / x.shape[0] for out in relu_outputs]
+        assert 0 < min(per_layer) and max(per_layer) < 1
+        assert result.r_a_per_layer == per_layer
+        assert result.r_a == float(np.average(per_layer,
+                                              weights=[out[0].size for out in relu_outputs]))
+        assert result.loss == training.combined_loss(want, data.labels,
+                                                     training.LossConfig())[0]
+
+    @pytest.mark.parametrize("arch", ["cnn9-mini", "preact-mini"])
+    def test_which_layers_fuse(self, arch):
+        # every body conv of cnn9-mini takes its norm and ReLU; preact-mini's
+        # mid-branch convs do, its branch heads' norms run their ReLU, and
+        # its branch ends fold into the block's end pass
+        graph = build_model(arch, 10, quant=None, norm_kind=NormKind.BN)
+        layers = graph.all_layers()
+        convs = [l for l in layers if isinstance(l, Conv2d)]
+        norms = [l for l in layers if isinstance(l, NormLayer)]
+        relus = [l for l in layers if isinstance(l, ReLU)]
+        assert all(l.fused for l in relus)
+        with_norm = [c for c in convs if c.norm is not None]
+        assert all(c.relu and c.norm.fused and layers[layers.index(c) + 1] is c.norm
+                   for c in with_norm)
+        heads = [n for n in norms if n.relu]
+        assert all(not n.fused for n in heads)
+        if arch == "cnn9-mini":
+            assert (len(with_norm), len(heads)) == (8, 0) and with_norm == convs[:-1]
+        else:
+            assert (len(with_norm), len(heads)) == (3, 6)
+            assert len([n for n in norms if n.block_end and not n.fused]) == 6
+        # a quantized net's norms feed ActQuants: nothing fuses
+        q = build_model(arch, 10, quant=QuantConfig(), norm_kind=NormKind.BN).all_layers()
+        assert not any(l.norm for l in q if isinstance(l, Conv2d))
+        assert not any(l.fused or l.relu for l in q)
+
+    def test_cnn9_eval_runs_no_norm_or_relu_pass(self, monkeypatch):
+        # the convs' blocks run every folded affine and every ReLU: no
+        # norm_forward and no affine runs, and each norm and ReLU emits the
+        # very array its conv wrote
+        graph = _float_net("cnn9-mini", NormKind.BN, np.float32)
+        x = RNG(83).normal(size=(4, 3, 16, 16)).astype(np.float32)
+        want = graph.forward(x, Mode.EVAL)
+        calls = []
+        for name in ("norm_forward", "affine"):
+            monkeypatch.setattr(network, name, lambda *a, name=name: calls.append(name))
+        seen = []
+        logits = graph.forward(x, Mode.EVAL, lambda layer, out: seen.append((layer, out)))
+        np.testing.assert_array_equal(logits, want)
+        assert calls == []
+        for (conv, y), (norm, y_norm), (relu, y_relu) in zip(seen, seen[1:], seen[2:]):
+            if isinstance(conv, Conv2d) and conv.norm is not None:
+                assert norm is conv.norm and isinstance(relu, ReLU)
+                assert y_norm is y and y_relu is y and y.min() == 0
 
 
 class TestModelGradients:

@@ -476,6 +476,30 @@ class TestLayout:
                 np.testing.assert_array_equal(cache.inv_std, 1.0 / np.sqrt(var + st.eps))
 
     @pytest.mark.parametrize("layout", [np.asarray, channels_last], ids=["c", "cl"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ln_grad_x_is_the_broadcast_form(self, dtype, layout):
+        # LN's grad_x is bitwise the formula with inv * g as an (n, C, 1, 1)
+        # operand, on either layout. Dyadic inputs keep every sum exact, so
+        # the statistics' terms do not depend on the order of summation
+        rng = np.random.default_rng(66)
+        n, c, h, w = LAYOUT_SHAPE
+        x_hat = layout((rng.integers(-8, 9, size=LAYOUT_SHAPE) / 8).astype(dtype))
+        up = layout((rng.integers(-8, 9, size=LAYOUT_SHAPE) / 4).astype(dtype))
+        g = (rng.integers(-4, 5, size=c) / 2).astype(dtype)
+        inv_std = rng.uniform(0.5, 2.0, size=(n, 1, 1, 1)).astype(dtype)
+        cache = normalization.NormCache(x_hat=x_hat, inv_std=inv_std, g=g, b=np.zeros_like(g),
+                                        kind=NormKind.LN)
+        grad_x = norm_backward(cache, up)[0]
+        inv, g64 = inv_std.astype(np.float64), g.astype(np.float64).reshape(1, -1, 1, 1)
+        m1, m2 = (np.sum(v * g64, axis=(1, 2, 3), keepdims=True) / (c * h * w)
+                  for v in (up, up * x_hat))
+        c1, c2, c3 = ((inv * v).astype(dtype) for v in (m1, m2, g64))
+        assert c3.shape == (n, c, 1, 1)
+        want = up * c3 - (x_hat * c2 + c1)
+        assert grad_x.dtype == dtype and (is_channels_last(grad_x) or layout is np.asarray)
+        np.testing.assert_array_equal(grad_x, want)
+
+    @pytest.mark.parametrize("layout", [np.asarray, channels_last], ids=["c", "cl"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bitwise_across_threads(self, across_threads, kind, layout):
         # the per-sample sums run in parts of samples on the pool
