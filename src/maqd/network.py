@@ -9,11 +9,19 @@ walk, `_forward`, and one backward walk, `_backward`, serve the graph and
 each residual branch; backward composes each layer's exact or surrogate
 backward in reverse. A forward may pass `visit(layer, output)`, which sees
 every leaf's output: `training.evaluate` reads R_a that way, and no layer
-keeps its output. The tape holds each tensor once: an `ActQuant` that
-directly follows a `NormLayer` in a layer list is linked to it (`_link`)
-and tapes nothing, its backward rebuilding its input from the norm's x_hat,
-g and b. A backward with no TRAIN forward's tape to read is a
-RuntimeError that names the layer.
+keeps its output. The tape holds each tensor once, and the smallest form
+of it: an `ActQuant` that directly follows a `NormLayer` in a layer list is
+linked to it (`_link`) and tapes nothing, its backward rebuilding its input
+from the norm's x_hat, g and b; a Conv2d directly behind an ActQuant
+(`code_tape`) tapes its input as the quantizer's codes k, one byte each up
+to m_a = 256, which its backward decodes to the values k/(m_a-1) bitwise.
+A tape lives from its layer's TRAIN forward until the graph's backward walk
+has run that layer's backward (a linked ActQuant's norm comes before it,
+so its backward runs later), or until the graph's next EVAL forward, after
+which no backward may read it; a leaf's own `backward` keeps it. So the
+tape at the TRAIN forward's end is a step's high-water mark. A backward
+with no TRAIN forward's tape to read is a RuntimeError that names the
+layer.
 
 Every convolution is a 3x3 or 1x1 cross-correlation at stride 1, padded
 by k // 2 so that its output keeps its input's extent (the nets downsample
@@ -35,13 +43,14 @@ block's patch matrix of x with the tap-major weight writes the block's
 NHWC rows of the output; the blocks are rows of one GEMM. `_tap_major`
 puts the (out, c*k*k) weight rows in that order; the weight itself, WS,
 the quantizer and the export format keep the canonical (out, c, k, k)
-layout. A TRAIN conv tapes its input and its effective weight with the WS
-and quantizer caches, and no patch matrix. Backward (`_col2im`), the
-block's patch matrix of the upstream gives both the input gradient's NHWC
-rows, the conv's exact transpose (the upstream cross-correlated with the
-weight flipped in both spatial axes, its in and out channels swapped),
-and the block's weight-gradient product, the block's NHWC rows of the
-input, transposed, times that patch matrix. The products are summed in
+layout. A TRAIN conv tapes its input (or its codes) and its effective
+weight with the WS and quantizer caches, and no patch matrix. Backward
+(`_col2im`), the block's patch matrix of the upstream gives both the input
+gradient's NHWC rows, the conv's exact transpose (the upstream
+cross-correlated with the weight flipped in both spatial axes, its in and
+out channels swapped), and the block's weight-gradient product, the
+block's NHWC rows of the input (decoded from codes into the thread's
+scratch), transposed, times that patch matrix. The products are summed in
 block order. So no result depends on the thread count. The export runs
 `Conv2d.effective_weight` in float64; its runtime calls the same conv
 (with its epilogue), `affine`, 2x2 and global pooling kernels, so its
@@ -221,11 +230,12 @@ def _conv(x: np.ndarray, w_tap: np.ndarray, k: int, im2col, epilogue=None) -> np
 
 
 def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
-            input_grad: bool):
+            input_grad: bool, decode=None):
     """Both gradients of the conv of x with the (out, c*k*k) weight w2d,
     given the (n, out, h, w) output gradient: (the channels-last input
     gradient, or None without computing it when `input_grad` is false; the
-    (out, c*k*k) weight gradient).
+    (out, c*k*k) weight gradient). With `decode` = (top, dtype), x holds an
+    activation quantizer's codes k, whose values are k / top in dtype.
 
     Each of the `_blocks` of the upstream is gathered and multiplied whole
     by one pool thread, into the thread's patch buffer. Its patch
@@ -238,7 +248,9 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     - the block's weight-gradient product, the block's NHWC rows of x,
       transposed, times P, whose column (ki, kj, o) holds the gradient of
       weight [o, c, k-1-ki, k-1-kj]. The rows are a view of channels-last
-      x (a C-order x, the graph input, is copied).
+      x (a C-order x, the graph input, is copied); codes are decoded
+      (`_decode`) into the thread's scratch rows, so the product is bitwise
+      that of the values.
     The products are added to the gradient in block order, whatever the
     thread count, each through a view in the canonical layout; those held
     at once fill at most _BLOCK_BYTES, or one per pool thread."""
@@ -248,18 +260,26 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
         1, 0, 2, 3).reshape(c, -1), out_ch, k)
     grad_x = np.empty((n * h * w, c), np.result_type(upstream, w_flip)) if input_grad else None
     blocks = _blocks(upstream.shape, upstream.itemsize, k)
-    prod_dtype = np.result_type(x, upstream)
+    prod_dtype = np.result_type(x if decode is None else decode[1], upstream)
     wave = max(parallel.THREADS, _BLOCK_BYTES // max(1, w2d.size * prod_dtype.itemsize))
     prods = np.empty((min(wave, len(blocks)), c, k * k * out_ch), prod_dtype)
-    make = _patch_buffer(upstream, blocks, k)
+    patch_buffer = _patch_buffer(upstream, blocks, k)
+    value_rows = 0 if decode is None else max(b.stop - b.start for b in blocks) * h * w
 
-    def run(i, patches):
+    def make():
+        return patch_buffer(), None if decode is None else np.empty((value_rows, c), decode[1])
+
+    def run(i, scratch):
+        patches, values = scratch
         b = blocks[i]
         r = slice(b.start * h * w, b.stop * h * w)
         p = _im2col(upstream[b], k, patches[:r.stop - r.start])
         if input_grad:
             np.matmul(p, w_flip.T, out=grad_x[r])
-        np.matmul(x[b].transpose(0, 2, 3, 1).reshape(-1, c).T, p, out=prods[i % wave])
+        rows = x[b].transpose(0, 2, 3, 1)
+        if decode is not None:
+            rows = _decode(rows, *decode, values[:r.stop - r.start].reshape(rows.shape))
+        np.matmul(rows.reshape(-1, c).T, p, out=prods[i % wave])
 
     grad_w = np.zeros((out_ch, c, k, k), prod_dtype)
     for lo in range(0, len(blocks), wave):
@@ -270,6 +290,33 @@ def _col2im(x: np.ndarray, upstream: np.ndarray, w2d: np.ndarray, k: int,
     if input_grad:
         grad_x = grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
     return grad_x, grad_w.reshape(out_ch, -1)
+
+
+def _encode(x: np.ndarray, m_a: int) -> np.ndarray:
+    """The codes k = rint(x * (m_a-1)) of an m_a-state activation
+    quantizer's values x = k/(m_a-1), in the smallest unsigned dtype that
+    holds m_a - 1 and x's layout. x * (m_a-1) is within about 2k times the
+    dtype's unit roundoff of k, below 0.01 even at float32 and m_a = 65535,
+    so the codes are exact. It runs in slices of samples on the pool's
+    threads, each with a scratch slice in x's dtype, so no full-size float
+    temporary is made."""
+    top = m_a - 1
+    codes = np.empty_like(x, np.min_scalar_type(top))
+    parts = parallel.by_samples(x.shape[0], x.nbytes)
+    rows = max(s.stop - s.start for s in parts)
+
+    def run(s, scratch):
+        t = np.multiply(x[s], top, out=scratch[:s.stop - s.start])
+        np.rint(t, out=codes[s], casting="unsafe")
+
+    parallel.map_parts(run, parts, lambda: np.empty_like(x, shape=(rows,) + x.shape[1:]))
+    return codes
+
+
+def _decode(codes: np.ndarray, top: int, dtype, out: np.ndarray) -> np.ndarray:
+    """The values k / top of codes k, written into `out`: the activation
+    quantizer's own divide in dtype, so bitwise its output."""
+    return np.divide(codes, top, out=out, dtype=dtype)
 
 
 def _code_divide(sums: np.ndarray, divisor: float, dtype) -> np.ndarray:
@@ -338,7 +385,9 @@ class _Leaf:
     or the norm that ends a branch of a residual block whose EVAL end runs
     as one `_block_end` pass, `relu`, whether the layer's EVAL pass also
     runs the ReLU that follows it, and `fused`, whether a layer before it
-    runs its EVAL pass (see `_link`), so that it emits its input."""
+    runs its EVAL pass (see `_link`), so that it emits its input. The
+    graph's backward walk drops a tape once it has run the layer's
+    backward (`_backward`)."""
 
     cache = None
     codes = None
@@ -372,6 +421,7 @@ class Conv2d(_Leaf):
 
     stride = 1  # of every conv; the export writes it as the record's stride byte
     norm = None  # the NormLayer whose EVAL affine runs in this conv's blocks (`_link`)
+    code_tape = None  # the m_a of the ActQuant directly in front, whose codes it tapes
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, *,
                  rng: np.random.Generator, weight_standardized: bool = True,
@@ -411,7 +461,9 @@ class Conv2d(_Leaf):
         (`_code_divide`), unless it is a `block_end`, whose sums its block's
         end pass reads. In EVAL a conv on values with a `norm` runs that
         norm's folded affine, and the ReLU after it where `relu`, on each
-        block of its output (`_conv`'s epilogue)."""
+        block of its output (`_conv`'s epilogue). In TRAIN a conv with a
+        `code_tape` (see `_link`) tapes its input, that ActQuant's output, as
+        the codes `_encode` makes of it."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
         w2d, ws_cache, q_saved = self.effective_weight()
@@ -426,15 +478,17 @@ class Conv2d(_Leaf):
             epilogue = (*fold_normalization(self.norm.state), self.relu)
         y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col, epilogue)
         if mode is Mode.TRAIN:
-            self.cache = (x, w2d, ws_cache, q_saved)
+            decode = None if self.code_tape is None else (self.code_tape - 1, x.dtype)
+            saved = x if decode is None else _encode(x, self.code_tape)
+            self.cache = (saved, w2d, ws_cache, q_saved, decode)
         return y
 
     def backward(self, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the weight gradient; return the input gradient, or
         None without computing it when `input_grad` is false. Both come from
         the one `_col2im` pass over the upstream and the taped input."""
-        x, w2d, ws_cache, q_saved = self._tape()
-        grad_x, grad_w2d = _col2im(x, upstream, w2d, self.kernel, input_grad)
+        x, w2d, ws_cache, q_saved, decode = self._tape()
+        grad_x, grad_w2d = _col2im(x, upstream, w2d, self.kernel, input_grad, decode)
         if q_saved is not None:
             grad_w2d = quantize_tensor_backward(q_saved, grad_w2d, QuantKind.WEIGHT, self.quant)
         if ws_cache is not None:
@@ -594,19 +648,26 @@ def _forward(layers: list, x: np.ndarray, mode: Mode, visit) -> np.ndarray:
 
 
 def _backward(layers: list, g: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-    """Compose the backwards of `layers` in reverse order on g. Without
+    """Compose the backwards of `layers` in reverse order on g, dropping each
+    leaf's tape once its backward has run: a linked ActQuant's norm comes
+    before it, so the norm's tape goes after the act has read it. Without
     `input_grad` no caller reads the result: a leading conv, norm or
     residual block is told so and does not form its input gradient."""
     for i in reversed(range(len(layers))):
-        skip = not (i or input_grad) and isinstance(layers[0], (Conv2d, NormLayer, ResidualBlock))
-        g = layers[i].backward(g, input_grad=False) if skip else layers[i].backward(g)
+        layer = layers[i]
+        skip = not (i or input_grad) and isinstance(layer, (Conv2d, NormLayer, ResidualBlock))
+        g = layer.backward(g, input_grad=False) if skip else layer.backward(g)
+        if isinstance(layer, _Leaf):
+            layer.cache = None
     return g
 
 
 def _link(layers: list) -> None:
     """Link each ActQuant of `layers` that directly follows a NormLayer to
     that norm, so that it reads the norm's tape instead of taping its
-    input.
+    input. A Conv2d that directly follows an ActQuant, with no pool between,
+    gets that quantizer's m_a as its `code_tape`, so that it tapes the codes
+    of its input.
 
     Each ActQuant -> AvgPool2* -> quantized Conv2d run of `layers` becomes
     an integer-code chain, the rule that the export's import applies to
@@ -626,6 +687,8 @@ def _link(layers: list) -> None:
             continue
         if i and isinstance(layers[i - 1], NormLayer):
             layer.norm = layers[i - 1]
+        if i + 1 < len(layers) and isinstance(layers[i + 1], Conv2d):
+            layers[i + 1].code_tape = layer.cfg.m_a
         j = next((j for j in range(i + 1, len(layers))
                   if not isinstance(layers[j], AvgPool2)), len(layers))
         conv = layers[j] if j < len(layers) else None
@@ -739,7 +802,12 @@ class ModelGraph:
         EVAL forward runs each integer-code chain on codes (see `_link`), so
         its code-reading convs compute what the export's runtime computes,
         and its logits differ from a walk on values by float rounding
-        alone."""
+        alone. An EVAL forward first drops the tape of a TRAIN forward that
+        had no backward, which no backward may read after it."""
+        self._forward_done = False
+        if mode is not Mode.TRAIN:
+            for layer in self.all_layers():
+                layer.cache = None
         x = _forward(self.layers, x, mode, visit)
         self._forward_done = mode is Mode.TRAIN
         return x
@@ -748,7 +816,8 @@ class ModelGraph:
         """Accumulate every parameter's gradient. No caller uses the
         gradient of the graph input, so none is formed: a leading conv skips
         its input-gradient GEMM, and a leading ResidualBlock (the preact
-        nets) has its branch-head norms skip their combine pass."""
+        nets) has its branch-head norms skip their combine pass. Each
+        layer's tape is dropped once its backward has run (`_backward`)."""
         if not self._forward_done:
             raise RuntimeError("backward requires a preceding TRAIN-mode forward")
         _backward(self.layers, grad_logits, input_grad=False)

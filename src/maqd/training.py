@@ -276,11 +276,14 @@ def write_sparsity_csv(path, record: EpochRecord):
 
 def measure_step_bytes(graph: ModelGraph, xb: np.ndarray, yb: np.ndarray,
                        loss_cfg: LossConfig = LossConfig()) -> int:
-    """Bytes of the TRAIN forward's tape (`tape_nbytes`: each conv's input
-    and effective weight, each norm's x_hat, each ReLU's 1-byte mask, and
-    no activation input that a norm's tape rebuilds) plus parameters,
-    gradients, the batch and its logits; the engine's peak-allocation proxy
-    for one training step."""
+    """Bytes of the TRAIN forward's tape (`tape_nbytes`: each conv's input,
+    at 1 byte per element (m_a <= 256) where it tapes the codes of the
+    ActQuant in front of it, and its effective weight; each norm's x_hat;
+    each ReLU's 1-byte mask; and no activation input that a norm's tape
+    rebuilds) plus parameters, gradients, the batch and its logits; the
+    engine's peak-allocation proxy for one training step. The backward frees
+    each layer's tape once it has read it, so the tape at the forward's end
+    is the step's high-water mark."""
     graph.zero_grad()
     logits = graph.forward(xb, Mode.TRAIN)
     _, grad = combined_loss(logits, yb, loss_cfg)

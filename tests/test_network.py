@@ -1177,6 +1177,8 @@ class TestTapeOnce:
 
     @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
     def test_tape_accounting(self, arch):
+        # a conv tapes its float input, or one byte per element of it where
+        # it tapes the codes of the ActQuant in front of it
         graph = _quantized(arch, NormKind.LBN, np.float32)
         x = RNG(67).normal(size=(4, 3, 8, 8)).astype(np.float32)
         graph.forward(x, Mode.TRAIN)
@@ -1187,8 +1189,9 @@ class TestTapeOnce:
         for conv in graph.conv_layers():
             tape = conv.cache
             assert tape[0].shape[:2] == (4, conv.in_ch) and tape[0].ndim == 4
+            itemsize = 4 if conv.code_tape is None else 1
             w2d, ws_cache, q_saved = conv.effective_weight()
-            want = (tape[0].nbytes + w2d.nbytes + network._nbytes(ws_cache)
+            want = (tape[0].size * itemsize + w2d.nbytes + network._nbytes(ws_cache)
                     + network._nbytes(q_saved))
             assert conv.cache_nbytes() == want
             conv_bytes += want
@@ -1196,6 +1199,138 @@ class TestTapeOnce:
         assert norm_bytes > 0
         assert graph.tape_nbytes() == conv_bytes + norm_bytes
 
+
+
+def _code_taped(graph):
+    """The convs that tape their input as codes."""
+    return [c for c in graph.conv_layers() if c.code_tape is not None]
+
+
+class TestTapeRelease:
+    """A tape lives until the graph's backward walk has read it, or until the
+    graph's next EVAL forward."""
+
+    @pytest.mark.parametrize("arch, quant, norm_kind", [
+        ("vgg-mini", QuantConfig(), NormKind.LBN),
+        ("preact-mini", QuantConfig(), NormKind.LBN),
+        ("cnn9-mini", None, NormKind.BN)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_frees_every_tape(self, arch, quant, norm_kind, dtype):
+        graph = build_model(arch, 10, quant=quant, norm_kind=norm_kind, dtype=dtype, seed=3,
+                            input_hw=16)
+        x = RNG(100).normal(size=(4, 3, 16, 16)).astype(dtype)
+        graph.forward(x, Mode.TRAIN)
+        assert all(l.cache is not None for l in graph.all_layers()
+                   if not (isinstance(l, ActQuant) and l.norm is not None))
+        graph.backward(RNG(101).normal(size=(4, 10)).astype(dtype))
+        assert all(l.cache is None for l in graph.all_layers())
+        assert graph.tape_nbytes() == 0
+
+    def test_eval_forward_frees_a_stale_tape(self):
+        graph = build_model("preact-mini", 10, quant=QuantConfig(), seed=3, input_hw=8)
+        x = RNG(102).normal(size=(4, 3, 8, 8))
+        graph.forward(x, Mode.TRAIN)
+        assert graph.tape_nbytes() > 0
+        graph.forward(x, Mode.EVAL)
+        assert graph.tape_nbytes() == 0
+        with pytest.raises(RuntimeError, match="^backward requires a preceding TRAIN-mode forward$"):
+            graph.backward(np.ones((4, 10)))
+
+    @pytest.mark.parametrize("name", LEAVES)
+    def test_a_leaf_backward_keeps_its_tape(self, name):
+        layer = _leaf(name)
+        source = layer.norm if name == "linked ActQuant" else layer
+        x = RNG(103).normal(size=(2, 4, 4, 4))
+        if source is not layer:
+            x = source.forward(x, Mode.TRAIN)
+        y = layer.forward(x, Mode.TRAIN)
+        tape = source.cache
+        layer.backward(np.ones_like(y))
+        assert source.cache is tape is not None
+
+
+class TestCodeTape:
+    """A conv directly behind an ActQuant tapes that quantizer's codes, and
+    its backward decodes them to bitwise the values."""
+
+    @pytest.mark.parametrize("arch, want", [
+        ("vgg-mini", [1, 3, 5, 6]),               # conv 2, 4, 6 and the head
+        ("preact-mini", list(range(9)))])         # every branch conv, not the head
+    @pytest.mark.parametrize("m_a", [8, 300])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_convs_behind_an_act_tape_its_codes(self, monkeypatch, arch, want, m_a,
+                                                    dtype):
+        graph = build_model(arch, 10, quant=QuantConfig(m_a=m_a), dtype=dtype, seed=3,
+                            input_hw=8)
+        convs = graph.conv_layers()
+        assert [convs.index(c) for c in _code_taped(graph)] == want
+        assert all(c.code_tape == m_a for c in _code_taped(graph))
+        encoded = []
+        encode = network._encode
+        monkeypatch.setattr(network, "_encode",
+                            lambda x, m: encoded.append(x) or encode(x, m))
+        graph.forward(RNG(104).normal(size=(4, 3, 8, 8)).astype(dtype), Mode.TRAIN)
+        assert len(encoded) == len(want)
+        for conv, x in zip(_code_taped(graph), encoded):
+            codes, _, _, _, decode = conv.cache
+            assert codes.dtype == np.min_scalar_type(m_a - 1)
+            assert codes.strides == np.empty_like(x, codes.dtype).strides  # x's layout
+            assert decode == (m_a - 1, np.dtype(dtype))
+            np.testing.assert_array_equal(codes, np.rint(x * (m_a - 1)))
+        for conv in convs:
+            if conv.code_tape is None:
+                assert conv.cache[0].dtype == dtype and conv.cache[4] is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encode_then_decode_is_bitwise(self, dtype):
+        for m_a in [*range(2, 257), 257, 4097, 65535]:
+            top = m_a - 1
+            k = np.arange(m_a)
+            # the quantizer's own values k/top, on inputs at the states
+            values = quantizer.quantize_activation((k / top).astype(dtype), m_a)
+            assert values.dtype == dtype
+            codes = network._encode(values, m_a)
+            assert codes.dtype == np.min_scalar_type(top)
+            np.testing.assert_array_equal(codes, k)
+            back = network._decode(codes, top, dtype, np.empty_like(values))
+            assert back.tobytes() == values.tobytes(), m_a
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_are_bitwise_a_float_tape(self, across_threads, arch, dtype):
+        # 16 samples of 32x32: the convs' backwards run in several blocks
+        graph = build_model(arch, 10, quant=QuantConfig(), dtype=dtype, seed=60, input_hw=32)
+        oracle = copy.deepcopy(graph)
+        for conv in _code_taped(oracle):
+            conv.code_tape = None
+        assert _code_taped(graph) and not _code_taped(oracle)
+        x = RNG(105).normal(size=(16, 3, 32, 32)).astype(dtype)
+        up = RNG(106).normal(size=(16, 10)).astype(dtype)
+        want = _step(oracle, x, up)
+        # a fresh copy each time: a step moves the running statistics
+        across_threads(lambda: _step(copy.deepcopy(graph), x, up))
+        for a, b in zip(_step(graph, x, up), want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_step_heap_peak_is_the_tape(self, monkeypatch):
+        # vgg-mini at the qat workload's shape, pinned to two pool threads,
+        # each of which adds a few MB of scratch: the tracemalloc peak of a
+        # step stays within 1.25x measure_step_bytes (1.13x measured; 1.39x
+        # while every tape outlived its backward and act->conv inputs were
+        # taped as floats)
+        monkeypatch.setattr(parallel, "THREADS", 2)
+        graph = build_model("vgg-mini", 10, quant=QuantConfig(), dtype=np.float32, seed=3)
+        x = RNG(107).normal(size=(100, 3, 32, 32)).astype(np.float32)
+        y = RNG(108).integers(0, 10, size=100)
+        training.measure_step_bytes(graph, x, y)
+        tracemalloc.start()
+        try:
+            proxy = training.measure_step_bytes(graph, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * proxy
 
 
 class TestPool:
