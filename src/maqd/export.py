@@ -466,80 +466,89 @@ def _fuse(ops: list[RuntimeOp]) -> None:
             f["relu"] = relu
 
 
+def _error(path, op: RuntimeOp, msg: str) -> ModelFormatError:
+    """The error of a bad record of the file at `path`, naming its byte."""
+    return ModelFormatError(f"{path}: record at byte {op.at}: {msg}")
+
+
+def _span(recs: list[RuntimeOp], path, i: int, c: int, down: int, flat: bool,
+          depth: int):
+    """Bind records from i to the RES_SEP/RES_END ending the span, or the
+    end; returns (ops, that index, the activation's end (c, down, flat)).
+    A residual block binds each branch by a recursive call. It is a module
+    function, not a closure of `_bind`: a closure that calls itself is a
+    reference cycle, which would keep the records, and so an imported
+    model's weights, alive until the garbage collector found the cycle."""
+    ops, codes = [], None
+    while i < len(recs) and recs[i].opcode not in (OP_RES_SEP, OP_RES_END):
+        op = recs[i]
+        code, f = op.opcode, op.fields
+        conv = code in (OP_CONV_Q, OP_CONV_F)
+        if conv and not (f["kernel"] in (1, 3) and f["stride"] == 1
+                         and f["in_ch"] and f["out_ch"]):
+            raise _error(path, op, "conv with kernel {kernel}, stride {stride} and "
+                         "{in_ch} -> {out_ch} channels".format(**f))
+        if code == OP_ACT_Q and f["m_a"] < 2:
+            raise _error(path, op, f"ACT_Q with m_a {f['m_a']} (m_a must be >= 2)")
+        if flat and code in (OP_CONV_Q, OP_CONV_F, OP_AFFINE, OP_AP2, OP_GAP):
+            raise _error(path, op, "follows GAP, which flattened the activation")
+        reads = f.get("in_ch", f.get("channels", c))  # what a conv or AFFINE reads
+        if reads != c:
+            raise _error(path, op, f"reads {reads} channels, its input has {c}")
+        if code == OP_CONV_Q:  # on codes, the weight lattice; on values, the weights
+            f["w"] = weight_lattice(f["states"], f["qscale"]) if codes \
+                else _decode(f["states"], f["qscale"])
+            f["code_conv"], f["divisor"] = codes, codes.divisor if codes else None
+        if conv:
+            f["epilogue"] = None
+            c = f["out_ch"]
+            dtype = codes.dtype if codes else np.float64
+            f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
+            codes = None
+        elif code == OP_AFFINE:
+            f["read"], f["relu"] = False, False
+        elif code == OP_RELU:
+            f["read"] = False
+        elif code == OP_ACT_Q:
+            codes = _codes_reader(recs, i)
+            f["codes"] = codes.dtype if codes else None
+            f["affine"], f["fold"] = _read_affine(ops, f["m_a"])
+        elif code == OP_AP2:
+            down *= 2
+        elif code == OP_GAP:
+            flat = True
+        elif code == OP_RES_BEGIN:
+            if depth == _MAX_NESTING:
+                raise _error(path, op,
+                             f"residual blocks nested deeper than {_MAX_NESTING}")
+            ends = []
+            for name, marker in (("s", OP_RES_SEP), ("f", OP_RES_END)):
+                f[name], i, branch_end = _span(recs, path, i + 1, c, down, flat, depth + 1)
+                if i == len(recs) or recs[i].opcode != marker:
+                    raise _error(path, op,
+                                 "malformed residual block: no RES_SEP/RES_END")
+                ends.append(branch_end)
+            if ends[0] != ends[1]:
+                raise _error(path, op, f"residual branches end in (channels, "
+                             f"downsampling, flat) {ends[0]} and {ends[1]}")
+            c, down, flat = ends[0]
+            f["end"] = _fold_ends(f["s"], f["f"])
+            _fuse(f["s"])
+            _fuse(f["f"])
+        ops.append(op)
+        i += 1
+    return ops, i, (c, down, flat)
+
+
 def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
     """The one walk of `import_model` over the parsed records; returns (bound
     ops, input channel count). The input has the channels of the first conv
     or AFFINE record, since no other op changes them."""
     in_ch = next((op.fields.get("in_ch", op.fields.get("channels")) for op in recs
                   if op.opcode in (OP_CONV_Q, OP_CONV_F, OP_AFFINE)), class_count)
-
-    def error(op, msg):
-        return ModelFormatError(f"{path}: record at byte {op.at}: {msg}")
-
-    def span(i, c, down, flat, depth):
-        """Bind records from i to the RES_SEP/RES_END ending the span, or the
-        end; returns (ops, that index, the activation's end (c, down, flat))."""
-        ops, codes = [], None
-        while i < len(recs) and recs[i].opcode not in (OP_RES_SEP, OP_RES_END):
-            op = recs[i]
-            code, f = op.opcode, op.fields
-            conv = code in (OP_CONV_Q, OP_CONV_F)
-            if conv and not (f["kernel"] in (1, 3) and f["stride"] == 1
-                             and f["in_ch"] and f["out_ch"]):
-                raise error(op, "conv with kernel {kernel}, stride {stride} and {in_ch} -> "
-                                "{out_ch} channels".format(**f))
-            if code == OP_ACT_Q and f["m_a"] < 2:
-                raise error(op, f"ACT_Q with m_a {f['m_a']} (m_a must be >= 2)")
-            if flat and code in (OP_CONV_Q, OP_CONV_F, OP_AFFINE, OP_AP2, OP_GAP):
-                raise error(op, "follows GAP, which flattened the activation")
-            reads = f.get("in_ch", f.get("channels", c))  # what a conv or AFFINE reads
-            if reads != c:
-                raise error(op, f"reads {reads} channels, its input has {c}")
-            if code == OP_CONV_Q:  # on codes, the weight lattice; on values, the weights
-                f["w"] = weight_lattice(f["states"], f["qscale"]) if codes \
-                    else _decode(f["states"], f["qscale"])
-                f["code_conv"], f["divisor"] = codes, codes.divisor if codes else None
-            if conv:
-                f["epilogue"] = None
-                c = f["out_ch"]
-                dtype = codes.dtype if codes else np.float64
-                f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
-                codes = None
-            elif code == OP_AFFINE:
-                f["read"], f["relu"] = False, False
-            elif code == OP_RELU:
-                f["read"] = False
-            elif code == OP_ACT_Q:
-                codes = _codes_reader(recs, i)
-                f["codes"] = codes.dtype if codes else None
-                f["affine"], f["fold"] = _read_affine(ops, f["m_a"])
-            elif code == OP_AP2:
-                down *= 2
-            elif code == OP_GAP:
-                flat = True
-            elif code == OP_RES_BEGIN:
-                if depth == _MAX_NESTING:
-                    raise error(op, f"residual blocks nested deeper than {_MAX_NESTING}")
-                ends = []
-                for name, marker in (("s", OP_RES_SEP), ("f", OP_RES_END)):
-                    f[name], i, branch_end = span(i + 1, c, down, flat, depth + 1)
-                    if i == len(recs) or recs[i].opcode != marker:
-                        raise error(op, "malformed residual block: no RES_SEP/RES_END")
-                    ends.append(branch_end)
-                if ends[0] != ends[1]:
-                    raise error(op, f"residual branches end in (channels, downsampling, "
-                                    f"flat) {ends[0]} and {ends[1]}")
-                c, down, flat = ends[0]
-                f["end"] = _fold_ends(f["s"], f["f"])
-                _fuse(f["s"])
-                _fuse(f["f"])
-            ops.append(op)
-            i += 1
-        return ops, i, (c, down, flat)
-
-    ops, i, (c, _, flat) = span(0, in_ch, 1, False, 0)
+    ops, i, (c, _, flat) = _span(recs, path, 0, in_ch, 1, False, 0)
     if i < len(recs):
-        raise error(recs[i], "malformed residual block: no RES_BEGIN opens it")
+        raise _error(path, recs[i], "malformed residual block: no RES_BEGIN opens it")
     _fuse(ops)
     if not flat or c != class_count:
         raise ModelFormatError(f"{path}: the stream ends at byte {end} in {c} channels"

@@ -1,6 +1,8 @@
+import gc
 import re
 import struct
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +250,19 @@ class TestRoundTrip:
         export(graph, tmp_path / "a.maqd")
         export(graph, tmp_path / "b.maqd")
         assert (tmp_path / "a.maqd").read_bytes() == (tmp_path / "b.maqd").read_bytes()
+
+    def test_import_leaves_no_reference_cycle(self, residual_file):
+        """A dropped model frees its ops, and with them its weights, at once:
+        no cycle waits for the garbage collector."""
+        gc.disable()
+        try:
+            model = import_model(residual_file[0] / "m.maqd")
+            res = next(op for op in model.ops if op.opcode == OP_RES_BEGIN)
+            ops = [weakref.ref(op) for op in (*model.ops, *res.fields["s"], *res.fields["f"])]
+            del model, res
+            assert all(op() is None for op in ops)
+        finally:
+            gc.enable()
 
     def test_file_size_closed_form(self, tmp_path):
         graph = tiny_graph()
