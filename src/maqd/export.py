@@ -65,19 +65,24 @@ An ACT_Q runs the AFFINE that it reads directly in its quantizer pass,
 trainer's ActQuant on a chain does; that AFFINE runs no pass of its own.
 Where the AFFINE reads a code-reading CONV_Q's sums, the import folds the
 conv's divide, the affine and the quantizer into m_a-1 thresholds per
-channel on the sums. Each of those steps rounds monotonically, so the code
-is the number of thresholds the sum reaches: T_k[c] is the least value of
-the sums' dtype whose unfolded code is at least k. A channel with scale < 0
-counts the other way, and one with scale 0 has a constant code. The import
-finds each T_k by bisection over the ordered bit patterns of the dtype
-with |sum| <= fan_in * 2q * (m_a-1), each probe running the unfolded
-kernels, so the compares give the unfolded codes bit for bit on every sum
-the conv can emit, and code sums are finite by construction. A pair stays
-unfolded on float64 sums, when its affine overflows on code sums, or when
-it has more than _FOLD_MAX_THRESHOLDS (16) thresholds: there the compares
-do not beat the arithmetic they replace. A quantizer input that is NaN,
-inf or overflows (only on image-conv sums, residual sums or images) raises
-a ValueError naming the ACT_Q record's byte.
+channel on the sums (`network._fold`, with float64 as the unfolded path's
+value dtype), by the rule the trainer's EVAL folds a code conv -> BN/LBN
+norm -> ActQuant triple (`network._link`); the ACT_Q then counts the
+thresholds each sum reaches, through the trainer's `network._fold_act`
+with this module's `quantize_activation`. Each of those steps rounds
+monotonically, so the code is the number of thresholds the sum reaches:
+T_k[c] is the least value of the sums' dtype whose unfolded code is at
+least k. A channel with scale < 0 counts the other way, and one with scale
+0 has a constant code. Each T_k is searched over the ordered bit patterns
+of the dtype with |sum| <= fan_in * 2q * (m_a-1), from its real-valued
+estimate, each probe running the unfolded kernels, so the compares give
+the unfolded codes bit for bit on every sum the conv can emit, and code
+sums are finite by construction. A pair stays unfolded on float64 sums,
+when its affine overflows on code sums, or when it has more than
+_FOLD_MAX_THRESHOLDS (16) thresholds: there the compares do not beat the
+arithmetic they replace. A quantizer input that is NaN, inf or overflows
+(only on image-conv sums, residual sums or images) raises a ValueError
+naming the ACT_Q record's byte.
 
 A residual block whose two branches each end in a conv and an AFFINE (a
 BN or LBN preact block, quantized or float) ends in one pass, as the
@@ -106,11 +111,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph,
-                      NormLayer, ReLU, ResidualBlock, _avg_pool2, _block_end, _code_divide,
-                      _conv, _end_operands, _global_avg_pool, _im2col, _tap_major)
-from .normalization import Mode, _tile, affine, fold_normalization
-from .quantizer import (CodeConv, QScaleMode, QuantConfig, code_conv, lattice_states,
+from .network import (_FOLD_MAX_THRESHOLDS, ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
+                      ModelGraph, NormLayer, ReLU, ResidualBlock, _avg_pool2, _block_end,
+                      _code_divide, _conv, _end_operands, _fold, _fold_act, _folds,
+                      _global_avg_pool, _im2col, _tap_major)
+from .normalization import Mode, affine, fold_normalization
+from .quantizer import (QScaleMode, QuantConfig, code_conv, lattice_states,
                         quantize_activation, weight_lattice)
 
 MAGIC = b"MAQD"
@@ -324,101 +330,21 @@ def _codes_reader(recs: list[RuntimeOp], i: int):
                      recs[i].fields["m_a"], j - i - 1)
 
 
-# An AFFINE -> ACT_Q pair on float32 code sums with at most this many
-# thresholds per channel runs as that many compares; one with more runs
-# unfolded: the divide, then one fused affine and quantizer pass. On a
-# (100, 16, 32, 32) channels-last float32 map of code sums (2 vCPU, medians
-# of 60, two runs), 7, 16 and 31 compares with the codes' cast took 3.1-3.6,
-# 5.1-6.1 and 8.7-9.8 ms, against 4.7-5.8 ms for the divide and the fused
-# pass, which also makes a float64 map. On float64 sums, 7 compares took
-# 6.0-6.3 ms against 4.7-5.0 ms, so float64 sums never fold.
-_FOLD_MAX_THRESHOLDS = 16
-
-
-@dataclass
-class _Fold:
-    """An AFFINE -> ACT_Q pair on a code-reading CONV_Q's sums, with that
-    conv's divide, as compares on the sums (see the module docstring)."""
-
-    thresholds: np.ndarray  # (m_a-1, C) in the sums' dtype: code = #{x >= t}
-    flip: np.ndarray | None  # (1, C, 1, 1): code = m_a-1 - #{x >= t} where set
-
-
-def _keys(x: np.ndarray) -> np.ndarray:
-    """int64 keys that order as the floats x do; both zeros have key 0."""
-    bits = x.view(f"i{x.itemsize}").astype(np.int64)
-    mag = bits & ((1 << (8 * x.itemsize - 1)) - 1)
-    return np.where(bits < 0, -mag, mag)
-
-
-def _floats(keys: np.ndarray, dtype) -> np.ndarray:
-    """The floats of the given dtype whose `_keys` are keys."""
-    dtype = np.dtype(dtype)
-    bits = np.abs(keys).astype(f"u{dtype.itemsize}")
-    bits[keys < 0] |= np.array(1 << (8 * dtype.itemsize - 1), bits.dtype)
-    return bits.view(dtype)
-
-
-def _first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Elementwise, the least integer t in (lo, hi] where pred(t) holds, for
-    a pred that is monotone, false at lo and true at hi. Bisection."""
-    while True:
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2), no overflow
-        if np.array_equal(mid, lo):
-            return hi
-        p = pred(mid)
-        lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
-
-
-def _fold(m_a: int, sums: CodeConv, scale, bias) -> _Fold | None:
-    """The fold of the pair on the sums of a code-reading CONV_Q, or None
-    where it does not apply: float64 sums, more than _FOLD_MAX_THRESHOLDS
-    thresholds, or an affine that overflows on the sums (the import refuses
-    a non-finite scale or bias)."""
-    top, c = m_a - 1, scale.size
-    if sums.dtype != np.float32 or top > _FOLD_MAX_THRESHOLDS:
-        return None
-
-    def code(keys):  # the unfolded code of the sums of the given keys, channel in axis 1
-        s = _floats(keys, sums.dtype)
-        x = _code_divide(s.reshape(-1, c, 1, 1), sums.divisor, np.float64)
-        with np.errstate(over="ignore"):  # x * (m_a-1) may reach inf at the ends
-            return quantize_activation(x, m_a, codes=np.float32,
-                                       affine=(scale, bias)).reshape(keys.shape)
-
-    # |sum| <= bound, and the affine is monotone: finite at both ends, finite on all
-    t_lo, t_hi = (np.full((top, c), key) for key in
-                  _keys(np.array([-sums.bound, sums.bound], sums.dtype)))
-    try:
-        code(np.stack([t_lo[0], t_hi[0]]))
-    except ValueError:
-        return None
-    # channel sign d: the code rises with d * key(sum)
-    d = np.where(scale < 0, -1, 1)
-    k = np.arange(1, top + 1).reshape(-1, 1)
-    reached = lambda t: code(d * t) >= k  # code(sum of key d * t) >= k
-    # d > 0: code >= k from key t on; d < 0: code < k (flipped) from key 1 - t on
-    t = _first(reached, t_lo, t_hi)
-    out = _floats(np.where(d > 0, t, 1 - t), sums.dtype)
-    never = d * np.inf  # the threshold no sum reaches, flipped where d < 0
-    out = np.where(reached(t_lo), -never, np.where(reached(t_hi), out, never)).astype(sums.dtype)
-    flip = (d < 0).reshape(1, c, 1, 1)
-    return _Fold(out, flip if flip.any() else None)
-
-
 def _read_affine(ops: list[RuntimeOp], m_a: int):
     """(the (scale, bias) of the AFFINE that ends the bound ops, or None;
     the pair's fold, or None). The ACT_Q that follows the ops runs that
     AFFINE in its quantizer pass; the pair folds where the AFFINE reads a
-    code-reading CONV_Q's sums (see `_fold`), and that conv then emits its
-    sums."""
+    code-reading CONV_Q's sums and `network._folds` holds, unless its
+    affine overflows on them (`network._fold`, whose unfolded path divides
+    into float64), and that conv then emits its sums."""
     if not ops or ops[-1].opcode != OP_AFFINE:
         return None, None
     aff = ops[-1].fields
     aff["read"] = True
     feed = ops[-2].fields if len(ops) > 1 and ops[-2].opcode == OP_CONV_Q else None
-    fold = _fold(m_a, feed["code_conv"], aff["scale"], aff["bias"]) \
-        if feed and feed["code_conv"] else None
+    sums = feed["code_conv"] if feed else None
+    fold = _fold(m_a, sums, aff["scale"], aff["bias"], np.float64) \
+        if sums and _folds(m_a, sums, _FOLD_MAX_THRESHOLDS) else None
     if fold is not None:
         feed["divisor"] = None
     return (aff["scale"], aff["bias"]), fold
@@ -626,17 +552,10 @@ def _run_act(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
     quantizer input that is not finite raises a ValueError naming the
     record's byte."""
     f, fold = op.fields, op.fields["fold"]
-    m_a, top = f["m_a"], f["m_a"] - 1
     if fold is not None:
-        k = quantize_activation(x, m_a, fold.thresholds)
-        if fold.flip is not None:  # top - k there, as k * -1 + top in k's wrapping uints
-            k *= _tile(np.where(fold.flip, -1, 1), k)
-            k += _tile(np.where(fold.flip, top, 0), k)
-        # k / top in float64 is bitwise the quantizer's value
-        return k.astype(f["codes"]) if f["codes"] is not None else \
-            np.divide(k, top, dtype=np.float64)
+        return _fold_act(fold, x, f["m_a"], f["codes"], np.float64, quantize_activation)
     try:
-        return quantize_activation(x, m_a, codes=f["codes"], affine=f["affine"])
+        return quantize_activation(x, f["m_a"], codes=f["codes"], affine=f["affine"])
     except ValueError as e:
         raise ValueError(f"ACT_Q record at byte {op.at}: {e}") from None
 

@@ -70,6 +70,21 @@ is `forward(x, mode)`, and a visitor sees what each leaf emits, codes on
 a chain. TRAIN mode, float nets and convs that read images or residual
 sums run on values.
 
+Where such a code conv feeds a BN or LBN norm and an ActQuant, the conv's
+divide, the norm's affine and the quantizer fold into m_a-1 compares per
+channel on the conv's sums, the rule the import applies to CONV_Q ->
+AFFINE -> ACT_Q on code sums (`_link`, `_folds`): float32 sums and at most
+`_FOLD_MAX_THRESHOLDS` thresholds. That conv emits its sums undivided, that
+norm emits its input, and the ActQuant counts the thresholds each sum
+reaches (`_fold_act`), the runtime's ACT_Q kernel. Every step rounds
+monotonically, so the counts are bitwise the unfolded codes (`_fold`). A
+fold depends only on m_a, the conv's CodeConv, the value dtype the conv
+would divide into and the norm's `fold_normalization` (scale, bias), so
+the ActQuant keeps its fold keyed by the last two and makes it anew only
+when they change: once per norm state, not once per batch. Where the
+affine overflows on the sums there is no fold, and the ActQuant divides
+the sums itself before its quantizer pass.
+
 A residual block whose two branches each end in a conv and a BN or LBN
 norm (every block of the preact nets but LN's) ends in one EVAL pass, the
 rule the import applies to a RES_BEGIN whose branches end in a conv and an
@@ -103,8 +118,9 @@ from . import parallel
 from .normalization import (Mode, NormKind, NormLayerState, _affine_into, _tile, affine,
                             empty_in, fold_normalization, memory_order, norm_backward,
                             norm_forward, weight_standardize, weight_standardize_backward)
-from .quantizer import (QuantConfig, QuantKind, code_conv, lattice_states,
-                        quantize_tensor_backward, quantize_tensor_forward, weight_lattice)
+from .quantizer import (CodeConv, QuantConfig, QuantKind, code_conv, lattice_states,
+                        quantize_activation, quantize_tensor_backward, quantize_tensor_forward,
+                        weight_lattice)
 
 
 @dataclass
@@ -377,21 +393,157 @@ def _block_end(s_sums: np.ndarray, f_sums: np.ndarray, operands, dtype) -> np.nd
     return y
 
 
+# A BN/LBN affine -> activation quantizer pair on float32 code sums with at
+# most this many thresholds per channel runs as that many compares; one with
+# more runs unfolded: the divide, then one fused affine and quantizer pass.
+# On a (100, 16, 32, 32) channels-last float32 map of code sums (2 vCPU,
+# medians of 60, two runs), 7, 16 and 31 compares with the codes' cast took
+# 3.1-3.6, 5.1-6.1 and 8.7-9.8 ms, against 4.7-5.8 ms for the divide and the
+# fused pass, which also makes a float64 map. On float64 sums, 7 compares
+# took 6.0-6.3 ms against 4.7-5.0 ms, so float64 sums never fold.
+_FOLD_MAX_THRESHOLDS = 16
+
+
+def _folds(m_a: int, sums: CodeConv, cap: int) -> bool:
+    """Whether a BN/LBN affine -> m_a-state activation quantizer pair on the
+    sums of a code conv folds (`_fold`): float32 sums and at most `cap`
+    thresholds, `_FOLD_MAX_THRESHOLDS` in the trainer and the runtime."""
+    return sums.dtype == np.float32 and m_a - 1 <= cap
+
+
+@dataclass
+class _Fold:
+    """A code conv's divide, a BN/LBN affine and an activation quantizer as
+    compares on the conv's sums (see `_fold`)."""
+
+    thresholds: np.ndarray  # (m_a-1, C) in the sums' dtype: code = #{x >= t}
+    flip: np.ndarray | None  # (1, C, 1, 1): code = m_a-1 - #{x >= t} where set
+
+
+def _keys(x: np.ndarray) -> np.ndarray:
+    """int64 keys that order as the floats x do; both zeros have key 0."""
+    bits = x.view(f"i{x.itemsize}").astype(np.int64)
+    mag = bits & ((1 << (8 * x.itemsize - 1)) - 1)
+    return np.where(bits < 0, -mag, mag)
+
+
+def _floats(keys: np.ndarray, dtype) -> np.ndarray:
+    """The floats of the given dtype whose `_keys` are keys."""
+    dtype = np.dtype(dtype)
+    bits = np.abs(keys).astype(f"u{dtype.itemsize}")
+    bits[keys < 0] |= np.array(1 << (8 * dtype.itemsize - 1), bits.dtype)
+    return bits.view(dtype)
+
+
+def _first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise, the least integer t in (lo, hi] where pred(t) holds, for
+    a pred that is monotone, false at lo and true at hi. Bisection."""
+    while True:
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2), no overflow
+        if np.array_equal(mid, lo):
+            return hi
+        p = pred(mid)
+        lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
+
+
+# Keys on each side of a threshold's real-valued estimate that `_fold`
+# checks before it bisects between them
+_FOLD_BRACKET = 4
+
+
+def _fold(m_a: int, sums: CodeConv, scale, bias, dtype) -> _Fold | None:
+    """The fold of a code conv's divide, the affine (scale, bias) and an
+    m_a-state activation quantizer on the conv's float32 sums, whose
+    unfolded path divides them into `dtype` (float64 in the runtime, the
+    graph's in the trainer): or None where the affine overflows on the sums.
+
+    Each of those steps rounds monotonically, so the code is the number of
+    thresholds the sum reaches: T_k[c] is the least float32 whose unfolded
+    code is at least k. A channel with scale < 0 counts the other way, and
+    one with scale 0 has a constant code. Every probe runs the unfolded
+    kernels on float32 sums with |sum| <= bound, so the compares give the
+    unfolded codes bit for bit on every sum the conv can emit. Each search
+    starts from the real-valued threshold divisor * ((k - 1/2)/(m_a-1) - b)/s:
+    it bisects the _FOLD_BRACKET keys on each side of it where the unfolded
+    code changes between them, else the ordered bit patterns of the whole
+    range |sum| <= bound."""
+    top, c = m_a - 1, scale.size
+
+    def code(keys):  # the unfolded code of the sums of the given keys, channel in the last axis
+        s = _floats(keys, sums.dtype)
+        x = _code_divide(s.reshape(-1, c, 1, 1), sums.divisor, dtype)
+        # x * (m_a-1) may reach inf at the ends; an affine that overflows
+        # there may give both infinities, whose sum in the finiteness check is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            return quantize_activation(x, m_a, codes=np.float32,
+                                       affine=(scale, bias)).reshape(keys.shape)
+
+    # channel sign d: the code rises with d * key(sum)
+    d = np.where(scale < 0, -1, 1)
+    k = np.arange(1, top + 1).reshape(-1, 1)
+    reached = lambda t: code(d * t) >= k  # code(sum of key d * t) >= k
+    t_lo, t_hi = (np.full((top, c), key) for key in
+                  _keys(np.array([-sums.bound, sums.bound], sums.dtype)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        est = sums.divisor * ((k - 0.5) / top - bias) / scale
+    est = np.clip(np.where(np.isfinite(est), est, 0.0), -sums.bound, sums.bound)
+    t_est = d * _keys(est.astype(sums.dtype))
+    lo = np.maximum(t_est - _FOLD_BRACKET, t_lo)
+    hi = np.minimum(t_est + _FOLD_BRACKET, t_hi)
+    # |sum| <= bound, and the affine is monotone: finite at both ends, finite on all
+    try:
+        at_lo, at_hi, lo_reached, hi_reached = reached(np.stack([t_lo, t_hi, lo, hi]))
+    except ValueError:
+        return None
+    bracketed = ~lo_reached & hi_reached
+    settled = at_lo | ~at_hi  # always or never reached: no search
+    lo = np.where(bracketed, lo, np.where(settled, t_hi - 1, t_lo))
+    hi = np.where(bracketed, hi, t_hi)
+    # d > 0: code >= k from key t on; d < 0: code < k (flipped) from key 1 - t on
+    t = _first(reached, lo, hi)
+    out = _floats(np.where(d > 0, t, 1 - t), sums.dtype)
+    never = d * np.inf  # the threshold no sum reaches, flipped where d < 0
+    out = np.where(at_lo, -never, np.where(at_hi, out, never)).astype(sums.dtype)
+    flip = (d < 0).reshape(1, c, 1, 1)
+    return _Fold(out, flip if flip.any() else None)
+
+
+def _fold_act(fold: _Fold, x: np.ndarray, m_a: int, codes, dtype, count) -> np.ndarray:
+    """A folded pair (`_fold`) on code sums x: the number of thresholds each
+    sum reaches, counted by `count` (`quantize_activation` given the
+    thresholds), m_a-1 minus it on a flipped channel. Those are the codes,
+    returned in the float dtype `codes`; without one, the values k/(m_a-1)
+    in `dtype`, bitwise the quantizer's. The trainer's EVAL ActQuant and the
+    runtime's ACT_Q share it, each passing the `quantize_activation` it
+    looks up."""
+    top = m_a - 1
+    k = count(x, m_a, fold.thresholds, codes=dtype if codes is None else codes)
+    if fold.flip is not None:  # top - k there, as k * -1 + top
+        k *= _tile(np.where(fold.flip, -1, 1), k)
+        k += _tile(np.where(fold.flip, top, 0), k)
+    if codes is None:
+        k /= top  # the quantizer's own divide
+    return k
+
+
 class _Leaf:
     """What a layer without sublayers shares: no parameters unless it says
     otherwise, a tape (`cache`) that is empty until a TRAIN forward,
     `codes`, the `quantizer.CodeConv` of the integer-code chain that `_link`
     put the layer in, or None, `block_end`, whether the layer is the conv
     or the norm that ends a branch of a residual block whose EVAL end runs
-    as one `_block_end` pass, `relu`, whether the layer's EVAL pass also
-    runs the ReLU that follows it, and `fused`, whether a layer before it
-    runs its EVAL pass (see `_link`), so that it emits its input. The
-    graph's backward walk drops a tape once it has run the layer's
-    backward (`_backward`)."""
+    as one `_block_end` pass, `folded`, whether the layer is the conv or
+    the norm of a code conv -> norm -> ActQuant triple whose ActQuant folds
+    them (its `folds`), `relu`, whether the layer's EVAL pass also runs the
+    ReLU that follows it, and `fused`, whether a layer before it runs its
+    EVAL pass (see `_link`), so that it emits its input. The graph's
+    backward walk drops a tape once it has run the layer's backward
+    (`_backward`)."""
 
     cache = None
     codes = None
     block_end = False
+    folded = False
     relu = False
     fused = False
 
@@ -459,7 +611,8 @@ class Conv2d(_Leaf):
         the weight lattice in the dtype of `self.codes`, exactly, and
         divides its sums by the divisor in float64, in the weight's dtype
         (`_code_divide`), unless it is a `block_end`, whose sums its block's
-        end pass reads. In EVAL a conv on values with a `norm` runs that
+        end pass reads, or `folded`, whose sums the ActQuant behind its norm
+        reads. In EVAL a conv on values with a `norm` runs that
         norm's folded affine, and the ReLU after it where `relu`, on each
         block of its output (`_conv`'s epilogue). In TRAIN a conv with a
         `code_tape` (see `_link`) tapes its input, that ActQuant's output, as
@@ -472,7 +625,9 @@ class Conv2d(_Leaf):
             lattice = weight_lattice(lattice_states(w2d, q), q)
             w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
             sums = _conv(x, w_tap, self.kernel, _im2col)
-            return sums if self.block_end else _code_divide(sums, self.codes.divisor, w2d.dtype)
+            if self.block_end or self.folded:
+                return sums
+            return _code_divide(sums, self.codes.divisor, w2d.dtype)
         epilogue = None
         if mode is Mode.EVAL and self.norm is not None:
             epilogue = (*fold_normalization(self.norm.state), self.relu)
@@ -500,9 +655,10 @@ class Conv2d(_Leaf):
 class NormLayer(_Leaf):
     """Wraps a NormLayerState as a graph node. In EVAL a norm of an
     integer-code chain (`_link`) emits its input, which its ActQuant's pass
-    normalizes; so does a `block_end` norm, which its block's end pass
-    folds, and a `fused` one, which the conv before it applies. A BN or LBN
-    norm with `relu` runs the ReLU after it in its EVAL affine's pass."""
+    normalizes; so does a `folded` norm, whose ActQuant folds it, a
+    `block_end` norm, which its block's end pass folds, and a `fused` one,
+    which the conv before it applies. A BN or LBN norm with `relu` runs the
+    ReLU after it in its EVAL affine's pass."""
 
     def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
         self.state = NormLayerState.create(kind, channels, dtype=dtype)
@@ -513,7 +669,8 @@ class NormLayer(_Leaf):
         return [self.g, self.b]
 
     def forward(self, x, mode):
-        if mode is Mode.EVAL and (self.codes is not None or self.block_end or self.fused):
+        if mode is Mode.EVAL and (self.codes is not None or self.folded or self.block_end
+                                  or self.fused):
             return x
         if mode is Mode.EVAL and self.relu:
             return affine(x, *fold_normalization(self.state), True)
@@ -535,22 +692,42 @@ class ActQuant(_Leaf):
     Standalone it tapes its input. Linked to the `NormLayer` it directly
     follows (`norm`, set by `_link`) it tapes nothing: its input is that
     norm's output x_hat * g + b, which the backward rebuilds block by block
-    from the norm's tape."""
+    from the norm's tape.
+
+    `folds` is the code conv directly in front of that norm whose sums it
+    folds with the norm (`_link`), or None. Its EVAL fold (`_fold`) is kept
+    in `fold` with its key, the value dtype and the norm's
+    `fold_normalization` (scale, bias), which alone with the layers' fixed
+    m_a and CodeConv determine it; a forward whose key is not `np.array_equal`
+    to the kept one makes it anew."""
 
     def __init__(self, cfg: QuantConfig):
         self.cfg = cfg
         self.norm = None
+        self.folds = None
+        self.fold = None  # (value dtype, scale, bias, the _Fold or None)
 
     def forward(self, x, mode):
         """The quantized values, in x's dtype. In EVAL, an ActQuant of an
         integer-code chain (see `_link`) emits the codes k instead, in the
         dtype of `self.codes`; when its norm is in the chain too, x is that
-        norm's input and the norm's EVAL affine runs in the same pass."""
-        if mode is Mode.EVAL and self.codes is not None:
-            folded = self.norm is not None and self.norm.codes is not None
-            return quantize_tensor_forward(
-                x, QuantKind.ACTIVATION, self.cfg, codes=self.codes.dtype,
-                affine=fold_normalization(self.norm.state) if folded else None)
+        norm's input and the norm's EVAL affine runs in the same pass. One
+        that `folds` reads the conv's sums, and counts the thresholds each
+        reaches (`_fold_act`); where the affine overflows on the sums, so
+        that there is no fold, it divides them as the conv would and runs
+        the quantizer with the affine."""
+        if mode is Mode.EVAL and (self.codes is not None or self.folds is not None):
+            codes = None if self.codes is None else self.codes.dtype
+            folded = self.norm is not None and (self.norm.codes is not None or self.norm.folded)
+            scale_bias = fold_normalization(self.norm.state) if folded else None
+            if self.folds is not None:
+                dtype = self.folds.weight.data.dtype  # of the unfolded conv's values
+                fold = self._kept_fold(dtype, scale_bias)
+                if fold is not None:
+                    return _fold_act(fold, x, self.cfg.m_a, codes, dtype, quantize_activation)
+                x = _code_divide(x, self.folds.codes.divisor, dtype)
+            return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg, codes=codes,
+                                           affine=scale_bias)
         if mode is Mode.TRAIN and self.norm is None:
             self.cache = x  # not copied: no layer writes into its input
         return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
@@ -563,6 +740,15 @@ class ActQuant(_Leaf):
             saved, affine = t.x_hat, (t.g, t.b)
         return quantize_tensor_backward(saved, upstream, QuantKind.ACTIVATION, self.cfg,
                                         affine=affine)
+
+    def _kept_fold(self, dtype, scale_bias) -> _Fold | None:
+        """The kept fold, made anew where its key is not (dtype, scale_bias)."""
+        kept = self.fold
+        if kept is None or kept[0] != dtype or not all(
+                np.array_equal(a, b) for a, b in zip(kept[1:3], scale_bias)):
+            self.fold = kept = (dtype, *scale_bias,
+                                _fold(self.cfg.m_a, self.folds.codes, *scale_bias, dtype))
+        return kept[3]
 
 
 class ReLU(_Leaf):
@@ -676,6 +862,12 @@ def _link(layers: list) -> None:
     whose EVAL statistics are per sample, so that its EVAL affine can run in
     the ActQuant's code pass.
 
+    An ActQuant whose BN or LBN norm directly follows a conv of such a
+    chain folds the conv's divide and the norm's affine where `_folds`
+    holds, the rule the import applies to CONV_Q -> AFFINE -> ACT_Q on code
+    sums: the ActQuant `folds` that conv, and the conv and the norm are
+    `folded`, the conv emitting its sums and the norm its input.
+
     Each other BN or LBN norm that no ActQuant reads and that is no
     `block_end` runs its EVAL affine, with the ReLU that directly follows
     it, in one pass, the rule the import applies to an AFFINE -> RELU?
@@ -698,6 +890,11 @@ def _link(layers: list) -> None:
                                                  j - i - 1)
             if layer.norm is not None and layer.norm.state.kind is not NormKind.LN:
                 layer.norm.codes = layer.codes
+        feed = layers[i - 2] if i > 1 and layer.norm is not None else None
+        if isinstance(feed, Conv2d) and feed.codes is not None \
+                and layer.norm.state.kind is not NormKind.LN \
+                and _folds(layer.cfg.m_a, feed.codes, _FOLD_MAX_THRESHOLDS):
+            layer.folds, feed.folded, layer.norm.folded = feed, True, True
     for i, norm in enumerate(layers):
         after = layers[i + 1] if i + 1 < len(layers) else None
         if not isinstance(norm, NormLayer) or norm.state.kind is NormKind.LN \

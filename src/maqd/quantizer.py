@@ -146,24 +146,35 @@ def quantize_activation(a_hat, m_a: int, thresholds=None, codes=None, affine=Non
     With `thresholds`, an (m_a-1, C) array in a_hat's dtype, a_hat is an
     (n, C, h, w) tensor and the result is instead, per element, the number
     of k with a_hat >= thresholds[k, c], in the smallest unsigned integer
-    dtype that holds m_a - 1. The export's runtime binds thresholds only
+    dtype that holds m_a - 1, or in the dtype `codes` where given, cast
+    slice by slice while the slice is in cache. Thresholds are bound only
     on a code conv's sums, exact and finite by construction, that make
-    this count the code of the divide, affine and quantizer they fold; no
-    finiteness check runs.
+    this count the code of the divide, affine and quantizer they fold
+    (`network._fold`); no finiteness check runs.
     """
     if m_a < 2:
         raise ValueError(f"m_a must be >= 2, got {m_a}")
     if thresholds is not None:
-        count = np.zeros_like(a_hat, dtype=np.min_scalar_type(m_a - 1))
-        reached = np.empty_like(a_hat, dtype=bool)
+        small = np.min_scalar_type(m_a - 1)
+        count = np.empty_like(a_hat, dtype=small if codes is None else codes)
         tiles = [_tile(t, a_hat, thresholds.dtype) for t in thresholds]
+        parts = parallel.by_samples(a_hat.shape[0], a_hat.nbytes)
+        rows = max(s.stop - s.start for s in parts)
+        wide = count.dtype != small  # then counted in a small scratch and cast
 
-        def count_part(s):
+        def count_part(s, scratch):
+            m = s.stop - s.start
+            reached, k = scratch[0][:m], scratch[1][:m] if wide else count[s]
+            k.fill(0)
             for t in tiles:
-                np.greater_equal(a_hat[s], t, out=reached[s])
-                count[s] += reached[s].view(np.uint8)
+                np.greater_equal(a_hat[s], t, out=reached)
+                k += reached.view(np.uint8)
+            if wide:
+                count[s] = k
 
-        parallel.map_parts(count_part, parallel.by_samples(a_hat.shape[0], a_hat.nbytes))
+        parallel.map_parts(count_part, parts, lambda: [
+            np.empty_like(a_hat, d, shape=(rows,) + a_hat.shape[1:])
+            for d in (bool, small)[:1 + wide]])
         return count
     top = float(m_a - 1)
     a = np.atleast_1d(a_hat)

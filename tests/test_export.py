@@ -1059,6 +1059,38 @@ class TestThresholdFold:
                 export_mod._run_ops([aff, act], x),
                 export_mod._run_ops([oracle_aff, oracle_act], oracle_in))
 
+    @pytest.mark.parametrize("arch,folds", [("vgg-mini", 5), ("preact-mini", 3)])
+    def test_trainer_folds_as_the_import(self, tmp_path, monkeypatch, arch, folds):
+        # a float64 graph's EVAL folds each pair the import folds, into the
+        # same thresholds and flips; the runtime counts them with the
+        # quantize_activation it looks up in export
+        graph = build_model(arch, 4, quant=CFG, in_channels=1, input_hw=8, seed=46)
+        _spread_affines(graph, seed=46)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        counted = []
+        real = export_mod.quantize_activation
+
+        def spy(x, m_a, thresholds=None, **kw):
+            counted.append(thresholds is not None)
+            return real(x, m_a, thresholds, **kw)
+
+        monkeypatch.setattr(export_mod, "quantize_activation", spy)
+        images = np.random.default_rng(46).normal(0.0, 2.0, size=(5, 1, 8, 8))
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      graph.forward(images, Mode.EVAL))
+        runtime = [act.fields["fold"] for *_, act in _code_sum_pairs(model.ops)]
+        trainer = [act.fold[3] for act in graph.all_layers()
+                   if isinstance(act, ActQuant) and act.folds is not None]
+        assert len(runtime) == len(trainer) == counted.count(True) == folds
+        assert any(fold.flip is not None for fold in trainer)
+        for a, b in zip(runtime, trainer):
+            np.testing.assert_array_equal(a.thresholds, b.thresholds)
+            assert (a.flip is None) == (b.flip is None)
+            if a.flip is not None:
+                np.testing.assert_array_equal(a.flip, b.flip)
+
     def test_thresholds_are_monotone_in_k(self, tmp_path, monkeypatch):
         # rising where the code rises with the input, falling where it
         # falls (a negative scale), so the codes climb one state at a time

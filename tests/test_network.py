@@ -188,7 +188,8 @@ def _leaf_walk(layers, x, outputs):
     bitwise `outputs[id(layer)]`, what the graph's visitor saw. A conv that
     reads codes also equals the int64 oracle on the codes that the ActQuant
     before it emitted, its sums undivided in the codes' dtype where it ends
-    a branch whose block folds its end. Returns the last output."""
+    a branch whose block folds its end, or where the ActQuant behind its
+    norm folds it. Returns the last output."""
     seen = []
     for i, layer in enumerate(layers):
         x = layer.forward(x, Mode.EVAL)
@@ -200,9 +201,10 @@ def _leaf_walk(layers, x, outputs):
             assert isinstance(act, ActQuant) and act.codes is layer.codes
             codes = seen[i - 1 - pools]
             np.testing.assert_array_equal(codes, np.rint(codes))
-            dtype = layer.codes.dtype if layer.block_end else layer.weight.data.dtype
+            sums = layer.block_end or layer.folded
+            dtype = layer.codes.dtype if sums else layer.weight.data.dtype
             np.testing.assert_array_equal(x, _code_oracle(layer, codes.astype(np.int64), pools,
-                                                          dtype, divide=not layer.block_end))
+                                                          dtype, divide=not sums))
         seen.append(x)
     return x
 
@@ -649,13 +651,15 @@ class TestCodesEval:
         # every quantized conv but the image and residual-sum readers
         assert len(readers) == {"vgg-mini": 6, "preact-mini": 9}[arch]
         # codes, their pools and the sums of a code conv that ends a branch
-        # (which its norm emits; the block's end pass makes values) in the
+        # (which its norm emits; the block's end pass makes values) or whose
+        # pair folds (which its norm emits; the ActQuant makes codes) in the
         # CodeConv's dtype; all else in the net's
         code_dtype = None
         for layer, out in seen:
-            if layer.codes is not None and (isinstance(layer, ActQuant) or layer.block_end):
+            sums = layer.block_end or layer.folded
+            if layer.codes is not None and (isinstance(layer, ActQuant) or sums):
                 code_dtype = layer.codes.dtype
-            elif not (isinstance(layer, AvgPool2) or layer.block_end):
+            elif not (isinstance(layer, AvgPool2) or sums):
                 code_dtype = None
             assert out.dtype == (code_dtype or dtype)
             if isinstance(layer, NormLayer) and layer.block_end:
@@ -693,6 +697,8 @@ class TestCodesEval:
                 continue
             fused += 1
             assert x_in is norm.forward(x_in, Mode.EVAL)
+            if act.folds is not None:  # the code conv's sums, which it divides unfolded
+                x_in = network._code_divide(x_in, act.folds.codes.divisor, dtype)
             values = norm_forward(x_in, norm.state, Mode.EVAL)[0]
             top = act.cfg.m_a - 1
             np.testing.assert_array_equal(
@@ -778,6 +784,211 @@ class TestCodesEval:
         assert all(list(inspect.signature(c.forward).parameters) == ["self", "x", "mode"]
                    for c in leaves)
 
+
+def _bisection_fold(m_a, sums, scale, bias, dtype):
+    """The fold by bisection over the ordered bit patterns of the whole
+    range |sum| <= bound at every threshold, with no estimate: the oracle of
+    `network._fold`, which starts each search from the real-valued
+    threshold."""
+    top, c = m_a - 1, scale.size
+
+    def code(keys):
+        s = network._floats(keys, sums.dtype)
+        x = network._code_divide(s.reshape(-1, c, 1, 1), sums.divisor, dtype)
+        with np.errstate(over="ignore"):
+            return quantizer.quantize_activation(x, m_a, codes=np.float32,
+                                                 affine=(scale, bias)).reshape(keys.shape)
+
+    t_lo, t_hi = (np.full((top, c), key) for key in
+                  network._keys(np.array([-sums.bound, sums.bound], sums.dtype)))
+    try:
+        code(np.stack([t_lo[0], t_hi[0]]))
+    except ValueError:
+        return None
+    d = np.where(scale < 0, -1, 1)
+    k = np.arange(1, top + 1).reshape(-1, 1)
+    reached = lambda t: code(d * t) >= k
+    t = network._first(reached, t_lo, t_hi)
+    out = network._floats(np.where(d > 0, t, 1 - t), sums.dtype)
+    never = d * np.inf
+    out = np.where(reached(t_lo), -never, np.where(reached(t_hi), out, never)).astype(sums.dtype)
+    flip = (d < 0).reshape(1, c, 1, 1)
+    return network._Fold(out, flip if flip.any() else None)
+
+
+def _spread_affine(rng, c):
+    """Per-channel (scale, bias) of magnitudes 1e-6 to 1e3, some scales
+    negative and about 15% zero."""
+    scale = rng.choice([-1.0, 1.0], c) * 10.0 ** rng.uniform(-6, 3, c)
+    scale[rng.uniform(size=c) < 0.15] = 0.0
+    return scale, rng.normal(0.0, 1.0, c) * 10.0 ** rng.uniform(-6, 1, c)
+
+
+def _unfolded(graph):
+    """A copy of graph with no fold: its convs divide their code sums, its
+    norms run their affine in their ActQuant's pass or their own."""
+    twin = copy.deepcopy(graph)
+    for layer in twin.all_layers():
+        layer.folded = False
+        if isinstance(layer, ActQuant):
+            layer.folds = layer.fold = None
+    return twin
+
+
+def _trained(arch, s, kind, dtype):
+    """A seed-5 quantized `arch` on 3x8x8 inputs, trained one epoch."""
+    graph = build_model(arch, 4, quant=QuantConfig(s=s), norm_kind=kind, seed=5, dtype=dtype,
+                        input_hw=8)
+    rng = RNG(50)
+    data = datasets.LabeledImageSet(rng.normal(size=(32, 3, 8, 8)).astype(dtype),
+                                    rng.integers(0, 4, 32), 4)
+    training.train(graph, data, data, epochs=1, batch_size=16, seed=5)
+    return graph
+
+
+def _folding(graph):
+    return [l for l in graph.all_layers() if isinstance(l, ActQuant) and l.folds is not None]
+
+
+def _fresh(graph):
+    """A copy of graph whose ActQuants keep no fold yet."""
+    twin = copy.deepcopy(graph)
+    for act in _folding(twin):
+        act.fold = None
+    return twin
+
+
+class TestThresholdFold:
+    """A code conv -> BN/LBN norm -> ActQuant triple on float32 code sums
+    runs in EVAL as compares on the sums (`network._fold`), in the trainer
+    as in the runtime; the fold is made once per norm state."""
+
+    @pytest.mark.parametrize("m_a", [2, 3, 8, 17])
+    @pytest.mark.parametrize("pools", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bracket", [network._FOLD_BRACKET, 0], ids=["estimate", "bisection"])
+    def test_counts_are_the_unfolded_codes_on_every_sum(self, monkeypatch, m_a, pools, dtype,
+                                                        bracket):
+        # fan_in 2, 2q = 3: every sum the conv can emit, each multiple of
+        # 4**-pools within the bound; a bracket of 0 keys never holds the
+        # threshold, so every search runs over the whole range
+        monkeypatch.setattr(network, "_FOLD_BRACKET", bracket)
+        sums = quantizer.code_conv(2, 1.5, m_a, pools)
+        assert network._folds(m_a, sums, network._FOLD_MAX_THRESHOLDS)
+        unit = 4 ** pools
+        every = np.arange(-sums.bound * unit, sums.bound * unit + 1) / unit
+        rng = RNG(10 * m_a + pools)
+        scale, bias = _spread_affine(rng, 16)
+        fold = network._fold(m_a, sums, scale, bias, dtype)
+        assert fold.thresholds.dtype == np.float32 and fold.flip is not None
+        x = channels_last(np.broadcast_to(every.astype(np.float32).reshape(1, 1, -1, 1),
+                                          (1, 16, every.size, 1)))
+        values = network._code_divide(x, sums.divisor, dtype)
+        q = quantizer.quantize_activation
+        with np.errstate(over="ignore"):
+            want = [q(values, m_a, codes=np.float32, affine=(scale, bias)),
+                    q(values, m_a, affine=(scale, bias))]
+        got = [network._fold_act(fold, x, m_a, codes, dtype, q) for codes in (np.float32, None)]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert len(np.unique(want[0])) >= min(m_a, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_affine_that_overflows_has_no_fold(self, dtype):
+        sums = quantizer.code_conv(2, 1.5, 8, 0)
+        huge = float(np.finfo(dtype).max) / 1.5  # sums / divisor reach 2
+        for scale, bias in (([1.0, huge], [0.0, 0.0]), ([1.0, -huge], [0.0, 0.5])):
+            scale, bias = np.array(scale), np.array(bias)
+            assert network._fold(8, sums, scale, bias, dtype) is None
+            ends = np.array([-sums.bound, sums.bound], np.float32).reshape(2, 1, 1, 1)
+            x = network._code_divide(np.repeat(ends, 2, axis=1), sums.divisor, dtype)
+            with pytest.raises(ValueError, match="must be finite"), np.errstate(all="ignore"):
+                quantizer.quantize_activation(x, 8, affine=(scale, bias))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_search_is_the_bisection(self, dtype):
+        rng = RNG(20)
+        for c in (1, 3, 16, 64):
+            for _ in range(24):
+                m_a, pools = int(rng.integers(2, 18)), int(rng.integers(0, 3))
+                sums = quantizer.code_conv(int(rng.integers(1, 9 * c + 1)),
+                                           float(rng.integers(1, 8)) + 0.5, m_a, pools)
+                scale, bias = _spread_affine(rng, c)
+                want = _bisection_fold(m_a, sums, scale, bias, dtype)
+                got = network._fold(m_a, sums, scale, bias, dtype)
+                np.testing.assert_array_equal(got.thresholds, want.thresholds)
+                assert (got.flip is None) == (want.flip is None)
+                if got.flip is not None:
+                    np.testing.assert_array_equal(got.flip, want.flip)
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini", "cnn9-mini"])
+    @pytest.mark.parametrize("s", [1.0 / 3.0, 3.0], ids=["default", "live"])
+    @pytest.mark.parametrize("kind", [NormKind.LBN, NormKind.BN])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_is_bitwise_the_unfolded_eval(self, across_threads, arch, s, kind, dtype):
+        graph = _trained(arch, s, kind, dtype)
+        unfolded = _unfolded(graph)
+        assert len(_folding(graph)) == {"vgg-mini": 5, "preact-mini": 3, "cnn9-mini": 7}[arch]
+        assert not _folding(unfolded)
+        rng = RNG(51)
+        x = rng.normal(size=(64, 3, 8, 8)).astype(dtype)
+        data = datasets.LabeledImageSet(x, rng.integers(0, 4, 64), 4)
+
+        def run():
+            out = []
+            for g in (graph, unfolded):
+                res = training.evaluate(g, data, training.LossConfig(), batch_size=64)
+                out += [g.forward(x, Mode.EVAL), np.array([res.loss, res.r_a]),
+                        np.array(res.r_a_per_layer)]
+            for a, b in zip(out[:3], out[3:]):
+                np.testing.assert_array_equal(a, b)
+            return out
+
+        across_threads(run)
+        assert all(act.fold[3] is not None for act in _folding(graph))
+
+    def test_no_fold_where_the_affine_overflows(self):
+        # one channel's affine overflows float32 at the ends of the sums'
+        # range: that pair has no fold, and its ActQuant divides the sums
+        graph = _trained("vgg-mini", 3.0, NormKind.BN, np.float32)
+        act = _folding(graph)[0]
+        st = act.norm.state
+        fan_in = act.folds.codes.bound / act.folds.codes.divisor
+        st.g[0] = 2 * float(np.finfo(np.float32).max) / fan_in * np.sqrt(st.running_var[0] + st.eps)
+        x = RNG(53).normal(size=(8, 3, 8, 8)).astype(np.float32)
+        with np.errstate(over="ignore"):
+            logits = graph.forward(x, Mode.EVAL)
+            want = _unfolded(graph).forward(x, Mode.EVAL)
+        assert act.fold[3] is None
+        assert all(a.fold[3] is not None for a in _folding(graph)[1:])
+        np.testing.assert_array_equal(logits, want)
+
+    @pytest.mark.parametrize("arch,folds", [("vgg-mini", 5), ("preact-mini", 3),
+                                            ("cnn9-mini", 7)])
+    def test_one_fold_per_norm_state(self, monkeypatch, arch, folds):
+        graph = _fresh(_trained(arch, 3.0, NormKind.BN, np.float32))
+        calls = []
+        real = network._fold
+        monkeypatch.setattr(network, "_fold", lambda *a: calls.append(a) or real(*a))
+        rng = RNG(52)
+        data = datasets.LabeledImageSet(rng.normal(size=(20, 3, 8, 8)).astype(np.float32),
+                                        rng.integers(0, 4, 20), 4)
+        training.evaluate(graph, data, training.LossConfig(), batch_size=6)  # 4 batches
+        assert len(calls) == folds
+        training.evaluate(graph, data, training.LossConfig(), batch_size=6)
+        assert len(calls) == folds
+        x = data.images[:4]
+        norm = _folding(graph)[-1].norm
+        for write in (lambda: norm.state.running_var.__imul__(1.5),
+                      lambda: norm.g.data.__imul__(-0.5),
+                      lambda: norm.b.data.__iadd__(0.25)):
+            write()
+            calls.clear()
+            logits = graph.forward(x, Mode.EVAL)
+            assert len(calls) == 1
+            np.testing.assert_array_equal(logits, _fresh(graph).forward(x, Mode.EVAL))
+            assert len(calls) == 1 + folds
 
 def _unfused_eval(layers, x, relu_outputs):
     """A float net's EVAL forward one unfused pass per leaf: each conv's GEMM

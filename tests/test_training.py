@@ -216,13 +216,17 @@ class TestSparsityMetrics:
         assert res.r_a == pytest.approx(np.average(expected, weights=sizes), rel=1e-12)
 
     def test_evaluate_leaves_layer_attributes_alone(self, monkeypatch):
-        """Checked after each batch's forward and after the pass. The one
-        attribute that changes is the tape of the TRAIN forward before it,
-        which the first EVAL forward drops."""
+        """Checked after each batch's forward and after the pass. The
+        attributes that change are the tape of the TRAIN forward before it,
+        which the first EVAL forward drops, and the fold that each folding
+        ActQuant makes on the first EVAL forward and keeps."""
         g = build_model("preact-mini", 3, quant=QuantConfig(), seed=3, input_hw=8)
         g.forward(np.random.default_rng(5).normal(size=(4, 3, 8, 8)), Mode.TRAIN)
         layers = g.layers + g.all_layers()
-        untaped = lambda l: {k: v for k, v in vars(l).items() if k != "cache"}
+        folding = [l for l in g.all_layers() if getattr(l, "folds", None) is not None]
+        assert len(folding) == 3
+        kept = lambda l, k: k == "cache" or (k == "fold" and l in folding)
+        untaped = lambda l: {k: v for k, v in vars(l).items() if not kept(l, k)}
         before = [untaped(l) for l in layers]
 
         def check():
@@ -239,6 +243,7 @@ class TestSparsityMetrics:
         data = LabeledImageSet(np.ones((5, 3, 8, 8)), np.zeros(5, dtype=np.int64), 3)
         evaluate(g, data, LossConfig(), batch_size=2)
         check()
+        assert all(l.fold is not None for l in folding)
 
     def test_r_a_empty_set_rejected(self):
         g = build_model("vgg-mini", 10, quant=QuantConfig(), seed=0)
