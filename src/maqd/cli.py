@@ -22,6 +22,7 @@ import sys
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -396,17 +397,6 @@ def _cmd_export(cfg, args):
     return 0
 
 
-def _conv_kinds(ops):
-    """"CONV_Q" or "CONV_F" for each conv of bound runtime ops, in the order
-    of `ModelGraph.conv_layers`."""
-    for op in ops:
-        if op.opcode == export_mod.OP_RES_BEGIN:
-            yield from _conv_kinds(op.fields["s"])
-            yield from _conv_kinds(op.fields["f"])
-        elif op.opcode in (export_mod.OP_CONV_Q, export_mod.OP_CONV_F):
-            yield "CONV_Q" if op.opcode == export_mod.OP_CONV_Q else "CONV_F"
-
-
 def _check_checkpoint_of(graph: network.ModelGraph, model: export_mod.RuntimeModel):
     """A checkpoint of another network than the model's is a usage error."""
     quant = ["(off)" if q is None else f"(m_w {q.m_w}, m_a {q.m_a}, qscale_mode "
@@ -415,9 +405,10 @@ def _check_checkpoint_of(graph: network.ModelGraph, model: export_mod.RuntimeMod
     for what, have, want in [("architecture", graph.arch, model.arch), ("quantizer", *quant)]:
         if have != want:
             raise UsageError(f"the checkpoint's {what} is {have}, the model's {want}")
-    # a quantized or float head (quantize_head) shows in its conv's opcode
-    kinds = ["CONV_Q" if conv.quant is not None else "CONV_F" for conv in graph.conv_layers()]
-    for i, (have, want) in enumerate(zip(kinds, _conv_kinds(model.ops))):
+    # every conv, quantized or float (a float head shows here), and their count
+    kinds = [["CONV_F" if conv.qscale is None else "CONV_Q" for conv in network._walk(layers)
+              if isinstance(conv, network.Conv2d)] for layers in (graph.layers, model.layers)]
+    for i, (have, want) in enumerate(zip_longest(*kinds, fillvalue="(none)")):
         if have != want:
             raise UsageError(f"the checkpoint's conv {i} is {have}, the model's {want}")
     if graph.norm_kind is NormKind.LN:

@@ -1,4 +1,4 @@
-"""Quantized model export format and the folded-normalization runtime.
+"""Quantized model export format, its import and the folded-normalization runtime.
 
 File layout (little-endian throughout):
 
@@ -25,82 +25,27 @@ its input's extent; its stride byte is always 1.
 Normalization layers are folded into per-channel affine constants from
 their running statistics, so the runtime never computes statistics. CONV_F
 weights and CONV_Q states come from the trainer's `Conv2d.effective_weight`
-run in float64. For every op the runtime runs the kernel of the trainer's
-EVAL forward (its `_conv` and its epilogue, `affine`, pooling,
-`quantize_activation` and residual `_block_end`), so for a float64 graph
-on float64 images its logits are bitwise `graph.forward(images,
-Mode.EVAL)`.
+run in float64.
 
-`import_model` compiles the records in one walk. It nests each residual
-block into its RES_BEGIN op (fields "s" and "f", its branches), tracks the
-channels, the downsampling and whether GAP has flattened the activation, and
-binds each op's arguments. A ModelFormatError naming its byte rejects an
-AFFINE scale or bias or a CONV_F weight that is not finite (the export
-refuses to write one), and one naming the record's byte rejects a conv
-whose kernel is not 1 or 3, whose stride byte is not 1, or with 0
-channels; an ACT_Q with m_a < 2; a conv or AFFINE whose channels are not
-its input's; a conv, AFFINE, AP2 or second GAP after GAP; residual
-branches that end in different channels, downsampling or flattening; an
-unbalanced residual marker; residual blocks nested deeper than 64; and a
-stream that does not end in (class_count) logits. The runtime then checks
-only the shape of its input.
+`import_model` checks the records in one walk. It tracks the channels, the
+downsampling and whether GAP has flattened the activation. A
+ModelFormatError naming its byte rejects an AFFINE scale or bias or a
+CONV_F weight that is not finite (the export refuses to write one), and
+one naming the record's byte rejects a conv whose kernel is not 1 or 3,
+whose stride byte is not 1, or with 0 channels; an ACT_Q with m_a < 2; a
+conv or AFFINE whose channels are not its input's; a conv, AFFINE, AP2 or
+second GAP after GAP; residual branches that end in different channels,
+downsampling or flattening; an unbalanced residual marker; residual blocks
+nested deeper than 64; and a stream that does not end in (class_count)
+logits. The runtime then checks only the shape of its input; a quantizer
+input that is NaN, inf or overflows raises a ValueError naming the ACT_Q
+record's byte.
 
-A CONV_Q that reads an ACT_Q's codes k in 0..m_a-1 (value k/(m_a-1))
-through AP2s only computes on integers, as the trainer's EVAL forward does
-on the same ActQuant -> AvgPool2* -> quantized Conv2d runs: its weight is
-the lattice integer clip(2*state, -2q, 2q) with 2q = 2*qscale (value
-lattice/2q), so each sum is an integer, or after p 2x2 pools an integer
-multiple of 4**-p, of magnitude at most fan_in * 2q * (m_a-1). While that
-bound times 4**p is below 2**24 a float32 GEMM computes every sum exactly,
-in any order of accumulation; past it a float64 GEMM does. The import
-binds that dtype to the codes and the lattice, and binds the divisor
-(m_a-1) * 2q, by which the conv divides its sums in float64; the rule is
-`quantizer.code_conv`'s. A CONV_Q that reads values (images, residual
-sums) binds its weights clamp(state/qscale, -1, 1), bitwise the float64
-effective weight, and divides nothing. An ACT_Q that no CONV_Q reads emits
-float64 values.
-
-An ACT_Q runs the AFFINE that it reads directly in its quantizer pass,
-`quantize_activation(x, m_a, codes=..., affine=(scale, bias))`, as the
-trainer's ActQuant on a chain does; that AFFINE runs no pass of its own.
-Where the AFFINE reads a code-reading CONV_Q's sums, the import folds the
-conv's divide, the affine and the quantizer into m_a-1 thresholds per
-channel on the sums (`network._fold`, with float64 as the unfolded path's
-value dtype), by the rule the trainer's EVAL folds a code conv -> BN/LBN
-norm -> ActQuant triple (`network._link`); the ACT_Q then counts the
-thresholds each sum reaches, through the trainer's `network._fold_act`
-with this module's `quantize_activation`. Each of those steps rounds
-monotonically, so the code is the number of thresholds the sum reaches:
-T_k[c] is the least value of the sums' dtype whose unfolded code is at
-least k. A channel with scale < 0 counts the other way, and one with scale
-0 has a constant code. Each T_k is searched over the ordered bit patterns
-of the dtype with |sum| <= fan_in * 2q * (m_a-1), from its real-valued
-estimate, each probe running the unfolded kernels, so the compares give
-the unfolded codes bit for bit on every sum the conv can emit, and code
-sums are finite by construction. A pair stays unfolded on float64 sums,
-when its affine overflows on code sums, or when it has more than
-_FOLD_MAX_THRESHOLDS (16) thresholds: there the compares do not beat the
-arithmetic they replace. A quantizer input that is NaN, inf or overflows
-(only on image-conv sums, residual sums or images) raises a ValueError
-naming the ACT_Q record's byte.
-
-A residual block whose two branches each end in a conv and an AFFINE (a
-BN or LBN preact block, quantized or float) ends in one pass, as the
-trainer's `ResidualBlock` does: the import marks its RES_BEGIN with the
-operands of `network._block_end`, those two convs emit their sums (a
-CONV_Q on codes divides nothing) and those two AFFINEs run no pass of
-their own, and the block's output is s_sums * a_s + f_sums * a_f +
-(b_s + b_f) per channel in float64, with a = scale / divisor for a CONV_Q
-on codes and a = scale for a conv on values. So quantized preact-mini runs
-no AFFINE and no code divide at all: its other AFFINEs run in ACT_Qs'
-passes or folds.
-
-Every other AFFINE runs in one pass with the RELU that directly follows it
-(`_fuse`), as the trainer's `network._link` binds a BN or LBN norm and its
-ReLU: a CONV_F or a CONV_Q on values directly in front of it runs both on
-each block of its output (`_conv`'s epilogue), else the AFFINE runs the
-RELU in its `affine` pass. Those AFFINEs and RELUs run no pass of their
-own, so float cnn9-mini runs no AFFINE and no RELU at all.
+The import builds the trainer's leaves from the records and links them by
+`network._link` and `ResidualBlock`, so `runtime_infer` is their EVAL
+forward in float64, every EVAL rule that of the `network` module
+docstring, and for a float64 graph on float64 images its logits are
+bitwise `graph.forward(images, Mode.EVAL)`.
 """
 
 from __future__ import annotations
@@ -111,13 +56,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (_FOLD_MAX_THRESHOLDS, ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
-                      ModelGraph, NormLayer, ReLU, ResidualBlock, _avg_pool2, _block_end,
-                      _code_divide, _conv, _end_operands, _fold, _fold_act, _folds,
-                      _global_avg_pool, _im2col, _tap_major)
-from .normalization import Mode, affine, fold_normalization
-from .quantizer import (QScaleMode, QuantConfig, code_conv, lattice_states,
-                        quantize_activation, weight_lattice)
+from .network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool, ModelGraph, NormLayer, ReLU,
+                      ResidualBlock, _conv, _forward, _im2col, _link, _tap_major, _walk)
+from .normalization import Mode, fold_normalization
+from .quantizer import (QScaleMode, QuantConfig, lattice_states, quantize_activation,
+                        weight_lattice)
 
 MAGIC = b"MAQD"
 FORMAT_VERSION = 1
@@ -179,7 +122,7 @@ class RuntimeModel:
     arch: str
     class_count: int
     quant: QuantConfig | None
-    ops: list[RuntimeOp]  # bound ops: residual blocks nest in their RES_BEGIN
+    layers: list  # the trainer's leaves and residual blocks, linked by `network._link`
     in_ch: int  # channel count of the images the model takes
 
 
@@ -319,77 +262,61 @@ def _parse_op(r: _Reader) -> RuntimeOp:
 _MAX_NESTING = 64  # residual blocks within residual blocks
 
 
-def _codes_reader(recs: list[RuntimeOp], i: int):
-    """The `quantizer.CodeConv` of the CONV_Q that reads the ACT_Q record i
-    through AP2s only, or None when no CONV_Q reads it."""
-    j = next((j for j in range(i + 1, len(recs)) if recs[j].opcode != OP_AP2), len(recs))
-    if j == len(recs) or recs[j].opcode != OP_CONV_Q:
-        return None
-    conv = recs[j].fields
-    return code_conv(conv["in_ch"] * conv["kernel"] ** 2, conv["qscale"],
-                     recs[i].fields["m_a"], j - i - 1)
+class _Conv(Conv2d):
+    """The conv of a CONV_Q or CONV_F record. It holds, in place of a
+    weight, the EVAL operand its record fixes (`bind`), and has no TRAIN
+    mode."""
+
+    dtype = np.dtype(np.float64)  # of its values
+
+    def __init__(self, f: dict):
+        self.in_ch, self.out_ch, self.kernel = f["in_ch"], f["out_ch"], f["kernel"]
+        self.padding = self.kernel // 2
+        self.qscale = f.get("qscale")
+        self.w = f["w"] if self.qscale is None else f["states"]  # until `bind`
+
+    def bind(self):
+        """Turn the record's states or weights into the tap-major operand,
+        once `_link` has placed the conv: a CONV_Q's weight lattice in the
+        dtype of its CodeConv where it reads codes, else its weights
+        clamp(state/qscale, -1, 1), bitwise the float64 effective weight; a
+        CONV_F's weights."""
+        w, q = self.w, self.qscale
+        if q is not None:
+            w = _decode(w, q) if self.codes is None else weight_lattice(w, q)
+        dtype = self.dtype if self.codes is None else self.codes.dtype
+        self.w = _tap_major(w, self.in_ch, self.kernel).astype(dtype, copy=False)
+
+    def _eval_conv(self, x, epilogue):
+        return _run_conv(self, x, epilogue)
 
 
-def _read_affine(ops: list[RuntimeOp], m_a: int):
-    """(the (scale, bias) of the AFFINE that ends the bound ops, or None;
-    the pair's fold, or None). The ACT_Q that follows the ops runs that
-    AFFINE in its quantizer pass; the pair folds where the AFFINE reads a
-    code-reading CONV_Q's sums and `network._folds` holds, unless its
-    affine overflows on them (`network._fold`, whose unfolded path divides
-    into float64), and that conv then emits its sums."""
-    if not ops or ops[-1].opcode != OP_AFFINE:
-        return None, None
-    aff = ops[-1].fields
-    aff["read"] = True
-    feed = ops[-2].fields if len(ops) > 1 and ops[-2].opcode == OP_CONV_Q else None
-    sums = feed["code_conv"] if feed else None
-    fold = _fold(m_a, sums, aff["scale"], aff["bias"], np.float64) \
-        if sums and _folds(m_a, sums, _FOLD_MAX_THRESHOLDS) else None
-    if fold is not None:
-        feed["divisor"] = None
-    return (aff["scale"], aff["bias"]), fold
+class _Affine(NormLayer):
+    """The norm of an AFFINE record, whose EVAL affine is the record's."""
+
+    foldable = True
+
+    def __init__(self, f: dict):
+        self.scale, self.bias = f["scale"], f["bias"]
+
+    def eval_affine(self):
+        return self.scale, self.bias
 
 
-def _fold_ends(s_ops: list[RuntimeOp], f_ops: list[RuntimeOp]):
-    """The `_end_operands` of a residual block whose bound branches both end
-    in a conv and an AFFINE, as `network.ResidualBlock` folds a block whose
-    branches end in a conv and a BN or LBN norm: those CONV_Qs then emit
-    their sums and those AFFINEs run no pass of their own, and the block
-    ends in one `_block_end` pass. None for any other block."""
-    ends = [ops[-2:] for ops in (s_ops, f_ops)]
-    if not all(len(e) == 2 and e[0].opcode in (OP_CONV_Q, OP_CONV_F)
-               and e[1].opcode == OP_AFFINE for e in ends):
-        return None
-    operands = []
-    for conv, aff in ends:
-        aff.fields["read"] = True
-        codes = conv.fields.get("code_conv")
-        if conv.opcode == OP_CONV_Q:
-            conv.fields["divisor"] = None
-        operands.append((aff.fields["scale"], aff.fields["bias"],
-                         codes.divisor if codes else None))
-    return _end_operands(*operands)
+class _ActQ(ActQuant):
+    """The activation quantizer of the ACT_Q record at byte `at` of its
+    file. Its passes run this module's `quantize_activation`; an input that
+    is NaN, inf or overflows is a ValueError naming the record's byte."""
 
+    def __init__(self, m_a: int, at: int):
+        super().__init__(QuantConfig(m_a=m_a))  # of which EVAL reads m_a alone
+        self.at = at
 
-def _fuse(ops: list[RuntimeOp]) -> None:
-    """Bind each AFFINE of the bound ops that no ACT_Q or block end reads to
-    one pass with the RELU that directly follows it, as `network._link` does
-    a BN or LBN norm and its ReLU: a CONV_F or a CONV_Q on values directly
-    in front of it runs both on its blocks (the conv's "epilogue"), else the
-    AFFINE runs the RELU in its `affine` pass ("relu"). Each AFFINE and RELU
-    that a conv or an AFFINE runs is marked "read"."""
-    for i, op in enumerate(ops):
-        f = op.fields
-        if op.opcode != OP_AFFINE or f["read"]:
-            continue
-        relu = i + 1 < len(ops) and ops[i + 1].opcode == OP_RELU
-        if relu:
-            ops[i + 1].fields["read"] = True
-        conv = ops[i - 1].fields if i and ops[i - 1].opcode in (OP_CONV_Q, OP_CONV_F) else None
-        if conv is not None and not conv.get("code_conv"):
-            conv["epilogue"], f["read"] = (f["scale"], f["bias"], relu), True
-        else:
-            f["relu"] = relu
+    def _quantize(self, x, *args, **kwargs):
+        try:
+            return quantize_activation(x, *args, **kwargs)
+        except ValueError as e:
+            raise ValueError(f"ACT_Q record at byte {self.at}: {e}") from None
 
 
 def _error(path, op: RuntimeOp, msg: str) -> ModelFormatError:
@@ -399,13 +326,14 @@ def _error(path, op: RuntimeOp, msg: str) -> ModelFormatError:
 
 def _span(recs: list[RuntimeOp], path, i: int, c: int, down: int, flat: bool,
           depth: int):
-    """Bind records from i to the RES_SEP/RES_END ending the span, or the
-    end; returns (ops, that index, the activation's end (c, down, flat)).
-    A residual block binds each branch by a recursive call. It is a module
-    function, not a closure of `_bind`: a closure that calls itself is a
-    reference cycle, which would keep the records, and so an imported
-    model's weights, alive until the garbage collector found the cycle."""
-    ops, codes = [], None
+    """Check records from i to the RES_SEP/RES_END ending the span, or the
+    end, and build their leaves; returns (leaves, that index, the
+    activation's end (c, down, flat)). A residual block builds each branch
+    by a recursive call. It is a module function, not a closure of `_bind`:
+    a closure that calls itself is a reference cycle, which would keep the
+    records, and so an imported model's weights, alive until the garbage
+    collector found the cycle."""
+    layers = []
     while i < len(recs) and recs[i].opcode not in (OP_RES_SEP, OP_RES_END):
         op = recs[i]
         code, f = op.opcode, op.fields
@@ -421,69 +349,65 @@ def _span(recs: list[RuntimeOp], path, i: int, c: int, down: int, flat: bool,
         reads = f.get("in_ch", f.get("channels", c))  # what a conv or AFFINE reads
         if reads != c:
             raise _error(path, op, f"reads {reads} channels, its input has {c}")
-        if code == OP_CONV_Q:  # on codes, the weight lattice; on values, the weights
-            f["w"] = weight_lattice(f["states"], f["qscale"]) if codes \
-                else _decode(f["states"], f["qscale"])
-            f["code_conv"], f["divisor"] = codes, codes.divisor if codes else None
         if conv:
-            f["epilogue"] = None
-            c = f["out_ch"]
-            dtype = codes.dtype if codes else np.float64
-            f["w"] = _tap_major(f["w"], f["in_ch"], f["kernel"]).astype(dtype, copy=False)
-            codes = None
+            c, layer = f["out_ch"], _Conv(f)
         elif code == OP_AFFINE:
-            f["read"], f["relu"] = False, False
-        elif code == OP_RELU:
-            f["read"] = False
+            layer = _Affine(f)
         elif code == OP_ACT_Q:
-            codes = _codes_reader(recs, i)
-            f["codes"] = codes.dtype if codes else None
-            f["affine"], f["fold"] = _read_affine(ops, f["m_a"])
+            layer = _ActQ(f["m_a"], op.at)
+        elif code == OP_RELU:
+            layer = ReLU()
         elif code == OP_AP2:
-            down *= 2
+            down, layer = down * 2, AvgPool2()
         elif code == OP_GAP:
-            flat = True
-        elif code == OP_RES_BEGIN:
+            flat, layer = True, GlobalAvgPool()
+        else:  # OP_RES_BEGIN
             if depth == _MAX_NESTING:
                 raise _error(path, op,
                              f"residual blocks nested deeper than {_MAX_NESTING}")
-            ends = []
-            for name, marker in (("s", OP_RES_SEP), ("f", OP_RES_END)):
-                f[name], i, branch_end = _span(recs, path, i + 1, c, down, flat, depth + 1)
+            branches, ends = [], []
+            for marker in (OP_RES_SEP, OP_RES_END):
+                branch, i, branch_end = _span(recs, path, i + 1, c, down, flat, depth + 1)
                 if i == len(recs) or recs[i].opcode != marker:
                     raise _error(path, op,
                                  "malformed residual block: no RES_SEP/RES_END")
+                branches.append(branch)
                 ends.append(branch_end)
             if ends[0] != ends[1]:
                 raise _error(path, op, f"residual branches end in (channels, "
                              f"downsampling, flat) {ends[0]} and {ends[1]}")
             c, down, flat = ends[0]
-            f["end"] = _fold_ends(f["s"], f["f"])
-            _fuse(f["s"])
-            _fuse(f["f"])
-        ops.append(op)
+            layer = ResidualBlock(*branches)
+        layers.append(layer)
         i += 1
-    return ops, i, (c, down, flat)
+    return layers, i, (c, down, flat)
 
 
 def _bind(recs: list[RuntimeOp], class_count: int, path, end: int):
-    """The one walk of `import_model` over the parsed records; returns (bound
-    ops, input channel count). The input has the channels of the first conv
-    or AFFINE record, since no other op changes them."""
+    """The one walk of `import_model` over the parsed records; returns (the
+    linked leaves, input channel count). The input has the channels of the
+    first conv or AFFINE record, since no other op changes them. Once
+    `_link` has placed each leaf, each conv takes its operand and each
+    ActQuant that folds makes its fold, for the model's life."""
     in_ch = next((op.fields.get("in_ch", op.fields.get("channels")) for op in recs
                   if op.opcode in (OP_CONV_Q, OP_CONV_F, OP_AFFINE)), class_count)
-    ops, i, (c, _, flat) = _span(recs, path, 0, in_ch, 1, False, 0)
+    layers, i, (c, _, flat) = _span(recs, path, 0, in_ch, 1, False, 0)
     if i < len(recs):
         raise _error(path, recs[i], "malformed residual block: no RES_BEGIN opens it")
-    _fuse(ops)
     if not flat or c != class_count:
         raise ModelFormatError(f"{path}: the stream ends at byte {end} in {c} channels"
                                f"{'' if flat else ' before GAP'}, not {class_count} logits")
-    return ops, in_ch
+    _link(layers)
+    for leaf in _walk(layers):
+        if isinstance(leaf, _Conv):
+            leaf.bind()
+        elif isinstance(leaf, _ActQ) and leaf.folds is not None:
+            leaf._kept_fold(leaf.folds.dtype, leaf.norm.eval_affine())
+    return layers, in_ch
 
 
 def import_model(path) -> RuntimeModel:
-    """Parse an exported model file and compile it into the bound ops that
+    """Parse an exported model file and build the trainer's leaves that
     `runtime_infer` runs; a defect raises ModelFormatError naming its byte."""
     data = Path(path).read_bytes()
     r = _Reader(data, path)
@@ -520,71 +444,26 @@ def import_model(path) -> RuntimeModel:
     if r.offset != len(data):
         raise ModelFormatError(f"{path}: {len(data) - r.offset} trailing bytes at "
                                f"byte {r.offset}")
-    ops, in_ch = _bind(recs, class_count, path, len(data))
-    return RuntimeModel(arch=arch, class_count=class_count, quant=quant, ops=ops,
+    layers, in_ch = _bind(recs, class_count, path, len(data))
+    return RuntimeModel(arch=arch, class_count=class_count, quant=quant, layers=layers,
                         in_ch=in_ch)
 
 
-def _run_conv(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
-    """Cross-correlation of x, in the conv's dtype, with its bound tap-major
-    matrix: a code-reading CONV_Q's integer lattice (so the result is in
-    units of 1/(2*qscale)), or the weights of another CONV_Q or a CONV_F,
-    with its "epilogue" (see `_fuse`) on each block. It is the trainer's
-    blocked conv, building each block's patch matrix with this module's
-    `_im2col`."""
-    f = op.fields
-    return _conv(x, f["w"], f["kernel"], _im2col, f["epilogue"])
+def _run_conv(conv: _Conv, x: np.ndarray, epilogue=None) -> np.ndarray:
+    """An imported conv's EVAL conv: the trainer's blocked `_conv` of x with
+    its bound operand and the `epilogue`, building each block's patch
+    matrix with this module's `_im2col`."""
+    return _conv(x, conv.w, conv.kernel, _im2col, epilogue)
 
 
 def runtime_infer(model: RuntimeModel, images: np.ndarray) -> np.ndarray:
-    """Forward pass over the bound ops; returns (n, class_count) float64
-    logits. Activations are float64 values, or codes from an ACT_Q to the
-    CONV_Q that reads them (see the module docstring)."""
+    """The (n, class_count) float64 logits of the model's leaves' EVAL
+    forward on the images in float64, the trainer's walk (see the module
+    docstring)."""
     if images.ndim != 4 or images.shape[1] != model.in_ch:
         raise ValueError(f"expected (n, {model.in_ch}, h, w) images with {model.in_ch} "
                          f"channels, got shape {images.shape}")
-    return _run_ops(model.ops, images.astype(np.float64))
-
-
-def _run_act(op: RuntimeOp, x: np.ndarray) -> np.ndarray:
-    """An ACT_Q: compares on the code sums of a folded pair, else the
-    quantizer, which runs the AFFINE that the ACT_Q reads in its pass. A
-    quantizer input that is not finite raises a ValueError naming the
-    record's byte."""
-    f, fold = op.fields, op.fields["fold"]
-    if fold is not None:
-        return _fold_act(fold, x, f["m_a"], f["codes"], np.float64, quantize_activation)
-    try:
-        return quantize_activation(x, f["m_a"], codes=f["codes"], affine=f["affine"])
-    except ValueError as e:
-        raise ValueError(f"ACT_Q record at byte {op.at}: {e}") from None
-
-
-def _run_ops(ops: list[RuntimeOp], x: np.ndarray) -> np.ndarray:
-    for op in ops:
-        code, f = op.opcode, op.fields
-        if code == OP_CONV_Q:
-            x = _run_conv(op, x)
-            if f["divisor"] is not None:  # else values, or sums a fold or block end reads
-                x = _code_divide(x, f["divisor"], np.float64)
-        elif code == OP_CONV_F:
-            x = _run_conv(op, x)
-        elif code == OP_AFFINE:
-            if not f["read"]:  # else its ACT_Q, its conv or its block's end runs it
-                x = affine(x, f["scale"], f["bias"], f["relu"])
-        elif code == OP_ACT_Q:
-            x = _run_act(op, x)
-        elif code == OP_RELU:
-            if not f["read"]:  # else its conv or its AFFINE runs it
-                x = np.maximum(x, 0.0)
-        elif code == OP_AP2:
-            x = _avg_pool2(x)
-        elif code == OP_GAP:
-            x = _global_avg_pool(x)
-        else:  # OP_RES_BEGIN
-            s, fb = _run_ops(f["s"], x), _run_ops(f["f"], x)
-            x = s + fb if f["end"] is None else _block_end(s, fb, f["end"], np.float64)
-    return x
+    return _forward(model.layers, images.astype(np.float64), Mode.EVAL, None)
 
 
 @dataclass

@@ -51,16 +51,19 @@ cross-correlated with the weight flipped in both spatial axes, its in and
 out channels swapped), and the block's weight-gradient product, the
 block's NHWC rows of the input (decoded from codes into the thread's
 scratch), transposed, times that patch matrix. The products are summed in
-block order. So no result depends on the thread count. The export runs
-`Conv2d.effective_weight` in float64; its runtime calls the same conv
-(with its epilogue), `affine`, 2x2 and global pooling kernels, so its
-activations are channels-last too.
+block order. So no result depends on the thread count.
 
-The EVAL forward computes a quantized conv that reads an activation
-quantizer's output as the runtime does. `_link` finds each ActQuant ->
-AvgPool2* -> quantized Conv2d run of a layer list, the rule the import
-applies to ACT_Q -> AP2* -> CONV_Q, and gives its layers one
-`quantizer.CodeConv`. Each of them picks its EVAL form from that alone:
+In EVAL a BN or LBN norm is the per-channel affine of its running
+statistics, which the rules below run inside its neighbours' passes. The
+rules read a layer's parameters at two points only: a conv's tap-major
+operand (`Conv2d._eval_conv`) and a norm's folded (scale, bias)
+(`NormLayer.eval_affine`). The export's import builds these same leaves,
+each of the two points given by its record, and links them by `_link` and
+`ResidualBlock`, so its runtime is this EVAL forward.
+
+`_link` finds each ActQuant -> AvgPool2* -> quantized Conv2d run of a
+layer list and gives its layers one `quantizer.CodeConv`, which the conv's
+lattice scale fixes. Each of them picks its EVAL form from that alone:
 the ActQuant emits its codes k, not k/(m_a-1), and runs the EVAL affine
 of a BN or LBN norm it reads in the same pass, that norm emitting its
 input unchanged; the pools pool the codes; and the conv multiplies them by
@@ -72,37 +75,34 @@ sums run on values.
 
 Where such a code conv feeds a BN or LBN norm and an ActQuant, the conv's
 divide, the norm's affine and the quantizer fold into m_a-1 compares per
-channel on the conv's sums, the rule the import applies to CONV_Q ->
-AFFINE -> ACT_Q on code sums (`_link`, `_folds`): float32 sums and at most
+channel on the conv's sums (`_link`, `_folds`): float32 sums and at most
 `_FOLD_MAX_THRESHOLDS` thresholds. That conv emits its sums undivided, that
 norm emits its input, and the ActQuant counts the thresholds each sum
-reaches (`_fold_act`), the runtime's ACT_Q kernel. Every step rounds
-monotonically, so the counts are bitwise the unfolded codes (`_fold`). A
-fold depends only on m_a, the conv's CodeConv, the value dtype the conv
-would divide into and the norm's `fold_normalization` (scale, bias), so
-the ActQuant keeps its fold keyed by the last two and makes it anew only
-when they change: once per norm state, not once per batch. Where the
-affine overflows on the sums there is no fold, and the ActQuant divides
-the sums itself before its quantizer pass.
+reaches (`_fold_act`). Every step rounds monotonically, so the counts are
+bitwise the unfolded codes (`_fold`). A fold depends only on m_a, the
+conv's CodeConv, the value dtype the conv would divide into and the norm's
+(scale, bias), so the ActQuant keeps its fold keyed by the last two and
+makes it anew only when they change: once per norm state, not once per
+batch. Where the affine overflows on the sums there is no fold, and the
+ActQuant divides the sums itself before its quantizer pass.
 
 A residual block whose two branches each end in a conv and a BN or LBN
-norm (every block of the preact nets but LN's) ends in one EVAL pass, the
-rule the import applies to a RES_BEGIN whose branches end in a conv and an
-AFFINE: the two convs emit their sums (code sums undivided), the two norms
-emit their input, and the block's `_block_end` writes
+norm (every block of the preact nets but LN's) ends in one EVAL pass: the
+two convs emit their sums (code sums undivided), the two norms emit their
+input, and the block's `_block_end` writes
 s_sums * a_s + f_sums * a_f + (b_s + b_f) per channel in float64, with
 a = scale / divisor for a conv on codes and a = scale for one on values,
-from the norms' `fold_normalization` constants (`_end_operands`). That one
-pass replaces two divides, two affines and their sum.
+from the norms' (scale, bias) (`_end_operands`). That one pass replaces
+two divides, two affines and their sum.
 
-A float net's BN and LBN norms cost no pass of their own in EVAL either,
-the rule the import applies to an AFFINE -> RELU? that no ACT_Q or block
-end reads (`_link`): a conv on values directly in front of such a norm
-runs the norm's `fold_normalization` affine, and the ReLU after it, on
-each block of its output on the pool thread that computed it (`_conv`'s
-epilogue), and a norm -> ReLU pair with no such conv in front (a float
-preact branch head) runs as one `affine` pass with the ReLU in it. That
-norm and that ReLU emit their input.
+Every other BN or LBN norm that no ActQuant reads costs no pass of its own
+either (`_link`): a conv on values directly in front of it runs the norm's
+affine, and the ReLU after it, on each block of its output on the pool
+thread that computed it (`_conv`'s epilogue), and a norm -> ReLU pair with
+no such conv in front (a float preact branch head) runs as one `affine`
+pass with the ReLU in it. That norm and that ReLU emit their input. A norm
+whose ActQuant is on no code chain and folds nothing runs its own
+`affine` pass.
 
 Quantized convolutions evaluate as  quantize(standardize(raw_weight)); the
 optimizer updates the raw (latent) full-precision weights.
@@ -337,8 +337,7 @@ def _decode(codes: np.ndarray, top: int, dtype, out: np.ndarray) -> np.ndarray:
 
 def _code_divide(sums: np.ndarray, divisor: float, dtype) -> np.ndarray:
     """A code conv's sums divided by its divisor in float64, a new array in
-    `dtype` and the sums' layout, split by samples over the pool's threads.
-    The trainer's EVAL conv and the runtime's CONV_Q share it."""
+    `dtype` and the sums' layout, split by samples over the pool's threads."""
     y = np.empty_like(sums, dtype)
     # float64 carries over twice float32's precision, so rounding its
     # quotient of two float32 values to float32 gives float32's own
@@ -353,12 +352,10 @@ def _code_divide(sums: np.ndarray, divisor: float, dtype) -> np.ndarray:
 
 def _end_operands(s_end, f_end):
     """The per-channel float64 (a_s, a_f, bias) of `_block_end` from the ends
-    of a residual block's two branches, each (scale, bias, divisor): the
-    float64 constants of its norm's `fold_normalization` (the export's
-    AFFINE) and the divisor of the code sums of the conv in front of it, or
-    None where that conv runs on values. a = scale / divisor, or scale;
-    bias = b_s + b_f. The trainer's EVAL block and the runtime's RES_BEGIN
-    share it."""
+    of a residual block's two branches, each (scale, bias, divisor): its
+    norm's `eval_affine` and the divisor of the code sums of the conv in
+    front of it, or None where that conv runs on values.
+    a = scale / divisor, or scale; bias = b_s + b_f."""
     a_s, a_f = (scale if divisor is None else scale / divisor
                 for scale, _, divisor in (s_end, f_end))
     return a_s, a_f, s_end[1] + f_end[1]
@@ -370,8 +367,7 @@ def _block_end(s_sums: np.ndarray, f_sums: np.ndarray, operands, dtype) -> np.nd
     float64, a new array in `dtype` and the sums' layout. It replaces each
     branch's code divide and norm affine and their sum. It runs in slices of
     samples on the pool's threads, each with a float64 scratch in the
-    output's layout. The trainer's EVAL block and the runtime's RES_BEGIN
-    share it."""
+    output's layout."""
     y = np.empty_like(s_sums, dtype)
     a_s, a_f, bias = (_tile(v, y, np.float64) for v in operands)
     parts = parallel.by_samples(y.shape[0], y.nbytes)
@@ -407,7 +403,7 @@ _FOLD_MAX_THRESHOLDS = 16
 def _folds(m_a: int, sums: CodeConv, cap: int) -> bool:
     """Whether a BN/LBN affine -> m_a-state activation quantizer pair on the
     sums of a code conv folds (`_fold`): float32 sums and at most `cap`
-    thresholds, `_FOLD_MAX_THRESHOLDS` in the trainer and the runtime."""
+    thresholds, `_FOLD_MAX_THRESHOLDS` in the EVAL forward."""
     return sums.dtype == np.float32 and m_a - 1 <= cap
 
 
@@ -454,8 +450,8 @@ _FOLD_BRACKET = 4
 def _fold(m_a: int, sums: CodeConv, scale, bias, dtype) -> _Fold | None:
     """The fold of a code conv's divide, the affine (scale, bias) and an
     m_a-state activation quantizer on the conv's float32 sums, whose
-    unfolded path divides them into `dtype` (float64 in the runtime, the
-    graph's in the trainer): or None where the affine overflows on the sums.
+    unfolded path divides them into `dtype` (the conv's values' dtype): or
+    None where the affine overflows on the sums.
 
     Each of those steps rounds monotonically, so the code is the number of
     thresholds the sum reaches: T_k[c] is the least float32 whose unfolded
@@ -510,12 +506,10 @@ def _fold(m_a: int, sums: CodeConv, scale, bias, dtype) -> _Fold | None:
 
 def _fold_act(fold: _Fold, x: np.ndarray, m_a: int, codes, dtype, count) -> np.ndarray:
     """A folded pair (`_fold`) on code sums x: the number of thresholds each
-    sum reaches, counted by `count` (`quantize_activation` given the
+    sum reaches, counted by `count` (an ActQuant's `_quantize` given the
     thresholds), m_a-1 minus it on a flipped channel. Those are the codes,
     returned in the float dtype `codes`; without one, the values k/(m_a-1)
-    in `dtype`, bitwise the quantizer's. The trainer's EVAL ActQuant and the
-    runtime's ACT_Q share it, each passing the `quantize_activation` it
-    looks up."""
+    in `dtype`, bitwise the quantizer's."""
     top = m_a - 1
     k = count(x, m_a, fold.thresholds, codes=dtype if codes is None else codes)
     if fold.flip is not None:  # top - k there, as k * -1 + top
@@ -584,12 +578,18 @@ class Conv2d(_Leaf):
         self.kernel, self.padding = kernel, kernel // 2
         self.weight_standardized = weight_standardized
         self.quant = quant
+        self.qscale = None if quant is None else quant.weight_qscale  # of its weight lattice
         fan_in = in_ch * kernel * kernel
         init = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, kernel, kernel))
         self.weight = Param(name="weight", data=init.astype(dtype), decay=True)
 
     def parameters(self):
         return [self.weight]
+
+    @property
+    def dtype(self):
+        """The dtype of the conv's values: its weight's."""
+        return self.weight.data.dtype
 
     def effective_weight(self, dtype=None):
         """The (out, c*k*k) weight raw -> WS -> quantizer, in `dtype` (the
@@ -606,37 +606,42 @@ class Conv2d(_Leaf):
         return w2d, ws_cache, q_saved
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        """The conv of x with the effective weight. In EVAL, a conv of an
-        integer-code chain (see `_link`) reads codes: it runs on them with
-        the weight lattice in the dtype of `self.codes`, exactly, and
-        divides its sums by the divisor in float64, in the weight's dtype
-        (`_code_divide`), unless it is a `block_end`, whose sums its block's
-        end pass reads, or `folded`, whose sums the ActQuant behind its norm
-        reads. In EVAL a conv on values with a `norm` runs that
-        norm's folded affine, and the ReLU after it where `relu`, on each
-        block of its output (`_conv`'s epilogue). In TRAIN a conv with a
-        `code_tape` (see `_link`) tapes its input, that ActQuant's output, as
-        the codes `_encode` makes of it."""
+        """The conv of x with the effective weight. In EVAL it runs
+        `_eval_conv`: a conv of an integer-code chain (see `_link`) reads
+        codes, runs on them exactly and divides its sums by the divisor in
+        float64, in its values' dtype (`_code_divide`), unless it is a
+        `block_end`, whose sums its block's end pass reads, or `folded`,
+        whose sums the ActQuant behind its norm reads; a conv on values with
+        a `norm` runs that norm's folded affine, and the ReLU after it where
+        `relu`, on each block of its output (`_conv`'s epilogue). In TRAIN a
+        conv with a `code_tape` (see `_link`) tapes its input, that
+        ActQuant's output, as the codes `_encode` makes of it."""
         if x.shape[1] != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {x.shape[1]}")
+        if mode is Mode.EVAL:
+            epilogue = None if self.norm is None else (*self.norm.eval_affine(), self.relu)
+            y = self._eval_conv(x, epilogue)
+            if self.codes is None or self.block_end or self.folded:
+                return y
+            return _code_divide(y, self.codes.divisor, self.dtype)
         w2d, ws_cache, q_saved = self.effective_weight()
-        if mode is Mode.EVAL and self.codes is not None:
-            q = self.quant.weight_qscale
-            lattice = weight_lattice(lattice_states(w2d, q), q)
-            w_tap = _tap_major(lattice, self.in_ch, self.kernel).astype(self.codes.dtype)
-            sums = _conv(x, w_tap, self.kernel, _im2col)
-            if self.block_end or self.folded:
-                return sums
-            return _code_divide(sums, self.codes.divisor, w2d.dtype)
-        epilogue = None
-        if mode is Mode.EVAL and self.norm is not None:
-            epilogue = (*fold_normalization(self.norm.state), self.relu)
-        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col, epilogue)
-        if mode is Mode.TRAIN:
-            decode = None if self.code_tape is None else (self.code_tape - 1, x.dtype)
-            saved = x if decode is None else _encode(x, self.code_tape)
-            self.cache = (saved, w2d, ws_cache, q_saved, decode)
+        y = _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col)
+        decode = None if self.code_tape is None else (self.code_tape - 1, x.dtype)
+        saved = x if decode is None else _encode(x, self.code_tape)
+        self.cache = (saved, w2d, ws_cache, q_saved, decode)
         return y
+
+    def _eval_conv(self, x: np.ndarray, epilogue) -> np.ndarray:
+        """The EVAL `_conv` of x, with the `epilogue`, by the conv's
+        tap-major operand: on an integer-code chain the weight lattice
+        clip(2*state, -2q, 2q) of the effective weight in the dtype of
+        `self.codes`, where every sum is exact; else the effective weight.
+        An imported conv, whose record fixes its operand, overrides it."""
+        w2d = self.effective_weight()[0]
+        if self.codes is not None:
+            q = self.qscale
+            w2d = weight_lattice(lattice_states(w2d, q), q).astype(self.codes.dtype)
+        return _conv(x, _tap_major(w2d, self.in_ch, self.kernel), self.kernel, _im2col, epilogue)
 
     def backward(self, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate the weight gradient; return the input gradient, or
@@ -653,12 +658,13 @@ class Conv2d(_Leaf):
 
 
 class NormLayer(_Leaf):
-    """Wraps a NormLayerState as a graph node. In EVAL a norm of an
-    integer-code chain (`_link`) emits its input, which its ActQuant's pass
-    normalizes; so does a `folded` norm, whose ActQuant folds it, a
-    `block_end` norm, which its block's end pass folds, and a `fused` one,
-    which the conv before it applies. A BN or LBN norm with `relu` runs the
-    ReLU after it in its EVAL affine's pass."""
+    """Wraps a NormLayerState as a graph node. A `foldable` norm (BN, LBN)
+    is in EVAL the per-channel affine `eval_affine`, which every EVAL pass
+    that runs it reads. It emits its input where another layer runs it: on
+    an integer-code chain (`_link`) its ActQuant's pass, where `folded` its
+    ActQuant's fold, where `block_end` its block's end pass, and where
+    `fused` the conv before it. Otherwise it runs the affine, with the ReLU
+    after it where `relu`, in one pass."""
 
     def __init__(self, kind: NormKind, channels: int, dtype=np.float64):
         self.state = NormLayerState.create(kind, channels, dtype=dtype)
@@ -668,12 +674,23 @@ class NormLayer(_Leaf):
     def parameters(self):
         return [self.g, self.b]
 
+    @property
+    def foldable(self) -> bool:
+        """Whether the EVAL norm is a per-channel affine: BN and LBN, not LN,
+        whose EVAL statistics are per sample."""
+        return self.state.kind is not NormKind.LN
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 (scale, bias) of the EVAL norm x * scale + bias, from
+        the running statistics (`fold_normalization`). An imported norm,
+        whose AFFINE record fixes them, overrides it."""
+        return fold_normalization(self.state)
+
     def forward(self, x, mode):
-        if mode is Mode.EVAL and (self.codes is not None or self.folded or self.block_end
-                                  or self.fused):
-            return x
-        if mode is Mode.EVAL and self.relu:
-            return affine(x, *fold_normalization(self.state), True)
+        if mode is Mode.EVAL and self.foldable:
+            if self.codes is not None or self.folded or self.block_end or self.fused:
+                return x
+            return affine(x, *self.eval_affine(), self.relu)
         y, cache = norm_forward(x, self.state, mode)
         if mode is Mode.TRAIN:
             self.cache = cache
@@ -696,10 +713,10 @@ class ActQuant(_Leaf):
 
     `folds` is the code conv directly in front of that norm whose sums it
     folds with the norm (`_link`), or None. Its EVAL fold (`_fold`) is kept
-    in `fold` with its key, the value dtype and the norm's
-    `fold_normalization` (scale, bias), which alone with the layers' fixed
-    m_a and CodeConv determine it; a forward whose key is not `np.array_equal`
-    to the kept one makes it anew."""
+    in `fold` with its key, the value dtype and the norm's `eval_affine`
+    (scale, bias), which alone with the layers' fixed m_a and CodeConv
+    determine it; a forward whose key is not `np.array_equal` to the kept
+    one makes it anew."""
 
     def __init__(self, cfg: QuantConfig):
         self.cfg = cfg
@@ -715,20 +732,20 @@ class ActQuant(_Leaf):
         that `folds` reads the conv's sums, and counts the thresholds each
         reaches (`_fold_act`); where the affine overflows on the sums, so
         that there is no fold, it divides them as the conv would and runs
-        the quantizer with the affine."""
-        if mode is Mode.EVAL and (self.codes is not None or self.folds is not None):
+        the quantizer with the affine. Every EVAL quantizer pass is
+        `_quantize`'s."""
+        if mode is Mode.EVAL:
             codes = None if self.codes is None else self.codes.dtype
             folded = self.norm is not None and (self.norm.codes is not None or self.norm.folded)
-            scale_bias = fold_normalization(self.norm.state) if folded else None
+            scale_bias = self.norm.eval_affine() if folded else None
             if self.folds is not None:
-                dtype = self.folds.weight.data.dtype  # of the unfolded conv's values
+                dtype = self.folds.dtype  # of the unfolded conv's values
                 fold = self._kept_fold(dtype, scale_bias)
                 if fold is not None:
-                    return _fold_act(fold, x, self.cfg.m_a, codes, dtype, quantize_activation)
+                    return _fold_act(fold, x, self.cfg.m_a, codes, dtype, self._quantize)
                 x = _code_divide(x, self.folds.codes.divisor, dtype)
-            return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg, codes=codes,
-                                           affine=scale_bias)
-        if mode is Mode.TRAIN and self.norm is None:
+            return self._quantize(x, self.cfg.m_a, codes=codes, affine=scale_bias)
+        if self.norm is None:
             self.cache = x  # not copied: no layer writes into its input
         return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg)
 
@@ -740,6 +757,16 @@ class ActQuant(_Leaf):
             saved, affine = t.x_hat, (t.g, t.b)
         return quantize_tensor_backward(saved, upstream, QuantKind.ACTIVATION, self.cfg,
                                         affine=affine)
+
+    def _quantize(self, x, m_a, thresholds=None, codes=None, affine=None):
+        """`quantize_activation` as the EVAL forward runs it: the count of
+        the `thresholds`, else the quantizer through
+        `quantize_tensor_forward`. An imported ACT_Q, which names its record
+        in an error, overrides it."""
+        if thresholds is not None:
+            return quantize_activation(x, m_a, thresholds, codes=codes)
+        return quantize_tensor_forward(x, QuantKind.ACTIVATION, self.cfg, codes=codes,
+                                       affine=affine)
 
     def _kept_fold(self, dtype, scale_bias) -> _Fold | None:
         """The kept fold, made anew where its key is not (dtype, scale_bias)."""
@@ -856,24 +883,21 @@ def _link(layers: list) -> None:
     of its input.
 
     Each ActQuant -> AvgPool2* -> quantized Conv2d run of `layers` becomes
-    an integer-code chain, the rule that the export's import applies to
-    ACT_Q -> AP2* -> CONV_Q: the ActQuant and the conv share its
-    `quantizer.CodeConv`, and so does the ActQuant's norm unless it is LN,
-    whose EVAL statistics are per sample, so that its EVAL affine can run in
-    the ActQuant's code pass.
+    an integer-code chain: the ActQuant and the conv share the
+    `quantizer.CodeConv` of the conv's `qscale`, and so does the ActQuant's
+    norm unless it is LN, whose EVAL statistics are per sample, so that its
+    EVAL affine can run in the ActQuant's code pass.
 
     An ActQuant whose BN or LBN norm directly follows a conv of such a
     chain folds the conv's divide and the norm's affine where `_folds`
-    holds, the rule the import applies to CONV_Q -> AFFINE -> ACT_Q on code
-    sums: the ActQuant `folds` that conv, and the conv and the norm are
+    holds: the ActQuant `folds` that conv, and the conv and the norm are
     `folded`, the conv emitting its sums and the norm its input.
 
     Each other BN or LBN norm that no ActQuant reads and that is no
     `block_end` runs its EVAL affine, with the ReLU that directly follows
-    it, in one pass, the rule the import applies to an AFFINE -> RELU?
-    that no ACT_Q or block end reads: in the blocks of a conv on values
-    directly in front of it (the conv's `norm`, `_conv`'s epilogue), else
-    in its own `affine`. That norm and that ReLU are then `fused`."""
+    it, in one pass: in the blocks of a conv on values directly in front of
+    it (the conv's `norm`, `_conv`'s epilogue), else in its own `affine`.
+    That norm and that ReLU are then `fused`."""
     for i, layer in enumerate(layers):
         if not isinstance(layer, ActQuant):
             continue
@@ -884,20 +908,18 @@ def _link(layers: list) -> None:
         j = next((j for j in range(i + 1, len(layers))
                   if not isinstance(layers[j], AvgPool2)), len(layers))
         conv = layers[j] if j < len(layers) else None
-        if isinstance(conv, Conv2d) and conv.quant is not None:
-            layer.codes = conv.codes = code_conv(conv.in_ch * conv.kernel ** 2,
-                                                 conv.quant.weight_qscale, layer.cfg.m_a,
-                                                 j - i - 1)
-            if layer.norm is not None and layer.norm.state.kind is not NormKind.LN:
+        if isinstance(conv, Conv2d) and conv.qscale is not None:
+            layer.codes = conv.codes = code_conv(conv.in_ch * conv.kernel ** 2, conv.qscale,
+                                                 layer.cfg.m_a, j - i - 1)
+            if layer.norm is not None and layer.norm.foldable:
                 layer.norm.codes = layer.codes
         feed = layers[i - 2] if i > 1 and layer.norm is not None else None
-        if isinstance(feed, Conv2d) and feed.codes is not None \
-                and layer.norm.state.kind is not NormKind.LN \
+        if isinstance(feed, Conv2d) and feed.codes is not None and layer.norm.foldable \
                 and _folds(layer.cfg.m_a, feed.codes, _FOLD_MAX_THRESHOLDS):
             layer.folds, feed.folded, layer.norm.folded = feed, True, True
     for i, norm in enumerate(layers):
         after = layers[i + 1] if i + 1 < len(layers) else None
-        if not isinstance(norm, NormLayer) or norm.state.kind is NormKind.LN \
+        if not isinstance(norm, NormLayer) or not norm.foldable \
                 or norm.block_end or isinstance(after, ActQuant):
             continue
         relu = isinstance(after, ReLU)
@@ -913,14 +935,14 @@ def _link(layers: list) -> None:
 def _folds_end(branch: list) -> bool:
     """Whether a residual branch ends in a conv and a BN or LBN norm."""
     return len(branch) > 1 and isinstance(branch[-2], Conv2d) and \
-        isinstance(branch[-1], NormLayer) and branch[-1].state.kind is not NormKind.LN
+        isinstance(branch[-1], NormLayer) and branch[-1].foldable
 
 
 def _branch_end(branch: list):
     """The (scale, bias, divisor) of `_end_operands` of a branch that
     `_folds_end`."""
     conv, norm = branch[-2:]
-    return (*fold_normalization(norm.state), None if conv.codes is None else conv.codes.divisor)
+    return (*norm.eval_affine(), None if conv.codes is None else conv.codes.divisor)
 
 
 class ResidualBlock:
@@ -948,7 +970,7 @@ class ResidualBlock:
         dtype of x and the two convs' weights."""
         if mode is Mode.EVAL and self.folds_end:
             ends = (self.s_branch, self.f_branch)
-            dtype = np.result_type(x.dtype, *(b[-2].weight.data.dtype for b in ends))
+            dtype = np.result_type(x.dtype, *(b[-2].dtype for b in ends))
             return _block_end(s, f, _end_operands(*map(_branch_end, ends)), dtype)
         return s + f
 
@@ -997,8 +1019,7 @@ class ModelGraph:
     def forward(self, x: np.ndarray, mode: Mode = Mode.TRAIN, visit=None) -> np.ndarray:
         """The (n, num_classes) logits; `visit` sees each leaf's output. An
         EVAL forward runs each integer-code chain on codes (see `_link`), so
-        its code-reading convs compute what the export's runtime computes,
-        and its logits differ from a walk on values by float rounding
+        its logits differ from a walk on values by float rounding
         alone. An EVAL forward first drops the tape of a TRAIN forward that
         had no backward, which no backward may read after it."""
         self._forward_done = False

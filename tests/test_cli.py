@@ -9,9 +9,9 @@ import pytest
 
 from maqd import cli, training
 from maqd.cli import CheckpointError, RunConfig, UsageError, main, parse_config
-from maqd.export import OP_ACT_Q, export, import_model
-from maqd.network import (ARCHITECTURES, Conv2d, GlobalAvgPool, ModelGraph, NormLayer,
-                          build_model)
+from maqd.export import export, import_model
+from maqd.network import (ARCHITECTURES, ActQuant, Conv2d, GlobalAvgPool, ModelGraph,
+                          NormLayer, _walk, build_model)
 from maqd.normalization import Mode, NormKind
 from maqd.training import OptimState, combined_loss, sgd_momentum_step
 from test_datasets import DAMAGE, write_damaged, write_idx_images, write_idx_labels
@@ -421,6 +421,7 @@ class TestCheckpoint:
         assert "error: the checkpoint's class_count is 3, the data's 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("run,message", [
+        ({"conv_count": 2}, "the checkpoint's conv 2 is CONV_Q, the model's (none)"),
         ({"architecture": "preact-mini", "norm": "ln"},
          "the checkpoint's architecture is preact-mini, the model's vgg-mini"),
         ({"m_a": 4}, "the checkpoint's quantizer is (m_w 15, m_a 4, qscale_mode half_mw, "
@@ -430,12 +431,21 @@ class TestCheckpoint:
         ({"quantize_head": False}, "the checkpoint's conv 6 is CONV_F, the model's CONV_Q"),
         ({"norm": "ln"}, "the checkpoint's norm is ln, the model's a folded bn or lbn: "
                          "LN recomputes statistics per sample and cannot be folded")],
-        ids=["architecture", "quantizer", "float", "head", "ln"])
+        ids=["conv-count", "architecture", "quantizer", "float", "head", "ln"])
     def test_infer_with_a_checkpoint_of_another_network_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch, run, message):
-        # a vgg-mini LBN model; refused before the runtime runs a batch
+        # a vgg-mini LBN model, or ("conv_count") a 2-conv stream named
+        # vgg-mini against a vgg-mini checkpoint; refused before the runtime
+        # runs a batch
         path = tmp_path / "m.maqd"
-        export(write_checkpoint(tmp_path / "model.npz"), path)
+        model = write_checkpoint(tmp_path / "model.npz")
+        run = dict(run)
+        if run.pop("conv_count", None):
+            rng, q = np.random.default_rng(0), model.quant
+            model = ModelGraph([Conv2d(1, 16, 3, rng=rng, quant=q), NormLayer(NormKind.LBN, 16),
+                                ActQuant(q), Conv2d(16, 4, 1, rng=rng, quant=q),
+                                GlobalAvgPool()], "vgg-mini", 4, q, NormKind.LBN)
+        export(model, path)
         write_checkpoint(tmp_path / "checkpoint.npz", **run)
         batches = []
         monkeypatch.setattr(cli.export_mod, "runtime_infer", lambda *a: batches.append(a))
@@ -459,7 +469,7 @@ class TestCheckpoint:
                                                               monkeypatch):
         path = tmp_path / "m.maqd"
         export(write_checkpoint(tmp_path / "checkpoint.npz"), path)
-        at = next(op.at for op in import_model(path).ops if op.opcode == OP_ACT_Q)
+        at = next(l.at for l in _walk(import_model(path).layers) if isinstance(l, ActQuant))
         load = cli._load_dataset
 
         def with_a_nan(cfg):

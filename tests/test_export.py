@@ -1,3 +1,4 @@
+import copy
 import gc
 import re
 import struct
@@ -17,11 +18,12 @@ from maqd.export import (FORMAT_VERSION, MAGIC, OP_ACT_Q, OP_AFFINE, OP_AP2,
                          fold_normalization, import_model, parity_check,
                          runtime_infer, weight_states)
 from maqd.network import (ActQuant, AvgPool2, Conv2d, GlobalAvgPool,
-                          ModelGraph, NormLayer, ResidualBlock, _tap_major,
-                          build_model)
+                          ModelGraph, NormLayer, ReLU, ResidualBlock, _forward,
+                          _tap_major, _walk, build_model)
 from maqd.normalization import Mode, NormKind, NormLayerState, \
     norm_forward, weight_standardize
-from maqd.quantizer import QScaleMode, QuantConfig, quantize_weight, round_half_away
+from maqd.quantizer import (QScaleMode, QuantConfig, quantize_weight, round_half_away,
+                            weight_lattice)
 from maqd.training import compute_r_w
 
 CFG = QuantConfig(m_w=15, m_a=8)
@@ -74,6 +76,35 @@ def write_stream(tmp_path, records, class_count=2):
     path = tmp_path / "s.maqd"
     path.write_bytes(blob)
     return path, offsets
+
+
+def _convs(layers):
+    """The convs of linked leaves, in `ModelGraph.conv_layers` order."""
+    return [l for l in _walk(layers) if isinstance(l, Conv2d)]
+
+
+def _operand(conv):
+    """The tap-major EVAL operand of a trainer's quantized conv, as an
+    imported conv holds it: its weight lattice in the CodeConv's dtype on
+    codes, else its decoded states."""
+    states, q = weight_states(conv)
+    w = np.clip(states / q, -1.0, 1.0) if conv.codes is None else \
+        weight_lattice(states, q).astype(conv.codes.dtype)
+    return _tap_major(w, conv.in_ch, conv.kernel)
+
+
+def _opcode(layer):
+    """The opcode of the record an imported leaf or block was built from."""
+    if isinstance(layer, Conv2d):
+        return OP_CONV_F if layer.qscale is None else OP_CONV_Q
+    return next(op for cls, op in ((NormLayer, OP_AFFINE), (ActQuant, OP_ACT_Q), (ReLU, OP_RELU),
+                                   (AvgPool2, OP_AP2), (GlobalAvgPool, OP_GAP),
+                                   (ResidualBlock, OP_RES_BEGIN)) if isinstance(layer, cls))
+
+
+def _fold_of(act):
+    """The fold an ActQuant keeps, or None."""
+    return None if act.fold is None else act.fold[3]
 
 
 class TestFoldNormalization:
@@ -137,7 +168,8 @@ class TestWeightStates:
         decoded = np.clip(states.astype(np.float64) / q, -1, 1)
         np.testing.assert_array_equal(decoded,
                                       quantize_weight(conv.weight.data.reshape(4, 1), CFG))
-        np.testing.assert_array_equal(model.ops[0].fields["states"], states)
+        np.testing.assert_array_equal(model.layers[0].w,
+                                      _tap_major(np.clip(states / q, -1, 1), 1, 1))
         images = np.random.default_rng(7).normal(size=(5, 1, 3, 3))
         report = parity_check(graph, model, images, batch_size=5)
         assert report.max_abs_logit_diff < 1e-9 and report.argmax_agreement == 1.0
@@ -176,9 +208,9 @@ class TestWeightStates:
         conv = Conv2d(2, 3, 3, rng=np.random.default_rng(9), quant=None, dtype=np.float32)
         export(ModelGraph([conv, GlobalAvgPool()], "float", 3, None, NormKind.LBN),
                tmp_path / "f.maqd")
-        (op, _) = import_model(tmp_path / "f.maqd").ops
+        (leaf, _) = import_model(tmp_path / "f.maqd").layers
         np.testing.assert_array_equal(
-            op.fields["w"], _tap_major(conv.effective_weight(np.float64)[0], 2, 3))
+            leaf.w, _tap_major(conv.effective_weight(np.float64)[0], 2, 3))
 
 
 class TestSharedKernels:
@@ -186,7 +218,8 @@ class TestSharedKernels:
     def test_runtime_affine_and_gap_are_the_trainer_kernels(self, tmp_path, monkeypatch,
                                                             kind):
         # the runtime returns only logits, so each kernel's output is read off
-        # a spy, as test_avgpool_forward_matches_reshape_mean reads AP2's
+        # a spy on the trainer's kernel, as
+        # test_avgpool_forward_matches_reshape_mean reads AP2's
         rng = np.random.default_rng(12)
         norm = NormLayer(kind, 3)
         st = norm.state
@@ -198,7 +231,7 @@ class TestSharedKernels:
         seen = {}
 
         def spy(name):
-            kernel = getattr(export_mod, name)
+            kernel = getattr(network_mod, name)
 
             def call(*args):
                 seen[name] = kernel(*args)
@@ -206,9 +239,10 @@ class TestSharedKernels:
             return call
 
         for name in ("affine", "_global_avg_pool"):
-            monkeypatch.setattr(export_mod, name, spy(name))
+            monkeypatch.setattr(network_mod, name, spy(name))
         x = rng.normal(size=(4, 3, 6, 6))
         logits = runtime_infer(import_model(tmp_path / "k.maqd"), x)
+        monkeypatch.undo()
         y = norm.forward(x, Mode.EVAL)
         np.testing.assert_array_equal(seen["affine"], y)
         np.testing.assert_array_equal(seen["_global_avg_pool"],
@@ -233,16 +267,17 @@ class TestRoundTrip:
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        convs = [op for op in model.ops if op.opcode == OP_CONV_Q]
+        convs = [l for l in _convs(model.layers) if _opcode(l) == OP_CONV_Q]
         assert len(convs) == 2
-        for op, conv in zip(convs, graph.conv_layers()):
-            states, q = weight_states(conv)
-            np.testing.assert_array_equal(op.fields["states"], states)
-            assert op.fields["qscale"] == q
-        (affine,) = [op for op in model.ops if op.opcode == OP_AFFINE]
+        for leaf, conv in zip(convs, graph.conv_layers()):
+            # the states, decoded on values (the image conv), the lattice on codes
+            np.testing.assert_array_equal(leaf.w, _operand(conv))
+            assert leaf.w.dtype == (np.float64 if conv.codes is None else conv.codes.dtype)
+            assert leaf.qscale == weight_states(conv)[1]
+        (affine,) = [l for l in model.layers if isinstance(l, NormLayer)]
         scale, bias = fold_normalization(graph.layers[1].state)
-        np.testing.assert_array_equal(affine.fields["scale"], scale)
-        np.testing.assert_array_equal(affine.fields["bias"], bias)
+        np.testing.assert_array_equal(affine.eval_affine()[0], scale)
+        np.testing.assert_array_equal(affine.eval_affine()[1], bias)
 
     def test_export_is_deterministic(self, tmp_path):
         graph = tiny_graph()
@@ -252,15 +287,23 @@ class TestRoundTrip:
         assert (tmp_path / "a.maqd").read_bytes() == (tmp_path / "b.maqd").read_bytes()
 
     def test_import_leaves_no_reference_cycle(self, residual_file):
-        """A dropped model frees its ops, and with them its weights, at once:
-        no cycle waits for the garbage collector."""
+        """A dropped model frees its leaves and blocks, and with them its
+        weights, at once: no cycle waits for the garbage collector, and no
+        leaf points back at its block, its layer list or its model."""
         gc.disable()
         try:
             model = import_model(residual_file[0] / "m.maqd")
-            res = next(op for op in model.ops if op.opcode == OP_RES_BEGIN)
-            ops = [weakref.ref(op) for op in (*model.ops, *res.fields["s"], *res.fields["f"])]
-            del model, res
-            assert all(op() is None for op in ops)
+            runtime_infer(model, np.ones((2, 1, 8, 8)))  # whatever a forward keeps
+            blocks = [l for l in model.layers if isinstance(l, ResidualBlock)]
+            leaves = list(_walk(model.layers))
+            assert len(blocks) == 1 and len(leaves) == 14
+            holders = {id(model), id(model.layers)} | {
+                id(o) for b in blocks for o in (b, b.s_branch, b.f_branch)}
+            for leaf in leaves:
+                assert not _reachable(leaf) & holders, type(leaf).__name__
+            refs = [weakref.ref(o) for o in (*blocks, *leaves)]
+            del model, blocks, leaves, leaf
+            assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
 
@@ -481,15 +524,33 @@ class TestStreamDefects:
             conv_f(1, 2), rec(OP_RES_END), rec(OP_GAP)])
         model = import_model(path)
         assert model.in_ch == 1
-        assert [op.opcode for op in model.ops] == [OP_RES_BEGIN, OP_GAP]
-        s_ops, f_ops = model.ops[0].fields["s"], model.ops[0].fields["f"]
-        assert [op.opcode for op in s_ops] == [OP_CONV_F, OP_AP2]
-        assert [op.opcode for op in f_ops] == [OP_AP2, OP_CONV_F]
+        assert [_opcode(l) for l in model.layers] == [OP_RES_BEGIN, OP_GAP]
+        s_ops, f_ops = model.layers[0].s_branch, model.layers[0].f_branch
+        assert [_opcode(l) for l in s_ops] == [OP_CONV_F, OP_AP2]
+        assert [_opcode(l) for l in f_ops] == [OP_AP2, OP_CONV_F]
         logits = runtime_infer(model, np.ones((2, 1, 6, 6)))
         # the padded 3x3 conv of ones sums the window's in-bounds taps: 2 or
         # 3 per axis, so its 6x6 map averages (16/6)**2 = 64/9, which the
         # pools keep; plus the pooled 1x1 conv, 1.0 everywhere
         np.testing.assert_allclose(logits, np.full((2, 2), 64 / 9 + 1.0), rtol=1e-15)
+
+
+def _reachable(obj) -> set:
+    """The ids of the objects obj reaches through instance attributes,
+    lists, tuples and dicts."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, (list, tuple)):
+            todo += o
+        elif isinstance(o, dict):
+            todo += o.values()
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            todo += vars(o).values()
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -604,37 +665,38 @@ class TestRuntimeParity:
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        on_sums = {id(act) for *_, act in _code_sum_pairs(model.ops)}
-        acts = [act for _, act in _act_ops(model.ops)]
+        on_sums = {id(act) for *_, act in _code_sum_pairs(model.layers)}
+        acts = [act for _, act in _act_ops(model.layers)]
         assert (len(on_sums), len(acts)) == {"vgg-mini": (5, 6), "preact-mini": (3, 9)}[arch]
-        assert [act.fields["fold"] is not None for act in acts] == \
+        assert [_fold_of(act) is not None for act in acts] == \
             [id(act) in on_sums for act in acts]
         unread, value_convs = [], []
-        for ops in _spans(model.ops):
+        sources = dict(zip(map(id, _convs(model.layers)), graph.conv_layers()))
+        for ops in _spans(model.layers):
             for i, op in enumerate(ops):
-                if op.opcode == OP_AFFINE and not (i + 1 < len(ops)
-                                                   and ops[i + 1].opcode == OP_ACT_Q):
+                if isinstance(op, NormLayer) and not (i + 1 < len(ops)
+                                                      and isinstance(ops[i + 1], ActQuant)):
                     unread.append(op)
-                if op.opcode == OP_CONV_Q and not _reads_codes(ops, i):
+                if _opcode(op) == OP_CONV_Q and not _reads_codes(ops, i):
                     value_convs.append(op)
         # preact-mini: the AFFINE that ends each branch, which its block's end reads
         assert len(unread) == {"vgg-mini": 0, "preact-mini": 6}[arch]
         # a CONV_Q on values runs on the trainer's float64 weights and divides nothing
         assert len(value_convs) == 1
         for op in value_convs:
-            f = op.fields
-            assert f["divisor"] is None
-            decoded = np.clip(f["states"] / f["qscale"], -1.0, 1.0)
-            np.testing.assert_array_equal(f["w"], _tap_major(decoded, f["in_ch"], f["kernel"]))
+            assert op.codes is None
+            states, q = weight_states(sources[id(op)])
+            decoded = np.clip(states / q, -1.0, 1.0)
+            np.testing.assert_array_equal(op.w, _tap_major(decoded, op.in_ch, op.kernel))
         # the runtime's `affine` runs none: an ACT_Q or a block's end reads each
         seen = []
-        real = export_mod.affine
-        monkeypatch.setattr(export_mod, "affine",
-                            lambda x, scale, bias: seen.append(id(scale)) or real(x, scale, bias))
+        real = network_mod.affine
+        monkeypatch.setattr(network_mod, "affine", lambda x, scale, bias, relu=False: seen.append(
+            id(scale)) or real(x, scale, bias, relu))
         images = np.random.default_rng(13).normal(size=(3, 1, 8, 8))
-        np.testing.assert_array_equal(runtime_infer(model, images),
-                                      graph.forward(images, Mode.EVAL))
+        logits = runtime_infer(model, images)
         assert seen == []
+        np.testing.assert_array_equal(logits, graph.forward(images, Mode.EVAL))
 
     @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
     @pytest.mark.parametrize("cfg", [CFG, QuantConfig(s=3.0), None],
@@ -650,13 +712,15 @@ class TestRuntimeParity:
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        blocks = [op for ops in _spans(model.ops) for op in ops if op.opcode == OP_RES_BEGIN]
-        assert len(blocks) == 3 and all(op.fields["end"] is not None for op in blocks)
-        branch_ends = {id(op.fields[b][-1].fields["scale"]) for op in blocks for b in "sf"}
+        blocks = [op for ops in _spans(model.layers) for op in ops
+                  if isinstance(op, ResidualBlock)]
+        assert len(blocks) == 3 and all(op.folds_end for op in blocks)
+        branch_ends = {id(b[-1].eval_affine()[0]) for op in blocks
+                       for b in (op.s_branch, op.f_branch)}
         calls = {"affine": [], "_code_divide": [], "_block_end": []}
         for name, seen in calls.items():
-            monkeypatch.setattr(export_mod, name, lambda *a, seen=seen, real=getattr(
-                export_mod, name): seen.append(id(a[1])) or real(*a))
+            monkeypatch.setattr(network_mod, name, lambda *a, seen=seen, real=getattr(
+                network_mod, name): seen.append(id(a[1])) or real(*a))
         images = np.random.default_rng(15).normal(size=(5, 1, 8, 8))
         logits = runtime_infer(model, images)
         assert len(calls["_block_end"]) == 3 and calls["_code_divide"] == []
@@ -680,35 +744,51 @@ class TestRuntimeParity:
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        spans = list(_spans(model.ops))
-        epilogues = [op for ops in spans for op in ops if op.opcode == OP_CONV_F
-                     and op.fields["epilogue"] is not None]
-        heads = [op for ops in spans for op in ops if op.opcode == OP_AFFINE
-                 and not op.fields["read"]]
+        leaves = list(_walk(model.layers))
+        epilogues = [op for op in leaves if _opcode(op) == OP_CONV_F and op.norm is not None]
+        heads = [op for op in leaves if isinstance(op, NormLayer)
+                 and not (op.fused or op.block_end)]
         assert (len(epilogues), len(heads)) == {"cnn9-mini": (8, 0), "preact-mini": (3, 6)}[arch]
-        assert all(op.fields["relu"] for op in heads)
-        assert all(op.fields["read"] for ops in spans for op in ops if op.opcode == OP_RELU)
+        assert all(op.relu for op in heads)
+        assert all(op.fused for op in leaves if isinstance(op, ReLU))
         images = np.random.default_rng(18).normal(size=(5, 1, 8, 8))
         calls = []
-        real = export_mod.affine
-        monkeypatch.setattr(export_mod, "affine", lambda *a: calls.append(a) or real(*a))
+        real = network_mod.affine
+        monkeypatch.setattr(network_mod, "affine", lambda *a: calls.append(a) or real(*a))
 
         class NoMaximum:  # the module's numpy, whose maximum a RELU pass would call
             def __getattr__(self, name):
                 assert name != "maximum", "a RELU ran a pass of its own"
                 return getattr(np, name)
 
-        monkeypatch.setattr(export_mod, "np", NoMaximum())
+        monkeypatch.setattr(network_mod, "np", NoMaximum())
         logits = runtime_infer(model, images)
         monkeypatch.undo()
         assert len(calls) == len(heads)
-        monkeypatch.setattr(export_mod, "_fuse", lambda ops: None)
-        np.testing.assert_array_equal(logits, runtime_infer(import_model(path), images))
+        np.testing.assert_array_equal(logits, runtime_infer(_unfused(model), images))
         trainer = graph.forward(images.astype(dtype), Mode.EVAL)
         if dtype == np.float64:
             np.testing.assert_array_equal(logits, trainer)
         else:
             assert (np.argmax(logits, axis=1) == np.argmax(trainer, axis=1)).all()
+
+    @pytest.mark.parametrize("arch", ["vgg-mini", "preact-mini", "cnn9-mini"])
+    @pytest.mark.parametrize("kind", [NormKind.BN, NormKind.LBN])
+    @pytest.mark.parametrize("cfg", [CFG, QuantConfig(s=3.0)], ids=["default", "live"])
+    def test_float_head(self, tmp_path, arch, kind, cfg):
+        # a float head conv: the last BN/LBN -> ActQuant pair of the plain
+        # stacks is on no integer-code chain
+        graph = build_model(arch, 4, quant=cfg, norm_kind=kind, quantize_head=False,
+                            in_channels=1, input_hw=8, seed=19)
+        warm_up(graph, hw=8)
+        _spread_affines(graph, seed=19)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        assert _opcode(_convs(model.layers)[-1]) == OP_CONV_F
+        images = np.random.default_rng(20).normal(size=(6, 1, 8, 8))
+        np.testing.assert_array_equal(runtime_infer(model, images),
+                                      graph.forward(images, Mode.EVAL))
 
     @pytest.mark.parametrize("codes,bad", [
         ([OP_RES_BEGIN], 0), ([OP_RES_BEGIN, OP_RES_SEP], 0), ([OP_RES_BEGIN, OP_RES_END], 0),
@@ -735,6 +815,66 @@ class TestRuntimeParity:
         export(graph, tmp_path / "m.maqd")
         with pytest.raises(ValueError, match="no images"):
             parity_check(graph, import_model(tmp_path / "m.maqd"), np.zeros((0, 1, 8, 8)))
+
+
+# The exports of the parity tests: each arch, BN and LBN, at the default,
+# a live and no quantizer, and with a float head at the first two
+LINKED = [(arch, kind, cfg, head) for arch in ("vgg-mini", "preact-mini", "cnn9-mini")
+          for kind in (NormKind.BN, NormKind.LBN)
+          for cfg, head in ((CFG, True), (QuantConfig(s=3.0), True), (None, True),
+                            (CFG, False), (QuantConfig(s=3.0), False))]
+
+
+class TestImportLinks:
+    @pytest.mark.parametrize("arch,kind,cfg,head", LINKED, ids=[
+        f"{a}-{k.value}-{'float' if c is None else f's{c.s:.2f}'}{'' if h else '-float-head'}"
+        for a, k, c, h in LINKED])
+    def test_imported_leaves_link_as_the_trainer_s(self, tmp_path, arch, kind, cfg, head):
+        # the import builds the trainer's leaves from the records and links
+        # them by `network._link` and `ResidualBlock`, so every EVAL rule
+        # places each leaf as it places the source graph's
+        graph = build_model(arch, 4, quant=cfg, norm_kind=kind, quantize_head=head,
+                            in_channels=1, input_hw=8, seed=21)
+        warm_up(graph, hw=8)
+        path = tmp_path / "m.maqd"
+        export(graph, path)
+        model = import_model(path)
+        leaves, sources = list(_walk(model.layers)), graph.all_layers()
+        assert len(leaves) == len(sources)
+        assert [[b.folds_end for span in _spans(layers) for b in span
+                 if isinstance(b, ResidualBlock)] for layers in (model.layers, graph.layers)
+                ] == [[True] * 3 if arch == "preact-mini" else []] * 2
+        for leaf, source in zip(leaves, sources):
+            assert isinstance(leaf, type(source))
+            codes = [None if l.codes is None else (l.codes.dtype, l.codes.divisor)
+                     for l in (leaf, source)]
+            assert codes[0] == codes[1]
+            for name in ("folded", "block_end", "fused", "relu"):
+                assert getattr(leaf, name) == getattr(source, name), name
+            for name in ("folds", "norm"):
+                assert (getattr(leaf, name, None) is None) == \
+                    (getattr(source, name, None) is None), name
+
+    def test_a_conv_q_keeps_its_record_s_lattice_scale(self, tmp_path):
+        # 2 * qscale = 80001 is a valid lattice, but no QuantConfig has it
+        # (m_w is at most 65533): the conv's own qscale sets its CodeConv
+        with pytest.raises(ValueError, match="m_w must be"):
+            QuantConfig(m_w=80001)
+        qscale, m_a = 40000.5, 8
+        states = np.array([[-32768, 32767, 12345], [7, -3, 0]])  # int16 ends
+        record = rec(OP_CONV_Q, struct.pack("<HHBBd", 2, 3, 1, 1, qscale)
+                     + states.astype("<i2").tobytes())
+        path, _ = write_stream(tmp_path, [rec(OP_ACT_Q, struct.pack("<H", m_a)), record,
+                                          rec(OP_GAP)])
+        model = import_model(path)
+        act, conv, _ = model.layers
+        assert conv.qscale == qscale and conv.codes is act.codes
+        assert conv.codes.divisor == (m_a - 1) * 2 * qscale
+        codes = np.random.default_rng(22).integers(0, m_a, size=(2, 3, 4, 4))
+        logits = runtime_infer(model, codes / (m_a - 1))
+        sums = _int_conv(codes, states, qscale, 1)
+        np.testing.assert_array_equal(
+            logits, np.mean(sums / conv.codes.divisor, axis=(2, 3)))
 
 
 class TestRuntimeShapeErrors:
@@ -799,16 +939,17 @@ def _int_conv(codes, states, qscale, kernel):
 
 class TestIntegerCodeRuntime:
     def _run(self, tmp_path, monkeypatch, graph, codes, m_a):
-        """The imported CONV_Q op and the (input, output) of its _run_conv
-        call inside runtime_infer, after checking parity on `codes`."""
+        """The exported conv's (states, qscale) and the (input, output) of
+        the imported conv's _run_conv call inside runtime_infer, after
+        checking parity on `codes`."""
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
         seen = []
         real = export_mod._run_conv
 
-        def spy(op, x):
-            y = real(op, x)
+        def spy(conv, x, epilogue=None):
+            y = real(conv, x, epilogue)
             seen.append((x, y))
             return y
 
@@ -818,18 +959,17 @@ class TestIntegerCodeRuntime:
         report = parity_check(graph, model, images)
         assert report.max_abs_logit_diff < 1e-9
         assert report.argmax_agreement == 1.0
-        (op,) = [op for op in model.ops if op.opcode == OP_CONV_Q]
-        return op, seen[0]
+        assert [_opcode(l) for l in _convs(model.layers)] == [OP_CONV_Q]
+        return weight_states(graph.conv_layers()[0]), seen[0]
 
     @pytest.mark.parametrize("kernel,pooled", [(1, False), (1, True), (3, False), (3, True)])
     def test_codes_conv_is_the_int64_lattice_conv(self, tmp_path, monkeypatch, kernel,
                                                    pooled):
         codes = np.random.default_rng(30).integers(0, CFG.m_a, size=(2, 5, 8, 8))
         graph = _quantized_stack(CFG, 5, 4, kernel, pooled, seed=31)
-        op, (x, y) = self._run(tmp_path, monkeypatch, graph, codes, CFG.m_a)
-        assert np.any(np.abs(op.fields["states"]) > CFG.weight_qscale)  # clipped states
-        ref = _int_conv(_sum_pool(codes) if pooled else codes, op.fields["states"],
-                        op.fields["qscale"], kernel)
+        (states, qscale), (x, y) = self._run(tmp_path, monkeypatch, graph, codes, CFG.m_a)
+        assert np.any(np.abs(states) > CFG.weight_qscale)  # clipped states
+        ref = _int_conv(_sum_pool(codes) if pooled else codes, states, qscale, kernel)
         assert x.dtype == y.dtype == np.float32
         np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(np.float32))
 
@@ -838,7 +978,7 @@ class TestIntegerCodeRuntime:
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        assert export_mod._code_divide is network_mod._code_divide
+        assert type(_convs(model.layers)[0]).forward is Conv2d.forward
         seen = []
         real = network_mod._code_divide
 
@@ -847,7 +987,6 @@ class TestIntegerCodeRuntime:
             return real(sums, divisor, dtype)
 
         monkeypatch.setattr(network_mod, "_code_divide", spy)
-        monkeypatch.setattr(export_mod, "_code_divide", spy)
         images = np.random.default_rng(38).integers(0, CFG.m_a, size=(2, 5, 6, 6)) / (CFG.m_a - 1)
         graph.forward(images, Mode.EVAL)
         assert len(seen) == 1  # the trainer's conv
@@ -867,9 +1006,8 @@ class TestIntegerCodeRuntime:
         codes = np.random.default_rng(32).integers(0, cfg.m_a, size=(2, in_ch, 6, 6))
         codes[0] = cfg.m_a - 1  # one sample at the largest codes
         graph = _quantized_stack(cfg, in_ch, 3, kernel, pooled, seed=33)
-        op, (x, y) = self._run(tmp_path, monkeypatch, graph, codes, cfg.m_a)
-        ref = _int_conv(_sum_pool(codes) if pooled else codes, op.fields["states"],
-                        op.fields["qscale"], kernel)
+        (states, qscale), (x, y) = self._run(tmp_path, monkeypatch, graph, codes, cfg.m_a)
+        ref = _int_conv(_sum_pool(codes) if pooled else codes, states, qscale, kernel)
         assert x.dtype == y.dtype == dtype
         np.testing.assert_array_equal(y * (4 if pooled else 1), ref.astype(dtype))
 
@@ -891,51 +1029,64 @@ def _unfolded(monkeypatch, path):
     """The model at path imported with no AFFINE -> ACT_Q pair folded: the
     divide, affine and quantizer arithmetic the fold must reproduce."""
     with monkeypatch.context() as m:
-        m.setattr(export_mod, "_FOLD_MAX_THRESHOLDS", 0)
+        m.setattr(network_mod, "_FOLD_MAX_THRESHOLDS", 0)
         return import_model(path)
 
 
-def _act_ops(ops):
-    """Every bound ACT_Q op with the op before it in its span (or None), in
-    order, residual branches included."""
+def _unfused(model):
+    """A copy of an imported model whose norms and ReLUs each run a pass of
+    their own."""
+    twin = copy.deepcopy(model)
+    for leaf in _walk(twin.layers):
+        leaf.fused = leaf.relu = False
+        if isinstance(leaf, Conv2d):
+            leaf.norm = None
+    return twin
+
+
+def _act_ops(layers):
+    """Every imported ActQuant with the layer before it in its span (or
+    None), in order, residual branches included."""
     prev = None
-    for op in ops:
-        if op.opcode == OP_ACT_Q:
+    for op in layers:
+        if isinstance(op, ActQuant):
             yield prev, op
-        if op.opcode == OP_RES_BEGIN:
-            yield from _act_ops(op.fields["s"])
-            yield from _act_ops(op.fields["f"])
+        if isinstance(op, ResidualBlock):
+            yield from _act_ops(op.s_branch)
+            yield from _act_ops(op.f_branch)
         prev = op
 
 
 def _reads_codes(ops, i):
-    """Whether the op i of a span reads an ACT_Q's codes through AP2s only."""
+    """Whether the layer i of a span reads an ActQuant's codes through
+    AvgPool2s only."""
     j = i - 1
-    while j >= 0 and ops[j].opcode == OP_AP2:
+    while j >= 0 and isinstance(ops[j], AvgPool2):
         j -= 1
-    return j >= 0 and ops[j].opcode == OP_ACT_Q
+    return j >= 0 and isinstance(ops[j], ActQuant)
 
 
-def _code_sum_pairs(ops):
-    """(CONV_Q, AFFINE, ACT_Q) of each bound ACT_Q that reads an AFFINE that
-    reads the sums of a CONV_Q that reads codes, in order, residual
-    branches included."""
-    for i, op in enumerate(ops):
-        if op.opcode == OP_ACT_Q and i >= 2 and ops[i - 1].opcode == OP_AFFINE \
-                and ops[i - 2].opcode == OP_CONV_Q and _reads_codes(ops, i - 2):
-            yield ops[i - 2], ops[i - 1], op
-        if op.opcode == OP_RES_BEGIN:
-            yield from _code_sum_pairs(op.fields["s"])
-            yield from _code_sum_pairs(op.fields["f"])
+def _code_sum_pairs(layers):
+    """(conv, norm, ActQuant) of each imported ActQuant that reads a norm
+    that reads the sums of a CONV_Q conv that reads codes, in order,
+    residual branches included."""
+    for i, op in enumerate(layers):
+        if isinstance(op, ActQuant) and i >= 2 and isinstance(layers[i - 1], NormLayer) \
+                and _opcode(layers[i - 2]) == OP_CONV_Q and _reads_codes(layers, i - 2):
+            yield layers[i - 2], layers[i - 1], op
+        if isinstance(op, ResidualBlock):
+            yield from _code_sum_pairs(op.s_branch)
+            yield from _code_sum_pairs(op.f_branch)
 
 
-def _spans(ops):
-    """Each span of bound ops: the top level, then every residual branch."""
-    yield ops
-    for op in ops:
-        if op.opcode == OP_RES_BEGIN:
-            yield from _spans(op.fields["s"])
-            yield from _spans(op.fields["f"])
+def _spans(layers):
+    """Each span of imported layers: the top level, then every residual
+    branch."""
+    yield layers
+    for op in layers:
+        if isinstance(op, ResidualBlock):
+            yield from _spans(op.s_branch)
+            yield from _spans(op.f_branch)
 
 
 def _spread_affines(graph, seed):
@@ -973,7 +1124,7 @@ class TestThresholdFold:
         # sums, after a pool in front of its downsampling blocks. Only the
         # pairs on code sums fold. The default s leaves almost every weight
         # at state 0; s = 3 moves most off it
-        top = export_mod._FOLD_MAX_THRESHOLDS
+        top = network_mod._FOLD_MAX_THRESHOLDS
         m_a = {"crossover": top + 1, "past-crossover": top + 2}.get(m_a, m_a)
         cfg = QuantConfig(m_a=m_a) if s is None else QuantConfig(m_a=m_a, s=s)
         graph = build_model(arch, 4, quant=cfg, norm_kind=kind, in_channels=1, input_hw=8,
@@ -982,15 +1133,15 @@ class TestThresholdFold:
             assert compute_r_w(graph)[0] > 0.5
         _spread_affines(graph, seed=m_a)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        folds = [op.fields["fold"] for _, op in _act_ops(model.ops)]
-        assert all(op.fields["fold"] is None for _, op in _act_ops(oracle.ops))
-        on_sums = {id(act) for *_, act in _code_sum_pairs(model.ops)}
+        folds = [_fold_of(op) for _, op in _act_ops(model.layers)]
+        assert all(_fold_of(op) is None for _, op in _act_ops(oracle.layers))
+        on_sums = {id(act) for *_, act in _code_sum_pairs(model.layers)}
         assert on_sums
         if m_a - 1 > top:
             assert not any(folds)
         else:
             assert [f is not None for f in folds] == \
-                [id(op) in on_sums for _, op in _act_ops(model.ops)]
+                [id(op) in on_sums for _, op in _act_ops(model.layers)]
             assert any(f.flip is not None for f in folds if f is not None)
         images = np.random.default_rng(m_a).normal(0.0, 2.0, size=(5, 1, 8, 8))
         np.testing.assert_array_equal(runtime_infer(model, images),
@@ -1013,11 +1164,11 @@ class TestThresholdFold:
                            "codes", 2, cfg, NormKind.BN)
         _spread_affines(graph, seed=36)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        (_, first), (_, second) = _act_ops(model.ops)
-        assert first.fields["fold"] is None  # no AFFINE in front of it
+        (_, first), (_, second) = _act_ops(model.layers)
+        assert _fold_of(first) is None  # no AFFINE in front of it
         # float32 sums fold; on float64 sums the compares are slower than the
         # divide and the fused pass they replace
-        fold = second.fields["fold"]
+        fold = _fold_of(second)
         if dtype == np.float32:
             assert fold.thresholds.dtype == np.float32
         else:
@@ -1034,9 +1185,9 @@ class TestThresholdFold:
                             ActQuant(CFG), GlobalAvgPool()], "values", 3, CFG, NormKind.LBN)
         _spread_affines(graph, seed=38)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        ((_, act),) = _act_ops(model.ops)
+        ((_, act),) = _act_ops(model.layers)
         # the pair reads image-conv sums, which no fold takes
-        assert act.fields["codes"] is None and act.fields["fold"] is None
+        assert act.codes is None and _fold_of(act) is None
         images = rng.normal(0.0, 2.0, size=(4, 1, 6, 6))
         np.testing.assert_array_equal(runtime_infer(model, images),
                                       runtime_infer(oracle, images))
@@ -1046,18 +1197,18 @@ class TestThresholdFold:
         graph = build_model(arch, 4, quant=CFG, in_channels=1, input_hw=8, seed=39)
         _spread_affines(graph, seed=39)
         model, oracle = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        pairs = list(zip(_code_sum_pairs(model.ops), _code_sum_pairs(oracle.ops)))
+        pairs = list(zip(_code_sum_pairs(model.layers), _code_sum_pairs(oracle.layers)))
         assert pairs
         for (_, aff, act), (oracle_conv, oracle_aff, oracle_act) in pairs:
-            t = act.fields["fold"].thresholds.T[:, :, None]  # (C, m_a-1, 1)
+            t = _fold_of(act).thresholds.T[:, :, None]  # (C, m_a-1, 1)
             t = np.where(np.isfinite(t), t, 0)  # no sum reaches +-inf
             x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)], 2)
             x = x.reshape(1, x.shape[0], -1, 1)
             # the oracle's CONV_Q divides its sums
-            oracle_in = np.divide(x, oracle_conv.fields["divisor"], dtype=np.float64)
+            oracle_in = np.divide(x, oracle_conv.codes.divisor, dtype=np.float64)
             np.testing.assert_array_equal(
-                export_mod._run_ops([aff, act], x),
-                export_mod._run_ops([oracle_aff, oracle_act], oracle_in))
+                _forward([aff, act], x, Mode.EVAL, None),
+                _forward([oracle_aff, oracle_act], oracle_in, Mode.EVAL, None))
 
     @pytest.mark.parametrize("arch,folds", [("vgg-mini", 5), ("preact-mini", 3)])
     def test_trainer_folds_as_the_import(self, tmp_path, monkeypatch, arch, folds):
@@ -1080,7 +1231,7 @@ class TestThresholdFold:
         images = np.random.default_rng(46).normal(0.0, 2.0, size=(5, 1, 8, 8))
         np.testing.assert_array_equal(runtime_infer(model, images),
                                       graph.forward(images, Mode.EVAL))
-        runtime = [act.fields["fold"] for *_, act in _code_sum_pairs(model.ops)]
+        runtime = [_fold_of(act) for *_, act in _code_sum_pairs(model.layers)]
         trainer = [act.fold[3] for act in graph.all_layers()
                    if isinstance(act, ActQuant) and act.folds is not None]
         assert len(runtime) == len(trainer) == counted.count(True) == folds
@@ -1097,8 +1248,8 @@ class TestThresholdFold:
         graph = build_model("vgg-mini", 4, quant=CFG, in_channels=1, seed=41)
         _spread_affines(graph, seed=41)
         model, _ = self._folded_and_oracle(tmp_path, monkeypatch, graph)
-        for *_, act in _code_sum_pairs(model.ops):
-            fold = act.fields["fold"]
+        for *_, act in _code_sum_pairs(model.layers):
+            fold = _fold_of(act)
             t = fold.thresholds
             if fold.flip is not None:
                 t = np.where(fold.flip[0, :, 0, 0], -t, t)
@@ -1153,9 +1304,9 @@ class TestFoldEdges:
         start = time.perf_counter()
         model = import_model(path)
         assert time.perf_counter() - start < 1.0
-        (_, act), *_ = reversed(list(_act_ops(model.ops)))
+        (_, act), *_ = reversed(list(_act_ops(model.layers)))
         # only code sums fold
-        assert (act.fields["fold"] is not None) == (layout == "code-sums" and m_a == 8)
+        assert (_fold_of(act) is not None) == (layout == "code-sums" and m_a == 8)
         oracle = _unfolded(monkeypatch, path)
         rng = np.random.default_rng(43)
         for images in (rng.normal(size=(2, in_ch, 4, 4)), rng.normal(size=(2, in_ch, 4, 4))
@@ -1171,16 +1322,16 @@ class TestFoldEdges:
     def test_non_finite_quantizer_input_names_its_record(self, tmp_path, bad, folded):
         # "folded": the net's pairs on code sums fold; the first ACT_Q reads
         # image-conv sums, which never fold
-        cfg = QuantConfig(m_a=8 if folded else export_mod._FOLD_MAX_THRESHOLDS + 2)
+        cfg = QuantConfig(m_a=8 if folded else network_mod._FOLD_MAX_THRESHOLDS + 2)
         graph = build_model("vgg-mini", 4, quant=cfg, in_channels=1, seed=44, use_ws=False)
         for conv in graph.conv_layers():  # states far from 0, at the clip endpoints
             conv.weight.data *= 10
         path = tmp_path / "m.maqd"
         export(graph, path)
         model = import_model(path)
-        acts = [act for _, act in _act_ops(model.ops)]
-        assert acts[0].fields["fold"] is None
-        assert any(act.fields["fold"] is not None for act in acts) == folded
+        acts = [act for _, act in _act_ops(model.layers)]
+        assert _fold_of(acts[0]) is None
+        assert any(_fold_of(act) is not None for act in acts) == folded
         assert runtime_infer(model, np.zeros((0, 1, 8, 8))).shape == (0, 4)
         images = np.random.default_rng(45).normal(size=(2, 1, 8, 8))
         if bad == 1e308:  # weights are at most 1: a whole image of 1e308 overflows the sums

@@ -38,13 +38,13 @@ class TestConv2d:
         win = np.array([[xp[:, :, i:i + kernel, j:j + kernel] for j in range(6)]
                         for i in range(5)])               # (h, w, n, c, k, k)
         expected = np.einsum("ocab,hwncab->nohw", w, win)
-        # the runtime's conv op, bound by the import of the exported conv
+        # the runtime's conv, bound by the import of the exported conv
         export.export(ModelGraph([conv, GlobalAvgPool()], "conv", 4, None, NormKind.LBN),
                       tmp_path / "conv.maqd")
-        op = import_model(tmp_path / "conv.maqd").ops[0]
+        leaf = import_model(tmp_path / "conv.maqd").layers[0]
         y = conv.forward(x, Mode.EVAL)
         assert y.dtype == dtype
-        for out in (y, _run_conv(op, x)):
+        for out in (y, _run_conv(leaf, x)):
             if dtype == np.float64:
                 np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
             else:
@@ -114,8 +114,8 @@ class TestConv2d:
         assert np.sum(y * u) == pytest.approx(np.sum(atu * x), rel=1e-10)
         export.export(ModelGraph([conv, GlobalAvgPool()], "conv", 3, None, NormKind.LBN),
                       tmp_path / "conv.maqd")
-        op = import_model(tmp_path / "conv.maqd").ops[0]
-        np.testing.assert_allclose(_run_conv(op, x), y, rtol=0, atol=1e-12)
+        leaf = import_model(tmp_path / "conv.maqd").layers[0]
+        np.testing.assert_allclose(_run_conv(leaf, x), y, rtol=0, atol=1e-12)
 
     def test_one_pixel_map_sees_only_the_center_tap(self):
         # padding by 1 puts every other tap of a 3x3 kernel on zeros
@@ -452,15 +452,16 @@ class TestPooling:
         assert y.dtype == dtype
         expected = x.reshape(2, 3, 3, 2, 2, 2).mean(axis=(3, 5))
         assert np.max(np.abs(y - expected)) <= rel * np.max(np.abs(expected))
-        # the runtime's AP2 op (float64) is the same kernel, bitwise; the
+        # the runtime's AP2 (float64) is the same kernel, bitwise; the
         # runtime returns only logits, so the pooled map is read off a spy
         pooled = []
-        monkeypatch.setattr(export, "_avg_pool2",
-                            lambda a: pooled.append(network._avg_pool2(a)) or pooled[-1])
+        real = network._avg_pool2
+        monkeypatch.setattr(network, "_avg_pool2", lambda a: pooled.append(real(a)) or pooled[-1])
         x64 = x.astype(np.float64)
         export.export(ModelGraph([AvgPool2(), GlobalAvgPool()], "pool", 3, None, NormKind.LBN),
                       tmp_path / "pool.maqd")
         runtime_infer(import_model(tmp_path / "pool.maqd"), x64)
+        monkeypatch.undo()
         (got,) = pooled
         np.testing.assert_array_equal(got, AvgPool2().forward(x64, Mode.EVAL))
 
@@ -749,10 +750,9 @@ class TestCodesEval:
                            "codes", 3, cfg, NormKind.LBN)
         export.export(graph, tmp_path / "m.maqd")
         model = import_model(tmp_path / "m.maqd")
-        act_op, conv_op = (op for op in model.ops if op.opcode in (export.OP_ACT_Q,
-                                                                   export.OP_CONV_Q))
+        act_leaf, conv_leaf = (l for l in model.layers if isinstance(l, (ActQuant, Conv2d)))
         assert act.codes.dtype == conv.codes.dtype == dtype
-        assert act_op.fields["codes"] == conv_op.fields["w"].dtype == dtype
+        assert act_leaf.codes.dtype == conv_leaf.w.dtype == dtype
         codes = rng.integers(0, cfg.m_a, size=(2, in_ch, 6, 6))
         codes[0] = cfg.m_a - 1  # one sample at the largest codes
         images = codes / (cfg.m_a - 1)
